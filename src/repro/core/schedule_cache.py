@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
@@ -93,6 +94,11 @@ class ScheduleCache:
     def __init__(self, scheduler: HaXCoNN) -> None:
         self.scheduler = scheduler
         self._store: dict[str, Schedule] = {}
+        #: (signature, stream names) -> (the installed schedule the
+        #: result was materialized from, the result); see :meth:`get`
+        self._results: dict[
+            tuple[str, tuple[str, ...]], tuple[Schedule, ScheduleResult]
+        ] = {}
         self.hits = 0
         self.misses = 0
         #: hits answered by entries that came from the attached store
@@ -125,9 +131,13 @@ class ScheduleCache:
     def get(self, workload: Workload) -> ScheduleResult:
         """Return the optimal schedule, solving only on first request.
 
-        Cached schedules are re-materialized against a freshly built
-        formulation so the returned result carries predictions and is
-        directly executable by :func:`repro.runtime.run_schedule`.
+        A hit is a toggle: the first hit on an installed schedule
+        materializes it once (formulation plus prediction, directly
+        executable by :func:`repro.runtime.run_schedule`) and later
+        hits return that same frozen result.  The result is keyed by
+        signature *and* stream names (the signature omits them; the
+        schedule carries them) and is only served while its schedule
+        is still the installed one, so no writer can leave it stale.
         """
         key = workload_signature(workload, self.scheduler)
         cached = self._store.get(key)
@@ -139,18 +149,23 @@ class ScheduleCache:
         self.hits += 1
         if key in self._from_store:
             self.store_hits += 1
+        materialized = self._results.get((key, workload.names))
+        if materialized is not None and materialized[0] is cached:
+            return materialized[1]
         formulation, _ = self.scheduler.build_formulation(workload)
         # hits always dispatch with "cached" provenance, whatever meta
         # the installed schedule carried: a cache toggle is a toggle
         # (and the serving layer's first-HaX-CoNN telemetry counts it
         # as solver-certified knowledge serving the mix)
-        return self.scheduler.result_from_assignments(
+        result = self.scheduler.result_from_assignments(
             workload,
             formulation,
             [s.assignment for s in cached],
             scheduler_name="cached",
             serialized=cached.serialized,
         )
+        self._results[(key, workload.names)] = (cached, result)
+        return result
 
     def put(self, workload: Workload, schedule: Schedule) -> None:
         """Install an externally-obtained schedule for a workload.
@@ -322,7 +337,12 @@ class ScheduleCache:
 
     # -- persistence -----------------------------------------------------
     def save(self, path: str | Path) -> None:
-        """Snapshot to JSON (v2: entries plus traffic counters)."""
+        """Snapshot to JSON (v2: entries plus traffic counters).
+
+        The snapshot lands via a temp file in the same directory and
+        :func:`os.replace`, so a save that fails part-way leaves the
+        previous snapshot intact.
+        """
         payload = {
             "version": 2,
             "stats": {
@@ -335,7 +355,14 @@ class ScheduleCache:
                 for key, schedule in self._store.items()
             },
         }
-        Path(path).write_text(json.dumps(payload))
+        path = Path(path)
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            with tmp.open("w", encoding="utf-8") as fh:
+                json.dump(payload, fh)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     @classmethod
     def load(cls, path: str | Path, scheduler: HaXCoNN) -> "ScheduleCache":

@@ -166,11 +166,22 @@ def group_cost(
     *,
     batch: int = 1,
 ) -> UnitCost:
-    """Standalone cost of a layer group: fused units run back-to-back."""
-    total = ZERO_COST
-    for unit in group.units:
-        total = total + unit_cost(unit, accel, platform, batch=batch)
-    return total
+    """Standalone cost of a layer group: fused units run back-to-back.
+
+    Computed once per (group, DSA): the sum is memoized on ``accel``
+    under the group plus the two platform fields the model reads and
+    ``batch``, so the simulator lowering every dispatched round and
+    the profiler share one walk of the group's units.
+    """
+    key = (platform.dtype_bytes, platform.dram_bandwidth, batch)
+    per_group = accel._cost_memo.setdefault(group, {})
+    cost = per_group.get(key)
+    if cost is None:
+        cost = ZERO_COST
+        for unit in group.units:
+            cost = cost + unit_cost(unit, accel, platform, batch=batch)
+        per_group[key] = cost
+    return cost
 
 
 def transition_cost(

@@ -23,7 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
+from weakref import WeakKeyDictionary
+
+if TYPE_CHECKING:  # the memo's owner sits above this layer
+    from repro.dnn.grouping import LayerGroup
+    from repro.perf.model import UnitCost
 
 #: default relative efficiency by layer kind for programmable GPUs
 GPU_KIND_EFF: Mapping[str, float] = MappingProxyType(
@@ -150,6 +155,19 @@ class AcceleratorSpec:
     #: fixed-function DSAs burn far less than the GPU, which is why
     #: energy-aware mappers like AxoNN shift layers onto them)
     active_power_w: float = 10.0
+    #: standalone-cost memo owned by :func:`repro.perf.model.group_cost`:
+    #: layer group -> {(dtype_bytes, dram_bandwidth, batch): UnitCost}.
+    #: Weakly keyed so it never keeps a profiled graph alive; outside
+    #: init, repr and comparison so ``replace``/``scaled`` copies start
+    #: empty.
+    _cost_memo: WeakKeyDictionary[
+        LayerGroup, dict[tuple[int, float, int], UnitCost]
+    ] = field(
+        default_factory=WeakKeyDictionary,
+        init=False,
+        repr=False,
+        compare=False,
+    )
 
     def __post_init__(self) -> None:
         if self.peak_flops <= 0:

@@ -5,8 +5,13 @@ import time
 import pytest
 
 from repro.core.haxconn import HaXCoNN
-from repro.core.schedule_cache import ScheduleCache, workload_signature
-from repro.core.workload import Workload
+from repro.core.schedule import DNNSchedule, Schedule
+from repro.core.schedule_cache import (
+    ScheduleCache,
+    schedule_to_payload,
+    workload_signature,
+)
+from repro.core.workload import Workload, WorkloadDNN
 from repro.runtime.executor import run_schedule
 
 
@@ -143,6 +148,135 @@ class TestCache:
         assert measured.latency_ms > 0
 
 
+def uniform_schedule(scheduler, workload, accel):
+    """Every group on ``accel`` where it runs there, else on the GPU
+    (a hand-built schedule: no solve)."""
+    formulation, _ = scheduler.build_formulation(workload)
+    return Schedule(
+        per_dnn=tuple(
+            DNNSchedule(
+                dnn_name=name,
+                assignment=tuple(
+                    accel if accel in group.time_s else "gpu"
+                    for group in profile.groups
+                ),
+            )
+            for name, profile in zip(workload.names, formulation.profiles)
+        ),
+        meta={"scheduler": "test"},
+    )
+
+
+def assert_matches_fresh(scheduler, workload, result):
+    """A served hit predicts exactly what a fresh materialization of
+    its assignments predicts."""
+    formulation, _ = scheduler.build_formulation(workload)
+    fresh = scheduler.result_from_assignments(
+        workload,
+        formulation,
+        [s.assignment for s in result.schedule],
+        scheduler_name="cached",
+        serialized=result.schedule.serialized,
+    )
+    assert result.predicted.objective == fresh.predicted.objective
+    assert result.predicted.per_dnn_time == fresh.predicted.per_dnn_time
+    assert result.predicted.items == fresh.predicted.items
+    assert result.schedule == fresh.schedule
+
+
+class TestHitReuse:
+    """A hit is a toggle: materialized once, then served as is."""
+
+    def test_repeated_hits_share_one_result(self, scheduler, workload):
+        cache = ScheduleCache(scheduler)
+        cache.put(workload, uniform_schedule(scheduler, workload, "gpu"))
+        first = cache.get(workload)
+        before = scheduler.eval_counters.evals
+        again = [cache.get(workload) for _ in range(3)]
+        assert all(hit is first for hit in again)
+        assert scheduler.eval_counters.evals == before  # no re-evaluation
+        assert_matches_fresh(scheduler, workload, first)
+
+    @pytest.mark.parametrize("writer", ["put", "merge", "adopt_stored"])
+    def test_replaced_entry_is_never_served_stale(
+        self, scheduler, workload, writer
+    ):
+        gpu = uniform_schedule(scheduler, workload, "gpu")
+        dla = uniform_schedule(scheduler, workload, "dla")
+        sig = workload_signature(workload, scheduler)
+        cache = ScheduleCache(scheduler)
+        if writer != "put":
+            # gossip and store seeding only install absent signatures
+            getattr(cache, writer)([(sig, schedule_to_payload(dla))])
+            assert [s.assignment for s in cache.get(workload).schedule] == [
+                s.assignment for s in dla
+            ]
+        cache.put(workload, gpu)
+        served = cache.get(workload)
+        assert [s.assignment for s in served.schedule] == [
+            s.assignment for s in gpu
+        ]
+        assert_matches_fresh(scheduler, workload, served)
+        cache.put(workload, dla)
+        served = cache.get(workload)
+        assert [s.assignment for s in served.schedule] == [
+            s.assignment for s in dla
+        ]
+        assert_matches_fresh(scheduler, workload, served)
+        # a peer's entry for an installed signature changes nothing
+        getattr(cache, "merge" if writer == "put" else writer)(
+            [(sig, schedule_to_payload(gpu))]
+        )
+        assert cache.get(workload) is served
+
+    def test_replacement_after_load_is_not_stale(
+        self, scheduler, workload, tmp_path
+    ):
+        cache = ScheduleCache(scheduler)
+        cache.put(workload, uniform_schedule(scheduler, workload, "gpu"))
+        cache.get(workload)
+        path = tmp_path / "schedules.json"
+        cache.save(path)
+        restored = ScheduleCache.load(path, scheduler)
+        dla = uniform_schedule(scheduler, workload, "dla")
+        restored.put(workload, dla)
+        assert [s.assignment for s in restored.get(workload).schedule] == [
+            s.assignment for s in dla
+        ]
+
+    def test_same_signature_different_names(self, scheduler, workload):
+        renamed = Workload(
+            dnns=(
+                workload.dnns[0],
+                WorkloadDNN(models=workload.dnns[1].models, instance=2),
+            ),
+            objective=workload.objective,
+        )
+        assert renamed.names != workload.names
+        assert workload_signature(renamed, scheduler) == workload_signature(
+            workload, scheduler
+        )
+        cache = ScheduleCache(scheduler)
+        cache.put(workload, uniform_schedule(scheduler, workload, "gpu"))
+        for target in (workload, renamed, workload, renamed):
+            hit = cache.get(target)
+            assert tuple(s.dnn_name for s in hit.schedule) == target.names
+            assert_matches_fresh(scheduler, target, hit)
+
+    def test_counters_bump_on_every_hit(self, scheduler, workload):
+        sig = workload_signature(workload, scheduler)
+        payload = schedule_to_payload(
+            uniform_schedule(scheduler, workload, "gpu")
+        )
+        cache = ScheduleCache(scheduler)
+        cache.adopt_stored([(sig, payload)])
+        for expected in range(1, 4):
+            cache.get(workload)
+            assert cache.hits == expected
+            assert cache.store_hits == expected
+        assert cache.misses == 0
+
+
 class TestPersistence:
     def test_v2_roundtrip_restores_stats(
         self, scheduler, workload, tmp_path
@@ -158,12 +292,55 @@ class TestPersistence:
         assert restored.store_hits == 0
         assert workload in restored
 
+    def test_failed_save_keeps_previous_snapshot(
+        self, scheduler, workload, tmp_path, monkeypatch
+    ):
+        """A save that dies part-way through writing (disk full, a
+        kill) must not leave a truncated snapshot behind."""
+        from pathlib import Path
+
+        cache = ScheduleCache(scheduler)
+        cache.put(workload, uniform_schedule(scheduler, workload, "gpu"))
+        path = tmp_path / "schedules.json"
+        cache.save(path)
+        before = path.read_bytes()
+
+        cache.get(workload)  # the next snapshot differs (hit counter)
+        real_open = Path.open
+
+        def torn_open(self, mode="r", *args, **kwargs):
+            handle = real_open(self, mode, *args, **kwargs)
+            if "w" not in mode:
+                return handle
+
+            class Torn:
+                def __enter__(self):
+                    return self
+
+                def __exit__(self, *exc):
+                    handle.close()
+
+                def write(self, text):
+                    handle.write(text[: len(text) // 2])
+                    handle.flush()
+                    raise OSError("no space left on device")
+
+            return Torn()
+
+        monkeypatch.setattr(Path, "open", torn_open)
+        with pytest.raises(OSError):
+            cache.save(path)
+        monkeypatch.undo()
+
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+        restored = ScheduleCache.load(path, scheduler)
+        assert workload in restored and restored.hits == 0
+
     def test_v1_flat_file_still_loads(
         self, scheduler, workload, tmp_path
     ):
         import json
-
-        from repro.core.schedule_cache import schedule_to_payload
 
         cache = ScheduleCache(scheduler)
         solved = cache.get(workload)

@@ -1,11 +1,14 @@
 """Roofline latency model: physicality and monotonicity."""
 
+import dataclasses
+
 import pytest
 
 from repro.dnn import zoo
 from repro.dnn.fusion import fuse
 from repro.dnn.grouping import group_layers
 from repro.perf.model import (
+    ZERO_COST,
     UnsupportedLayerError,
     group_cost,
     standalone_latency,
@@ -13,6 +16,7 @@ from repro.perf.model import (
     unit_cost,
     utilization,
 )
+from repro.soc.platform import available_platforms, get_platform
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +115,128 @@ class TestGroupCost:
         assert cost.req_bw == pytest.approx(
             cost.dram_bytes / cost.time_s, rel=1e-9
         )
+
+
+def fresh_group_cost(group, accel, platform, batch=1):
+    """The unmemoized definition: unit costs summed in unit order."""
+    total = ZERO_COST
+    for unit in group.units:
+        total = total + unit_cost(unit, accel, platform, batch=batch)
+    return total
+
+
+class TestGroupCostMemo:
+    @pytest.mark.parametrize("name", available_platforms())
+    def test_memo_equals_fresh_sum_bit_for_bit(self, name, resnet_groups):
+        platform = get_platform(name)
+        checked = 0
+        for accel in platform.accelerators:
+            for group in resnet_groups:
+                if not accel.supports_kinds(group.layer_kinds):
+                    continue
+                for batch in (1, 2):
+                    try:
+                        expected = fresh_group_cost(
+                            group, accel, platform, batch
+                        )
+                    except UnsupportedLayerError:
+                        with pytest.raises(UnsupportedLayerError):
+                            group_cost(group, accel, platform, batch=batch)
+                        continue
+                    first = group_cost(group, accel, platform, batch=batch)
+                    again = group_cost(group, accel, platform, batch=batch)
+                    assert first == expected  # exact float equality
+                    assert again is first  # served from the memo
+                    checked += 1
+        assert checked >= len(resnet_groups)
+
+    def test_with_scales_variant_starts_empty(self, xavier, resnet_groups):
+        group = resnet_groups[2]
+        base = group_cost(group, xavier.gpu, xavier)
+        scaled = xavier.with_scales({"gpu": xavier.gpu.time_scale * 2.0})
+        assert len(scaled.gpu._cost_memo) == 0
+        variant = group_cost(group, scaled.gpu, scaled)
+        assert variant == fresh_group_cost(group, scaled.gpu, scaled)
+        assert variant.time_s == pytest.approx(2.0 * base.time_s)
+        # the original spec still serves its own entry
+        assert group_cost(group, xavier.gpu, xavier) is base
+
+    def test_bandwidth_variant_shares_spec_not_entries(
+        self, xavier, resnet_groups
+    ):
+        """``dataclasses.replace`` on the platform keeps the same
+        accelerator specs, so the memo key must carry the bandwidth."""
+        narrow = dataclasses.replace(
+            xavier, dram_bandwidth=xavier.dram_bandwidth / 100
+        )
+        assert narrow.gpu is xavier.gpu
+        for group in resnet_groups:
+            base = group_cost(group, xavier.gpu, xavier)
+            variant = group_cost(group, narrow.gpu, narrow)
+            assert variant == fresh_group_cost(group, narrow.gpu, narrow)
+            assert variant.time_s > base.time_s
+            assert group_cost(group, xavier.gpu, xavier) == (
+                fresh_group_cost(group, xavier.gpu, xavier)
+            )
+
+    def test_replaced_spec_starts_empty(self, xavier, resnet_groups):
+        group_cost(resnet_groups[0], xavier.gpu, xavier)
+        assert len(xavier.gpu._cost_memo) > 0
+        assert len(dataclasses.replace(xavier.gpu)._cost_memo) == 0
+        assert len(xavier.gpu.scaled(3.0)._cost_memo) == 0
+
+    def test_memo_is_outside_repr_and_equality(self, xavier, resnet_groups):
+        group_cost(resnet_groups[0], xavier.gpu, xavier)
+        twin = dataclasses.replace(xavier.gpu)
+        assert twin == xavier.gpu
+        assert "_cost_memo" not in repr(xavier.gpu)
+
+    def test_memo_does_not_keep_groups_alive(self, xavier):
+        import gc
+
+        groups = group_layers(zoo.build("alexnet"), max_groups=4)
+        for group in groups:
+            group_cost(group, xavier.gpu, xavier)
+        held, count = len(xavier.gpu._cost_memo), len(groups)
+        del groups, group
+        gc.collect()
+        assert len(xavier.gpu._cost_memo) <= held - count
+
+
+    def test_threads_sharing_one_spec_agree(self, xavier, resnet_groups):
+        """Threads (the thread fleet/portfolio backends) share a spec's
+        memo; a racing fill may compute an entry twice but every caller
+        must see the unmemoized value."""
+        import sys
+        import threading
+
+        spec = dataclasses.replace(xavier.gpu)  # empty memo
+        expected = [fresh_group_cost(g, spec, xavier) for g in resnet_groups]
+        seen, errors = [], []
+
+        def worker():
+            try:
+                for _ in range(20):
+                    seen.append(
+                        [group_cost(g, spec, xavier) for g in resnet_groups]
+                    )
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(seen) == 8 * 20
+        assert all(costs == expected for costs in seen)
 
 
 class TestTransitionCost:

@@ -35,7 +35,9 @@ def fleet_tenants(count=4):
     ]
 
 
-def make_factory(xavier, xavier_db, **overrides):
+def make_factory(
+    xavier, xavier_db, policy_cls=CachedAnytimePolicy, **overrides
+):
     """Cheap deterministic per-shard policy (nodes-clock portfolio)."""
     kwargs = dict(
         max_groups=4,
@@ -49,7 +51,7 @@ def make_factory(xavier, xavier_db, **overrides):
     kwargs.update(overrides)
 
     def factory(shard_id):
-        return CachedAnytimePolicy(
+        return policy_cls(
             HaXCoNN(xavier, db=xavier_db, **kwargs),
             update_points=(0.002, 0.01, 0.05),
         )
@@ -340,6 +342,59 @@ class TestSolveStore:
             xavier, xavier_db, shards=2, backend="thread", store=warm
         )
         assert a.describe_shards() == b.describe_shards()
+
+    def test_warm_rerun_pays_only_for_simulation(
+        self, xavier, xavier_db, tmp_path, monkeypatch
+    ):
+        """Count-based guard (no timing): once a process has served
+        a warm store, another serial run recomputes no standalone
+        group cost and materializes each mix at most once per shard."""
+        import repro.perf.model as perf_model
+
+        store = SolveStore(tmp_path / "solves.jsonl")
+        run_fleet(xavier, xavier_db, shards=2, backend="serial", store=store)
+        warm = SolveStore(store.path, readonly=True)
+        run_fleet(xavier, xavier_db, shards=2, backend="serial", store=warm)
+
+        policies = []
+
+        class RecordingPolicy(CachedAnytimePolicy):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.mixes = set()
+                policies.append(self)
+
+            def result_for(self, workload, elapsed_s):
+                self.mixes.add(workload)
+                return super().result_for(workload, elapsed_s)
+
+        unit_costs = []
+        real_unit_cost = perf_model.unit_cost
+
+        def counting_unit_cost(*args, **kwargs):
+            unit_costs.append(args[0])
+            return real_unit_cost(*args, **kwargs)
+
+        monkeypatch.setattr(perf_model, "unit_cost", counting_unit_cost)
+        report = Fleet(
+            xavier,
+            fleet_tenants(),
+            make_factory(xavier, xavier_db, policy_cls=RecordingPolicy),
+            shards=2,
+            backend="serial",
+            sync_rounds=4,
+            store=warm,
+        ).run(horizon_s=HORIZON)
+
+        assert report.solves == 0 and report.store_hits > 0
+        assert unit_costs == []
+        assert policies  # one per shard that serves tenants
+        rounds = 0
+        for policy in policies:
+            counters = policy.scheduler.eval_counters
+            assert counters.computed_evals <= len(policy.mixes)
+            rounds += policy.cache.hits
+        assert rounds > sum(len(p.mixes) for p in policies)
 
 
 class TestPinnedRouter:
