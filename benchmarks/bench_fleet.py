@@ -14,7 +14,7 @@ Tier-1 gates for the fleet acceptance criteria:
    >= 2x sooner and performs zero solver runs (every mix toggles out
    of the store).
 3. **determinism** -- at a fixed seed the per-shard ``FleetReport``\\ s
-   are byte-identical across the serial, thread, and fork backends.
+   are byte-identical across the serial and fork backends.
 4. **transport** -- the shared-memory gossip transport (``shm``) must
    deliver byte-identical per-shard reports to the pickled-queue
    path with actual ring traffic, and its per-round wall time must
@@ -32,7 +32,7 @@ Tier-1 gates for the fleet acceptance criteria:
    and only the stall component can honestly separate the protocols
    (it is also the component the tentpole targets: fast shards keep
    serving instead of parking at the barrier).  Byte-identity of
-   shard reports across serial/thread/fork AND across lockstep vs
+   shard reports across serial/fork AND across lockstep vs
    pipelined (the workload's mix signatures are pairwise distinct,
    so gossip is inert) is asserted on every attempt.
 
@@ -81,7 +81,7 @@ SHARDS = 4
 def _parallel_backend() -> str:
     if "fork" in multiprocessing.get_all_start_methods():
         return "fork"
-    return "thread"
+    return "serial"
 
 
 def _run(
@@ -109,7 +109,6 @@ def _attempt(tmp_path, attempt: int):
     # an *empty* writable store does not seed the workers, so this run
     # stays comparable with the no-store backends below
     rep_serial = _run(SHARDS, "serial", store)
-    rep_thread = _run(SHARDS, "thread")
     rep_parallel = _run(SHARDS, _parallel_backend())
     rep_single = _run(1, "serial")
     warm = SolveStore(store.path, readonly=True)
@@ -117,12 +116,11 @@ def _attempt(tmp_path, attempt: int):
 
     # -- deterministic gates: checked on every attempt ------------------
     # (3) fixed seed => per-shard reports byte-identical across backends
-    assert rep_serial.describe_shards() == rep_thread.describe_shards()
     assert rep_serial.describe_shards() == rep_parallel.describe_shards()
     # every topology serves the full trace, nothing lost to sharding
     served = {
         r.served
-        for r in (rep_serial, rep_thread, rep_parallel, rep_single)
+        for r in (rep_serial, rep_parallel, rep_single)
     }
     assert len(served) == 1, f"served counts diverged: {served}"
     assert rep_serial.shed == rep_single.shed
@@ -144,7 +142,6 @@ def _attempt(tmp_path, attempt: int):
     ttf_ratio = cold_ttf / warm_ttf
     reports = {
         "serial": rep_serial,
-        "thread": rep_thread,
         "parallel": rep_parallel,
         "single": rep_single,
         "warm": rep_warm,
@@ -231,16 +228,9 @@ def _measure_pipeline():
             max_lag=PIPELINE_MAX_LAG,
             backend="serial",
         )
-        pipe_thread = serving.run_pipeline_fleet(
-            shards=PIPELINE_SHARDS,
-            max_lag=PIPELINE_MAX_LAG,
-            backend="thread",
-        )
         # identity: checked on every attempt
         assert (
-            pipe.describe_shards()
-            == pipe_serial.describe_shards()
-            == pipe_thread.describe_shards()
+            pipe.describe_shards() == pipe_serial.describe_shards()
         ), "pipelined shard reports diverged across backends"
         # gossip is inert here, so the lag window must not change any
         # shard's report either -- lockstep and pipelined runs do the

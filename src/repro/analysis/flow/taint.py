@@ -47,6 +47,7 @@ TAINT_RULES: dict[str, str] = {
 
 #: sink qualname -> the replicated artifact it feeds.  Keep sorted.
 DEFAULT_SINKS: dict[str, str] = {
+    "repro.core.parallel.EpochGate.union": "epoch grant / gossip union",
     "repro.core.shm.DeltaChannel.pack": "shm delta-channel payload",
     "repro.core.shm.ShmRing.try_write": "shm ring record",
     "repro.core.solve_store.SolveStore._append": "solve-store record",

@@ -723,7 +723,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--backend",
-        choices=("auto", "fork", "thread", "serial"),
+        choices=("auto", "fork", "serial"),
         default="auto",
         help="fleet worker backend (ignored with --shards 1)",
     )

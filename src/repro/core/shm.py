@@ -2,7 +2,8 @@
 
 The portfolio solver and the serving fleet exchange bulk epoch
 payloads -- evaluation-memo deltas and solve gossip -- between fork
-workers and the parent.  Those payloads used to ride inside the
+workers and the parent, through the one epoch runtime in
+:mod:`repro.core.parallel`.  Those payloads used to ride inside the
 control messages on :class:`multiprocessing.SimpleQueue`, which means
 every epoch serializes kilobytes through a pipe one ``write(2)`` /
 ``read(2)`` pair at a time.  :class:`ShmRing` moves the bulk bytes
@@ -35,9 +36,10 @@ Design rules (and what they buy):
 Determinism: the transport moves opaque pickled bytes and preserves
 send order per direction.  Which path a payload takes (ring or inline
 fallback) can depend on timing, but the *content* delivered is
-identical either way, and the portfolio/fleet parents merge payloads
-in worker-index order regardless of arrival path -- so per-shard
-reports and solver traces remain byte-identical across transports.
+identical either way, and every payload carries its epoch tag, which
+the epoch runtime uses to merge in (epoch, worker-index) order
+regardless of arrival path -- so per-shard reports and solver traces
+remain byte-identical across transports.
 """
 
 from __future__ import annotations
@@ -229,71 +231,54 @@ _SHM, _INLINE = "shm", "inline"
 
 
 class TagMismatch(RuntimeError):
-    """A tagged record's round tag disagrees with its control token."""
+    """A ring record's epoch tag disagrees with its control token."""
 
 
 class DeltaChannel:
-    """One-direction transport for picklable epoch payloads.
+    """One-direction transport for picklable, epoch-tagged payloads.
 
-    ``pack`` turns an object into a small token for the control
-    queue: ``("shm",)`` when the pickled bytes landed in the ring,
-    ``("inline", obj)`` when there is no ring or the ring is full
-    (reader-lag overflow).  ``unpack`` inverts it on the other side.
-    Tokens must be unpacked in send order -- the ring is FIFO.
-
-    With ``tagged=True`` the channel speaks the *round-tagged*
-    protocol the pipelined serving fleet needs: ``pack(obj, tag)``
-    stamps the payload with an epoch tag, both inline (``("inline",
-    tag, obj)``) and in the ring record (the pickled bytes are
-    ``(tag, obj)``), and ``unpack`` re-checks that the ring record's
-    embedded tag matches the control token's -- a cheap end-to-end
-    guard that a lagging reader and a fast writer never pair a token
-    with the wrong epoch's bytes.  Untagged channels keep the
-    original token shapes, so the solver portfolio's transport is
-    byte-for-byte unchanged.
+    ``pack(obj, tag)`` turns an object into a small token for the
+    control queue: ``("shm", tag)`` when the pickled ``(tag, obj)``
+    record landed in the ring, ``("inline", tag, obj)`` when there is
+    no ring or the ring is full (reader-lag overflow).  ``unpack``
+    inverts it on the other side and re-checks that a ring record's
+    embedded tag matches its token's -- a cheap end-to-end guard that
+    a lagging reader and a fast writer never pair a token with the
+    wrong epoch's bytes.  Tokens must be unpacked in send order -- the
+    ring is FIFO.
 
     With ``ring=None`` the channel degenerates to the pickled-queue
-    path, which is how the thread and serial backends (and the
-    ``queue`` transport) speak the same protocol with zero copies of
-    this code.
+    path, which is how the ``queue`` transport speaks the same
+    protocol with zero copies of this code.
     """
 
-    def __init__(
-        self, ring: ShmRing | None = None, *, tagged: bool = False
-    ) -> None:
+    def __init__(self, ring: ShmRing | None = None) -> None:
         self.ring = ring
-        self.tagged = tagged
         #: transport telemetry (benchmarks report these)
         self.sent_ring = 0
         self.sent_inline = 0
         self.ring_bytes = 0
 
-    def pack(self, obj: Any, tag: Any = None) -> tuple[Any, ...]:
-        if self.tagged and tag is None:
-            raise ValueError("tagged channel needs a round tag")
-        record = (tag, obj) if self.tagged else obj
+    def pack(self, obj: Any, tag: Any) -> tuple[Any, ...]:
         if self.ring is not None:
-            payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+            payload = pickle.dumps((tag, obj), protocol=pickle.HIGHEST_PROTOCOL)
             if self.ring.try_write(payload):
                 self.sent_ring += 1
                 self.ring_bytes += len(payload)
-                return (_SHM, tag) if self.tagged else (_SHM,)
+                return (_SHM, tag)
         self.sent_inline += 1
-        return (_INLINE, tag, obj) if self.tagged else (_INLINE, obj)
+        return (_INLINE, tag, obj)
 
     def unpack(self, token: tuple[Any, ...]) -> Any:
-        if token[0] == _SHM:
-            assert self.ring is not None, "shm token without a ring"
-            record = pickle.loads(self.ring.read_one())
-            if not self.tagged:
-                return record
-            tag, obj = record
-            if tag != token[1]:
-                raise TagMismatch(
-                    f"ring record tagged {tag!r}, token says {token[1]!r}"
-                )
-            return obj
-        return token[2] if self.tagged else token[1]
+        if token[0] != _SHM:
+            return token[2]
+        assert self.ring is not None, "shm token without a ring"
+        tag, obj = pickle.loads(self.ring.read_one())
+        if tag != token[1]:
+            raise TagMismatch(
+                f"ring record tagged {tag!r}, token says {token[1]!r}"
+            )
+        return obj
 
     def close(self) -> None:
         if self.ring is not None:
@@ -305,14 +290,11 @@ class DeltaChannel:
 
 
 def make_channel_pair(
-    capacity: int = 1 << 20, *, tagged: bool = False
+    capacity: int = 1 << 20,
 ) -> tuple[DeltaChannel, DeltaChannel]:
     """(up, down) ring channels for one worker, or inline channels
     when shared memory is unavailable on this host."""
     try:
-        return (
-            DeltaChannel(ShmRing(capacity), tagged=tagged),
-            DeltaChannel(ShmRing(capacity), tagged=tagged),
-        )
+        return DeltaChannel(ShmRing(capacity)), DeltaChannel(ShmRing(capacity))
     except RingUnavailable:
-        return DeltaChannel(None, tagged=tagged), DeltaChannel(None, tagged=tagged)
+        return DeltaChannel(None), DeltaChannel(None)

@@ -221,8 +221,8 @@ def make_fleet_policy_factory(
     The scheduler runs the portfolio under its ``nodes`` clock so
     incumbents carry virtual timestamps -- the fleet's cross-backend
     byte-identity needs swap decisions that do not depend on wall
-    time.  The factory is called inside each worker (fork / thread /
-    serial), which all inherit the one shared profile database.
+    time.  The factory is called inside each worker (fork or serial),
+    which all inherit the one shared profile database.
     """
     platform = get_platform(platform_name)
     db = get_db(platform_name)

@@ -49,7 +49,7 @@ def scenario_policy(
 
     ``solver_clock="nodes"`` keeps the portfolio's anytime trace a
     pure function of explored nodes, which is what makes fleet replays
-    byte-identical across serial/thread/fork backends.
+    byte-identical across the serial and fork backends.
     """
     platform = get_platform(spec.platform)
     scheduler = HaXCoNN(

@@ -31,7 +31,6 @@ from repro.serve.fleet import (
     ShardedFleetReport,
     ShardOutcome,
     ShardRouter,
-    serve_fleet,
     stable_shard,
 )
 from repro.serve.policy import (
@@ -78,6 +77,5 @@ __all__ = [
     "generate_requests",
     "gpu_only_policy",
     "naive_policy",
-    "serve_fleet",
     "stable_shard",
 ]

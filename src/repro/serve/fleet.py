@@ -31,7 +31,10 @@ concatenation of that epoch's per-shard deltas in shard-index order.
 lets fast shards keep serving up to that many epochs ahead of the
 slowest peer, so barrier idle time collapses while every merge stays
 deterministic.  Shards that finish stop gating the pipeline and
-contribute no later deltas.
+contribute no later deltas.  The gate, the worker launcher and the
+shared-memory transport are the epoch runtime of
+:mod:`repro.core.parallel`, which the solver portfolio's race runs on
+too (at ``max_lag = 0``).
 
 Determinism contract (the fleet extension of the portfolio's): a
 shard's :class:`~repro.serve.slo.FleetReport` is a pure function of
@@ -41,8 +44,8 @@ sequence it observes at its epoch boundaries.  Epochs are counted in
 shard-index) merge order plus the bounded-lag gate make that sequence
 independent of how fast any shard happens to run.  At a fixed seed
 and fixed ``max_lag`` a shard's report is therefore byte-identical
-across the fork / thread / serial backends (provided the policy
-itself is deterministic -- e.g. the portfolio solver under its
+across the fork and serial backends (provided the policy itself is
+deterministic -- e.g. the portfolio solver under its
 ``nodes`` clock).  Wall-clock only appears in telemetry fields
 (:attr:`ShardOutcome.wall_s`, :attr:`ShardOutcome.idle_wall_s`,
 :attr:`ShardOutcome.first_hax_wall_s`) that stay out of the report.
@@ -50,14 +53,20 @@ itself is deterministic -- e.g. the portfolio solver under its
 
 from __future__ import annotations
 
-import multiprocessing
-import queue
-import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
+from repro.core.parallel import (
+    DONE,
+    ERROR,
+    SYNC,
+    EpochGate,
+    Link,
+    WorkerPool,
+    resolve_backend,
+)
 from repro.core.solve_store import SolveStore
 from repro.runtime import metrics
 from repro.runtime.trace import timeline_to_trace_events, write_trace_events
@@ -72,12 +81,9 @@ from repro.serve.slo import (
 from repro.soc.platform import Platform, get_platform
 from repro.solver.clock import monotonic_s
 
-#: message tags on the shard -> parent queue (portfolio discipline)
-_SYNC, _DONE, _ERROR = "sync", "done", "error"
-
-#: backends, mirroring ``solver.portfolio`` (``thread`` and
-#: ``threads`` are accepted interchangeably)
-BACKENDS = ("auto", "fork", "thread", "serial")
+#: fork runs shards in worker processes; serial scans them in-process
+#: and produces byte-identical reports; auto picks fork when it can
+BACKENDS = ("auto", "fork", "serial")
 
 
 def stable_shard(name: str, shards: int) -> int:
@@ -306,16 +312,42 @@ def _shard_outcome(
     )
 
 
-def _run_shard(
+def _open_shard(
     platform: Platform,
     tenants: Sequence[Tenant],
     policy_factory: Callable[[int], ServingPolicy],
     initial_delta: tuple[Any, ...],
     config: _ShardConfig,
-    inbox: Any,
-    outbox: Any,
     shard_id: int,
-    channel: tuple[Any, Any] | None = None,
+) -> tuple[ServingSession, ServingPolicy, float]:
+    """A fresh shard: its policy seeded with the store delta, its
+    serving session, and the session's wall-clock start."""
+    policy = policy_factory(shard_id)
+    policy.merge(initial_delta)
+    server = Server(
+        platform,
+        tenants,
+        policy,
+        max_batch=config.max_batch,
+        objective=config.objective,
+        contention=config.contention,
+        admission=config.admission,
+        batching=config.batching,
+    )
+    wall_start = monotonic_s()
+    session = server.session(
+        horizon_s=config.horizon_s, max_requests=config.max_requests
+    )
+    return session, policy, wall_start
+
+
+def _run_shard(
+    link: Link,
+    platform: Platform,
+    tenants: Sequence[Tenant],
+    policy_factory: Callable[[int], ServingPolicy],
+    initial_delta: tuple[Any, ...],
+    config: _ShardConfig,
 ) -> None:
     """Shard worker: serve in gossip epochs under the bounded-lag gate.
 
@@ -325,93 +357,48 @@ def _run_shard(
     says must be merged first), merge, repeat.  With ``max_lag = 0``
     the grant only arrives once every peer has posted the same epoch,
     i.e. the classic lockstep barrier.  The policy and server are
-    built *inside* the worker from the factory so fork, thread, and
-    serial shards all start from an identical fresh state (under fork
-    the factory's closed-over profile database is inherited
-    copy-on-write, so no shard re-profiles).
-
-    ``channel`` is the shard's fork-inherited ``(up, down)``
-    round-tagged :class:`repro.core.shm.DeltaChannel` pair: bulk
-    gossip payloads ride the shared-memory rings and only fixed-size
-    tokens cross the control queues.  ``None`` keeps payloads inline
-    on the queues.  Time spent blocked on the grant accumulates into
-    :attr:`ShardOutcome.idle_wall_s` (telemetry only).
+    built *inside* the worker from the factory so fork and serial
+    shards start from an identical fresh state (under fork the
+    factory's closed-over profile database is inherited
+    copy-on-write, so no shard re-profiles).  Time spent blocked on
+    the grant accumulates into :attr:`ShardOutcome.idle_wall_s`
+    (telemetry only).
     """
-
-    def packed(delta: tuple[Any, ...], epoch: int) -> Any:
-        if channel is not None and delta:
-            return channel[0].pack(delta, tag=epoch)
-        return delta
-
+    shard_id = link.index
     idle_wall_s = 0.0
     epoch = 0
     try:
-        policy = policy_factory(shard_id)
-        policy.merge(initial_delta)
-        server = Server(
-            platform,
-            tenants,
-            policy,
-            max_batch=config.max_batch,
-            objective=config.objective,
-            contention=config.contention,
-            admission=config.admission,
-            batching=config.batching,
+        session, policy, wall_start = _open_shard(
+            platform, tenants, policy_factory, initial_delta, config, shard_id
         )
-        wall_start = monotonic_s()
-        session = server.session(
-            horizon_s=config.horizon_s, max_requests=config.max_requests
-        )
+
+        def outcome() -> ShardOutcome:
+            return _shard_outcome(
+                shard_id,
+                tenants,
+                session,
+                wall_start,
+                idle_wall_s=idle_wall_s,
+                epochs=epoch + 1,
+            )
+
         while True:
             session.run_rounds(config.sync_rounds)
             delta = policy.export_delta(limit=config.gossip_limit)
             if session.finished:
-                outbox.put(
-                    (
-                        _DONE,
-                        shard_id,
-                        epoch,
-                        packed(delta, epoch),
-                        _shard_outcome(
-                            shard_id,
-                            tenants,
-                            session,
-                            wall_start,
-                            idle_wall_s=idle_wall_s,
-                            epochs=epoch + 1,
-                        ),
-                    )
-                )
+                link.post(DONE, epoch, delta, outcome())
                 return
-            outbox.put((_SYNC, shard_id, epoch, packed(delta, epoch)))
+            link.post(SYNC, epoch, delta)
             wait_start = monotonic_s()
-            reply = inbox.get()
+            reply = link.wait()
             idle_wall_s += monotonic_s() - wait_start
-            if reply[0] == "stop":  # a peer failed: report and exit
-                outbox.put(
-                    (
-                        _DONE,
-                        shard_id,
-                        epoch,
-                        (),
-                        _shard_outcome(
-                            shard_id,
-                            tenants,
-                            session,
-                            wall_start,
-                            idle_wall_s=idle_wall_s,
-                            epochs=epoch + 1,
-                        ),
-                    )
-                )
+            if reply is None:  # a peer failed: report and exit
+                link.post(DONE, epoch, (), outcome())
                 return
-            payload = reply[1]
-            if channel is not None and payload:
-                payload = channel[1].unpack(payload)
-            policy.merge(payload)
+            policy.merge(reply[0])
             epoch += 1
-    except Exception as exc:  # surfaced by the parent, in shard order
-        outbox.put((_ERROR, shard_id, repr(exc)))
+    except Exception as exc:  # surfaced by the parent
+        link.fail(epoch, exc)
 
 
 class ShardedFleetReport:
@@ -662,9 +649,9 @@ class Fleet:
         Replica count.
     backend:
         ``fork`` (worker processes; requires the fork start method),
-        ``thread``, ``serial`` (in-process lockstep emulation, the CI
-        smoke backend), or ``auto`` (fork when available, else
-        thread).
+        ``serial`` (the same protocol scanned in-process, byte-identical
+        reports), or ``auto`` (fork for several shards when available,
+        else serial).
     router:
         ``hash`` / ``balanced`` or a :class:`ShardRouter`.
     sync_rounds:
@@ -697,8 +684,8 @@ class Fleet:
         memory is unavailable or the backend is not fork; ``"queue"``
         keeps the pickled-message path; ``"auto"`` (default) uses shm
         when the fork backend runs and shared memory probes healthy,
-        else queue.  Thread and serial shards always exchange deltas
-        in-process.  The transport never changes report bytes -- only
+        else queue.  Serial shards always exchange deltas in-process.
+        The transport never changes report bytes -- only
         how they travel.
     """
 
@@ -736,8 +723,7 @@ class Fleet:
                 f"unknown batching mode {batching!r}; "
                 f"expected one of {BATCHING_MODES}"
             )
-        normalized = "thread" if backend == "threads" else backend
-        if normalized not in BACKENDS:
+        if backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
             )
@@ -755,7 +741,7 @@ class Fleet:
         self.tenants = tuple(tenants)
         self.policy_factory = policy_factory
         self.shards = shards
-        self.backend = normalized
+        self.backend = backend
         self.router = (
             router
             if isinstance(router, ShardRouter)
@@ -781,20 +767,6 @@ class Fleet:
         self.learn_stats: dict[str, Any] | None = None
 
     # ------------------------------------------------------------------
-    def _resolve_backend(self) -> str:
-        if self.backend != "auto":
-            if (
-                self.backend == "fork"
-                and "fork" not in multiprocessing.get_all_start_methods()
-            ):
-                raise ValueError("fork start method unavailable")
-            return self.backend
-        if self.shards == 1:
-            return "serial"
-        if "fork" in multiprocessing.get_all_start_methods():
-            return "fork"
-        return "thread"
-
     def _initial_delta(self) -> tuple[Any, ...]:
         """The solve store's contents as one gossip delta.
 
@@ -832,14 +804,9 @@ class Fleet:
     ) -> ShardedFleetReport:
         """Serve every request within ``horizon_s`` across all shards."""
         start = monotonic_s()
-        backend = self._resolve_backend()
-        if self.transport == "shm" and backend != "fork":
-            raise ValueError(
-                "transport='shm' requires the fork backend; serial and "
-                "thread shards already share memory in-process"
-            )
-        self._transport_used = "inproc"
-        self._transport_stats = {"ring": 0, "inline": 0}
+        backend = resolve_backend(
+            self.backend, self.shards, fallback="serial", transport=self.transport
+        )
         assignment = self.router.assign(
             self.tenants,
             horizon_s=horizon_s,
@@ -864,10 +831,13 @@ class Fleet:
             for sid, bucket in enumerate(assignment)
             if bucket
         ]
+        transport, transport_stats = "inproc", {"ring": 0, "inline": 0}
         if backend == "serial":
             outcomes = self._run_serial(live, initial, config)
         else:
-            outcomes = self._run_parallel(live, initial, config, backend)
+            outcomes, transport, transport_stats = self._run_fork(
+                live, initial, config
+            )
         for sid, bucket in enumerate(assignment):
             if not bucket:
                 outcomes[sid] = _empty_outcome(sid)
@@ -890,12 +860,12 @@ class Fleet:
             router=self.router.mode,
             wall_s=monotonic_s() - start,
             store=self.store,
-            transport=self._transport_used,
-            transport_stats=dict(self._transport_stats),
+            transport=transport,
+            transport_stats=transport_stats,
             max_lag=self.max_lag,
         )
 
-    # -- serial backend: in-process pipelined emulation ------------------
+    # -- serial backend: the protocol scanned in-process ---------------
     def _run_serial(
         self,
         live: Sequence[tuple[int, list[Tenant]]],
@@ -904,79 +874,44 @@ class Fleet:
     ) -> dict[int, ShardOutcome]:
         """Run every shard in-process under the bounded-lag gate.
 
-        Exactly the parallel protocol with the worker loop inlined:
-        the scheduler scans shards in index order, runs each shard's
-        next epoch when the gate allows it, and merges the (epoch,
-        shard-index)-ordered unions the bounded-lag invariant
-        requires right before the epoch that needs them -- the same
-        positions in each shard's own timeline as a fork/thread
-        worker's merges, so reports match those backends byte for
-        byte.  With ``max_lag = 0`` every scan runs every alive shard
-        once and the loop degenerates to the classic lockstep epoch.
+        Exactly the fork protocol with the worker loop inlined: the
+        scan visits shards in index order and runs each shard's next
+        epoch once the :class:`~repro.core.parallel.EpochGate` grants
+        it, merging the grant right before the epoch that needs it --
+        the same positions in each shard's own timeline as a fork
+        worker's merges, so reports match fork byte for byte.  With
+        ``max_lag = 0`` every scan runs every alive shard once: the
+        classic lockstep epoch.
         """
         shards: dict[int, tuple[ServingSession, ServingPolicy, float]] = {}
         for sid, bucket in live:
             try:
-                policy = self.policy_factory(sid)
-                policy.merge(initial)
-                server = Server(
+                shards[sid] = _open_shard(
                     self.platform,
                     bucket,
-                    policy,
-                    max_batch=config.max_batch,
-                    objective=config.objective,
-                    contention=config.contention,
-                    admission=config.admission,
-                    batching=config.batching,
-                )
-                wall_start = monotonic_s()
-                session = server.session(
-                    horizon_s=config.horizon_s,
-                    max_requests=config.max_requests,
+                    self.policy_factory,
+                    initial,
+                    config,
+                    sid,
                 )
             except Exception as exc:
-                # same surface as a failed fork/thread worker
+                # same surface as a failed fork worker
                 raise RuntimeError(
                     f"fleet shard {sid} failed: {exc!r}"
                 ) from exc
-            shards[sid] = (session, policy, wall_start)
         tenants_of = {sid: bucket for sid, bucket in live}
         outcomes: dict[int, ShardOutcome] = {}
-        alive = sorted(shards)
-        #: epoch -> shard -> that shard's delta for the epoch
-        contributions: dict[int, dict[int, tuple[Any, ...]]] = {}
-        completed = {sid: -1 for sid in alive}
-        merged_to = {sid: -1 for sid in alive}
-        stored_to = -1
-        max_lag = config.max_lag
-
-        def union(epoch: int) -> tuple[Any, ...]:
-            contribs = contributions.get(epoch, {})
-            return tuple(
-                item
-                for sid in sorted(contribs)
-                for item in contribs[sid]
-            )
-
-        while alive:
+        gate = EpochGate(shards, config.max_lag)
+        while gate.alive:
             progressed = False
-            for sid in list(alive):
-                f = completed[sid] + 1  # the epoch this shard wants
-                gate = min(completed[s] for s in alive)
-                if gate < f - 1 - max_lag:
-                    continue  # gated behind a slower peer this scan
+            for sid in list(gate.alive):
                 session, policy, wall_start = shards[sid]
-                if f > 0:
-                    # merge what the bounded-lag invariant requires
-                    # before epoch f: every union up to f-1-max_lag
-                    grant_to = (f - 1) - max_lag
-                    payload = tuple(
-                        item
-                        for e in range(merged_to[sid] + 1, grant_to + 1)
-                        for item in union(e)
-                    )
-                    policy.merge(payload)
-                    merged_to[sid] = max(merged_to[sid], grant_to)
+                if sid in gate.waiting:
+                    granted = gate.grant(sid)
+                    if granted is None:
+                        continue  # gated behind a slower peer this scan
+                    policy.merge(granted[1])
+                epoch = gate.completed[sid] + 1
                 try:
                     session.run_rounds(config.sync_rounds)
                     delta = policy.export_delta(
@@ -986,9 +921,7 @@ class Fleet:
                     raise RuntimeError(
                         f"fleet shard {sid} failed: {exc!r}"
                     ) from exc
-                if delta:
-                    contributions.setdefault(f, {})[sid] = tuple(delta)
-                completed[sid] = f
+                gate.post(sid, epoch, delta, last=session.finished)
                 progressed = True
                 if session.finished:
                     outcomes[sid] = _shard_outcome(
@@ -996,262 +929,65 @@ class Fleet:
                         tenants_of[sid],
                         session,
                         wall_start,
-                        epochs=f + 1,
+                        epochs=epoch + 1,
                     )
-                    alive.remove(sid)
             if not progressed:  # unreachable: the slowest shard is
                 # never gated by its own epoch
                 raise RuntimeError("pipelined fleet scan stalled")
-            # persist completed unions in epoch order (parent-side)
-            limit = min(
-                (completed[s] for s in sorted(alive)),
-                default=max(completed.values(), default=-1),
-            )
-            while stored_to < limit:
-                stored_to += 1
-                self._append_store(union(stored_to))
-                contributions.pop(stored_to - max_lag - 1, None)
+            for _epoch, union in gate.flush():
+                self._append_store(union)
         return outcomes
 
-    # -- fork / thread backends: bounded-lag pipelined workers -----------
-    def _run_parallel(
+    # -- fork backend: bounded-lag pipelined workers ---------------------
+    def _run_fork(
         self,
         live: Sequence[tuple[int, list[Tenant]]],
         initial: tuple[Any, ...],
         config: _ShardConfig,
-        backend: str,
-    ) -> dict[int, ShardOutcome]:
-        """Workers serve epochs concurrently; the parent gates grants.
+    ) -> tuple[dict[int, ShardOutcome], str, dict[str, int]]:
+        """Shard processes serve epochs concurrently; the parent
+        drives the :class:`~repro.core.parallel.EpochGate`.
 
-        All workers post to ONE shared outbox (arrival order is
-        timing-dependent, but nothing derived from it is: deltas are
-        keyed by their (epoch, shard) tag and every union is built in
-        shard-index order).  A shard that posted epoch ``f`` blocks
-        until every alive peer has completed epoch ``f - max_lag``;
-        its grant then carries exactly the epoch unions up to
-        ``f - max_lag`` it has not merged yet, so the merge sequence
-        is a pure function of the workload and ``max_lag``.  With
-        ``max_lag = 0`` grants fire only when the whole epoch is in
-        -- the classic lockstep barrier, broadcast for broadcast.
+        A shard that posted epoch ``f`` blocks until every alive peer
+        has completed epoch ``f - max_lag``; its grant then carries
+        exactly the epoch unions up to ``f - max_lag`` it has not
+        merged yet, so the merge sequence is a pure function of the
+        workload and ``max_lag``.  Completed unions reach the store in
+        epoch order.  A failed shard stops the others and raises.
         """
-        channels: dict[int, tuple[Any, Any]] | None = None
-        if backend == "fork":
-            if self.transport != "queue":
-                # rings are created before fork so shards inherit the
-                # mappings; the parent unlinks them in the finally below
-                from repro.core import shm as _shm
-
-                if self.transport == "shm" and not (
-                    _shm.shared_memory_available()
-                ):
-                    raise RuntimeError(
-                        "transport='shm' requested but shared memory is "
-                        "unavailable on this host"
-                    )
-                if _shm.shared_memory_available():
-                    channels = {
-                        sid: _shm.make_channel_pair(tagged=True)
-                        for sid, _ in live
-                    }
-            self._transport_used = "shm" if channels is not None else "queue"
-            ctx = multiprocessing.get_context("fork")
-            inboxes = {sid: ctx.SimpleQueue() for sid, _ in live}
-            outbox: Any = ctx.SimpleQueue()
-            runners = [
-                ctx.Process(
-                    target=_run_shard,
-                    args=(
-                        self.platform,
-                        bucket,
-                        self.policy_factory,
-                        initial,
-                        config,
-                        inboxes[sid],
-                        outbox,
-                        sid,
-                        channels[sid] if channels is not None else None,
-                    ),
-                    daemon=True,
-                )
-                for sid, bucket in live
-            ]
-        else:
-            inboxes = {sid: queue.SimpleQueue() for sid, _ in live}
-            outbox = queue.SimpleQueue()
-            runners = [
-                threading.Thread(
-                    target=_run_shard,
-                    args=(
-                        self.platform,
-                        bucket,
-                        self.policy_factory,
-                        initial,
-                        config,
-                        inboxes[sid],
-                        outbox,
-                        sid,
-                    ),
-                    daemon=True,
-                )
-                for sid, bucket in live
-            ]
-        for r in runners:
-            r.start()
-
         outcomes: dict[int, ShardOutcome] = {}
-        alive = {sid for sid, _ in live}
-        #: epoch -> shard -> that shard's delta for the epoch
-        contributions: dict[int, dict[int, tuple[Any, ...]]] = {}
-        completed = {sid: -1 for sid in sorted(alive)}
-        merged_to = {sid: -1 for sid in sorted(alive)}
-        #: shard -> epoch of its pending SYNC, awaiting a grant
-        waiting: dict[int, int] = {}
-        stored_to = -1
-        max_lag = config.max_lag
         error: tuple[int, str] | None = None
-
-        def record(sid: int, epoch: int, token: Any) -> None:
-            delta = token
-            if channels is not None and delta:
-                self._transport_stats[
-                    "ring" if delta[0] == "shm" else "inline"
-                ] += 1
-                delta = channels[sid][0].unpack(delta)
-            if delta:
-                contributions.setdefault(epoch, {})[sid] = tuple(delta)
-
-        def union(epoch: int) -> tuple[Any, ...]:
-            contribs = contributions.get(epoch, {})
-            return tuple(
-                item
-                for sid in sorted(contribs)
-                for item in contribs[sid]
-            )
-
-        def try_grants() -> None:
-            """Release every waiting shard the gate now allows.
-
-            The grant's merge horizon is pinned to the *shard's own*
-            epoch (``f - max_lag``), never to how far peers have
-            advanced -- that pin is what keeps the merge sequence
-            deterministic under arbitrary scheduling.
-            """
-            gate = min(
-                (completed[s] for s in sorted(alive)), default=None
-            )
-            if gate is None:
-                return
-            for sid in sorted(waiting):
-                f = waiting[sid]
-                if gate < f - max_lag:
-                    continue
-                grant_to = f - max_lag
-                payload = tuple(
-                    item
-                    for e in range(merged_to[sid] + 1, grant_to + 1)
-                    for item in union(e)
-                )
-                token: Any = payload
-                if channels is not None and payload:
-                    token = channels[sid][1].pack(payload, tag=grant_to)
-                inboxes[sid].put(("delta", token))
-                merged_to[sid] = max(merged_to[sid], grant_to)
-                del waiting[sid]
-
-        def flush_store() -> None:
-            """Persist completed unions in epoch order, then drop
-            contributions nothing can ask for again."""
-            nonlocal stored_to
-            limit = min(
-                (completed[s] for s in sorted(alive)),
-                default=max(completed.values(), default=-1),
-            )
-            while stored_to < limit:
-                stored_to += 1
-                self._append_store(union(stored_to))
-                contributions.pop(stored_to - max_lag - 1, None)
-
-        try:
-            while alive:
-                msg = outbox.get()
-                kind, sid = msg[0], msg[1]
-                if kind == _ERROR:
+        gate = EpochGate((sid for sid, _ in live), config.max_lag)
+        pool = WorkerPool(
+            _run_shard,
+            {
+                sid: (self.platform, bucket, self.policy_factory, initial, config)
+                for sid, bucket in live
+            },
+            backend="fork",
+            transport=self.transport,
+            label="fleet shard",
+        )
+        with pool:
+            while gate.alive:
+                kind, sid, epoch, body, *extra = pool.receive()
+                if kind == ERROR:
                     if error is None:
-                        error = (sid, msg[2])
-                    alive.discard(sid)
-                    for w in sorted(waiting):
-                        inboxes[w].put(("stop",))
-                    waiting.clear()
-                    continue
-                epoch, token = msg[2], msg[3]
-                record(sid, epoch, token)
-                completed[sid] = epoch
-                if kind == _DONE:
-                    outcomes[sid] = msg[4]
-                    alive.discard(sid)
-                elif error is not None:
-                    inboxes[sid].put(("stop",))
+                        error = (sid, body)
+                    gate.retire(sid)
                 else:
-                    waiting[sid] = epoch
-                if error is None:
-                    try_grants()
-                    flush_store()
-        finally:
-            for r in runners:
-                r.join(timeout=10.0)
-            if backend == "fork":
-                for r in runners:
-                    if r.is_alive():
-                        r.terminate()
-            if channels is not None:
-                for up, down in channels.values():
-                    self._transport_stats["ring"] += down.sent_ring
-                    self._transport_stats["inline"] += down.sent_inline
-                    up.close()
-                    up.unlink()
-                    down.close()
-                    down.unlink()
-
+                    gate.post(sid, epoch, body, last=kind == DONE)
+                    if kind == DONE:
+                        outcomes[sid] = extra[0]
+                if error is not None:
+                    for waiting in gate.stop():
+                        pool.stop(waiting)
+                    continue
+                for waiting, horizon, payload in gate.grants():
+                    pool.grant(waiting, horizon, payload)
+                for _epoch, union in gate.flush():
+                    self._append_store(union)
         if error is not None:
             sid, message = error
             raise RuntimeError(f"fleet shard {sid} failed: {message}")
-        return outcomes
-
-
-def serve_fleet(
-    platform: Platform | str,
-    tenants: Sequence[Tenant],
-    policy_factory: Callable[[int], ServingPolicy],
-    *,
-    shards: int,
-    horizon_s: float,
-    backend: str = "auto",
-    router: ShardRouter | str = "hash",
-    max_batch: int = 1,
-    contention: bool = True,
-    sync_rounds: int = 8,
-    max_lag: int = 0,
-    admission: AdmissionConfig | None = None,
-    batching: str = "tenant",
-    store: SolveStore | None = None,
-    max_requests: int = 10_000,
-    transport: str = "auto",
-) -> ShardedFleetReport:
-    """One-call convenience wrapper around :class:`Fleet`."""
-    fleet = Fleet(
-        platform,
-        tenants,
-        policy_factory,
-        shards=shards,
-        backend=backend,
-        router=router,
-        max_batch=max_batch,
-        contention=contention,
-        sync_rounds=sync_rounds,
-        max_lag=max_lag,
-        admission=admission,
-        batching=batching,
-        store=store,
-        transport=transport,
-    )
-    return fleet.run(horizon_s=horizon_s, max_requests=max_requests)
+        return outcomes, pool.transport, dict(pool.stats)

@@ -20,8 +20,9 @@ schedule cache):
    spawns.
 2. **Deterministic epochs, not wall-clock sharing.**  Workers
    synchronize at fixed node-count intervals (``sync_every``); the
-   parent runs a lockstep epoch loop, merging worker reports in
-   worker-index order and broadcasting the updated global bound.
+   parent drives the epoch runtime of :mod:`repro.core.parallel` at
+   ``max_lag = 0`` (lockstep), handling each complete epoch's reports
+   in worker-index order and granting the updated global bound.
    Each worker's entire search is a pure function of the bound
    sequence it is fed, so the merged incumbent sequence -- and the
    final schedule -- is identical across runs and across backends.
@@ -39,13 +40,18 @@ never changes the strategies (or results) of existing ones.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 import os
-import queue
 import random
-import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Iterator,
+    Mapping,
+    Protocol,
+    Sequence,
+)
 
 from repro.solver.bnb import (
     BranchAndBound,
@@ -56,8 +62,8 @@ from repro.solver.bnb import (
 from repro.solver.clock import monotonic_s
 from repro.solver.problem import Assignment, Infeasible, Problem
 
-#: message tags on the worker -> parent queue
-_SYNC, _DONE, _ERROR = "sync", "done", "error"
+if TYPE_CHECKING:  # repro.core imports this package at module level
+    from repro.core.parallel import Link
 
 
 class SharedEvalState(Protocol):
@@ -221,20 +227,25 @@ def _permuted(problem: Problem, order: tuple[int, ...] | None) -> Problem:
 
 
 def _run_worker(
+    link: Link,
     problem: Problem,
     reduced: Problem | None,
     strategy: Strategy,
     initial: dict[str, Any] | None,
     sync_every: int,
     node_budget: int | None,
-    inbox: Any,
-    outbox: Any,
-    wid: int,
     shared_state: SharedEvalState | None = None,
-    channel: tuple[Any, Any] | None = None,
     guide: BranchGuide | None = None,
 ) -> None:
     """Worker loop: search, report at sync points, obey stop/bound.
+
+    Each sync posts epoch ``k`` -- the incumbents found since the last
+    sync, the explored-node count, and the memo delta -- through
+    ``link`` (:class:`repro.core.parallel.Link`) and blocks for the
+    parent's reply: the global bound plus the epoch's memo union, or
+    ``stop``.  Either reply advances the worker to epoch ``k + 1``, so
+    a stopped worker's final ``done`` lands in the next epoch, which
+    the parent handles like any other.
 
     ``guide`` is the plain-dict branch-score table consumed by the
     ``learned`` value ordering; under the fork backend it is inherited
@@ -243,44 +254,39 @@ def _run_worker(
 
     ``shared_state`` piggybacks evaluation-memo deltas on the epoch
     sync: the worker drains its locally-new entries into each report
-    and adopts the epoch union broadcast back with the bound.  Under
+    and adopts the epoch union granted back with the bound.  Under
     the fork backend this is the forked copy of the same object the
     problem's objective closes over, so adopted entries land directly
     in the evaluation hot path; under threads all workers already
     share one table and the exchange degenerates to a cheap no-op.
-
-    ``channel`` is the worker's fork-inherited ``(up, down)``
-    :class:`repro.core.shm.DeltaChannel` pair: bulk delta payloads ride
-    the shared-memory rings and only fixed-size tokens cross the
-    control queues.  ``None`` keeps payloads inline on the queues.
     """
+    from repro.core.parallel import DONE, SYNC
+
     target = problem if strategy.exact or reduced is None else reduced
     pending: list[tuple[dict[str, Any], float, int]] = []
+    epoch = 0
 
-    def delta() -> tuple[Any, ...]:
-        raw = (
-            shared_state.export_delta() if shared_state is not None else ()
-        )
-        if channel is not None and raw:
-            return channel[0].pack(raw)
-        return raw
+    def report() -> tuple[tuple[Any, ...], tuple[Any, ...]]:
+        delta = shared_state.export_delta() if shared_state is not None else ()
+        incumbents = tuple(pending)
+        pending.clear()
+        return delta, incumbents
 
     def on_incumbent(inc: Incumbent) -> None:
         pending.append((inc.assignment, inc.objective, inc.nodes_explored))
 
     def on_sync(nodes: int, best: Incumbent | None) -> float | None:
-        outbox.put((_SYNC, wid, tuple(pending), delta(), nodes))
-        pending.clear()
-        reply = inbox.get()
-        if reply[0] == "stop":
+        nonlocal epoch
+        link.post(SYNC, epoch, *report(), nodes)
+        reply = link.wait()
+        epoch += 1
+        if reply is None:
             raise StopSearch
-        if shared_state is not None and len(reply) > 2 and reply[2]:
-            payload = reply[2]
-            if channel is not None:
-                payload = channel[1].unpack(payload)
-            if payload:
-                shared_state.merge(payload)
-        return reply[1]
+        payload, extra = reply
+        if shared_state is not None and payload:
+            shared_state.merge(payload)
+        bound: float | None = extra[0]
+        return bound
 
     solver = BranchAndBound(
         node_budget=node_budget,
@@ -292,20 +298,12 @@ def _run_worker(
     try:
         result = solver.solve(_permuted(target, strategy.order), initial=initial)
     except Exception as exc:  # surfaced by the parent, in worker order
-        outbox.put((_ERROR, wid, repr(exc)))
+        link.fail(epoch, exc)
         return
     exhausted = bool(result.optimal)
     certifies = exhausted and target is problem
-    outbox.put(
-        (
-            _DONE,
-            wid,
-            tuple(pending),
-            delta(),
-            exhausted,
-            certifies,
-            result.nodes_explored,
-        )
+    link.post(
+        DONE, epoch, *report(), result.nodes_explored, exhausted, certifies
     )
 
 
@@ -453,20 +451,6 @@ class PortfolioSolver:
         self.guide = guide
 
     # ------------------------------------------------------------------
-    def _resolve_backend(self, workers: int) -> str:
-        if self.backend != "auto":
-            if (
-                self.backend == "fork"
-                and "fork" not in multiprocessing.get_all_start_methods()
-            ):
-                raise ValueError("fork start method unavailable")
-            return self.backend
-        if workers == 1:
-            return "serial"
-        if "fork" in multiprocessing.get_all_start_methods():
-            return "fork"
-        return "threads"
-
     @staticmethod
     def _valid_seed(problem: Problem, assignment: Assignment) -> bool:
         """A usable warm start covers every variable from its domain."""
@@ -595,12 +579,19 @@ class PortfolioSolver:
             strategies = tuple(
                 dataclasses.replace(s, exact=True) for s in strategies
             )
-        backend = self._resolve_backend(workers)
-        if self.transport == "shm" and backend != "fork":
-            raise ValueError(
-                "transport='shm' requires the fork backend; serial and "
-                "thread workers already share memory in-process"
-            )
+        # deferred: repro.core imports this package at module level
+        from repro.core.parallel import (
+            DONE,
+            ERROR,
+            SYNC,
+            EpochGate,
+            WorkerPool,
+            resolve_backend,
+        )
+
+        backend = resolve_backend(
+            self.backend, workers, fallback="threads", transport=self.transport
+        )
         seed_assignment = dict(best.assignment) if best is not None else None
 
         # -- serial: a single seeded search, no racing -----------------
@@ -618,176 +609,87 @@ class PortfolioSolver:
                 warm_log,
             )
 
-        # -- parallel: lockstep epoch race ------------------------------
-        channels = None
-        if backend == "fork":
-            if self.transport != "queue":
-                # rings are created before fork so workers inherit the
-                # mappings; the parent unlinks them in the finally below
-                from repro.core import shm as _shm
-
-                if self.transport == "shm" and not (
-                    _shm.shared_memory_available()
-                ):
-                    raise RuntimeError(
-                        "transport='shm' requested but shared memory is "
-                        "unavailable on this host"
-                    )
-                if _shm.shared_memory_available():
-                    channels = [
-                        _shm.make_channel_pair() for _ in range(workers)
-                    ]
-            ctx = multiprocessing.get_context("fork")
-            inboxes = [ctx.SimpleQueue() for _ in range(workers)]
-            outboxes = [ctx.SimpleQueue() for _ in range(workers)]
-            runners = [
-                ctx.Process(
-                    target=_run_worker,
-                    args=(
-                        problem,
-                        reduced,
-                        strategies[w],
-                        seed_assignment,
-                        self.sync_every,
-                        self.node_budget,
-                        inboxes[w],
-                        outboxes[w],
-                        w,
-                        self.shared_state,
-                        channels[w] if channels is not None else None,
-                        self.guide,
-                    ),
-                    daemon=True,
-                )
-                for w in range(workers)
-            ]
-        else:
-            inboxes = [queue.SimpleQueue() for _ in range(workers)]
-            outboxes = [queue.SimpleQueue() for _ in range(workers)]
-            runners = [
-                threading.Thread(
-                    target=_run_worker,
-                    args=(
-                        problem,
-                        reduced,
-                        strategies[w],
-                        seed_assignment,
-                        self.sync_every,
-                        self.node_budget,
-                        inboxes[w],
-                        outboxes[w],
-                        w,
-                        self.shared_state,
-                        None,
-                        self.guide,
-                    ),
-                    daemon=True,
-                )
-                for w in range(workers)
-            ]
-        for r in runners:
-            r.start()
-
+        # -- parallel: the lockstep (max_lag=0) epoch race --------------
         stats: dict[int, WorkerStats] = {}
-        alive = set(range(workers))
         certified = False
-        transport_stats: dict[str, int] = {"ring": 0, "inline": 0}
         error: tuple[int, str] | None = None
-        #: memo entries received this epoch, in worker-index order
-        #: (deterministic merge order, like incumbents)
-        epoch_deltas: list[Any] = []
+        stopping = False
+        gate = EpochGate(range(workers), max_lag=0)
+        #: epoch -> worker -> its message, handled once the epoch is
+        #: complete: node counts, incumbents, then memo deltas, in
+        #: worker-index order (the deterministic merge order)
+        posted: dict[int, dict[int, tuple[Any, ...]]] = {}
 
-        def consume(msg: tuple[Any, ...]) -> int | None:
-            """Merge one worker message; return wid when it finished."""
+        def consume(msg: tuple[Any, ...]) -> None:
             nonlocal certified, error
             kind, wid = msg[0], msg[1]
-            if kind == _ERROR:
+            strategy = strategies[wid]
+            if kind == ERROR:
                 if error is None:
-                    error = (wid, msg[2])
+                    error = (wid, msg[3])
                 stats[wid] = WorkerStats(
-                    strategies[wid].name, worker_nodes.get(wid, 0), False,
-                    strategies[wid].exact,
+                    strategy.name, worker_nodes.get(wid, 0), False,
+                    strategy.exact,
                 )
-                return wid
-            incumbents, nodes = msg[2], msg[-1]
+                return
+            delta, incumbents, nodes = msg[3], msg[4], msg[5]
             worker_nodes[wid] = nodes
             for assignment, objective, _wnodes in incumbents:
                 record(assignment, objective)
-            delta = msg[3]
-            if channels is not None and delta:
-                # token in the queue message, payload in the worker's
-                # up-ring; ring FIFO + queue happens-before make this a
-                # deterministic single-reader drain
-                transport_stats[
-                    "ring" if delta[0] == "shm" else "inline"
-                ] += 1
-                delta = channels[wid][0].unpack(delta)
-            if delta:
-                epoch_deltas.extend(delta)
-                if self.shared_state is not None:
-                    self.shared_state.merge(delta)
-            if kind == _DONE:
-                exhausted, certifies = msg[4], msg[5]
+            if delta and self.shared_state is not None:
+                self.shared_state.merge(delta)
+            if kind == DONE:
+                exhausted, certifies = msg[6], msg[7]
                 stats[wid] = WorkerStats(
-                    strategies[wid].name, nodes, exhausted,
-                    strategies[wid].exact,
+                    strategy.name, nodes, exhausted, strategy.exact
                 )
                 certified = certified or certifies
-                return wid
-            return None
 
-        try:
-            while alive:
-                epoch_deltas.clear()
-                finished = []
-                for wid in sorted(alive):
-                    done_wid = consume(outboxes[wid].get())
-                    if done_wid is not None:
-                        finished.append(done_wid)
-                for wid in finished:
-                    alive.discard(wid)
-                now = monotonic_s()
-                over_time = (
-                    self.time_budget_s is not None
-                    and now - start >= self.time_budget_s
+        pool = WorkerPool(
+            _run_worker,
+            {
+                w: (
+                    problem,
+                    reduced,
+                    strategies[w],
+                    seed_assignment,
+                    self.sync_every,
+                    self.node_budget,
+                    self.shared_state,
+                    self.guide,
                 )
-                stop = certified or error is not None or over_time
-                broadcast = tuple(epoch_deltas)
-                for wid in sorted(alive):
-                    if stop:
-                        inboxes[wid].put(("stop",))
-                        continue
-                    payload: Any = broadcast
-                    if channels is not None and broadcast:
-                        payload = channels[wid][1].pack(broadcast)
-                    inboxes[wid].put(
-                        (
-                            "bound",
-                            best.objective if best is not None else None,
-                            payload,
-                        )
+                for w in range(workers)
+            },
+            backend=backend,
+            transport=self.transport,
+            label="portfolio worker",
+        )
+        with pool:
+            while gate.alive:
+                msg = pool.receive()
+                kind, wid, epoch = msg[0], msg[1], msg[2]
+                posted.setdefault(epoch, {})[wid] = msg
+                gate.post(
+                    wid, epoch, msg[3] if kind != ERROR else (),
+                    last=kind != SYNC,
+                )
+                for complete, _union in gate.flush():
+                    for w in sorted(posted[complete]):
+                        consume(posted[complete][w])
+                    del posted[complete]
+                    over_time = (
+                        self.time_budget_s is not None
+                        and monotonic_s() - start >= self.time_budget_s
                     )
-                if stop:
-                    for wid in sorted(alive):
-                        while wid in alive:
-                            if consume(outboxes[wid].get()) is not None:
-                                alive.discard(wid)
-                    break
-        finally:
-            for r in runners:
-                r.join(timeout=10.0)
-            if backend == "fork":
-                for r in runners:
-                    if r.is_alive():
-                        r.terminate()
-            if channels is not None:
-                for up, down in channels:
-                    transport_stats["ring"] += down.sent_ring
-                    transport_stats["inline"] += down.sent_inline
-                    up.close()
-                    up.unlink()
-                    down.close()
-                    down.unlink()
+                    stopping = (
+                        stopping or certified or error is not None or over_time
+                    )
+                if stopping:
+                    for w in gate.stop():
+                        pool.stop(w)
+                bound = best.objective if best is not None else None
+                for w, horizon, payload in gate.grants():
+                    pool.grant(w, horizon, payload, bound)
 
         if error is not None and best is None:
             wid, message = error
@@ -803,12 +705,8 @@ class PortfolioSolver:
             workers=tuple(stats[w] for w in sorted(stats)),
             backend=backend,
             warm_starts=tuple(warm_log),
-            transport=(
-                "shm"
-                if channels is not None
-                else ("queue" if backend == "fork" else "inproc")
-            ),
-            transport_stats=dict(transport_stats),
+            transport=pool.transport,
+            transport_stats=dict(pool.stats),
         )
 
     # ------------------------------------------------------------------

@@ -25,6 +25,7 @@ from repro.core.shm import (
     _U64,
     DeltaChannel,
     ShmRing,
+    TagMismatch,
     TornRecord,
     make_channel_pair,
     shared_memory_available,
@@ -187,11 +188,13 @@ def test_overflow_refuses_and_preserves_unread_records(records):
 )
 def test_channel_overflow_falls_back_inline_with_identical_content(objs):
     """Tokens unpack to equal objects in send order even when the ring
-    fills mid-sequence and later payloads ride the control queue."""
+    fills mid-sequence and later payloads ride the control queue; each
+    token keeps its epoch tag on either path."""
     up = DeltaChannel(ShmRing(512))
     try:
-        tokens = [up.pack(o) for o in objs]
+        tokens = [up.pack(o, epoch) for epoch, o in enumerate(objs)]
         assert up.sent_ring + up.sent_inline == len(objs)
+        assert [t[1] for t in tokens] == list(range(len(objs)))
         big = sum(
             len(pickle.dumps(o, pickle.HIGHEST_PROTOCOL)) for o in objs
         )
@@ -199,7 +202,7 @@ def test_channel_overflow_falls_back_inline_with_identical_content(objs):
             assert up.sent_inline > 0
         assert [up.unpack(t) for t in tokens] == objs
         # draining acked the ring: the fast path is available again
-        assert up.pack(objs[0])[0] in ("shm", "inline")
+        assert up.pack(objs[0], 0)[0] in ("shm", "inline")
     finally:
         up.close()
         up.unlink()
@@ -207,8 +210,8 @@ def test_channel_overflow_falls_back_inline_with_identical_content(objs):
 
 def test_channel_without_ring_degenerates_to_inline():
     ch = DeltaChannel(None)
-    token = ch.pack({"a": 1})
-    assert token == ("inline", {"a": 1})
+    token = ch.pack({"a": 1}, 3)
+    assert token == ("inline", 3, {"a": 1})
     assert ch.unpack(token) == {"a": 1}
     assert ch.sent_ring == 0 and ch.sent_inline == 1
     ch.close()
@@ -218,15 +221,28 @@ def test_channel_without_ring_degenerates_to_inline():
 def test_make_channel_pair_lifecycle():
     up, down = make_channel_pair(capacity=1024)
     try:
-        t = up.pack((1, 2, 3))
+        t = up.pack((1, 2, 3), 0)
         assert up.unpack(t) == (1, 2, 3)
-        t2 = down.pack("broadcast")
+        t2 = down.pack("broadcast", 0)
         assert down.unpack(t2) == "broadcast"
     finally:
         up.close()
         up.unlink()
         down.close()
         down.unlink()
+
+
+def test_ring_record_with_a_foreign_tag_is_refused():
+    """A token must never pair with another epoch's ring record."""
+    ch = DeltaChannel(ShmRing(1024))
+    try:
+        token = ch.pack("epoch 4 gossip", 4)
+        assert token == ("shm", 4)
+        with pytest.raises(TagMismatch):
+            ch.unpack(("shm", 5))
+    finally:
+        ch.close()
+        ch.unlink()
 
 
 # -- fork-worker merge determinism: rings vs pickled queue -------------

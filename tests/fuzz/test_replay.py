@@ -3,10 +3,12 @@
 The fuzzer's last promise: a scenario that survives the oracle stack
 is a *replayable* serving workload.  Cross-backend byte-identity is
 the strong form -- the same scenario driven through ``serve.fleet``
-on the serial and thread backends must produce identical per-request
+on the serial and fork backends must produce identical per-request
 timelines, because everything downstream (solver clock, arrivals,
 virtual time) is deterministic.
 """
+
+import multiprocessing
 
 import pytest
 
@@ -36,14 +38,16 @@ class TestFleetReplay:
         assert report.served > 0
 
     def test_cross_backend_byte_identity(self, vetted):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
         serial = fleet_scenario(
             vetted, shards=2, backend="serial", horizon_s=0.2
         )
-        threaded = fleet_scenario(
-            vetted, shards=2, backend="thread", horizon_s=0.2
+        forked = fleet_scenario(
+            vetted, shards=2, backend="fork", horizon_s=0.2
         )
-        assert _request_tuples(serial) == _request_tuples(threaded)
-        assert serial.served == threaded.served
+        assert _request_tuples(serial) == _request_tuples(forked)
+        assert serial.served == forked.served
 
     def test_fleet_matches_single_server_tenants(self, vetted):
         single = serve_scenario(vetted, horizon_s=0.2)

@@ -5,12 +5,12 @@ import multiprocessing
 import pytest
 
 from repro.core.haxconn import HaXCoNN
+from repro.core.shm import shared_memory_available
 from repro.core.solve_store import SolveStore
 from repro.serve import CachedAnytimePolicy, Tenant
 from repro.serve.fleet import (
     Fleet,
     ShardRouter,
-    serve_fleet,
     stable_shard,
 )
 from repro.serve.requests import (
@@ -20,6 +20,11 @@ from repro.serve.requests import (
 )
 
 HORIZON = 0.2
+#: the parallel backend: fork processes where the platform has them,
+#: else the byte-identical serial scan
+FORK = (
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "serial"
+)
 
 
 def fleet_tenants(count=4):
@@ -197,7 +202,7 @@ class TestSerialFleet:
             for name in outcome.tenants:
                 assert stable_shard(name, 2) == outcome.index
 
-    def test_aggregates_match_shards(self, report):
+    def test_aggregates_match_shards(self, report, tmp_path):
         assert report.shards == 2
         assert report.served == sum(
             o.served for o in report.outcomes
@@ -207,6 +212,9 @@ class TestSerialFleet:
         )
         assert len(report.latencies_s()) == report.served
         assert report.describe()  # formats without raising
+        trace = tmp_path / "fleet.json"
+        report.export_chrome_trace(trace)
+        assert trace.exists()
 
     def test_single_shard_equals_plain_server(
         self, xavier, xavier_db
@@ -228,14 +236,6 @@ class TestCrossBackendDeterminism:
         return run_fleet(
             xavier, xavier_db, shards=3, backend="serial"
         ).describe_shards()
-
-    def test_thread_matches_serial(
-        self, xavier, xavier_db, serial_shards
-    ):
-        threaded = run_fleet(
-            xavier, xavier_db, shards=3, backend="thread"
-        )
-        assert threaded.describe_shards() == serial_shards
 
     def test_fork_matches_serial(
         self, xavier, xavier_db, serial_shards
@@ -339,7 +339,7 @@ class TestSolveStore:
             xavier, xavier_db, shards=2, backend="serial", store=warm
         )
         b = run_fleet(
-            xavier, xavier_db, shards=2, backend="thread", store=warm
+            xavier, xavier_db, shards=2, backend=FORK, store=warm
         )
         assert a.describe_shards() == b.describe_shards()
 
@@ -502,7 +502,7 @@ class TestBoundedLag:
         "24d285cb9c506466fb3239647e7405652ab6d92c28c7d5d3d04aa63654527371"
     )
 
-    def _run(self, xavier, xavier_db, *, backend, max_lag):
+    def _run(self, xavier, xavier_db, *, backend, max_lag, **kwargs):
         fleet = Fleet(
             xavier,
             fleet_tenants(),
@@ -511,6 +511,7 @@ class TestBoundedLag:
             backend=backend,
             sync_rounds=4,
             max_lag=max_lag,
+            **kwargs,
         )
         return fleet.run(horizon_s=HORIZON)
 
@@ -543,22 +544,30 @@ class TestBoundedLag:
     def test_pipelined_identical_across_backends(
         self, xavier, xavier_db
     ):
-        serial = self._run(
-            xavier, xavier_db, backend="serial", max_lag=2
-        ).describe_shards()
-        threaded = self._run(
-            xavier, xavier_db, backend="thread", max_lag=2
-        )
-        assert threaded.describe_shards() == serial
-        if "fork" in multiprocessing.get_all_start_methods():
-            forked = self._run(
-                xavier, xavier_db, backend="fork", max_lag=2
-            )
-            assert forked.describe_shards() == serial
+        """serial == fork-queue == fork-shm at every lag window."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        transports = ["queue"]
+        if shared_memory_available():
+            transports.append("shm")
+        for lag in (0, 1, 2):
+            serial = self._run(
+                xavier, xavier_db, backend="serial", max_lag=lag
+            ).describe_shards()
+            for transport in transports:
+                forked = self._run(
+                    xavier,
+                    xavier_db,
+                    backend="fork",
+                    max_lag=lag,
+                    transport=transport,
+                )
+                assert forked.transport == transport
+                assert forked.describe_shards() == serial, (lag, transport)
 
     def test_pipelined_telemetry(self, xavier, xavier_db):
         report = self._run(
-            xavier, xavier_db, backend="thread", max_lag=2
+            xavier, xavier_db, backend=FORK, max_lag=2
         )
         assert report.epochs > 0
         assert report.mean_round_wall_ms() > 0
@@ -604,17 +613,3 @@ class TestEdges:
         )
         with pytest.raises(RuntimeError, match="fleet shard 0"):
             fleet.run(horizon_s=HORIZON)
-
-    def test_serve_fleet_wrapper(self, xavier, xavier_db, tmp_path):
-        report = serve_fleet(
-            xavier,
-            fleet_tenants(2),
-            make_factory(xavier, xavier_db),
-            shards=2,
-            backend="serial",
-            horizon_s=0.1,
-        )
-        assert report.shards == 2
-        trace = tmp_path / "fleet.json"
-        report.export_chrome_trace(trace)
-        assert trace.exists()
