@@ -12,7 +12,7 @@ HaX-CoNN never loses to the naive baselines (Section 5.2, Scenario 3).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
@@ -34,6 +34,7 @@ from repro.soc.platform import Platform, get_platform
 
 if TYPE_CHECKING:  # layering: core never imports learn at runtime
     from repro.learn.guide import SearchGuide
+    from repro.runtime.executor import ExecutionResult
 
 
 def stream_profiles(
@@ -91,6 +92,17 @@ class ScheduleResult:
     predicted: EvaluationResult
     solver: SolveResult | None
     formulation: Formulation
+    #: simulated-round memo owned by
+    #: :func:`repro.runtime.executor.run_schedule`: (repeats, pipeline,
+    #: contention, background_bw) -> (platform, execution).  Outside
+    #: init, repr and comparison so ``replace`` copies start empty, and
+    #: left out of pickled/copied state so it never crosses a process.
+    _executions: dict[
+        tuple[Any, ...], tuple[Platform, ExecutionResult]
+    ] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __getstate__(self) -> dict[str, Any]:
+        return {**self.__dict__, "_executions": {}}
 
     @property
     def predicted_latency(self) -> float:

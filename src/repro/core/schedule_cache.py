@@ -140,12 +140,20 @@ class ScheduleCache:
         is still the installed one, so no writer can leave it stale.
         """
         key = workload_signature(workload, self.scheduler)
-        cached = self._store.get(key)
-        if cached is None:
+        result = self._hit(key, workload)
+        if result is None:
             self.misses += 1
             result = self.scheduler.schedule(workload)
             self._publish(key, result.schedule)
-            return result
+        return result
+
+    def _hit(self, key: str, workload: Workload) -> ScheduleResult | None:
+        """The :meth:`get` hit path for a caller that already holds the
+        workload's signature ``key``: the materialized result, counted
+        as a hit, or ``None`` (uncounted) when nothing is installed."""
+        cached = self._store.get(key)
+        if cached is None:
+            return None
         self.hits += 1
         if key in self._from_store:
             self.store_hits += 1

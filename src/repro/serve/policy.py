@@ -600,8 +600,10 @@ class CachedAnytimePolicy(ServingPolicy):
         key = workload_signature(workload, self.scheduler)
         phase = self._phases.get(key)
         if phase is None:
-            if workload in self.cache:
-                return self.cache.get(workload)
+            # one signature per round: the cache answers by key
+            cached = self.cache._hit(key, workload)
+            if cached is not None:
+                return cached
             self.solves += 1
             phase = self._solve_anytime(workload, key)
             self._phases[key] = phase

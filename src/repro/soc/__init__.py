@@ -13,7 +13,12 @@ This package replaces the physical Jetson Orin / Xavier and Snapdragon
 
 from repro.soc.accelerator import AcceleratorSpec
 from repro.soc.platform import Platform, get_platform, available_platforms
-from repro.soc.engine import Engine, SimTask, DeadlockError
+from repro.soc.engine import (
+    BandwidthExhaustedError,
+    DeadlockError,
+    Engine,
+    SimTask,
+)
 from repro.soc.timeline import Timeline, TaskRecord
 
 __all__ = [
@@ -24,6 +29,7 @@ __all__ = [
     "Engine",
     "SimTask",
     "DeadlockError",
+    "BandwidthExhaustedError",
     "Timeline",
     "TaskRecord",
 ]

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.soc.platform import Platform
 from repro.soc.timeline import ContentionInterval, TaskRecord, Timeline
@@ -40,6 +40,11 @@ _EPS = 1e-12
 
 class DeadlockError(RuntimeError):
     """No task can make progress but work remains (bad schedule)."""
+
+
+class BandwidthExhaustedError(ValueError):
+    """Background traffic leaves a running task no positive achieved
+    bandwidth: the interference model is outside its valid range."""
 
 
 @dataclass(frozen=True)
@@ -265,7 +270,14 @@ class Engine:
             for r in running.values():
                 b = alloc[r.task.task_id]
                 others = total_alloc - b
-                r.alloc_bw = b * (1.0 - coeff * others / capacity)
+                factor = 1.0 - coeff * others / capacity
+                if b > 0 and factor <= 0:
+                    raise BandwidthExhaustedError(
+                        f"{r.task.task_id}: background_bw "
+                        f"{self.background_bw:.4g} B/s leaves no "
+                        f"bandwidth at t={now:.6f}s"
+                    )
+                r.alloc_bw = b * factor
 
         total = len(by_id)
         while len(finished) < total:
@@ -334,10 +346,3 @@ class Engine:
                 )
 
         return Timeline(records, intervals)
-
-    # -----------------------------------------------------------------
-    def run_chain(
-        self, tasks: Iterable[SimTask], *, chain_meta_key: str = "dnn"
-    ) -> Timeline:
-        """Convenience: run tasks that already form dependency chains."""
-        return self.run(list(tasks))

@@ -69,6 +69,15 @@ class Timeline:
         )
         self.intervals: tuple[ContentionInterval, ...] = tuple(intervals)
         self._by_id = {r.task_id: r for r in self.records}
+        #: lazy :meth:`completion` index: sorted meta key names ->
+        #: {meta values: last end time}
+        self._completions: dict[
+            tuple[str, ...], dict[tuple[object, ...], float]
+        ] = {}
+
+    def __getstate__(self) -> dict[str, object]:
+        # the index is rebuilt on demand; it never rides a pickle
+        return {**self.__dict__, "_completions": {}}
 
     def __getitem__(self, task_id: str) -> TaskRecord:
         return self._by_id[task_id]
@@ -100,11 +109,22 @@ class Timeline:
         return max(r.end for r in selected) - min(r.start for r in selected)
 
     def completion(self, **meta: object) -> float:
-        """Last end time of matching tasks."""
-        selected = self.select(**meta)
-        if not selected:
-            return 0.0
-        return max(r.end for r in selected)
+        """Last end time of matching tasks (0.0 when none match).
+
+        Equal to ``max(r.end for r in self.select(**meta))``, answered
+        from an index built once per set of meta key names, so a
+        server querying every (dnn, rep) of a round pays one pass.
+        """
+        names = tuple(sorted(meta))
+        index = self._completions.get(names)
+        if index is None:
+            index = {}
+            for r in self.records:
+                values = tuple(r.meta.get(k) for k in names)
+                if values not in index or r.end > index[values]:
+                    index[values] = r.end
+            self._completions[names] = index
+        return index.get(tuple(meta[k] for k in names), 0.0)
 
     def busy_time(self, accel: str) -> float:
         """Total seconds the accelerator spent executing tasks."""

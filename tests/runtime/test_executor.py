@@ -1,11 +1,19 @@
 """Schedule lowering and ground-truth execution."""
 
+import copy
+import dataclasses
+
 import pytest
 
 from repro.core.baselines import gpu_only, naive_concurrent
 from repro.core.haxconn import HaXCoNN
 from repro.core.workload import Workload
-from repro.runtime.executor import build_tasks, run_schedule
+from repro.runtime.executor import (
+    _queues_from_prediction,
+    build_tasks,
+    run_schedule,
+)
+from repro.soc.engine import Engine
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +182,92 @@ class TestRunSchedule:
         execution = run_schedule(hax_result, xavier)
         for n in range(2):
             assert execution.stream_time(n) <= execution.makespan_s + 1e-12
+
+
+class TestRoundMemo:
+    """``run_schedule`` simulates each distinct round once per result."""
+
+    @pytest.fixture
+    def fresh(self, hax_result):
+        # a replace()d copy starts with an empty memo
+        return dataclasses.replace(hax_result)
+
+    def test_replace_and_copy_start_empty(self, hax_result, xavier):
+        run_schedule(hax_result, xavier)
+        assert hax_result._executions
+        assert dataclasses.replace(hax_result)._executions == {}
+        assert copy.copy(hax_result)._executions == {}
+
+    def test_hit_returns_identical_object(self, fresh, xavier):
+        first = run_schedule(fresh, xavier)
+        assert run_schedule(fresh, xavier) is first
+        # equal inputs in another spelling normalize to the same key
+        assert (
+            run_schedule(
+                fresh,
+                xavier,
+                repeats=list(fresh.formulation.repeats),
+                pipeline=[],
+            )
+            is first
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"repeats": (2, 1)},
+            {"contention": False},
+            {"background_bw": 1e9},
+            {"pipeline": ((0, 1),)},
+        ],
+        ids=["repeats", "contention", "background_bw", "pipeline"],
+    )
+    def test_different_round_misses(self, fresh, xavier, kwargs):
+        base = run_schedule(fresh, xavier)
+        other = run_schedule(fresh, xavier, **kwargs)
+        assert other is not base
+        assert run_schedule(fresh, xavier, **kwargs) is other
+
+    def test_platform_variant_misses(self, fresh, xavier):
+        base = run_schedule(fresh, xavier)
+        variant = dataclasses.replace(xavier)
+        assert run_schedule(fresh, variant) is not base
+
+    def test_replaced_result_misses(self, fresh, xavier):
+        base = run_schedule(fresh, xavier)
+        assert run_schedule(dataclasses.replace(fresh), xavier) is not base
+
+    @pytest.mark.parametrize(
+        "repeats, pipeline, contention, bg_frac",
+        [
+            (None, None, True, 0.0),
+            ((2, 3), None, True, 0.0),
+            ((2, 2), ((0, 1),), True, 0.0),
+            ((1, 2), None, False, 0.0),
+            (None, None, True, 0.3),
+        ],
+    )
+    def test_memoized_matches_fresh_engine_run(
+        self, fresh, xavier, repeats, pipeline, contention, bg_frac
+    ):
+        background_bw = bg_frac * xavier.dram_bandwidth
+        kwargs = dict(
+            repeats=repeats,
+            pipeline=pipeline,
+            contention=contention,
+            background_bw=background_bw,
+        )
+        run_schedule(fresh, xavier, **kwargs)
+        memoized = run_schedule(fresh, xavier, **kwargs).timeline
+        tasks = build_tasks(
+            fresh.schedule,
+            fresh.formulation.profiles,
+            repeats or fresh.formulation.repeats,
+            xavier,
+            pipeline=pipeline or (),
+        )
+        timeline = Engine(
+            xavier, contention=contention, background_bw=background_bw
+        ).run(tasks, _queues_from_prediction(tasks, fresh))
+        assert memoized.records == timeline.records
+        assert memoized.intervals == timeline.intervals

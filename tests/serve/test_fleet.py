@@ -396,6 +396,29 @@ class TestSolveStore:
             rounds += policy.cache.hits
         assert rounds > sum(len(p.mixes) for p in policies)
 
+    @pytest.mark.parametrize("backend", ["serial", FORK])
+    def test_repeated_rounds_share_one_timeline(
+        self, xavier, xavier_db, tmp_path, backend
+    ):
+        """On a warm store every round of a mix dispatches the same
+        materialized result, so rounds with equal (mix, batch) carry
+        one simulated timeline -- also after the fork pickle."""
+        store = SolveStore(tmp_path / "solves.jsonl")
+        run_fleet(xavier, xavier_db, shards=2, backend="serial", store=store)
+        warm = SolveStore(store.path, readonly=True)
+        report = run_fleet(
+            xavier, xavier_db, shards=2, backend=backend, store=warm
+        )
+        repeated = 0
+        for outcome in report.outcomes:
+            timelines: dict[tuple, set[int]] = {}
+            for r in outcome.report.rounds:
+                key = (r.tenants, r.batch, r.scheduler)
+                timelines.setdefault(key, set()).add(id(r.timeline))
+            assert all(len(ids) == 1 for ids in timelines.values())
+            repeated += len(outcome.report.rounds) - len(timelines)
+        assert repeated > 0
+
 
 class TestPinnedRouter:
     def test_explicit_placement(self):

@@ -105,6 +105,29 @@ class TestCachedAnytime:
         assert policy.solves == 0
         assert policy.cache.hits == 1
 
+    def test_cache_hit_computes_one_signature(
+        self, scheduler, workload, monkeypatch
+    ):
+        import repro.core.schedule_cache as schedule_cache
+        import repro.serve.policy as policy_module
+
+        cache = ScheduleCache(scheduler)
+        cache.precompute([workload])
+        policy = CachedAnytimePolicy(scheduler, cache=cache)
+        calls = []
+        real = schedule_cache.workload_signature
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(schedule_cache, "workload_signature", counting)
+        monkeypatch.setattr(policy_module, "workload_signature", counting)
+        first = policy.result_for(workload, 0.0)
+        assert policy.result_for(workload, 0.0) is first
+        assert len(calls) == 2  # one per round
+        assert policy.cache.hits == 2
+
     def test_swap_plan_is_monotone(self, scheduler, workload):
         """Candidates activate in time order with strictly improving
         predicted objectives -- a swap is only ever an upgrade."""

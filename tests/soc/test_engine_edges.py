@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.soc.engine import Engine, SimTask
+from repro.soc.engine import BandwidthExhaustedError, Engine, SimTask
 
 
 def task(tid, accel, compute_ms, demand_frac, platform, **kw):
@@ -105,3 +105,37 @@ class TestReleaseAndDeps:
         )
         timeline = Engine(xavier).run([a, b])
         assert timeline["b"].start >= timeline["a"].end - 1e-12
+
+
+class TestHeavyBackground:
+    """Background traffic so heavy that the interference model leaves
+    a memory-bound task no bandwidth used to yield tasks that ended
+    before they started (negative makespan); now it raises."""
+
+    def pair(self, xavier, demand_frac=0.5):
+        return [
+            task("a", "gpu", 4.0, demand_frac, xavier),
+            task("b", "dla", 4.0, 0.8 * demand_frac, xavier),
+        ]
+
+    @pytest.mark.parametrize("load", [0.9, 0.97, 0.99])
+    def test_exhausted_bandwidth_raises(self, xavier, load):
+        engine = Engine(xavier, background_bw=load * xavier.dram_bandwidth)
+        with pytest.raises(BandwidthExhaustedError):
+            engine.run(self.pair(xavier))
+        assert issubclass(BandwidthExhaustedError, ValueError)
+
+    @pytest.mark.parametrize("load", [0.0, 0.3, 0.5])
+    def test_tasks_never_end_before_they_start(self, xavier, load):
+        timeline = Engine(
+            xavier, background_bw=load * xavier.dram_bandwidth
+        ).run(self.pair(xavier))
+        assert timeline.makespan > 0
+        for r in timeline.records:
+            assert r.end >= r.start
+
+    def test_compute_only_tasks_ignore_background(self, xavier):
+        timeline = Engine(
+            xavier, background_bw=0.99 * xavier.dram_bandwidth
+        ).run(self.pair(xavier, demand_frac=0.0))
+        assert timeline["a"].duration == pytest.approx(4e-3)

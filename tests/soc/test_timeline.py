@@ -67,6 +67,29 @@ class TestTimelineQueries:
         assert timeline.completion(dnn=0) == pytest.approx(2.0)
         assert timeline.completion(dnn=1) == pytest.approx(2.5)
 
+    def test_completion_index_equals_select(self, timeline):
+        queries = [
+            {},
+            {"dnn": 0},
+            {"dnn": 1},
+            {"dnn": 9},
+            {"role": "group", "dnn": 0},
+            {"dnn": 0, "role": "load"},
+            {"missing": None},
+        ]
+        for meta in queries * 2:  # second pass reads the built index
+            selected = timeline.select(**meta)
+            expected = max((r.end for r in selected), default=0.0)
+            assert timeline.completion(**meta) == expected
+
+    def test_completion_index_not_pickled(self, timeline):
+        import pickle
+
+        timeline.completion(dnn=0)
+        clone = pickle.loads(pickle.dumps(timeline))
+        assert clone._completions == {}
+        assert clone.completion(dnn=1) == timeline.completion(dnn=1)
+
     def test_busy_time_and_utilization(self, timeline):
         assert timeline.busy_time("gpu") == pytest.approx(2.0)
         assert timeline.utilization("gpu") == pytest.approx(2.0 / 2.5)
