@@ -197,13 +197,6 @@ def _measure():
     for a, b in zip(ref, batch):
         assert a.objective == b.objective
 
-    # opt-in warm fixed point (exact=False): fewer iterations, not
-    # bit-identical -- only the iteration savings are reported
-    warm_form = _fresh(formulation)
-    for a in sequence:
-        warm_form.engine.evaluate(a, exact=False)
-    stats_warm = warm_form.engine.stats()
-
     summary = {
         "workload": "+".join(MODELS),
         "platform": PLATFORM,
@@ -221,10 +214,6 @@ def _measure():
         ),
         "replayed_evals": stats_inc["replayed_evals"],
         "fp_iter_mean_exact": stats_inc["fp_iter_mean"],
-        "fp_iter_mean_warm": stats_warm["fp_iter_mean"],
-        "fp_iterations_saved_by_warm": (
-            stats_inc["fp_iterations"] - stats_warm["fp_iterations"]
-        ),
         "slowdown_cache_hit_rate": stats_inc["slowdown_cache_hit_rate"],
     }
     return summary
@@ -249,8 +238,6 @@ def _format(summary: dict) -> str:
         "memo_hit_rate_second_pass",
         "replayed_evals",
         "fp_iter_mean_exact",
-        "fp_iter_mean_warm",
-        "fp_iterations_saved_by_warm",
         "slowdown_cache_hit_rate",
         "evals_frontier",
         "evals_per_s_scratch_full",
@@ -276,9 +263,6 @@ def test_bench_eval_engine(save_report):
             f"({summary['evals_per_s_incremental']:.0f} vs "
             f"{summary['evals_per_s_scratch']:.0f} evals/s)"
         )
-    # warm starts must actually save fixed-point iterations
-    assert summary["fp_iterations_saved_by_warm"] > 0
-
     frontier = None
     for _attempt in range(ATTEMPTS):
         frontier = _measure_frontier()

@@ -1,4 +1,4 @@
-"""Static analysis: schedule certificates and determinism lints.
+"""Static analysis: schedule certificates and determinism flow.
 
 The solvers in :mod:`repro.solver` are cross-checked only against each
 other; a shared misreading of a paper constraint would pass every
@@ -11,13 +11,14 @@ checkers:
   slowdowns over the actual overlap windows) and checks every Eq. 1-11
   constraint, emitting structured :class:`~repro.analysis.diagnostics.
   Violation` records with a minimal failing-constraint core;
-- :mod:`repro.analysis.lint` -- an **AST lint pass** over the codebase
-  that mechanically enforces the invariants the deterministic solver
-  portfolio and virtual-time simulator depend on (seeded randomness,
-  no wall-clock reads in virtual-time code, epoch-locked shared-state
-  mutation, no unordered-set iteration feeding schedule construction).
+- :mod:`repro.analysis.flow` -- the **static analysis** of the codebase
+  itself: per-line rules (HAX001-HAX008: seeded randomness, no
+  wall-clock reads in virtual-time code, locked shared-state mutation
+  in workers, no unordered iteration feeding schedule construction)
+  and whole-program determinism-flow rules (HAX101-HAX111), gated by
+  one checked-in baseline.
 
-Both surface through ``haxconn verify`` / ``haxconn lint`` and the
+Both surface through ``haxconn verify`` / ``haxconn flow`` and the
 ``lint-and-verify`` CI job.
 """
 
@@ -27,13 +28,6 @@ from repro.analysis.diagnostics import (
     Violation,
     ViolationKind,
     require,
-)
-from repro.analysis.lint import (
-    LintConfig,
-    LintFinding,
-    RULES,
-    lint_paths,
-    lint_source,
 )
 from repro.analysis.verify import (
     verify_assignment,
@@ -49,11 +43,6 @@ __all__ = [
     "CertificateError",
     "Violation",
     "ViolationKind",
-    "LintConfig",
-    "LintFinding",
-    "RULES",
-    "lint_paths",
-    "lint_source",
     "require",
     "verify_assignment",
     "verify_cache_entry",

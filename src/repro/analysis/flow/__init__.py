@@ -1,25 +1,28 @@
-"""repro.analysis.flow: whole-program determinism-flow analysis.
+"""repro.analysis.flow: the repo's one static-analysis engine.
 
-Three interlocking passes over ``src/repro`` (all AST-based; the
+Every pass works on one parse of ``src/repro`` (all AST-based; the
 analyzed code is never imported):
 
-1. **call graph + effect summaries** (:mod:`.callgraph`,
-   :mod:`.effects`) -- module-level call resolution including
-   ``from``-imports, method calls via class-attribute types, and
-   function-valued arguments handed to worker entry points; then
-   bottom-up fixpoint effect summaries (wall clock, unseeded RNG,
-   env/pid/``id()``, unordered iteration, filesystem reads);
-2. **determinism taint** (:mod:`.taint`) -- effect sources reaching
-   replicated sinks (gossip deltas, shm ring records, solve-store
-   entries, incumbent traces, campaign digests), rules
+1. **call graph + direct sites** (:mod:`.callgraph`, :mod:`.effects`)
+   -- module-level call resolution including ``from``-imports, method
+   calls via class-attribute types, and function-valued arguments
+   handed to worker entry points; one walk per function and per
+   module body records effects (wall clock, unseeded RNG,
+   env/pid/``id()``, unordered iteration, filesystem reads) and the
+   per-line rules HAX001..HAX008;
+2. **effect summaries + determinism taint** (:mod:`.effects`,
+   :mod:`.taint`) -- bottom-up fixpoint summaries, then effect sources
+   reaching replicated sinks (gossip deltas, shm ring records,
+   solve-store entries, incumbent traces, campaign digests), rules
    HAX101..HAX104, each finding carrying the full call chain;
 3. **shm/gossip protocol checker** (:mod:`.protocol`) -- per-function
    abstract state machine over the ring API (HAX110) and merge-order
    discipline at ``SharedEvalState.merge`` sites (HAX111).
 
 The CLI entry point is ``haxconn flow``; CI runs it against the
-checked-in ``tools/flow_baseline.json`` so new findings fail the
-build and the baseline count can only shrink.
+checked-in ``tools/flow_baseline.json``, the single exception list
+for every rule, so new findings fail the build and the baseline count
+can only shrink.
 """
 
 from __future__ import annotations
@@ -30,15 +33,19 @@ from typing import Sequence
 from repro.analysis.flow.callgraph import (
     CallGraph,
     Package,
+    SourceSyntaxError,
     build_call_graph,
     load_package,
 )
 from repro.analysis.flow.effects import (
     EFFECTS,
+    RULES,
+    VIRTUAL_TIME_MODULES,
     EffectSite,
     Summary,
     chain_of,
     collect_direct_effects,
+    rule_sites,
     summarize,
 )
 from repro.analysis.flow.protocol import (
@@ -70,8 +77,11 @@ __all__ = [
     "FlowReport",
     "Package",
     "ProtocolFinding",
+    "RULES",
+    "SourceSyntaxError",
     "Summary",
     "TaintFinding",
+    "VIRTUAL_TIME_MODULES",
     "analyze",
     "apply_baseline",
     "build_call_graph",
@@ -82,6 +92,7 @@ __all__ = [
     "load_baseline",
     "load_package",
     "run_protocol",
+    "rule_sites",
     "run_taint",
     "stale_sinks",
     "summarize",
@@ -95,16 +106,18 @@ def analyze(
     package: str | None = None,
     baseline_keys: Sequence[str] | None = None,
 ) -> FlowReport:
-    """Run all three passes over a package tree and gate on a baseline.
+    """Run every pass over a package tree and gate on a baseline.
 
     ``root`` is the package directory (e.g. ``src/repro``); findings
     are ordered deterministically, so two runs over the same tree
-    render byte-identical reports.
+    render byte-identical reports.  Raises :class:`SourceSyntaxError`
+    when a module does not parse.
     """
     pkg = load_package(root, package=package)
     graph = build_call_graph(pkg)
-    summaries = summarize(graph)
+    direct = collect_direct_effects(graph)
+    summaries = summarize(graph, direct)
     taint = run_taint(graph, summaries)
     protocol = run_protocol(graph)
-    findings = combine(taint, protocol)
+    findings = combine(taint, protocol, rule_sites(direct))
     return apply_baseline(findings, baseline_keys or [])

@@ -1,9 +1,9 @@
 """Whole-package call-graph construction for the flow analysis.
 
-The per-line lint (:mod:`repro.analysis.lint`) sees one statement at a
-time; the flow passes in this package need to know *who calls whom* so
-an effect three helpers deep still reaches the sink that consumes it.
-This module builds that graph from source, with zero imports of the
+The per-line rules (HAX001-HAX008) look at one statement at a time;
+the interprocedural passes need to know *who calls whom* so an effect
+three helpers deep still reaches the sink that consumes it.  This
+module builds that graph from source, with zero imports of the
 analyzed code (analyzing a module must not execute it):
 
 * every ``*.py`` file under a package root is parsed once into a
@@ -22,7 +22,10 @@ analyzed code (analyzing a module must not execute it):
 * nested functions and lambdas are **inlined** into their enclosing
   function: a closure like the portfolio worker's ``on_incumbent`` is
   analyzed as part of the function that defines it, which matches how
-  its effects escape.
+  its effects escape;
+* each module body (class bodies included, function bodies excluded)
+  is one more scope, ``pkg.mod.<module>``, so import-time code gets
+  the same per-line checks and worker edges as a function.
 
 The graph over-approximates (an edge may exist that never fires at
 runtime) and never under-approximates on the constructs above; the
@@ -41,15 +44,29 @@ from typing import Iterator
 #:     def export_delta(self):  # hax: sink gossip payload
 SINK_PRAGMA = "# hax: sink"
 
-#: callables whose function-valued arguments are worker entry points
-#: (kept for documentation; *any* function-valued argument adds a
-#: higher-order edge, so these need no special casing)
-WORKER_ENTRY_POINTS = ("Thread", "Process", "submit", "map")
+#: callables whose callable argument runs on another thread/process:
+#: the ``target=`` of ``Thread``/``Process``, the first argument of
+#: ``submit``.  Such references become "worker" edges (any other
+#: function-valued argument is a plain "higher-order" edge).
+WORKER_ENTRY_POINTS = ("Thread", "Process", "submit")
+
+#: qualname suffix of a module-body scope
+MODULE_SCOPE = "<module>"
+
+
+class SourceSyntaxError(ValueError):
+    """A module under the analysis root does not parse."""
+
+    def __init__(self, path: str, line: int, msg: str) -> None:
+        super().__init__(f"{path}:{line}: cannot parse: {msg}")
+        self.path = path
+        self.line = line
 
 
 @dataclass
 class FunctionInfo:
-    """One analyzed function or method (nested defs are inlined)."""
+    """One analyzed function or method (nested defs are inlined), or
+    one module-body scope (``node`` is the module)."""
 
     qualname: str
     module: str
@@ -57,7 +74,7 @@ class FunctionInfo:
     name: str
     path: str
     lineno: int
-    node: ast.FunctionDef | ast.AsyncFunctionDef
+    node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Module
     #: reason text when the def line carries a ``# hax: sink`` pragma
     sink_pragma: str | None = None
 
@@ -108,8 +125,9 @@ class CallEdge:
     caller: str
     callee: str
     line: int
-    #: "call" for a direct call expression, "higher-order" for a
-    #: function-valued argument handed to another callable
+    #: "call" for a direct call expression, "worker" for a callable
+    #: handed to a worker entry point, "higher-order" for any other
+    #: function-valued argument
     kind: str = "call"
 
 
@@ -173,8 +191,9 @@ def load_package(root: str | Path, package: str | None = None) -> "Package":
 
     ``root`` is the directory of the package (e.g. ``src/repro``);
     ``package`` overrides the dotted prefix (default: the directory
-    name).  Files that fail to parse are skipped -- the per-line lint
-    and the compiler already own syntax errors.
+    name).  A file that fails to parse raises
+    :class:`SourceSyntaxError` naming the file and line: skipping it
+    would silently exempt the module from every rule.
     """
     root = Path(root)
     prefix = package or root.name
@@ -189,8 +208,10 @@ def load_package(root: str | Path, package: str | None = None) -> "Package":
         source = file.read_text(encoding="utf-8")
         try:
             tree = ast.parse(source, filename=str(file))
-        except SyntaxError:
-            continue
+        except SyntaxError as exc:
+            raise SourceSyntaxError(
+                file.as_posix(), exc.lineno or 0, exc.msg
+            ) from exc
         info = ModuleInfo(
             name=name,
             path=file.as_posix(),
@@ -209,6 +230,24 @@ def _is_def(node: ast.AST) -> bool:
     return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
 
 
+def scope_body(fn: FunctionInfo) -> list[ast.stmt]:
+    """The statements one scope executes itself.
+
+    A function's whole body (nested defs inlined).  A module scope's
+    top-level statements plus its top-level class bodies, minus the
+    functions and methods indexed as scopes of their own.
+    """
+    if not isinstance(fn.node, ast.Module):
+        return fn.node.body
+    body: list[ast.stmt] = []
+    for stmt in fn.node.body:
+        if isinstance(stmt, ast.ClassDef):
+            body.extend(s for s in stmt.body if not _is_def(s))
+        elif not _is_def(stmt):
+            body.append(stmt)
+    return body
+
+
 class Package:
     """Every module of one package, indexed for name resolution."""
 
@@ -218,10 +257,23 @@ class Package:
         self.functions: dict[str, FunctionInfo] = {}
         #: class qualname -> info, across all modules
         self.classes: dict[str, ClassInfo] = {}
+        #: module-body scope qualname -> info (not in ``functions``:
+        #: nothing calls a module body)
+        self.module_scopes: dict[str, FunctionInfo] = {}
 
     # -- indexing ------------------------------------------------------
     def _index(self) -> None:
         for mod in self.modules.values():
+            qual = f"{mod.name}.{MODULE_SCOPE}"
+            self.module_scopes[qual] = FunctionInfo(
+                qualname=qual,
+                module=mod.name,
+                cls=None,
+                name=MODULE_SCOPE,
+                path=mod.path,
+                lineno=1,
+                node=mod.tree,
+            )
             lines = mod.source.splitlines()
             for node in mod.tree.body:
                 if _is_def(node):
@@ -344,6 +396,12 @@ class Package:
                 ):
                     cls.attr_types.setdefault(target.attr, resolved)
 
+    def scopes(self) -> Iterator[FunctionInfo]:
+        """Every function and module-body scope, in qualname order."""
+        everything = {**self.functions, **self.module_scopes}
+        for qual in sorted(everything):
+            yield everything[qual]
+
     # -- resolution ----------------------------------------------------
     def resolve_global(self, dotted: str) -> str:
         """Follow package ``__init__`` re-exports to a canonical name.
@@ -430,7 +488,8 @@ class _CallCollector(ast.NodeVisitor):
         self._collect_var_types(fn.node)
 
     def _collect_var_types(self, node: ast.AST) -> None:
-        for sub in ast.walk(node):
+        subs = (s for stmt in scope_body(self.fn) for s in ast.walk(stmt))
+        for sub in subs:
             if not isinstance(sub, (ast.Assign, ast.AnnAssign)):
                 continue
             value = sub.value
@@ -546,11 +605,24 @@ class _CallCollector(ast.NodeVisitor):
     # -- visitor -------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
         self._edge(self._resolve_callable(node.func), node, "call")
+        worker = _worker_argument(node)
         for arg in list(node.args) + [k.value for k in node.keywords]:
             ref = self._resolve_reference(arg)
             if ref is not None:
-                self._edge(ref, node, "higher-order")
+                kind = "worker" if arg is worker else "higher-order"
+                self._edge(ref, node, kind)
         self.generic_visit(node)
+
+
+def _worker_argument(node: ast.Call) -> ast.expr | None:
+    """The argument a worker entry point runs elsewhere, if any."""
+    name = _dotted(node.func)
+    callee = name.rsplit(".", 1)[-1] if name is not None else None
+    if callee not in WORKER_ENTRY_POINTS:
+        return None
+    if callee == "submit":
+        return node.args[0] if node.args else None
+    return next((k.value for k in node.keywords if k.arg == "target"), None)
 
 
 @dataclass
@@ -574,15 +646,20 @@ class CallGraph:
         for qual in sorted(self.edges):
             yield from self.edges[qual]
 
+    def worker_targets(self) -> set[str]:
+        """Functions some scope hands to a thread/process/executor."""
+        return {
+            e.callee for e in self.iter_edges() if e.kind == "worker"
+        }
+
 
 def build_call_graph(pkg: Package) -> CallGraph:
-    """Resolve every function's call edges (deterministic order)."""
+    """Resolve every scope's call edges (deterministic order)."""
     edges: dict[str, tuple[CallEdge, ...]] = {}
-    for qual in sorted(pkg.functions):
-        fn = pkg.functions[qual]
+    for fn in pkg.scopes():
         mod = pkg.modules[fn.module]
         collector = _CallCollector(pkg, mod, fn)
-        for stmt in fn.node.body:
+        for stmt in scope_body(fn):
             collector.visit(stmt)
         # dedupe on (callee, kind), keep first (lowest-line) witness
         seen: set[tuple[str, str]] = set()
@@ -594,5 +671,5 @@ def build_call_graph(pkg: Package) -> CallGraph:
             if key not in seen:
                 seen.add(key)
                 kept.append(edge)
-        edges[qual] = tuple(kept)
+        edges[fn.qualname] = tuple(kept)
     return CallGraph(package=pkg, edges=edges)

@@ -1,14 +1,19 @@
-"""Per-function effect summaries, computed bottom-up to a fixpoint.
+"""Direct sites of every scope, and per-function effect summaries.
 
-The *effect lattice* is a powerset over five determinism-relevant
-effect kinds; a function's summary is the union of the effects its
-body performs directly and the summaries of everything it (maybe
+One AST walk per scope -- every function (nested defs inlined) and
+every module body (class bodies included) -- records *direct sites*
+of two kinds.
+
+**Effects**, the powerset lattice the interprocedural passes
+propagate.  A function's summary is the union of the effects its body
+performs directly and the summaries of everything it (maybe
 transitively, maybe through a callback) calls:
 
 ==================  =================================================
 ``wall-clock``      reads ``time.time``/``perf_counter``/... -- any
                     value derived from it differs across runs
-``unseeded-rng``    draws from a process-global or seedless RNG
+``unseeded-rng``    draws from a process-global or seedless RNG, or
+                    reseeds the global one
 ``env-pid``         reads ``os.environ``/``os.getenv``, a pid, or an
                     ``id()`` -- per-process values that leak host
                     identity into results
@@ -19,12 +24,19 @@ transitively, maybe through a callback) calls:
                     feeds the result
 ==================  =================================================
 
-Direct effects deliberately *ignore* per-line lint waivers: a
-``haxlint: allow[HAX002]`` pragma sanctions the local read (the wall
-budget API), but the flow analysis still tracks where that value goes
--- the whole point of the interprocedural pass is that a sanctioned
-source can still reach a sink it must never feed.  Sanctioned
-source->sink pairs live in the checked-in baseline instead.
+**Per-line rule violations** (:data:`RULES`), reported where they
+occur whoever calls the scope.  HAX001/HAX008 are unseeded-rng sites,
+HAX004 unordered-iter sites, and HAX002 wall-clock sites inside
+:data:`VIRTUAL_TIME_MODULES`; HAX003/HAX005/HAX006/HAX007 carry no
+effect.  HAX003 looks only at worker targets, the callees of the call
+graph's ``worker`` edges.
+
+There is no per-line waiver syntax.  A sanctioned site is one key in
+the checked-in baseline that also holds the interprocedural findings
+(today only the solver's clock read in
+``repro.solver.clock.monotonic_s``).  Its effect still propagates:
+the whole point of the interprocedural pass is that a sanctioned
+source can still reach a sink it must never feed.
 
 Each summary keeps, per effect kind, one *witness*: either the direct
 site, or the (deterministically chosen: shortest chain, then lowest
@@ -43,11 +55,7 @@ from repro.analysis.flow.callgraph import (
     FunctionInfo,
     ModuleInfo,
     _dotted,
-)
-from repro.analysis.lint import (
-    _NUMPY_LEGACY_DRAWS,
-    _RANDOM_DRAWS,
-    _WALL_CLOCKS,
+    scope_body,
 )
 
 WALL_CLOCK = "wall-clock"
@@ -58,6 +66,81 @@ FS_READ = "fs-read"
 
 #: every effect kind, in reporting order
 EFFECTS = (WALL_CLOCK, UNORDERED_ITER, UNSEEDED_RNG, ENV_PID, FS_READ)
+
+#: per-line rule id -> description (ids are stable; docs cite them)
+RULES: dict[str, str] = {
+    "HAX001": "unseeded random source",
+    "HAX002": "wall-clock read in virtual-time code",
+    "HAX003": "worker target mutates shared state outside a lock",
+    "HAX004": "unordered iteration feeds an order-sensitive construct",
+    "HAX005": "time.sleep in virtual-time code",
+    "HAX006": "silent exception swallowing",
+    "HAX007": "mutable default argument",
+    "HAX008": "global RNG seeding in library code",
+}
+
+#: modules (and their submodules) that run on virtual time, where
+#: HAX002/HAX005 apply; profilers and experiment drivers legitimately
+#: read wall clocks
+VIRTUAL_TIME_MODULES = (
+    "repro.solver",
+    "repro.core",
+    "repro.soc",
+    "repro.runtime",
+    "repro.serve",
+    "repro.contention",
+    "repro.analysis",
+    "repro.fuzz",
+)
+
+_RANDOM_DRAWS = {
+    "random",
+    "randint",
+    "randrange",
+    "randbytes",
+    "choice",
+    "choices",
+    "shuffle",
+    "sample",
+    "uniform",
+    "triangular",
+    "gauss",
+    "normalvariate",
+    "betavariate",
+    "expovariate",
+    "getrandbits",
+}
+_NUMPY_LEGACY_DRAWS = {
+    "rand",
+    "randn",
+    "randint",
+    "random",
+    "random_sample",
+    "ranf",
+    "choice",
+    "shuffle",
+    "permutation",
+    "uniform",
+    "normal",
+    "standard_normal",
+    "exponential",
+    "poisson",
+    "bytes",
+}
+_GLOBAL_SEEDS = {"random.seed", "numpy.random.seed"}
+_WALL_CLOCKS = {
+    "time.time",
+    "time.time_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.process_time",
+    "time.process_time_ns",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+    "datetime.date.today",
+}
 
 #: canonical dotted names that read per-process / host identity
 _ENV_PID_CALLS = {
@@ -79,22 +162,67 @@ _FS_LISTING_CALLS = {
 }
 
 #: attribute-method names that enumerate the filesystem on any object
-#: (``Path.iterdir`` etc.; heuristic by name, like the lint's mutators)
+#: (``Path.iterdir`` etc.; heuristic by name, like the mutators)
 _FS_LISTING_METHODS = {"iterdir", "glob", "rglob"}
 
 #: attribute-method names that read file contents on any object
 _FS_READ_METHODS = {"read_text", "read_bytes"}
 
+#: container methods that mutate their receiver (heuristic by name)
+MUTATOR_METHODS = {
+    "append",
+    "extend",
+    "insert",
+    "add",
+    "discard",
+    "remove",
+    "pop",
+    "popitem",
+    "clear",
+    "update",
+    "setdefault",
+    "appendleft",
+    "extendleft",
+    "sort",
+    "reverse",
+}
+
+#: ``with`` context names that HAX003 accepts as a lock
+_LOCK_HINTS = ("lock", "mutex", "cond", "sem")
+
+
+def _is_virtual_time(module: str) -> bool:
+    return any(
+        module == m or module.startswith(m + ".")
+        for m in VIRTUAL_TIME_MODULES
+    )
+
 
 @dataclass(frozen=True)
 class EffectSite:
-    """One direct effect occurrence inside one function."""
+    """One direct site inside one scope: an effect, a per-line rule
+    violation, or both."""
 
-    effect: str
+    #: effect kind; None for a site only a per-line rule cares about
+    effect: str | None
     qualname: str
     path: str
     line: int
     detail: str
+    #: per-line rule the site violates, if any
+    rule: str | None = None
+
+    @property
+    def key(self) -> tuple[str, ...]:
+        """Line-free identity of a rule site, used for baselining."""
+        return (self.rule or "", self.qualname, self.detail)
+
+    def render(self) -> str:
+        rule = self.rule or ""
+        return (
+            f"{rule} {self.qualname} at {self.path}:{self.line}: "
+            f"{self.detail} ({RULES.get(rule, '')})"
+        )
 
 
 @dataclass(frozen=True)
@@ -120,8 +248,9 @@ class Summary:
 
 
 class _SetScope:
-    """Set-typed variable inference for one function body (the same
-    statically-decidable subset the per-line lint uses)."""
+    """Set-typed variable inference for one scope: literals,
+    ``set()``/``frozenset()``, set comprehensions, set algebra, and
+    names last assigned one of those."""
 
     def __init__(self) -> None:
         self.set_vars: set[str] = set()
@@ -164,19 +293,74 @@ class _SetScope:
                 self.set_vars.discard(target.id)
 
 
-class _EffectCollector(ast.NodeVisitor):
-    """Direct effects of one function body (nested defs inlined)."""
+def _function_locals(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
+    """Parameters and names a function body binds; nested scopes and
+    ``global``/``nonlocal`` names excluded."""
+    a = fn.args
+    params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+    names = {p.arg for p in params if p is not None}
+    declared: set[str] = set()
+    stack: list[ast.AST] = list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            names.add(node.name)
+            continue
+        if isinstance(node, ast.Lambda):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return names - declared
 
-    def __init__(self, mod: ModuleInfo, fn: FunctionInfo) -> None:
+
+def _is_lock(node: ast.expr) -> bool:
+    if isinstance(node, ast.Call):
+        return _is_lock(node.func)
+    name = _dotted(node)
+    if name is None:
+        return False
+    last = name.rsplit(".", 1)[-1].lower()
+    return any(h in last for h in _LOCK_HINTS)
+
+
+class _EffectCollector(ast.NodeVisitor):
+    """Direct sites of one scope (nested defs inlined)."""
+
+    def __init__(
+        self, mod: ModuleInfo, fn: FunctionInfo, *, worker: bool = False
+    ) -> None:
         self.mod = mod
         self.fn = fn
         self.scope = _SetScope()
         self.sites: list[EffectSite] = []
+        self.virtual_time = _is_virtual_time(mod.name)
         #: call nodes appearing directly inside ``sorted(...)`` --
         #: their OS enumeration order is fixed by the wrapper
         self._sorted_args: set[int] = set()
+        #: HAX003 state: a worker target's own names, the open
+        #: ``with <lock>`` blocks, and the nested defs entered (their
+        #: stores are their own)
+        self.worker = worker
+        self._locals: set[str] = (
+            _function_locals(fn.node)
+            if worker and not isinstance(fn.node, ast.Module)
+            else set()
+        )
+        self._locked = 0
+        self._nested = 0
 
-    def _report(self, effect: str, node: ast.AST, detail: str) -> None:
+    def _report(
+        self,
+        effect: str | None,
+        node: ast.AST,
+        detail: str,
+        rule: str | None = None,
+    ) -> None:
         self.sites.append(
             EffectSite(
                 effect=effect,
@@ -184,16 +368,99 @@ class _EffectCollector(ast.NodeVisitor):
                 path=self.fn.path,
                 line=getattr(node, "lineno", self.fn.lineno),
                 detail=detail,
+                rule=rule,
             )
         )
+
+    # -- defs: HAX007, and nesting for HAX003 --------------------------
+    def check_defaults(
+        self, node: ast.FunctionDef | ast.AsyncFunctionDef
+    ) -> None:
+        defaults = [*node.args.defaults, *node.args.kw_defaults]
+        for default in defaults:
+            if isinstance(
+                default,
+                (
+                    ast.List,
+                    ast.Dict,
+                    ast.Set,
+                    ast.ListComp,
+                    ast.DictComp,
+                    ast.SetComp,
+                ),
+            ) or (
+                isinstance(default, ast.Call)
+                and isinstance(default.func, ast.Name)
+                and default.func.id in {"list", "dict", "set", "bytearray"}
+            ):
+                self._report(
+                    None,
+                    default,
+                    f"mutable default argument in {node.name}()",
+                    "HAX007",
+                )
+
+    def visit_FunctionDef(
+        self, node: ast.FunctionDef | ast.AsyncFunctionDef
+    ) -> None:
+        self.check_defaults(node)
+        self._nested += 1
+        self.generic_visit(node)
+        self._nested -= 1
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    # -- HAX003: worker stores outside a lock --------------------------
+    def visit_With(self, node: ast.With) -> None:
+        locked = any(_is_lock(item.context_expr) for item in node.items)
+        self._locked += locked
+        self.generic_visit(node)
+        self._locked -= locked
+
+    def _check_store(self, target: ast.expr, node: ast.AST) -> None:
+        if not self.worker or self._locked or self._nested:
+            return
+        base = target
+        while isinstance(base, (ast.Attribute, ast.Subscript)):
+            base = base.value
+        if (
+            isinstance(base, ast.Name)
+            and base is not target
+            and base.id not in self._locals
+        ):
+            self._report(
+                None,
+                node,
+                f"mutates shared {base.id!r} outside a lock",
+                "HAX003",
+            )
 
     # -- assignments feed the set-variable inference -------------------
     def visit_Assign(self, node: ast.Assign) -> None:
         self.scope.note_assign(node)
+        for target in node.targets:
+            self._check_store(target, node)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         self.scope.note_assign(node)
+        self._check_store(node.target, node)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self._check_store(node.target, node)
+        self.generic_visit(node)
+
+    # -- HAX006: silent excepts ----------------------------------------
+    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
+        broad = node.type is None or (
+            isinstance(node.type, ast.Name)
+            and node.type.id in {"Exception", "BaseException"}
+        )
+        if broad and all(isinstance(s, ast.Pass) for s in node.body):
+            self._report(
+                None, node, "broad except swallows the error", "HAX006"
+            )
         self.generic_visit(node)
 
     # -- unordered iteration -------------------------------------------
@@ -203,8 +470,8 @@ class _EffectCollector(ast.NodeVisitor):
                 UNORDERED_ITER,
                 node,
                 f"{what} iterates a set in hash order",
+                "HAX004",
             )
-
     def visit_For(self, node: ast.For) -> None:
         self._check_iter(node.iter, node, "for loop")
         self.generic_visit(node)
@@ -255,12 +522,27 @@ class _EffectCollector(ast.NodeVisitor):
             self._check_iter(
                 node.args[0], node, f"{node.func.id}() conversion"
             )
+        if (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr == "join"
+            and len(node.args) == 1
+        ):
+            self._check_iter(node.args[0], node, "str.join")
+        if (
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATOR_METHODS
+        ):
+            self._check_store(node.func, node)
         self.generic_visit(node)
 
     def _check_call(self, name: str, node: ast.Call) -> None:
         parts = name.split(".")
         if name in _WALL_CLOCKS:
-            self._report(WALL_CLOCK, node, f"{name}()")
+            rule = "HAX002" if self.virtual_time else None
+            self._report(WALL_CLOCK, node, f"{name}()", rule)
+        elif name == "time.sleep":
+            if self.virtual_time:
+                self._report(None, node, "time.sleep()", "HAX005")
         elif name in _ENV_PID_CALLS:
             self._report(ENV_PID, node, f"{name}()")
         elif name == "id" and len(parts) == 1:
@@ -272,6 +554,7 @@ class _EffectCollector(ast.NodeVisitor):
                     UNORDERED_ITER,
                     node,
                     f"{name}() enumerates in OS order",
+                    "HAX004",
                 )
         elif name == "open":
             mode = "r"
@@ -284,21 +567,31 @@ class _EffectCollector(ast.NodeVisitor):
                     mode = str(kw.value.value)
             if "r" in mode and not any(c in mode for c in "wax+"):
                 self._report(FS_READ, node, f"open(..., {mode!r})")
+        elif name in _GLOBAL_SEEDS:
+            self._report(
+                UNSEEDED_RNG, node, f"{name}() reseeds the global RNG", "HAX008"
+            )
         elif len(parts) == 2 and parts[0] == "random":
             if parts[1] in _RANDOM_DRAWS:
-                self._report(UNSEEDED_RNG, node, f"{name}() (global RNG)")
+                self._report(
+                    UNSEEDED_RNG, node, f"{name}() (global RNG)", "HAX001"
+                )
             elif parts[1] == "Random" and not (node.args or node.keywords):
-                self._report(UNSEEDED_RNG, node, "random.Random() seedless")
+                self._report(
+                    UNSEEDED_RNG, node, "random.Random() seedless", "HAX001"
+                )
         elif name.startswith("numpy.random."):
             tail = parts[-1]
             if len(parts) == 3 and tail in _NUMPY_LEGACY_DRAWS:
                 self._report(
-                    UNSEEDED_RNG, node, f"{name}() (global RNG)"
+                    UNSEEDED_RNG, node, f"{name}() (global RNG)", "HAX001"
                 )
             elif tail in {"default_rng", "RandomState"} and not (
                 node.args or node.keywords
             ):
-                self._report(UNSEEDED_RNG, node, f"{name}() seedless")
+                self._report(
+                    UNSEEDED_RNG, node, f"{name}() seedless", "HAX001"
+                )
 
     def _check_method(self, method: str, node: ast.Call) -> None:
         if method in _FS_READ_METHODS:
@@ -310,33 +603,46 @@ class _EffectCollector(ast.NodeVisitor):
                     UNORDERED_ITER,
                     node,
                     f".{method}() enumerates in OS order",
+                    "HAX004",
                 )
 
 
 def direct_effects(
-    mod: ModuleInfo, fn: FunctionInfo
+    mod: ModuleInfo, fn: FunctionInfo, *, worker: bool = False
 ) -> tuple[EffectSite, ...]:
-    """Every direct effect site in one function body, in source order."""
-    collector = _EffectCollector(mod, fn)
-    for stmt in fn.node.body:
+    """Every direct site in one scope, in source order."""
+    collector = _EffectCollector(mod, fn, worker=worker)
+    if not isinstance(fn.node, ast.Module):
+        collector.check_defaults(fn.node)
+    for stmt in scope_body(fn):
         collector.visit(stmt)
     return tuple(
-        sorted(collector.sites, key=lambda s: (s.line, s.effect, s.detail))
+        sorted(
+            collector.sites,
+            key=lambda s: (s.line, s.effect or "", s.detail, s.rule or ""),
+        )
     )
 
 
 def collect_direct_effects(
     graph: CallGraph,
 ) -> dict[str, tuple[EffectSite, ...]]:
-    """Direct effects for every function in the graph."""
+    """Direct sites for every scope in the graph."""
+    workers = graph.worker_targets()
     out: dict[str, tuple[EffectSite, ...]] = {}
-    for qual in sorted(graph.functions):
-        fn = graph.functions[qual]
+    for fn in graph.package.scopes():
         mod = graph.package.modules[fn.module]
-        sites = direct_effects(mod, fn)
+        sites = direct_effects(mod, fn, worker=fn.qualname in workers)
         if sites:
-            out[qual] = sites
+            out[fn.qualname] = sites
     return out
+
+
+def rule_sites(
+    direct: Mapping[str, tuple[EffectSite, ...]]
+) -> list[EffectSite]:
+    """Every per-line rule violation among the direct sites."""
+    return [s for s in iter_effect_sites(direct) if s.rule is not None]
 
 
 def summarize(
@@ -355,10 +661,15 @@ def summarize(
     summaries: dict[str, Summary] = {
         qual: Summary() for qual in graph.functions
     }
-    # seed with direct sites (depth 0; first site in source order wins)
+    # seed with direct sites (depth 0; first site in source order
+    # wins); module bodies have no callers, so no summary
     for qual, sites in direct.items():
-        summary = summaries[qual]
+        summary = summaries.get(qual)
+        if summary is None:
+            continue
         for site in sites:
+            if site.effect is None:
+                continue
             if site.effect not in summary.witnesses:
                 summary.witnesses[site.effect] = Witness(
                     site=site, via=None, depth=0
@@ -403,14 +714,6 @@ def chain_of(
         chain.append(witness.via)
         current = witness.via
     return tuple(chain)
-
-
-def effects_of(
-    summaries: Mapping[str, Summary], qualname: str
-) -> tuple[str, ...]:
-    """The effect kinds a function's summary carries (stable order)."""
-    summary = summaries.get(qualname)
-    return summary.effects if summary is not None else ()
 
 
 def iter_effect_sites(

@@ -45,7 +45,7 @@ from repro.analysis.flow.callgraph import (
     ModuleInfo,
     _dotted,
 )
-from repro.analysis.flow.effects import _SetScope
+from repro.analysis.flow.effects import MUTATOR_METHODS, _SetScope
 
 RULE_PROTOCOL = "HAX110"
 RULE_MERGE_ORDER = "HAX111"
@@ -58,21 +58,6 @@ SUB_MUTATE_AFTER_ENQUEUE = "mutate-after-enqueue"
 
 _WRITER_METHODS = {"try_write", "_write_at"}
 _READER_METHODS = {"read_one", "read_available", "_read_at", "_parse_one"}
-_MUTATOR_METHODS = {
-    "append",
-    "extend",
-    "insert",
-    "add",
-    "update",
-    "setdefault",
-    "pop",
-    "popitem",
-    "remove",
-    "discard",
-    "clear",
-    "sort",
-    "reverse",
-}
 
 #: header offsets published by ``pack_into`` (see core/shm.py layout)
 _COMMIT_OFFSET = 0
@@ -137,7 +122,9 @@ class _OpCollector(ast.NodeVisitor):
                     self.channel_vars.add(arg.arg)
 
     @staticmethod
-    def _all_args(node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[ast.arg]:
+    def _all_args(node: ast.AST) -> list[ast.arg]:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return []
         a = node.args
         return [*a.posonlyargs, *a.args, *a.kwonlyargs]
 
@@ -225,7 +212,7 @@ class _OpCollector(ast.NodeVisitor):
                     self._note_payload(node)
                 elif method == "unpack" and root in self.channel_vars:
                     self._op("read", root, node, f"{root}.unpack()")
-                elif method in _MUTATOR_METHODS:
+                elif method in MUTATOR_METHODS:
                     self._op("mutate", root, node, f"{root}.{method}()")
                 elif method == "merge" and self._unordered_depth > 0:
                     self.merge_findings.append(

@@ -1,11 +1,12 @@
 """Flow findings, stable report rendering, and the baseline gate.
 
-The baseline (``tools/flow_baseline.json``) holds *keys*, not lines:
-a finding's identity is ``(rule, [sub,] sink-or-scope, source-or-
-detail, effect)``, so refactors that move code without changing the
-flow neither add nor remove baseline entries.  CI gates on two
-properties: no finding outside the baseline (exit 1), and the
-checked-in file matching ``--write-baseline`` output byte-for-byte
+The baseline (``tools/flow_baseline.json``) is the analysis's one
+exception list, for per-line and interprocedural findings alike.  It
+holds *keys*, not lines: a finding's identity is ``(rule, [sub,]
+sink-or-scope, source-or-detail[, effect])``, so refactors that move
+code without changing the flow neither add nor remove baseline
+entries.  CI gates on two properties: no finding outside the
+baseline (exit 1), and the checked-in file matching ``--write-baseline`` output byte-for-byte
 (a shrink must be committed, so the count only goes down).
 """
 
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from repro.analysis.flow.effects import EffectSite
 from repro.analysis.flow.protocol import ProtocolFinding
 from repro.analysis.flow.taint import TaintFinding
 
@@ -25,7 +27,7 @@ BASELINE_VERSION = 1
 
 @dataclass(frozen=True)
 class FlowFinding:
-    """Uniform view over taint and protocol findings."""
+    """Uniform view over taint, protocol and per-line findings."""
 
     rule: str
     key: tuple[str, ...]
@@ -34,19 +36,9 @@ class FlowFinding:
     message: str
 
     @classmethod
-    def from_taint(cls, f: TaintFinding) -> "FlowFinding":
+    def of(cls, f: TaintFinding | ProtocolFinding | EffectSite) -> "FlowFinding":
         return cls(
-            rule=f.rule,
-            key=f.key,
-            path=f.path,
-            line=f.line,
-            message=f.render(),
-        )
-
-    @classmethod
-    def from_protocol(cls, f: ProtocolFinding) -> "FlowFinding":
-        return cls(
-            rule=f.rule,
+            rule=f.rule or "",
             key=f.key,
             path=f.path,
             line=f.line,
@@ -97,10 +89,10 @@ class FlowReport:
 def combine(
     taint: Sequence[TaintFinding],
     protocol: Sequence[ProtocolFinding],
+    lines: Sequence[EffectSite] = (),
 ) -> tuple[FlowFinding, ...]:
-    """Merge both passes into one deterministically ordered tuple."""
-    merged = [FlowFinding.from_taint(f) for f in taint]
-    merged.extend(FlowFinding.from_protocol(f) for f in protocol)
+    """Merge every pass into one deterministically ordered tuple."""
+    merged = [FlowFinding.of(f) for f in (*taint, *protocol, *lines)]
     merged.sort(key=lambda f: (f.rule, f.key, f.path, f.line))
     return tuple(merged)
 

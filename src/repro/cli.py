@@ -39,13 +39,12 @@ Subcommands
     (drops superseded schedule/model records and duplicate lines,
     byte-preserving the survivors); ``stats`` prints record counts
     and size.
-``haxconn lint [PATH ...]``
-    Run the determinism/concurrency lint (HAX001-HAX008) over the
-    given paths (default: the installed ``repro`` package).
 ``haxconn flow [--baseline FILE] [--write-baseline] [ROOT]``
-    Whole-program determinism-flow analysis (HAX101-HAX111): call
-    graph + effect summaries, source->sink taint with full call
-    chains, and the shm/gossip protocol checker.  With ``--baseline``
+    The static analysis: per-line determinism/concurrency rules
+    (HAX001-HAX008) and whole-program determinism flow
+    (HAX101-HAX111): call graph + effect summaries, source->sink
+    taint with full call chains, and the shm/gossip protocol checker.
+    A module that does not parse exits 2.  With ``--baseline``
     only findings outside the checked-in baseline fail; with
     ``--write-baseline`` the current findings are written back so the
     baseline count can only shrink under review.
@@ -543,37 +542,6 @@ def _cmd_store(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.lint import LintConfig, RULES, lint_paths
-
-    paths = args.paths
-    if not paths:
-        import repro
-
-        paths = [str(Path(repro.__file__).parent)]
-    config = LintConfig()
-    if args.select:
-        selected = tuple(
-            r.strip() for r in args.select.split(",") if r.strip()
-        )
-        unknown = [r for r in selected if r not in RULES]
-        if unknown:
-            print(
-                f"error: unknown rule(s) {', '.join(unknown)}; "
-                f"catalog: {', '.join(RULES)}",
-                file=sys.stderr,
-            )
-            return 2
-        config = LintConfig(select=selected)
-    findings = lint_paths(paths, config)
-    for finding in findings:
-        print(finding.describe())
-    print(
-        f"{len(findings)} finding(s) in {', '.join(str(p) for p in paths)}"
-    )
-    return 0 if not findings else 1
-
-
 def _cmd_flow(args: argparse.Namespace) -> int:
     from repro.analysis import flow
 
@@ -592,7 +560,11 @@ def _cmd_flow(args: argparse.Namespace) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    report = flow.analyze(root, baseline_keys=baseline_keys)
+    try:
+        report = flow.analyze(root, baseline_keys=baseline_keys)
+    except flow.SourceSyntaxError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.write_baseline:
         if args.baseline is None:
             print(
@@ -894,24 +866,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_store)
 
     p = sub.add_parser(
-        "lint",
-        help="determinism/concurrency lint (HAX001-HAX008)",
-    )
-    p.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories (default: the repro package)",
-    )
-    p.add_argument(
-        "--select",
-        default=None,
-        help="comma-separated rule ids to run (default: all)",
-    )
-    p.set_defaults(fn=_cmd_lint)
-
-    p = sub.add_parser(
         "flow",
-        help="whole-program determinism-flow analysis (HAX101-HAX111)",
+        help="static analysis: per-line rules (HAX001-HAX008) and"
+        " whole-program determinism flow (HAX101-HAX111)",
     )
     p.add_argument(
         "root",

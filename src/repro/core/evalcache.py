@@ -35,14 +35,12 @@ path fast **without changing a single bit of its results**:
   Memo entries store scalars only; ``EvaluationResult.items`` is
   re-materialized lazily on the rare occasions it is read.
 
-The *canonical* path (``exact=True``, the default) restarts the damped
-contention fixed point from ``slow = 1`` exactly like the reference
-implementation: a warm-started fixed point stopped by a step tolerance
-is path-dependent (~1e-4 relative), which would break the repo's
+Every evaluation restarts the damped contention fixed point from
+``slow = 1`` exactly like the reference implementation: a
+warm-started fixed point stopped by a step tolerance is
+path-dependent (~1e-4 relative), which would break the repo's
 byte-identity contracts (portfolio-vs-bnb equality, memo purity, the
-PR-3 certificate checker).  ``exact=False`` opts into warm-starting
-from the previous converged slowdown vector -- an approximate expert
-mode used by benchmarks to report iterations saved.
+certificate checker).
 
 Thread backends share one engine: all caches hold *pure* values
 (identical no matter which thread computed them), so races can only
@@ -81,7 +79,7 @@ class EvalCounters:
     evals: int = 0
     memo_hits: int = 0
     memo_misses: int = 0
-    #: evaluations actually computed (memo misses + inexact warm runs)
+    #: evaluations actually computed (memo misses)
     computed_evals: int = 0
     #: contention fixed-point iterations across computed evaluations
     fp_iterations: int = 0
@@ -448,14 +446,6 @@ class EvalEngine:
         #: (key, commit log, converged slow) of the last computed
         #: evaluation (non-serialized) -- the prefix-delta parent
         self._last: tuple[AssignKey, list[tuple], np.ndarray] | None = None
-        #: converged slowdown vector of the most recent contended
-        #: evaluation, exact or warm -- the opt-in ``exact=False`` path
-        #: seeds its fixed point from here.  Kept apart from ``_last``:
-        #: warm runs record no commit log (their first timeline pass is
-        #: not the reference slow=1 pass), so parking their state in
-        #: ``_last`` would hand the replay path an unusable log, while
-        #: leaving it out entirely would keep warm-only sequences cold.
-        self._warm_slow: np.ndarray | None = None
 
     # -- public API ----------------------------------------------------
     def evaluate(
@@ -464,47 +454,31 @@ class EvalEngine:
         *,
         serialized: bool = False,
         check_exclusive: bool = True,
-        exact: bool = True,
     ) -> "EvaluationResult":
-        """Drop-in for the reference ``Formulation.evaluate``.
-
-        ``exact=False`` warm-starts the contention fixed point from
-        the previous converged slowdown vector -- fewer iterations but
-        path-dependent results (~1e-4 relative); never use it where
-        byte-identity matters (solvers, caches, certificates).
-        """
+        """Drop-in for the reference ``Formulation.evaluate``."""
         from repro.core.formulation import ScheduleInfeasible
 
         c = self.counters
         c.evals += 1
         key = tuple(tuple(a) for a in assignments)
         memo_key = (key, serialized, check_exclusive)
-        if exact:
-            hit = self.memo.get(memo_key)
-            if hit is not None:
-                c.memo_hits += 1
-                if hit[0] == "bad":
-                    raise ScheduleInfeasible(hit[1])
-                return self._result_from_memo(hit, key, serialized)
-            c.memo_misses += 1
+        hit = self.memo.get(memo_key)
+        if hit is not None:
+            c.memo_hits += 1
+            if hit[0] == "bad":
+                raise ScheduleInfeasible(hit[1])
+            return self._result_from_memo(hit, key, serialized)
+        c.memo_misses += 1
         try:
-            computed = self._compute(
-                key,
-                serialized,
-                check_exclusive,
-                replay_ok=exact,
-                warm=not exact,
-            )
+            computed = self._compute(key, serialized, check_exclusive)
         except ScheduleInfeasible as exc:
-            if exact:
-                self.memo.put(memo_key, ("bad", str(exc)))
+            self.memo.put(memo_key, ("bad", str(exc)))
             raise
         (per_dnn, objective, makespan, energy, iterations, arrays) = computed
-        if exact:
-            self.memo.put(
-                memo_key,
-                ("ok", per_dnn, objective, makespan, energy, iterations),
-            )
+        self.memo.put(
+            memo_key,
+            ("ok", per_dnn, objective, makespan, energy, iterations),
+        )
         return self._result(
             per_dnn, objective, makespan, energy, iterations, arrays
         )
@@ -673,7 +647,6 @@ class EvalEngine:
         check_exclusive: bool,
         *,
         replay_ok: bool = True,
-        warm: bool = False,
         record_state: bool = True,
         tally: bool = True,
     ) -> tuple[
@@ -699,10 +672,8 @@ class EvalEngine:
 
         last = self._last if event_loop else None
         slow = np.ones(n_items)
-        if warm and not contention_free and self._warm_slow is not None:
-            slow = self._warm_slow.copy()
         replay: list[tuple] | None = None
-        if event_loop and replay_ok and not warm and last is not None:
+        if event_loop and replay_ok and last is not None:
             replay = self._replay_prefix(key, last)
             if replay:
                 c.replayed_evals += 1
@@ -725,7 +696,7 @@ class EvalEngine:
         for iterations in range(1, f.max_iterations + 1):
             first = iterations == 1
             if event_loop:
-                record = [] if (first and not warm) else None
+                record = [] if first else None
                 self._timeline_rc(
                     t0_l,
                     slow.tolist(),
@@ -800,8 +771,6 @@ class EvalEngine:
         objective = f._objective(per_dnn, serialized, energy)
         if record_state and event_loop and log is not None:
             self._last = (key, log, slow.copy())
-        if record_state and not contention_free:
-            self._warm_slow = slow.copy()
         arrays = (self._stream_vec, accel_id, start, end, t0, slow, bw)
         return per_dnn, objective, makespan, energy, iterations, arrays
 

@@ -63,15 +63,25 @@ def resolve_backend(
     """The backend a run actually uses.
 
     ``auto`` runs a single worker in-process (``serial``), several on
-    ``fork`` when the start method exists, else on ``fallback``.
+    ``fork`` when it is available, else on ``fallback``.  Fork is
+    unavailable without the start method, and inside a daemonic
+    process (a fork worker itself), which may not have children.
     ``transport='shm'`` needs fork: in-process workers already share
     memory.
     """
-    fork_ok = "fork" in multiprocessing.get_all_start_methods()
+    daemonic = multiprocessing.current_process().daemon
+    fork_ok = (
+        "fork" in multiprocessing.get_all_start_methods() and not daemonic
+    )
     if backend == "auto":
         several = "fork" if fork_ok else fallback
         resolved = "serial" if workers == 1 else several
     elif backend == "fork" and not fork_ok:
+        if daemonic:
+            raise ValueError(
+                "fork backend unavailable: the caller is a daemonic "
+                "process (a fork worker), which may not have children"
+            )
         raise ValueError("fork start method unavailable")
     else:
         resolved = backend

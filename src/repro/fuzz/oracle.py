@@ -40,8 +40,8 @@ between the independent paths is a bug somewhere:
     the lockstep (``max_lag=0``) run -- the pipeline reorders wall
     time, never virtual results.
 
-Everything runs in virtual time (this module sits inside the HAX-lint
-virtual-time globs): no wall-clock reads, so two runs of the same
+Everything runs in virtual time (``repro.fuzz`` is one of HAX002's
+virtual-time modules): no wall-clock reads, so two runs of the same
 seed range produce byte-identical reports.
 """
 

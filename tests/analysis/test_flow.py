@@ -137,7 +137,8 @@ def test_unordered_iteration_effect(tmp_path):
         },
     )
     report = analyze(root)
-    assert [f.rule for f in report.findings] == ["HAX102"]
+    # the per-line rule flags the site, the taint pass the sink
+    assert [f.rule for f in report.findings] == ["HAX004", "HAX102"]
 
 
 # -- sink registry + pragma parity ------------------------------------
@@ -425,15 +426,10 @@ def test_finding_order_is_stable_across_runs(tmp_path):
 # -- the real tree ----------------------------------------------------
 
 
-def test_repro_tree_matches_checked_in_baseline():
+def test_repro_tree_matches_checked_in_baseline(repro_flow_report):
     """The same gate CI runs: no findings outside the baseline, and
     no stale baseline entries (fixed findings must shrink it)."""
-    baseline = flow.load_baseline(
-        REPRO_SRC.parents[1] / "tools" / "flow_baseline.json"
-    )
-    report = flow.analyze(
-        REPRO_SRC, package="repro", baseline_keys=baseline
-    )
+    report = repro_flow_report
     assert report.ok, report.render()
     assert not report.stale_keys, report.render()
 
@@ -480,3 +476,110 @@ def test_cli_flow_exit_codes(tmp_path, capsys):
     assert main(["flow", str(root), "--baseline", str(baseline)]) == 0
     out = capsys.readouterr().out
     assert "1 baselined" in out
+
+
+def test_cli_flow_clean_tree_exits_zero(tmp_path, capsys):
+    from repro.cli import main
+
+    root = make_pkg(tmp_path, {"ok.py": "X = 1\n"})
+    assert main(["flow", str(root)]) == 0
+    assert "flow: 0 new, 0 baselined" in capsys.readouterr().out
+
+
+DIRTY = {
+    "bad.py": """
+    import random
+
+    def f(x=[]):
+        return x
+
+    def g():
+        return random.random()
+    """,
+    "ok.py": "def h() -> int:\n    return 1\n",
+}
+
+
+def test_cli_flow_per_line_findings_exit_one(tmp_path, capsys):
+    from repro.cli import main
+
+    root = make_pkg(tmp_path, DIRTY)
+    assert main(["flow", str(root)]) == 1
+    out = capsys.readouterr().out
+    assert "HAX001 pkgx.bad.g" in out and "HAX007 pkgx.bad.f" in out
+    assert "flow: 2 new, 0 baselined" in out
+
+
+def test_cli_flow_lists_findings_outside_the_baseline(tmp_path, capsys):
+    """A baseline covering one finding still fails on the other."""
+    from repro.cli import main
+
+    root = make_pkg(tmp_path, DIRTY)
+    baseline = tmp_path / "b.json"
+    baseline.write_text(
+        json.dumps(
+            {
+                "keys": ["HAX007|pkgx.bad.f|mutable default argument in f()"],
+                "version": 1,
+            }
+        )
+    )
+    assert main(["flow", str(root), "--baseline", str(baseline)]) == 1
+    out = capsys.readouterr().out
+    assert "HAX001 pkgx.bad.g" in out and "HAX007" not in out
+    assert "flow: 1 new, 1 baselined, 0 stale" in out
+
+
+def test_cli_flow_stale_baseline_fails_and_lists_entries(tmp_path, capsys):
+    """A baseline holding more than the tree needs fails and lists the
+    entries to drop, even when every finding is covered."""
+    from repro.cli import main
+
+    root = make_pkg(tmp_path, DIRTY)
+    baseline = tmp_path / "b.json"
+    assert (
+        main(["flow", str(root), "--baseline", str(baseline), "--write-baseline"])
+        == 0
+    )
+    stale = "HAX007|pkgx.ok.h|mutable default argument in h()"
+    keys = json.loads(baseline.read_text())["keys"]
+    baseline.write_text(json.dumps({"keys": [*keys, stale], "version": 1}))
+    capsys.readouterr()
+    assert main(["flow", str(root), "--baseline", str(baseline)]) == 1
+    out = capsys.readouterr().out
+    assert "flow: 0 new, 2 baselined, 1 stale" in out
+    assert f"stale: {stale}" in out
+
+
+def test_cli_flow_default_root_is_the_repro_tree(capsys):
+    """No root analyzes the installed package, clean against the
+    checked-in baseline."""
+    from repro.cli import main
+
+    baseline = REPRO_SRC.parents[1] / "tools" / "flow_baseline.json"
+    assert main(["flow", "--baseline", str(baseline)]) == 0
+    out = capsys.readouterr().out
+    assert "flow: 0 new, 3 baselined, 0 stale" in out
+
+
+def test_cli_flow_unparsable_module_exits_two(tmp_path, capsys):
+    from repro.cli import main
+
+    root = make_pkg(tmp_path, {"broken.py": "def f(:\n    pass\n"})
+    assert main(["flow", str(root)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "broken.py:1: cannot parse" in err
+
+
+def test_write_baseline_reproduces_the_checked_in_file(
+    tmp_path, repro_flow_report
+):
+    """The exception census: regenerating the baseline from the tree
+    (what ``--write-baseline`` writes) gives the checked-in file byte
+    for byte -- 3 keys, the CI diff step."""
+    report = repro_flow_report
+    checked_in = REPRO_SRC.parents[1] / "tools" / "flow_baseline.json"
+    fresh = tmp_path / "baseline.json"
+    flow.write_baseline(fresh, (*report.findings, *report.baselined))
+    assert len(flow.load_baseline(fresh)) == 3
+    assert fresh.read_bytes() == checked_in.read_bytes()

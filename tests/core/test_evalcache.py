@@ -314,62 +314,6 @@ def test_batch_parity(seed):
     assert batch_form.engine.counters.batch_items == len(sequence)
 
 
-@pytest.mark.parametrize("seed", (0, 6, 12, 24, 33, 44))
-def test_warm_inexact_stays_close(seed):
-    """exact=False is approximate by contract but never wildly off
-    the exact objective on any feasible assignment."""
-    form, rng = random_formulation(seed)
-    sequence = [
-        a
-        for a in random_sequence(form, rng)
-        if all(acc in ACCELS for s in a for acc in s)
-    ]
-    exact_form = clone(form)
-    exact = []
-    for a in sequence:
-        try:
-            exact.append(exact_form.evaluate(a).objective)
-        except Exception:  # noqa: BLE001 -- Eq.9 overlap etc.
-            exact.append(None)
-
-    warm_form = clone(form)
-    for expected, a in zip(exact, sequence):
-        if expected is None:
-            continue
-        got = warm_form.engine.evaluate(a, exact=False).objective
-        assert got == pytest.approx(expected, rel=1e-2)
-
-
-def test_warm_start_saves_iterations_on_contended_workload():
-    """Re-evaluating a contended assignment with ``exact=False`` seeds
-    the fixed point at its own converged slowdowns, so repeats must
-    converge in strictly fewer mean iterations than cold evaluation.
-    (Seeding from a *different* assignment is allowed to be neutral --
-    this pins the revisit case, the one D-HaX-CoNN re-solves hit.)"""
-    times = [{a: 2e-3 for a in ACCELS} for _ in range(3)]
-    bws = [{a: 3.5e9 for a in ACCELS} for _ in range(3)]
-    profiles = (
-        make_profile("hot0", times, bws),
-        make_profile("hot1", times, bws),
-    )
-    spec = (profiles, (1, 1), "latency", make_pccs())
-    sequence = [[("gpu",) * 3, ("dla", "dla", "gpu")]] * 6
-    warm = Formulation(*spec)
-    for a in sequence:
-        warm.engine.evaluate(a, exact=False)
-    exact = Formulation(*spec)
-    for a in sequence:
-        exact.evaluate(a)
-    # exact memoizes the repeated assignments while warm recomputes
-    # them, so compare mean iterations per *computed* evaluation
-    warm_c = warm.engine.counters
-    exact_c = exact.engine.counters
-    assert warm_c.computed_evals == len(sequence)
-    assert warm_c.fp_iterations / warm_c.computed_evals < (
-        exact_c.fp_iterations / exact_c.computed_evals
-    )
-
-
 times_strategy = st.lists(
     st.fixed_dictionaries(
         {

@@ -124,6 +124,28 @@ def test_stop_releases_every_waiting_worker_once():
     assert gate.stop() == [] and gate.grants() == []
 
 
+class _Daemon:
+    daemon = True
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="no fork start method on this platform",
+)
+def test_daemonic_caller_cannot_fork(monkeypatch):
+    """A fork worker may not have children: ``auto`` takes the
+    fallback there, an explicit ``fork`` is a typed error."""
+    resolve = parallel.resolve_backend
+    assert resolve("auto", 2, fallback="threads", transport="queue") == "fork"
+    monkeypatch.setattr(multiprocessing, "current_process", _Daemon)
+    assert (
+        resolve("auto", 2, fallback="threads", transport="queue")
+        == "threads"
+    )
+    with pytest.raises(ValueError, match="daemonic"):
+        resolve("fork", 2, fallback="threads", transport="queue")
+
+
 def test_rejects_negative_lag():
     with pytest.raises(ValueError, match="max_lag"):
         EpochGate([0], max_lag=-1)

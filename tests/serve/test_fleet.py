@@ -255,6 +255,26 @@ class TestCrossBackendDeterminism:
         )
         assert again.describe_shards() == serial_shards
 
+    def test_fork_shards_race_an_auto_portfolio(self, xavier, xavier_db):
+        """A fork shard is daemonic, so its 2-worker ``auto``
+        portfolio races on threads instead of forking (which would
+        crash), and the rows still equal the serial fleet's."""
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+
+        def run(backend):
+            return Fleet(
+                xavier,
+                fleet_tenants(),
+                make_factory(xavier, xavier_db, solver_backend="auto"),
+                shards=2,
+                backend=backend,
+                sync_rounds=4,
+            ).run(horizon_s=HORIZON)
+
+        forked = run("fork")
+        assert forked.describe_shards() == run("serial").describe_shards()
+
 
 class TestGossip:
     def test_cross_shard_schedule_adoption(self, xavier, xavier_db):
