@@ -55,6 +55,7 @@ Subcommands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -82,15 +83,29 @@ SERVE_POLICIES = ("haxconn", "gpu-only", "naive", "moca")
 
 
 def parse_tenant_spec(spec: str, index: int) -> tuple[str, float, float | None]:
-    """``model[:rate_hz[:slo_ms]]`` -> (model, rate, slo seconds)."""
+    """``model[:rate_hz[:slo_ms]]`` -> (model, rate, slo seconds);
+    :class:`ValueError` naming the spec when it is malformed."""
     parts = spec.split(":")
     if len(parts) > 3:
-        raise ValueError(f"bad tenant spec {spec!r}")
+        raise ValueError(
+            f"bad tenant spec {spec!r}: expected model[:rate_hz[:slo_ms]]"
+        )
+
+    def positive(field: str, text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(
+                f"tenant spec {spec!r}: {field} must be a positive "
+                f"number, got {text!r}"
+            )
+        return value
+
     model = parts[0]
-    rate = float(parts[1]) if len(parts) > 1 else 30.0
-    slo_s = float(parts[2]) / 1e3 if len(parts) > 2 else None
-    if rate <= 0:
-        raise ValueError(f"tenant spec {spec!r}: rate must be positive")
+    rate = positive("rate", parts[1]) if len(parts) > 1 else 30.0
+    slo_s = positive("slo", parts[2]) / 1e3 if len(parts) > 2 else None
     return model, rate, slo_s
 
 
@@ -138,11 +153,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.requests import make_arrivals
     from repro.soc import get_platform
 
+    for flag, value, least in (
+        ("--horizon", args.horizon, 0),
+        ("--shards", args.shards, 1),
+        ("--max-batch", args.max_batch, 1),
+        ("--sync-rounds", args.sync_rounds, 1),
+        ("--max-lag", args.max_lag, 0),
+    ):
+        if not value >= least:  # also refuses nan
+            print(f"error: {flag} must be >= {least}", file=sys.stderr)
+            return 2
+    try:
+        specs = [
+            parse_tenant_spec(spec, k) for k, spec in enumerate(args.tenants)
+        ]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     platform = get_platform(args.platform)
     tenants = []
     seen: dict[str, int] = {}
-    for k, spec in enumerate(args.tenants):
-        model, rate, slo_s = parse_tenant_spec(spec, k)
+    for k, (model, rate, slo_s) in enumerate(specs):
         # validate eagerly so a bad name fails with the usual
         # `error: unknown model ...` instead of a mid-run shard crash
         canonical_name(model)
@@ -201,9 +232,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             platform, max_queue_depth=args.max_queue_depth
         )
 
-    if args.max_lag < 0:
-        print("error: --max-lag must be >= 0", file=sys.stderr)
-        return 2
     if args.shards > 1:
         from repro.serve.fleet import Fleet
 
@@ -219,7 +247,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_lag=args.max_lag,
             batching=args.batching,
             store=store,
-            transport=args.transport,
             learn_train=args.learn_train,
         )
         fleet_report = fleet.run(horizon_s=args.horizon)
@@ -739,15 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="after the run, retrain the learned search-guidance "
         "models on the (updated) solve store so the next run's "
         "portfolio starts warmer",
-    )
-    p.add_argument(
-        "--transport",
-        choices=("auto", "shm", "queue"),
-        default="auto",
-        help="gossip payload path under the fork backend: shared-"
-        "memory rings (shm), pickled queue messages (queue), or "
-        "shm-when-available (auto); reports are byte-identical "
-        "either way",
     )
     p.set_defaults(fn=_cmd_serve)
 

@@ -85,7 +85,11 @@ class DynamicTrace:
 
 
 class DHaXCoNN:
-    """Dynamic scheduler driver around an anytime :class:`HaXCoNN`."""
+    """Dynamic scheduler driver around an anytime :class:`HaXCoNN`.
+
+    The anytime solver is the wrapped scheduler's: configure it there
+    (``HaXCoNN(solver=..., solver_workers=...)``).
+    """
 
     def __init__(
         self,
@@ -93,8 +97,6 @@ class DHaXCoNN:
         *,
         update_points: Sequence[float] = DEFAULT_UPDATE_POINTS,
         solver_bw: float = 0.0,
-        solver: str | None = None,
-        solver_workers: int | None = None,
     ) -> None:
         if any(t <= 0 for t in update_points):
             raise ValueError("update points must be positive")
@@ -102,17 +104,6 @@ class DHaXCoNN:
         self.update_points = tuple(sorted(update_points))
         #: DRAM traffic of the co-running solver (Table 7 overhead)
         self.solver_bw = solver_bw
-        # convenience overrides: the anytime solver lives on the
-        # wrapped scheduler, so `solver=`/`solver_workers=` here
-        # reconfigure it in place
-        if solver is not None:
-            if solver not in ("bnb", "portfolio"):
-                raise ValueError(
-                    f"solver must be 'bnb' or 'portfolio', got {solver!r}"
-                )
-            scheduler.solver = solver
-        if solver_workers is not None:
-            scheduler.solver_workers = solver_workers
 
     @property
     def platform(self) -> Platform:

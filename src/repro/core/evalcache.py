@@ -65,6 +65,8 @@ AssignKey = tuple[tuple[str, ...], ...]
 #: memo payloads: ("ok", per_dnn, objective, makespan, energy, iters)
 #: or ("bad", message) for memoized ScheduleInfeasible
 MemoEntry = tuple[Any, ...]
+#: bound of each engine's slowdown-structure cache (FIFO eviction)
+SLOWDOWN_CACHE_CAPACITY = 4096
 
 
 @dataclass
@@ -407,13 +409,12 @@ class EvalEngine:
         *,
         counters: EvalCounters | None = None,
         memo_capacity: int = 16384,
-        slowdown_cache_capacity: int = 4096,
     ) -> None:
         self.f = formulation
         self.counters = counters if counters is not None else EvalCounters()
         self.tensor = ItemTensor(formulation)
         self.memo = MemoTable(memo_capacity)
-        self._s_cache = _FIFOCache(slowdown_cache_capacity)
+        self._s_cache = _FIFOCache(SLOWDOWN_CACHE_CAPACITY)
         #: (own_bw, ext_bw, n_clients) -> slowdown (see _slowdown_cells)
         self._trip_cache: dict[tuple[float, float, int], float] = {}
         # static workload geometry (independent of assignments)

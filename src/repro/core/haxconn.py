@@ -128,15 +128,14 @@ class HaXCoNN:
         use a single transition per DNN (Table 6's TR column).
     max_groups:
         Grouping coarseness (Table 2 uses ~10 for GoogleNet).
+    node_budget:
+        Explored-node budget per search (deterministic truncation).
     solver:
-        ``"bnb"`` (single-threaded branch and bound, the default),
+        ``"bnb"`` (single-threaded branch and bound, the default) or
         ``"portfolio"`` (the parallel anytime portfolio of
         :mod:`repro.solver.portfolio`, seeded with the best
-        contention-oblivious baselines and any caller warm starts), or
-        a callable ``solver(problem, initial=..., on_incumbent=...)``
-        returning a :class:`SolveResult` (for tests and experiments).
-    solver_workers / solver_seed / solver_backend / solver_clock /
-    solver_transport:
+        contention-oblivious baselines and any caller warm starts).
+    solver_workers / solver_seed / solver_backend / solver_clock:
         Portfolio configuration, ignored for ``"bnb"``; see
         :class:`~repro.solver.portfolio.PortfolioSolver`.
     guide:
@@ -145,7 +144,7 @@ class HaXCoNN:
         ``learned`` strategy (branch ordering by predicted fragment
         quality); guidance only reorders search, so the certified
         optimum is identical with or without it.  Ignored by plain
-        ``bnb`` and callable solvers.
+        ``bnb``.
     """
 
     def __init__(
@@ -160,14 +159,12 @@ class HaXCoNN:
         include_transitions: bool = True,
         resource_constrained: bool = True,
         fallback_margin: float = 0.02,
-        time_budget_s: float | None = None,
         node_budget: int | None = None,
-        solver: str | Callable[..., SolveResult] = "bnb",
+        solver: str = "bnb",
         solver_workers: int | None = None,
         solver_seed: int = 0,
         solver_backend: str = "auto",
         solver_clock: str = "wall",
-        solver_transport: str = "auto",
         verify: bool = False,
         guide: "SearchGuide | None" = None,
     ) -> None:
@@ -184,12 +181,10 @@ class HaXCoNN:
         if not 0 <= fallback_margin < 1:
             raise ValueError("fallback_margin must be in [0, 1)")
         self.fallback_margin = fallback_margin
-        self.time_budget_s = time_budget_s
         self.node_budget = node_budget
-        if isinstance(solver, str) and solver not in ("bnb", "portfolio"):
+        if solver not in ("bnb", "portfolio"):
             raise ValueError(
-                f"solver must be 'bnb', 'portfolio' or callable, "
-                f"got {solver!r}"
+                f"solver must be 'bnb' or 'portfolio', got {solver!r}"
             )
         self.solver = solver
         self.verify = verify
@@ -197,7 +192,6 @@ class HaXCoNN:
         self.solver_seed = solver_seed
         self.solver_backend = solver_backend
         self.solver_clock = solver_clock
-        self.solver_transport = solver_transport
         self.guide = guide
         #: evaluation-engine counters, accumulated across every
         #: formulation this scheduler builds (D-HaX-CoNN re-solves
@@ -773,13 +767,11 @@ class HaXCoNN:
                 )
             portfolio = PortfolioSolver(
                 workers=self.solver_workers,
-                time_budget_s=self.time_budget_s,
                 node_budget=self.node_budget,
                 on_incumbent=on_incumbent,
                 seed=self.solver_seed,
                 backend=self.solver_backend,
                 clock=self.solver_clock,
-                transport=self.solver_transport,
                 # workers trade evaluation-memo entries at epoch syncs
                 # and the parent keeps the union, so D-HaX-CoNN's next
                 # re-solve of a similar mix starts memo-warm
@@ -820,15 +812,9 @@ class HaXCoNN:
                 seeds=seeds,
                 reduced=self.dominance_reduced(formulation, problem),
             )
-        elif callable(self.solver):
-            result = self.solver(
-                problem, initial=seed, on_incumbent=on_incumbent
-            )
         else:
             solver = BranchAndBound(
-                time_budget_s=self.time_budget_s,
-                node_budget=self.node_budget,
-                on_incumbent=on_incumbent,
+                node_budget=self.node_budget, on_incumbent=on_incumbent
             )
             result = solver.solve(problem, initial=seed)
 

@@ -57,40 +57,28 @@ GRANT, STOP = "grant", "stop"
 JOIN_TIMEOUT_S = 10.0
 
 
-def resolve_backend(
-    backend: str, workers: int, *, fallback: str, transport: str
-) -> str:
+def resolve_backend(backend: str, workers: int, *, fallback: str) -> str:
     """The backend a run actually uses.
 
     ``auto`` runs a single worker in-process (``serial``), several on
     ``fork`` when it is available, else on ``fallback``.  Fork is
     unavailable without the start method, and inside a daemonic
     process (a fork worker itself), which may not have children.
-    ``transport='shm'`` needs fork: in-process workers already share
-    memory.
     """
     daemonic = multiprocessing.current_process().daemon
     fork_ok = (
         "fork" in multiprocessing.get_all_start_methods() and not daemonic
     )
     if backend == "auto":
-        several = "fork" if fork_ok else fallback
-        resolved = "serial" if workers == 1 else several
-    elif backend == "fork" and not fork_ok:
+        return "serial" if workers == 1 else "fork" if fork_ok else fallback
+    if backend == "fork" and not fork_ok:
         if daemonic:
             raise ValueError(
                 "fork backend unavailable: the caller is a daemonic "
                 "process (a fork worker), which may not have children"
             )
         raise ValueError("fork start method unavailable")
-    else:
-        resolved = backend
-    if transport == "shm" and resolved != "fork":
-        raise ValueError(
-            "transport='shm' requires the fork backend; in-process "
-            "workers already share memory"
-        )
-    return resolved
+    return backend
 
 
 class EpochGate:
@@ -241,12 +229,13 @@ class WorkerPool:
     """Launch one worker per index and carry the parent's side.
 
     ``target(link, *args[index])`` runs in a fork child (``backend=
-    'fork'``) or a thread (``'threads'``).  Under fork, ``transport``
-    picks the delta path: ``shm`` rings (an error when shared memory
-    is unavailable), ``queue`` inline pickles, ``auto`` rings when
-    the host has them.  Use as a context manager: leaving it joins
-    every worker, terminates fork children still running (at once
-    when an exception is leaving), and closes and unlinks the rings.
+    'fork'``) or a thread (``'threads'``).  Fork children get a pair
+    of shared-memory delta rings each when the host has shared memory
+    (``transport`` is then ``shm``); without it payloads ride the
+    control queue (``inline``).  Use as a context manager: leaving it
+    joins every worker, terminates fork children still running (at
+    once when an exception is leaving), and closes and unlinks the
+    rings.
     """
 
     def __init__(
@@ -255,7 +244,6 @@ class WorkerPool:
         args: Mapping[int, tuple[Any, ...]],
         *,
         backend: str,
-        transport: str,
         label: str,
     ) -> None:
         self.label = label
@@ -266,18 +254,9 @@ class WorkerPool:
         self._reported: set[int] = set()
         self._reader: Any = None
         if backend == "fork":
-            if transport != "queue":
-                available = shared_memory_available()
-                if transport == "shm" and not available:
-                    raise RuntimeError(
-                        "transport='shm' requested but shared memory is "
-                        "unavailable on this host"
-                    )
-                if available:  # before fork: children inherit the maps
-                    self.channels = {
-                        i: make_channel_pair() for i in self.indices
-                    }
-            self.transport = "shm" if self.channels else "queue"
+            if shared_memory_available():  # before fork: children inherit
+                self.channels = {i: make_channel_pair() for i in self.indices}
+            self.transport = "shm" if self.channels else "inline"
             ctx = multiprocessing.get_context("fork")
             self.inboxes: dict[int, Any] = {
                 i: ctx.SimpleQueue() for i in self.indices

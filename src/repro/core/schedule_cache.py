@@ -6,16 +6,16 @@ and toggles them at runtime when the CFG changes -- no solver in the
 loop.  :class:`ScheduleCache` provides exactly that: it keys schedules
 by the workload signature (streams, repeats, pipeline, objective,
 platform, grouping), solves on first request, and answers instantly
-afterwards; the cache round-trips through JSON so a deployment ships
-its schedules alongside its engines.
+afterwards.  The one on-disk format is the JSONL
+:class:`~repro.core.solve_store.SolveStore`: ``precompute`` writes
+through an attached writable store, and the deployment attaches the
+same file read-only to answer every precomputed workload unsolved.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 from repro.core.haxconn import HaXCoNN, ScheduleResult
@@ -66,7 +66,7 @@ def schedule_from_payload(payload: Mapping[str, Any]) -> Schedule:
     """Inverse of :func:`schedule_to_payload`.
 
     Re-materialized schedules carry ``scheduler="cached"`` provenance,
-    exactly like entries loaded by :meth:`ScheduleCache.load`.
+    exactly like the results :meth:`ScheduleCache.get` serves on a hit.
     """
     return Schedule(
         per_dnn=tuple(
@@ -339,52 +339,7 @@ class ScheduleCache:
         return seeds
 
     def precompute(self, workloads: list[Workload]) -> None:
-        """Offline phase: solve every CFG the deployment can reach."""
+        """Offline phase: solve every CFG the deployment can reach
+        (written through to an attached writable store)."""
         for workload in workloads:
             self.get(workload)
-
-    # -- persistence -----------------------------------------------------
-    def save(self, path: str | Path) -> None:
-        """Snapshot to JSON (v2: entries plus traffic counters).
-
-        The snapshot lands via a temp file in the same directory and
-        :func:`os.replace`, so a save that fails part-way leaves the
-        previous snapshot intact.
-        """
-        payload = {
-            "version": 2,
-            "stats": {
-                "hits": self.hits,
-                "misses": self.misses,
-                "store_hits": self.store_hits,
-            },
-            "entries": {
-                key: schedule_to_payload(schedule)
-                for key, schedule in self._store.items()
-            },
-        }
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            with tmp.open("w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-
-    @classmethod
-    def load(cls, path: str | Path, scheduler: HaXCoNN) -> "ScheduleCache":
-        """Restore a snapshot (v1 flat files still load cleanly)."""
-        cache = cls(scheduler)
-        payload = json.loads(Path(path).read_text())
-        if "entries" in payload and payload.get("version") == 2:
-            entries = payload["entries"]
-            stats = payload.get("stats", {})
-            cache.hits = int(stats.get("hits", 0))
-            cache.misses = int(stats.get("misses", 0))
-            cache.store_hits = int(stats.get("store_hits", 0))
-        else:  # v1: the file *is* the entry dict
-            entries = payload
-        for key, entry in entries.items():
-            cache._store[key] = schedule_from_payload(entry)
-        return cache

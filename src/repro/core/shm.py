@@ -39,7 +39,7 @@ fallback) can depend on timing, but the *content* delivered is
 identical either way, and every payload carries its epoch tag, which
 the epoch runtime uses to merge in (epoch, worker-index) order
 regardless of arrival path -- so per-shard reports and solver traces
-remain byte-identical across transports.
+remain byte-identical to the in-process (serial) runs.
 """
 
 from __future__ import annotations
@@ -247,8 +247,8 @@ class DeltaChannel:
     wrong epoch's bytes.  Tokens must be unpacked in send order -- the
     ring is FIFO.
 
-    With ``ring=None`` the channel degenerates to the pickled-queue
-    path, which is how the ``queue`` transport speaks the same
+    With ``ring=None`` the channel degenerates to the inline path,
+    which is how a host without shared memory speaks the same
     protocol with zero copies of this code.
     """
 
@@ -257,14 +257,12 @@ class DeltaChannel:
         #: transport telemetry (benchmarks report these)
         self.sent_ring = 0
         self.sent_inline = 0
-        self.ring_bytes = 0
 
     def pack(self, obj: Any, tag: Any) -> tuple[Any, ...]:
         if self.ring is not None:
             payload = pickle.dumps((tag, obj), protocol=pickle.HIGHEST_PROTOCOL)
             if self.ring.try_write(payload):
                 self.sent_ring += 1
-                self.ring_bytes += len(payload)
                 return (_SHM, tag)
         self.sent_inline += 1
         return (_INLINE, tag, obj)

@@ -388,7 +388,6 @@ def run_pipeline_fleet(
     shards: int = 16,
     max_lag: int = 8,
     backend: str = "fork",
-    transport: str = "auto",
     node_budget: int = 250,
     horizon_s: float = 60.0,
 ) -> ShardedFleetReport:
@@ -408,7 +407,6 @@ def run_pipeline_fleet(
         sync_rounds=PIPELINE_SYNC_ROUNDS,
         max_lag=max_lag,
         admission=pipeline_admission(),
-        transport=transport,
     )
     return fleet.run(horizon_s=horizon_s)
 

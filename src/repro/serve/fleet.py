@@ -67,6 +67,7 @@ from repro.core.parallel import (
     WorkerPool,
     resolve_backend,
 )
+from repro.core.shm import shared_memory_available
 from repro.core.solve_store import SolveStore
 from repro.runtime import metrics
 from repro.runtime.trace import timeline_to_trace_events, write_trace_events
@@ -84,6 +85,11 @@ from repro.solver.clock import monotonic_s
 #: fork runs shards in worker processes; serial scans them in-process
 #: and produces byte-identical reports; auto picks fork when it can
 BACKENDS = ("auto", "fork", "serial")
+#: ``auto`` uses the shared-memory rings whenever fork shards run on a
+#: host that has them; ``shm`` additionally insists on them
+TRANSPORTS = ("auto", "shm")
+#: most gossip items a shard exports per epoch
+GOSSIP_LIMIT = 256
 
 
 def stable_shard(name: str, shards: int) -> int:
@@ -283,9 +289,7 @@ class _ShardConfig:
     max_requests: int
     max_batch: int
     objective: str
-    contention: bool
     sync_rounds: int
-    gossip_limit: int
     max_lag: int = 0
     admission: AdmissionConfig | None = None
     batching: str = "tenant"
@@ -330,7 +334,6 @@ def _open_shard(
         policy,
         max_batch=config.max_batch,
         objective=config.objective,
-        contention=config.contention,
         admission=config.admission,
         batching=config.batching,
     )
@@ -384,7 +387,7 @@ def _run_shard(
 
         while True:
             session.run_rounds(config.sync_rounds)
-            delta = policy.export_delta(limit=config.gossip_limit)
+            delta = policy.export_delta(limit=GOSSIP_LIMIT)
             if session.finished:
                 link.post(DONE, epoch, delta, outcome())
                 return
@@ -423,7 +426,8 @@ class ShardedFleetReport:
         self.router = router
         self.wall_s = wall_s
         self.store_path = None if store is None else store.path
-        #: gossip-payload path actually used (``inproc``/``queue``/``shm``)
+        #: gossip-payload path actually used: ``inproc`` (serial),
+        #: ``shm`` (fork, rings) or ``inline`` (fork, no shared memory)
         self.transport = transport
         #: parent-side transport telemetry (ring vs inline-fallback)
         self.transport_stats = dict(transport_stats or {})
@@ -677,16 +681,15 @@ class Fleet:
         before the first round, and (when writable) the parent appends
         each epoch's gossip union -- single-writer by construction.
     transport:
-        How gossip payloads cross the process boundary under the fork
-        backend.  ``"shm"`` moves them through per-shard
+        Fork shards move gossip payloads through per-shard
         :class:`repro.core.shm.DeltaChannel` ring pairs (tokens on the
-        control queues, bytes in shared memory) and raises when shared
-        memory is unavailable or the backend is not fork; ``"queue"``
-        keeps the pickled-message path; ``"auto"`` (default) uses shm
-        when the fork backend runs and shared memory probes healthy,
-        else queue.  Serial shards always exchange deltas in-process.
-        The transport never changes report bytes -- only
-        how they travel.
+        control queues, bytes in shared memory) whenever the host has
+        shared memory, and inline on the control queue otherwise.
+        ``"auto"`` (default) accepts either; ``"shm"`` makes
+        :meth:`run` raise unless the rings are used, i.e. when the run
+        is serial or the host lacks shared memory.  Serial shards
+        always exchange deltas in-process.  The transport never
+        changes report bytes -- only how they travel.
     """
 
     def __init__(
@@ -700,9 +703,7 @@ class Fleet:
         router: ShardRouter | str = "hash",
         max_batch: int = 1,
         objective: str = "latency",
-        contention: bool = True,
         sync_rounds: int = 8,
-        gossip_limit: int = 256,
         max_lag: int = 0,
         admission: AdmissionConfig | None = None,
         batching: str = "tenant",
@@ -714,8 +715,6 @@ class Fleet:
             raise ValueError("shards must be >= 1")
         if sync_rounds < 1:
             raise ValueError("sync_rounds must be >= 1")
-        if gossip_limit < 1:
-            raise ValueError("gossip_limit must be >= 1")
         if max_lag < 0:
             raise ValueError("max_lag must be >= 0")
         if batching not in BATCHING_MODES:
@@ -727,10 +726,10 @@ class Fleet:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
             )
-        if transport not in ("auto", "shm", "queue"):
+        if transport not in TRANSPORTS:
             raise ValueError(
                 f"unknown transport {transport!r}; "
-                "expected auto, shm, or queue"
+                f"expected one of {TRANSPORTS}"
             )
         names = [t.name for t in tenants]
         if len(set(names)) != len(names):
@@ -751,9 +750,7 @@ class Fleet:
             raise ValueError("router shard count must match the fleet's")
         self.max_batch = max_batch
         self.objective = objective
-        self.contention = contention
         self.sync_rounds = sync_rounds
-        self.gossip_limit = gossip_limit
         self.max_lag = max_lag
         self.admission = admission
         self.batching = batching
@@ -804,9 +801,14 @@ class Fleet:
     ) -> ShardedFleetReport:
         """Serve every request within ``horizon_s`` across all shards."""
         start = monotonic_s()
-        backend = resolve_backend(
-            self.backend, self.shards, fallback="serial", transport=self.transport
-        )
+        backend = resolve_backend(self.backend, self.shards, fallback="serial")
+        if self.transport == "shm" and not (
+            backend == "fork" and shared_memory_available()
+        ):
+            raise ValueError(
+                "transport='shm' requires the fork backend on a host "
+                "with shared memory"
+            )
         assignment = self.router.assign(
             self.tenants,
             horizon_s=horizon_s,
@@ -818,9 +820,7 @@ class Fleet:
             max_requests=max_requests,
             max_batch=self.max_batch,
             objective=self.objective,
-            contention=self.contention,
             sync_rounds=self.sync_rounds,
-            gossip_limit=self.gossip_limit,
             max_lag=self.max_lag,
             admission=self.admission,
             batching=self.batching,
@@ -914,9 +914,7 @@ class Fleet:
                 epoch = gate.completed[sid] + 1
                 try:
                     session.run_rounds(config.sync_rounds)
-                    delta = policy.export_delta(
-                        limit=config.gossip_limit
-                    )
+                    delta = policy.export_delta(limit=GOSSIP_LIMIT)
                 except Exception as exc:
                     raise RuntimeError(
                         f"fleet shard {sid} failed: {exc!r}"
@@ -965,7 +963,6 @@ class Fleet:
                 for sid, bucket in live
             },
             backend="fork",
-            transport=self.transport,
             label="fleet shard",
         )
         with pool:

@@ -379,7 +379,6 @@ class CachedAnytimePolicy(ServingPolicy):
         store: SolveStore | None = None,
         update_points: Sequence[float] = DEFAULT_UPDATE_POINTS,
         max_queue_depth: int | None = None,
-        verify_admission: bool = True,
     ) -> None:
         super().__init__(max_queue_depth=max_queue_depth)
         if cache is not None and cache.scheduler is not scheduler:
@@ -389,7 +388,6 @@ class CachedAnytimePolicy(ServingPolicy):
         self.scheduler = scheduler
         self.cache = cache if cache is not None else ScheduleCache(scheduler)
         self.update_points = tuple(sorted(update_points))
-        self.verify_admission = verify_admission
         self._phases: dict[str, _AnytimePhase] = {}
         self.solves = 0
         self.swaps = 0
@@ -622,8 +620,6 @@ class CachedAnytimePolicy(ServingPolicy):
         re-derives it clean.  A bad schedule is still *served* (it is
         the best this phase produced) but never cached, so one cost-
         model bug cannot poison every future occurrence of the mix."""
-        if not self.verify_admission:
-            return True
         from repro.analysis.verify import verify_cache_entry
 
         certificate = verify_cache_entry(

@@ -86,7 +86,8 @@ class RoundRecord:
 
 
 class Server:
-    """Multi-tenant serving on one simulated SoC."""
+    """Multi-tenant serving on one simulated SoC (every round is
+    simulated with shared-memory contention)."""
 
     def __init__(
         self,
@@ -96,7 +97,6 @@ class Server:
         *,
         max_batch: int = 1,
         objective: str = "latency",
-        contention: bool = True,
         admission: AdmissionConfig | None = None,
         batching: str = "tenant",
     ) -> None:
@@ -119,7 +119,6 @@ class Server:
         self.policy = policy
         self.max_batch = max_batch
         self.objective = objective
-        self.contention = contention
         self.admission = admission
         self.batching = batching
 
@@ -373,10 +372,7 @@ class ServingSession:
                 picks.append(tuple(order))
             batch = tuple(len(p) for p in picks)
             execution = run_schedule(
-                result,
-                self.server.platform,
-                repeats=batch,
-                contention=self.server.contention,
+                result, self.server.platform, repeats=batch
             )
             timeline = execution.timeline
             for n, stream_picks in enumerate(picks):
@@ -458,7 +454,6 @@ def serve(
     *,
     horizon_s: float,
     max_batch: int = 1,
-    contention: bool = True,
     max_requests: int = 10_000,
     admission: AdmissionConfig | None = None,
     batching: str = "tenant",
@@ -469,7 +464,6 @@ def serve(
         tenants,
         policy,
         max_batch=max_batch,
-        contention=contention,
         admission=admission,
         batching=batching,
     )

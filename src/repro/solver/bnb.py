@@ -6,8 +6,8 @@ wall-clock timestamp and explored-node count and reported through an
 optional callback -- the hook D-HaX-CoNN uses to swap schedules in
 mid-flight (paper Section 3.5 / Fig. 7).
 
-When the search finishes without hitting a budget, the returned result
-is *certified optimal* (the property the paper obtains from Z3).
+When the search finishes without hitting its node budget, the returned
+result is *certified optimal* (the property the paper obtains from Z3).
 
 For the parallel portfolio (:mod:`repro.solver.portfolio`) the search
 exposes two cooperation hooks: ``on_sync`` is invoked at deterministic
@@ -74,12 +74,12 @@ class BranchAndBound:
 
     Parameters
     ----------
-    time_budget_s:
-        Stop after this much wall time; the result is then the best
-        incumbent so far and ``optimal`` is ``False`` (unless the tree
-        was exhausted first).
     node_budget:
-        Same, in explored-node count (deterministic budget for tests).
+        Stop after this many explored nodes; the result is then the
+        best incumbent so far and ``optimal`` is ``False`` (unless the
+        tree was exhausted first).  Truncation by node count is
+        deterministic, which is why the solver has no wall-clock
+        budget.
     on_incumbent:
         Called with each :class:`Incumbent` as soon as it is found.
     child_order:
@@ -108,7 +108,6 @@ class BranchAndBound:
     def __init__(
         self,
         *,
-        time_budget_s: float | None = None,
         node_budget: int | None = None,
         on_incumbent: Callable[[Incumbent], None] | None = None,
         child_order: Callable[
@@ -120,13 +119,10 @@ class BranchAndBound:
         on_sync: Callable[[int, Incumbent | None], float | None]
         | None = None,
     ) -> None:
-        if time_budget_s is not None and time_budget_s <= 0:
-            raise ValueError("time_budget_s must be positive")
         if node_budget is not None and node_budget <= 0:
             raise ValueError("node_budget must be positive")
         if sync_every is not None and sync_every <= 0:
             raise ValueError("sync_every must be positive")
-        self.time_budget_s = time_budget_s
         self.node_budget = node_budget
         self.on_incumbent = on_incumbent
         self.child_order = child_order
@@ -214,16 +210,8 @@ class _SearchState:
             self.cfg.on_incumbent(inc)
 
     def budget_exceeded(self) -> bool:
-        if (
-            self.cfg.node_budget is not None
-            and self.nodes >= self.cfg.node_budget
-        ):
-            return True
-        if self.cfg.time_budget_s is not None:
-            now = monotonic_s()
-            if now - self.start >= self.cfg.time_budget_s:
-                return True
-        return False
+        budget = self.cfg.node_budget
+        return budget is not None and self.nodes >= budget
 
     def maybe_sync(self) -> None:
         """Run the portfolio sync hook at deterministic node counts."""

@@ -65,6 +65,12 @@ from repro.solver.problem import Assignment, Infeasible, Problem
 if TYPE_CHECKING:  # repro.core imports this package at module level
     from repro.core.parallel import Link
 
+#: explored nodes per virtual second under ``clock="nodes"``
+NODE_RATE = 2000.0
+#: best-response sweeps applied to the best warm start before workers
+#: spawn
+GREEDY_SWEEPS = 1
+
 
 class SharedEvalState(Protocol):
     """Read-mostly evaluation state piggybacked on the epoch sync.
@@ -95,9 +101,9 @@ class Strategy:
     #: branching order as a permutation of variable indices
     order: tuple[int, ...] | None = None
     #: value-ordering heuristic: ``bound`` (ascending child bound),
-    #: ``domain`` (declaration order), ``shuffle`` (bound order with
-    #: seeded random tie-breaks), ``learned`` (descending store-trained
-    #: branch score, falling back to bound order without a guide)
+    #: ``shuffle`` (bound order with seeded random tie-breaks),
+    #: ``learned`` (descending store-trained branch score, falling
+    #: back to bound order without a guide)
     values: str = "bound"
     #: rng seed for randomized value orders
     seed: int = 0
@@ -179,8 +185,6 @@ def _child_order(
     learned mode included -- so the choice of strategy can change how
     fast the optimum is reached, never which optimum is certified.
     """
-    if strategy.values == "domain":
-        return lambda variable, children: list(children)
     if strategy.values == "shuffle":
         rng = random.Random(strategy.seed)
 
@@ -326,7 +330,8 @@ class PortfolioResult(SolveResult):
     #: (label, root objective or None-if-infeasible) per warm start
     warm_starts: tuple[tuple[str, float | None], ...] = ()
     #: epoch-payload path actually used: ``inproc`` (serial/threads),
-    #: ``queue`` (fork, pickled messages), or ``shm`` (fork, ring)
+    #: ``shm`` (fork, rings), or ``inline`` (fork on a host without
+    #: shared memory: payloads ride the control queue)
     transport: str = "inproc"
     #: parent-side transport telemetry (ring vs inline-fallback counts)
     transport_stats: dict[str, int] = dataclasses.field(default_factory=dict)
@@ -356,18 +361,12 @@ class PortfolioSolver:
         Timestamp mode for reported incumbents *and* the result's
         total ``wall_time_s``: ``wall`` uses real elapsed seconds
         (for benchmarking); ``nodes`` derives virtual timestamps from
-        the deterministic evaluation count divided by ``node_rate``,
-        which keeps downstream consumers (the serving layer's update
-        points and phase-completion times) fully reproducible.
-    greedy_sweeps:
-        Best-response improvement sweeps applied to the best warm
-        start before workers spawn (0 disables).
+        the deterministic evaluation count divided by
+        :data:`NODE_RATE`, which keeps downstream consumers (the
+        serving layer's update points and phase-completion times)
+        fully reproducible.
     node_budget:
         Per-worker explored-node budget (deterministic truncation).
-    time_budget_s:
-        Wall-clock budget enforced at epoch boundaries; truncation by
-        time is inherently nondeterministic and forfeits the
-        determinism guarantee (results are still valid incumbents).
     shared_state:
         Optional :class:`SharedEvalState` (the evaluation engine's
         memo table) exchanged between workers at epoch syncs.  Worker
@@ -375,50 +374,35 @@ class PortfolioSolver:
         keeps every worker's computed evaluations after ``solve`` --
         even under the fork backend, where worker memory is otherwise
         discarded.  Purely a speed channel: entries are bit-identical
-        to recomputation, so results never depend on it.
-    transport:
-        How bulk epoch payloads (memo deltas and their broadcasts)
-        cross the process boundary under the fork backend: ``shm``
-        moves them through :class:`repro.core.shm.DeltaChannel`
-        shared-memory rings (control queues carry fixed-size tokens),
-        ``queue`` keeps them inline in the pickled control messages,
-        and ``auto`` (default) picks ``shm`` when the host supports
-        it.  Serial and thread backends always exchange in-process
-        references; requesting ``shm`` with those backends is an
-        error.  Purely a speed channel either way: payload *content*
-        and merge order are identical across transports.
+        to recomputation, so results never depend on it.  Under fork
+        the deltas cross the process boundary through
+        :class:`repro.core.shm.DeltaChannel` shared-memory rings
+        (see :class:`repro.core.parallel.WorkerPool`).
     guide:
         Optional branch-score tables (``guide[variable][value]``,
         higher explores first) consumed by the ``learned`` value
-        ordering -- see :mod:`repro.learn.guide`.  When set and no
-        explicit ``strategies`` are given, the portfolio races
-        :func:`guided_strategies` (learned worker plus the standard
-        ladder); ``None`` keeps the pre-guidance portfolio exactly:
-        same strategies, same ordering callables, same results.
+        ordering -- see :mod:`repro.learn.guide`.  When set, the
+        portfolio races :func:`guided_strategies` (learned worker plus
+        the standard ladder); ``None`` keeps the pre-guidance
+        portfolio exactly: same strategies, same ordering callables,
+        same results.
     """
 
     def __init__(
         self,
         *,
         workers: int | None = None,
-        time_budget_s: float | None = None,
         node_budget: int | None = None,
         on_incumbent: Callable[[Incumbent], None] | None = None,
         seed: int = 0,
         sync_every: int = 64,
         backend: str = "auto",
         clock: str = "wall",
-        node_rate: float = 2000.0,
-        greedy_sweeps: int = 1,
-        strategies: Sequence[Strategy] | None = None,
         shared_state: SharedEvalState | None = None,
-        transport: str = "auto",
         guide: BranchGuide | None = None,
     ) -> None:
         if workers is not None and workers < 1:
             raise ValueError("workers must be >= 1")
-        if time_budget_s is not None and time_budget_s <= 0:
-            raise ValueError("time_budget_s must be positive")
         if node_budget is not None and node_budget <= 0:
             raise ValueError("node_budget must be positive")
         if sync_every < 1:
@@ -427,26 +411,13 @@ class PortfolioSolver:
             raise ValueError(f"unknown backend {backend!r}")
         if clock not in ("wall", "nodes"):
             raise ValueError(f"unknown clock {clock!r}")
-        if node_rate <= 0:
-            raise ValueError("node_rate must be positive")
-        if greedy_sweeps < 0:
-            raise ValueError("greedy_sweeps must be >= 0")
-        if strategies is not None and not strategies:
-            raise ValueError("strategies must be non-empty when given")
-        if transport not in ("auto", "shm", "queue"):
-            raise ValueError(f"unknown transport {transport!r}")
-        self.transport = transport
         self.workers = workers
-        self.time_budget_s = time_budget_s
         self.node_budget = node_budget
         self.on_incumbent = on_incumbent
         self.seed = seed
         self.sync_every = sync_every
         self.backend = backend
         self.clock = clock
-        self.node_rate = node_rate
-        self.greedy_sweeps = greedy_sweeps
-        self.strategies = tuple(strategies) if strategies is not None else None
         self.shared_state = shared_state
         self.guide = guide
 
@@ -512,7 +483,7 @@ class PortfolioSolver:
 
         def timestamp() -> float:
             if self.clock == "nodes":
-                return virtual_nodes() / self.node_rate
+                return virtual_nodes() / NODE_RATE
             return monotonic_s() - start
 
         def record(assignment: Mapping[str, Any], objective: float) -> bool:
@@ -558,9 +529,9 @@ class PortfolioSolver:
             if objective is not None:
                 record(assignment, objective)
 
-        if best is not None and self.greedy_sweeps:
+        if best is not None:
             for assignment, objective, evals in _greedy_improvements(
-                problem, best.assignment, best.objective, self.greedy_sweeps
+                problem, best.assignment, best.objective
             ):
                 root_nodes += evals
                 record(assignment, objective)
@@ -568,13 +539,10 @@ class PortfolioSolver:
         workers = self.workers
         if workers is None:
             workers = max(1, min(4, os.cpu_count() or 1))
-        if self.strategies is not None:
-            strategies = self.strategies
-        elif self.guide is not None:
+        if self.guide is not None:
             strategies = guided_strategies(problem, workers, seed=self.seed)
         else:
             strategies = default_strategies(problem, workers, seed=self.seed)
-        workers = len(strategies)
         if reduced is None:
             strategies = tuple(
                 dataclasses.replace(s, exact=True) for s in strategies
@@ -589,9 +557,7 @@ class PortfolioSolver:
             resolve_backend,
         )
 
-        backend = resolve_backend(
-            self.backend, workers, fallback="threads", transport=self.transport
-        )
+        backend = resolve_backend(self.backend, workers, fallback="threads")
         seed_assignment = dict(best.assignment) if best is not None else None
 
         # -- serial: a single seeded search, no racing -----------------
@@ -661,7 +627,6 @@ class PortfolioSolver:
                 for w in range(workers)
             },
             backend=backend,
-            transport=self.transport,
             label="portfolio worker",
         )
         with pool:
@@ -677,13 +642,7 @@ class PortfolioSolver:
                     for w in sorted(posted[complete]):
                         consume(posted[complete][w])
                     del posted[complete]
-                    over_time = (
-                        self.time_budget_s is not None
-                        and monotonic_s() - start >= self.time_budget_s
-                    )
-                    stopping = (
-                        stopping or certified or error is not None or over_time
-                    )
+                    stopping = stopping or certified or error is not None
                 if stopping:
                     for w in gate.stop():
                         pool.stop(w)
@@ -723,20 +682,11 @@ class PortfolioSolver:
         worker_nodes: dict[int, int],
         warm_log: list[tuple[str, float | None]],
     ) -> PortfolioResult:
-        remaining = None
-        if self.time_budget_s is not None:
-            remaining = max(
-                1e-6,
-                self.time_budget_s
-                - (monotonic_s() - start)
-            )
-
         def on_incumbent(inc: Incumbent) -> None:
             worker_nodes[0] = inc.nodes_explored
             record(inc.assignment, inc.objective)
 
         solver = BranchAndBound(
-            time_budget_s=remaining,
             node_budget=self.node_budget,
             on_incumbent=on_incumbent,
             child_order=_child_order(strategy, self.guide),
@@ -747,7 +697,7 @@ class PortfolioSolver:
         worker_nodes[0] = result.nodes_explored
         total_nodes = root_nodes + result.nodes_explored
         if self.clock == "nodes":
-            done_s = total_nodes / self.node_rate
+            done_s = total_nodes / NODE_RATE
         else:
             done_s = monotonic_s() - start
         return PortfolioResult(
@@ -773,7 +723,6 @@ def _greedy_improvements(
     problem: Problem,
     assignment: Mapping[str, Any],
     objective: float,
-    sweeps: int,
 ) -> Iterator[tuple[dict[str, Any], float, int]]:
     """Best-response sweeps from a warm start, yielding improvements.
 
@@ -784,7 +733,7 @@ def _greedy_improvements(
     """
     current = dict(assignment)
     current_objective = objective
-    for _ in range(sweeps):
+    for _ in range(GREEDY_SWEEPS):
         improved = False
         for variable in problem.variables:
             held = current[variable.name]

@@ -54,7 +54,6 @@ class Optimizer:
     def __init__(
         self,
         *,
-        time_budget_s: float | None = None,
         node_budget: int | None = None,
         verify: bool = False,
     ) -> None:
@@ -63,9 +62,7 @@ class Optimizer:
         self._constraints: list[Callable[[Assignment], bool]] = []
         self._objective: Callable[[Assignment], float] | None = None
         self._lower_bound: Callable[[Assignment], float] | None = None
-        self._solver = BranchAndBound(
-            time_budget_s=time_budget_s, node_budget=node_budget
-        )
+        self._solver = BranchAndBound(node_budget=node_budget)
         self._last: SolveResult | None = None
 
     # -- declaration -------------------------------------------------

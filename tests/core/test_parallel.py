@@ -136,14 +136,11 @@ def test_daemonic_caller_cannot_fork(monkeypatch):
     """A fork worker may not have children: ``auto`` takes the
     fallback there, an explicit ``fork`` is a typed error."""
     resolve = parallel.resolve_backend
-    assert resolve("auto", 2, fallback="threads", transport="queue") == "fork"
+    assert resolve("auto", 2, fallback="threads") == "fork"
     monkeypatch.setattr(multiprocessing, "current_process", _Daemon)
-    assert (
-        resolve("auto", 2, fallback="threads", transport="queue")
-        == "threads"
-    )
+    assert resolve("auto", 2, fallback="threads") == "threads"
     with pytest.raises(ValueError, match="daemonic"):
-        resolve("fork", 2, fallback="threads", transport="queue")
+        resolve("fork", 2, fallback="threads")
 
 
 def test_rejects_negative_lag():
@@ -222,9 +219,7 @@ def test_killed_portfolio_worker_raises(tmp_path, rings):
 
     problem = dataclasses.replace(base, objective=doomed)
     before = set(multiprocessing.active_children())
-    solver = PortfolioSolver(
-        workers=2, backend="fork", transport="shm", sync_every=4
-    )
+    solver = PortfolioSolver(workers=2, backend="fork", sync_every=4)
     with deadline(DEADLINE_S):
         with pytest.raises(
             RuntimeError, match=r"portfolio worker \d exited with code -9"

@@ -133,11 +133,14 @@ class TestCache:
         assert novel in cache
 
     def test_roundtrip(self, scheduler, workload, tmp_path, xavier):
+        from repro.core.solve_store import SolveStore
+
+        path = tmp_path / "solves.jsonl"
         cache = ScheduleCache(scheduler)
-        original = cache.get(workload)
-        path = tmp_path / "schedules.json"
-        cache.save(path)
-        restored = ScheduleCache.load(path, scheduler)
+        cache.attach_store(SolveStore(path))
+        original = cache.get(workload)  # solved, written through
+        restored = ScheduleCache(scheduler)
+        assert restored.attach_store(SolveStore(path, readonly=True)) == 1
         assert workload in restored
         result = restored.get(workload)
         assert restored.hits == 1
@@ -232,17 +235,33 @@ class TestHitReuse:
     def test_replacement_after_load_is_not_stale(
         self, scheduler, workload, tmp_path
     ):
-        cache = ScheduleCache(scheduler)
-        cache.put(workload, uniform_schedule(scheduler, workload, "gpu"))
-        cache.get(workload)
-        path = tmp_path / "schedules.json"
-        cache.save(path)
-        restored = ScheduleCache.load(path, scheduler)
+        """An entry adopted from the solve store -- by ``attach_store``
+        or, as fleet shards do, by ``adopt_stored`` -- yields to a later
+        ``put`` once it has been served."""
+        from repro.core.solve_store import SolveStore
+
+        path = tmp_path / "solves.jsonl"
+        gpu = uniform_schedule(scheduler, workload, "gpu")
         dla = uniform_schedule(scheduler, workload, "dla")
-        restored.put(workload, dla)
-        assert [s.assignment for s in restored.get(workload).schedule] == [
-            s.assignment for s in dla
-        ]
+        donor = ScheduleCache(scheduler)
+        donor.attach_store(SolveStore(path))
+        donor.put(workload, gpu)
+        store = SolveStore(path, readonly=True)
+        attached = ScheduleCache(scheduler)
+        attached.attach_store(store)
+        adopted = ScheduleCache(scheduler)
+        adopted.adopt_stored(sorted(store.schedules().items()))
+        for restored in (attached, adopted):
+            served = restored.get(workload)
+            assert [s.assignment for s in served.schedule] == [
+                s.assignment for s in gpu
+            ]
+            assert restored.store_hits == 1
+            restored.put(workload, dla)
+            served = restored.get(workload)
+            assert [s.assignment for s in served.schedule] == [
+                s.assignment for s in dla
+            ]
 
     def test_same_signature_different_names(self, scheduler, workload):
         renamed = Workload(
@@ -278,85 +297,39 @@ class TestHitReuse:
 
 
 class TestPersistence:
-    def test_v2_roundtrip_restores_stats(
-        self, scheduler, workload, tmp_path
+    """The static path: the JSONL solve store is the one on-disk
+    schedule format."""
+
+    def test_precompute_writes_through_then_serves_without_solving(
+        self, scheduler, tmp_path, monkeypatch
     ):
-        cache = ScheduleCache(scheduler)
-        cache.get(workload)  # miss
-        cache.get(workload)  # hit
-        path = tmp_path / "schedules.json"
-        cache.save(path)
-        restored = ScheduleCache.load(path, scheduler)
-        assert restored.hits == 1
-        assert restored.misses == 1
-        assert restored.store_hits == 0
-        assert workload in restored
+        from repro.core.solve_store import SolveStore
 
-    def test_failed_save_keeps_previous_snapshot(
-        self, scheduler, workload, tmp_path, monkeypatch
-    ):
-        """A save that dies part-way through writing (disk full, a
-        kill) must not leave a truncated snapshot behind."""
-        from pathlib import Path
+        workloads = [
+            Workload.concurrent("googlenet", "resnet101"),
+            Workload.concurrent("alexnet", "resnet18"),
+        ]
+        path = tmp_path / "deployment.jsonl"
+        offline = ScheduleCache(scheduler)
+        offline.attach_store(SolveStore(path))
+        offline.precompute(workloads)
+        assert offline.misses == len(workloads)
+        solved = {w.names: offline.get(w).schedule for w in workloads}
 
-        cache = ScheduleCache(scheduler)
-        cache.put(workload, uniform_schedule(scheduler, workload, "gpu"))
-        path = tmp_path / "schedules.json"
-        cache.save(path)
-        before = path.read_bytes()
+        def no_solve(workload, **kwargs):
+            raise AssertionError(f"unexpected solve of {workload.names}")
 
-        cache.get(workload)  # the next snapshot differs (hit counter)
-        real_open = Path.open
-
-        def torn_open(self, mode="r", *args, **kwargs):
-            handle = real_open(self, mode, *args, **kwargs)
-            if "w" not in mode:
-                return handle
-
-            class Torn:
-                def __enter__(self):
-                    return self
-
-                def __exit__(self, *exc):
-                    handle.close()
-
-                def write(self, text):
-                    handle.write(text[: len(text) // 2])
-                    handle.flush()
-                    raise OSError("no space left on device")
-
-            return Torn()
-
-        monkeypatch.setattr(Path, "open", torn_open)
-        with pytest.raises(OSError):
-            cache.save(path)
-        monkeypatch.undo()
-
-        assert path.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
-        restored = ScheduleCache.load(path, scheduler)
-        assert workload in restored and restored.hits == 0
-
-    def test_v1_flat_file_still_loads(
-        self, scheduler, workload, tmp_path
-    ):
-        import json
-
-        cache = ScheduleCache(scheduler)
-        solved = cache.get(workload)
-        path = tmp_path / "v1.json"
-        path.write_text(
-            json.dumps(
-                {
-                    cache.signature(workload): schedule_to_payload(
-                        solved.schedule
-                    )
-                }
-            )
-        )
-        restored = ScheduleCache.load(path, scheduler)
-        assert workload in restored
-        assert restored.hits == 0 and restored.misses == 0
+        monkeypatch.setattr(scheduler, "schedule", no_solve)
+        deployed = ScheduleCache(scheduler)
+        store = SolveStore(path, readonly=True)
+        assert deployed.attach_store(store) == len(workloads)
+        for workload in workloads:
+            served = deployed.get(workload)
+            assert [s.assignment for s in served.schedule] == [
+                s.assignment for s in solved[workload.names]
+            ]
+        assert deployed.misses == 0
+        assert deployed.hits == deployed.store_hits == len(workloads)
 
 
 class TestSolveStoreIntegration:

@@ -4,9 +4,9 @@ Hypothesis drives the ring through its contractual edge cases:
 records wrapping the physical end of the segment, torn or corrupted
 tails recovered as a valid prefix, reader-lag overflow degrading to
 the inline path with bit-identical content -- plus the end-to-end
-guarantee the transport exists for: a fork portfolio's incumbent
-trace is byte-identical whether the epoch memo deltas ride the rings
-or the pickled control queue.
+guarantee the transport exists for: a fork portfolio whose epoch
+memo deltas ride the rings lands on the same incumbent trace as the
+in-process race.
 """
 
 from __future__ import annotations
@@ -245,7 +245,7 @@ def test_ring_record_with_a_foreign_tag_is_refused():
         ch.unlink()
 
 
-# -- fork-worker merge determinism: rings vs pickled queue -------------
+# -- fork-worker merge determinism: rings vs in-process race -----------
 def _trace(result):
     return [
         (
@@ -260,15 +260,17 @@ def _trace(result):
 @settings(deadline=None, max_examples=1)
 @given(st.just(None))
 def test_fork_memo_delta_merge_identical_across_transports(_):
-    """A fork portfolio exchanging evaluation-memo deltas lands on a
-    byte-identical incumbent trace whether the deltas ride the shm
-    rings or the pickled queue -- and the shm run actually used the
-    rings.  (Hypothesis wrapper keeps this in the property suite; the
-    scenario itself is deterministic.)"""
+    """A fork portfolio exchanging evaluation-memo deltas through the
+    shm rings lands on a byte-identical incumbent trace to the same
+    race run in-process (threads, one shared memo table, no rings) --
+    and the fork run actually used the rings.  The portfolio's
+    ``serial`` backend runs a single strategy, so the in-process race
+    is the thread backend.  (Hypothesis wrapper keeps this in the
+    property suite; the scenario itself is deterministic.)"""
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("fork start method unavailable")
 
-    def solve(transport):
+    def solve(backend):
         platform = get_platform("xavier")
         scheduler = HaXCoNN(
             platform,
@@ -281,20 +283,19 @@ def test_fork_memo_delta_merge_identical_across_transports(_):
         problem = scheduler.build_problem(workload, formulation)
         solver = PortfolioSolver(
             workers=2,
-            backend="fork",
+            backend=backend,
             clock="nodes",
             sync_every=64,
             seed=3,
-            transport=transport,
             shared_state=formulation.engine.memo,
         )
         return solver.solve(problem)
 
-    res_queue = solve("queue")
-    res_shm = solve("shm")
-    assert res_queue.transport == "queue"
+    res_inproc = solve("threads")
+    res_shm = solve("fork")
+    assert res_inproc.transport == "inproc"
     assert res_shm.transport == "shm"
-    assert _trace(res_shm) == _trace(res_queue)
-    assert res_shm.nodes_explored == res_queue.nodes_explored
-    assert res_shm.optimal == res_queue.optimal
+    assert _trace(res_shm) == _trace(res_inproc)
+    assert res_shm.nodes_explored == res_inproc.nodes_explored
+    assert res_shm.optimal == res_inproc.optimal
     assert res_shm.transport_stats["ring"] > 0, res_shm.transport_stats

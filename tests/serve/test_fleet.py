@@ -587,26 +587,21 @@ class TestBoundedLag:
     def test_pipelined_identical_across_backends(
         self, xavier, xavier_db
     ):
-        """serial == fork-queue == fork-shm at every lag window."""
+        """serial == fork (over the shm rings when the host has
+        them) at every lag window."""
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("no fork start method on this platform")
-        transports = ["queue"]
-        if shared_memory_available():
-            transports.append("shm")
+        expected = "shm" if shared_memory_available() else "inline"
         for lag in (0, 1, 2):
             serial = self._run(
                 xavier, xavier_db, backend="serial", max_lag=lag
-            ).describe_shards()
-            for transport in transports:
-                forked = self._run(
-                    xavier,
-                    xavier_db,
-                    backend="fork",
-                    max_lag=lag,
-                    transport=transport,
-                )
-                assert forked.transport == transport
-                assert forked.describe_shards() == serial, (lag, transport)
+            )
+            forked = self._run(
+                xavier, xavier_db, backend="fork", max_lag=lag
+            )
+            assert serial.transport == "inproc"
+            assert forked.transport == expected
+            assert forked.describe_shards() == serial.describe_shards(), lag
 
     def test_pipelined_telemetry(self, xavier, xavier_db):
         report = self._run(
@@ -625,6 +620,33 @@ class TestBoundedLag:
                 shards=2,
                 max_lag=-1,
             )
+
+
+class TestTransport:
+    """``transport`` only accepts ``auto`` and ``shm``; ``shm`` insists
+    on the fork backend's rings."""
+
+    def test_queue_transport_rejected(self, xavier, xavier_db):
+        with pytest.raises(ValueError, match="auto.*shm"):
+            Fleet(
+                xavier,
+                fleet_tenants(),
+                make_factory(xavier, xavier_db),
+                shards=2,
+                transport="queue",
+            )
+
+    def test_shm_transport_requires_fork(self, xavier, xavier_db):
+        fleet = Fleet(
+            xavier,
+            fleet_tenants(),
+            make_factory(xavier, xavier_db),
+            shards=2,
+            backend="serial",
+            transport="shm",
+        )
+        with pytest.raises(ValueError, match="fork backend"):
+            fleet.run(horizon_s=HORIZON)
 
 
 class TestEdges:

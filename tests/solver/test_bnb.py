@@ -138,7 +138,9 @@ class TestBudgets:
         with pytest.raises(ValueError):
             BranchAndBound(node_budget=0)
         with pytest.raises(ValueError):
-            BranchAndBound(time_budget_s=0.0)
+            BranchAndBound(node_budget=-1)
+        with pytest.raises(TypeError):  # node budgets only
+            BranchAndBound(time_budget_s=1.0)
 
 
 class TestExhaustive:

@@ -13,7 +13,7 @@ from repro.solver import (
     default_strategies,
     solve_exhaustive,
 )
-from repro.solver.portfolio import Strategy
+from repro.solver import portfolio
 from repro.solver.random_instances import InstanceSpec, random_problem
 
 
@@ -67,13 +67,13 @@ def test_virtual_clock_is_monotone_and_node_derived():
         workers=2,
         backend="threads",
         clock="nodes",
-        node_rate=100.0,
         sync_every=4,
     ).solve(small_problem())
     times = [i.wall_time_s for i in result.incumbents]
     assert times == sorted(times)
     for inc in result.incumbents:
-        assert inc.wall_time_s <= inc.nodes_explored / 100.0 + 1e-12
+        virtual_s = inc.nodes_explored / portfolio.NODE_RATE
+        assert inc.wall_time_s <= virtual_s + 1e-12
 
 
 # -- strategies --------------------------------------------------------
@@ -94,16 +94,6 @@ def test_strategy_orders_are_permutations():
     for strategy in default_strategies(problem, 8, seed=1):
         if strategy.order is not None:
             assert sorted(strategy.order) == list(range(n))
-
-
-def test_custom_strategies_override_workers():
-    problem = small_problem()
-    result = PortfolioSolver(
-        workers=4,  # ignored: explicit strategies win
-        backend="threads",
-        strategies=[Strategy("only")],
-    ).solve(problem)
-    assert [w.name for w in result.workers] == ["only"]
 
 
 # -- warm starts -------------------------------------------------------
@@ -142,14 +132,13 @@ def test_valid_seed_becomes_root_incumbent():
     assert result.optimal
 
 
-def test_greedy_sweeps_only_improve():
+def test_greedy_sweeps_only_improve(monkeypatch):
     problem = small_problem()
-    with_greedy = PortfolioSolver(workers=1, greedy_sweeps=2).solve(
-        problem, seeds=[{v.name: v.domain[0] for v in problem.variables}]
-    )
-    without = PortfolioSolver(workers=1, greedy_sweeps=0).solve(
-        problem, seeds=[{v.name: v.domain[0] for v in problem.variables}]
-    )
+    seeds = [{v.name: v.domain[0] for v in problem.variables}]
+    monkeypatch.setattr(portfolio, "GREEDY_SWEEPS", 2)
+    with_greedy = PortfolioSolver(workers=1).solve(problem, seeds=seeds)
+    monkeypatch.setattr(portfolio, "GREEDY_SWEEPS", 0)
+    without = PortfolioSolver(workers=1).solve(problem, seeds=seeds)
     assert with_greedy.optimal and without.optimal
     assert with_greedy.best.objective == pytest.approx(
         without.best.objective
@@ -219,11 +208,11 @@ def test_worker_error_propagates():
         {"sync_every": 0},
         {"backend": "mpi"},
         {"clock": "lamport"},
-        {"node_rate": 0.0},
-        {"greedy_sweeps": -1},
-        {"time_budget_s": 0.0},
+        {"workers": -1},
+        {"sync_every": -1},
+        {"backend": "process"},
         {"node_budget": 0},
-        {"strategies": []},
+        {"node_budget": -1},
     ],
 )
 def test_invalid_configuration_rejected(kwargs):

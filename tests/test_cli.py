@@ -74,6 +74,10 @@ class TestTenantSpec:
             cli.parse_tenant_spec("a:1:2:3", 0)
         with pytest.raises(ValueError):
             cli.parse_tenant_spec("googlenet:0", 0)
+        for spec in ("googlenet:abc", "googlenet:nan", "googlenet:inf",
+                     "googlenet:10:x", "googlenet:10:0"):
+            with pytest.raises(ValueError, match="positive number"):
+                cli.parse_tenant_spec(spec, 0)
 
 
 class TestCommands:
@@ -160,6 +164,49 @@ class TestCommands:
     def test_serve_unknown_model(self, capsys):
         assert cli.main(["serve", "notanet", "--horizon", "0.05"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["googlenet:abc"], "rate must be a positive number"),
+            (["googlenet:-5"], "rate must be a positive number"),
+            (["googlenet:0"], "rate must be a positive number"),
+            (["googlenet:10:x"], "slo must be a positive number"),
+            (["googlenet:10:-3"], "slo must be a positive number"),
+            (["googlenet:10:20:30"], "bad tenant spec"),
+            (["googlenet", "--horizon", "-1"], "--horizon must be >= 0"),
+            (["googlenet", "--shards", "0"], "--shards must be >= 1"),
+            (["googlenet", "--max-lag", "-1"], "--max-lag must be >= 0"),
+            (["googlenet", "--sync-rounds", "0"], "--sync-rounds must be >= 1"),
+        ],
+        ids=[
+            "rate-not-a-number",
+            "rate-negative",
+            "rate-zero",
+            "slo-not-a-number",
+            "slo-negative",
+            "four-part-spec",
+            "horizon-negative",
+            "shards-zero",
+            "max-lag-negative",
+            "sync-rounds-zero",
+        ],
+    )
+    def test_serve_malformed_input_is_a_typed_error(
+        self, capsys, argv, message
+    ):
+        """Malformed serve input prints ``error: ...`` and exits 2,
+        like an unknown model: no traceback, no silent default."""
+        assert cli.main(["serve", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_serve_has_no_transport_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["serve", "googlenet", "--transport", "shm"])
+        assert exc.value.code == 2
 
     def test_schedule_command(self, capsys):
         code = cli.main(
