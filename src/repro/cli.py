@@ -109,11 +109,27 @@ def parse_tenant_spec(spec: str, index: int) -> tuple[str, float, float | None]:
     return model, rate, slo_s
 
 
+def _below_floor(*checks: tuple[str, float | None, float]) -> bool:
+    """Print ``error: FLAG must be >= FLOOR`` for the first set flag
+    below its floor (``None`` = flag not given) and report whether
+    one was."""
+    for flag, value, least in checks:
+        if value is not None and not value >= least:  # also refuses nan
+            print(f"error: {flag} must be >= {least}", file=sys.stderr)
+            return True
+    return False
+
+
 def _cmd_schedule(args: argparse.Namespace) -> int:
     from repro.core import HaXCoNN, Workload, gpu_only, naive_concurrent
     from repro.runtime import run_schedule
     from repro.soc import get_platform
 
+    if _below_floor(
+        ("--max-transitions", args.max_transitions, 0),
+        ("--workers", args.workers, 1),
+    ):
+        return 2
     platform = get_platform(args.platform)
     workload = Workload.concurrent(*args.models, objective=args.objective)
     scheduler = HaXCoNN(
@@ -153,16 +169,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.requests import make_arrivals
     from repro.soc import get_platform
 
-    for flag, value, least in (
+    if _below_floor(
         ("--horizon", args.horizon, 0),
         ("--shards", args.shards, 1),
         ("--max-batch", args.max_batch, 1),
         ("--sync-rounds", args.sync_rounds, 1),
         ("--max-lag", args.max_lag, 0),
+        ("--max-transitions", args.max_transitions, 0),
+        ("--workers", args.workers, 1),
     ):
-        if not value >= least:  # also refuses nan
-            print(f"error: {flag} must be >= {least}", file=sys.stderr)
-            return 2
+        return 2
     try:
         specs = [
             parse_tenant_spec(spec, k) for k, spec in enumerate(args.tenants)
@@ -324,6 +340,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if _below_floor(
+        ("--max-transitions", args.max_transitions, 0),
+        ("--workers", args.workers, 1),
+        ("--random", args.random, 1),
+    ):
+        return 2
     if args.random is not None:
         return _verify_random(args)
     if len(args.models) < 2:
@@ -404,6 +426,8 @@ def parse_seed_range(text: str) -> range:
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.fuzz import run_campaign
 
+    if _below_floor(("--budget", args.budget, 1)):
+        return 2
     try:
         seeds = parse_seed_range(args.seeds)
     except ValueError as exc:

@@ -339,6 +339,12 @@ class HaXCoNN:
                 for n, domain in enumerate(domains)
             ]
 
+        frames = sum(formulation.repeats)
+
+        def chain_bound(n: int, partial: Assignment) -> float:
+            name = f"dnn{n}"
+            return chain(n, partial[name]) if name in partial else min_chain[n]
+
         def lower_bound(partial: Assignment) -> float:
             if formulation.objective == "energy":
                 assert min_energy is not None
@@ -348,27 +354,22 @@ class HaXCoNN:
                     else min_energy[n]
                     for n in range(len(domains))
                 )
-            per_dnn = [
-                chain(n, partial[f"dnn{n}"])
-                if f"dnn{n}" in partial
-                else min_chain[n]
-                for n in range(len(domains))
-            ]
+            # one round-time bound for both makespan objectives: each
+            # DSA is serial and contention only stretches per_dnn, so
+            # neither the longest isolated chain nor any DSA's summed
+            # busy time exceeds max(per_dnn) on a completion
+            rt = max(chain_bound(n, partial) for n in range(len(domains)))
+            totals: dict[str, float] = {}
+            for n in range(len(domains)):
+                if f"dnn{n}" not in partial:
+                    continue
+                for a, t in busy(n, partial[f"dnn{n}"]).items():
+                    totals[a] = totals.get(a, 0.0) + t
+            rt = max(rt, max(totals.values(), default=0.0))
             if formulation.objective == "latency":
-                # each DSA is serial, so assigned streams' combined
-                # per-DSA busy time also bounds the makespan
-                totals: dict[str, float] = {}
-                for n in range(len(domains)):
-                    if f"dnn{n}" not in partial:
-                        continue
-                    for a, t in busy(n, partial[f"dnn{n}"]).items():
-                        totals[a] = totals.get(a, 0.0) + t
-                busy_bound = max(totals.values(), default=0.0)
-                return max(max(per_dnn), busy_bound)
-            return -sum(
-                formulation.repeats[n] / t if t > 0 else float("inf")
-                for n, t in enumerate(per_dnn)
-            )
+                return rt
+            # throughput is priced like _objective: -frames / round time
+            return -frames / rt if rt > 0 else float("-inf")
 
         constraints = []
         for names in self.symmetry_classes(workload):
@@ -443,48 +444,27 @@ class HaXCoNN:
                     else:
                         acc = acc + min_energy[n]
                 return acc
-            if formulation.objective == "latency":
-                # max over per_dnn folds the branched stream in last;
-                # max is order-insensitive in value for floats
-                other = float("-inf")
-                for n in range(n_streams):
-                    if n == b:
-                        continue
-                    t = (
-                        chain(n, partial[f"dnn{n}"])
-                        if f"dnn{n}" in partial
-                        else min_chain[n]
-                    )
-                    if t > other:
-                        other = t
-                per_vec = np.maximum(chain_tab[b][idx], other)
-                tot = np.zeros((len(accel_names), idx.size))
-                for n in range(n_streams):
-                    if n == b:
-                        tot = tot + busy_tab[n][:, idx]
-                    elif f"dnn{n}" in partial:
-                        col = busy_tab[n][:, val_index[n][partial[f"dnn{n}"]]]
-                        tot = tot + col[:, None]
-                return np.maximum(per_vec, tot.max(axis=0))
-            # throughput: negated sum of per-stream rates, stream order
-            acc = np.zeros(idx.size)
+            # max over per_dnn folds the branched stream in last;
+            # max is order-insensitive in value for floats
+            other = max(
+                (chain_bound(n, partial) for n in range(n_streams) if n != b),
+                default=float("-inf"),
+            )
+            per_vec = np.maximum(chain_tab[b][idx], other)
+            tot = np.zeros((len(accel_names), idx.size))
             for n in range(n_streams):
                 if n == b:
-                    t_vec = chain_tab[n][idx]
-                    term = np.full(idx.size, float("inf"))
-                    pos = t_vec > 0
-                    term[pos] = formulation.repeats[n] / t_vec[pos]
-                    acc = acc + term
-                else:
-                    t = (
-                        chain(n, partial[f"dnn{n}"])
-                        if f"dnn{n}" in partial
-                        else min_chain[n]
-                    )
-                    acc = acc + (
-                        formulation.repeats[n] / t if t > 0 else float("inf")
-                    )
-            return -acc
+                    tot = tot + busy_tab[n][:, idx]
+                elif f"dnn{n}" in partial:
+                    col = busy_tab[n][:, val_index[n][partial[f"dnn{n}"]]]
+                    tot = tot + col[:, None]
+            rt_vec = np.maximum(per_vec, tot.max(axis=0))
+            if formulation.objective == "latency":
+                return rt_vec
+            out = np.full(idx.size, float("-inf"))
+            pos = rt_vec > 0
+            out[pos] = -frames / rt_vec[pos]
+            return out
 
         return Problem(
             variables=variables,

@@ -17,8 +17,8 @@ from repro.dnn.layers import (
     MaxPool2d,
     Softmax,
 )
-from repro.dnn.numeric import NumericExecutor
 from repro.dnn.shapes import TensorShape
+from tests.dnn.numeric import NumericExecutor
 
 
 def small_cnn():

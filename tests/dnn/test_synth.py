@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from repro.dnn.fusion import fuse
 from repro.dnn.grouping import group_layers
-from repro.dnn.numeric import NumericExecutor
 from repro.dnn.synth import synth_dnn
 from repro.profiling.profiler import profile_dnn
+from tests.dnn.numeric import NumericExecutor
 
 SEEDS = st.integers(0, 10_000)
 

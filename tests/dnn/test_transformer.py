@@ -11,7 +11,7 @@ import pytest
 from repro.dnn import zoo
 from repro.dnn.graph import TensorShape
 from repro.dnn.layers import LayerNorm, MatMul, Tokenize
-from repro.dnn.numeric import NumericExecutor
+from tests.dnn.numeric import NumericExecutor
 
 
 class TestTokenize:

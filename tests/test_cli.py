@@ -178,6 +178,10 @@ class TestCommands:
             (["googlenet", "--shards", "0"], "--shards must be >= 1"),
             (["googlenet", "--max-lag", "-1"], "--max-lag must be >= 0"),
             (["googlenet", "--sync-rounds", "0"], "--sync-rounds must be >= 1"),
+            (
+                ["googlenet", "--max-transitions", "-1"],
+                "--max-transitions must be >= 0",
+            ),
         ],
         ids=[
             "rate-not-a-number",
@@ -190,6 +194,7 @@ class TestCommands:
             "shards-zero",
             "max-lag-negative",
             "sync-rounds-zero",
+            "max-transitions-negative",
         ],
     )
     def test_serve_malformed_input_is_a_typed_error(
@@ -198,6 +203,45 @@ class TestCommands:
         """Malformed serve input prints ``error: ...`` and exits 2,
         like an unknown model: no traceback, no silent default."""
         assert cli.main(["serve", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["schedule", "googlenet", "resnet18", "--max-transitions", "-1"],
+                "--max-transitions must be >= 0",
+            ),
+            (
+                ["verify", "googlenet", "resnet18", "--max-transitions", "-1"],
+                "--max-transitions must be >= 0",
+            ),
+            (
+                ["schedule", "googlenet", "resnet18", "--workers", "0"],
+                "--workers must be >= 1",
+            ),
+            (["verify", "--random", "-2"], "--random must be >= 1"),
+            (["verify", "--random", "0"], "--random must be >= 1"),
+            (["fuzz", "--seeds", "0:2", "--budget", "-1"], "--budget must be >= 1"),
+            (["fuzz", "--seeds", "0:2", "--budget", "0"], "--budget must be >= 1"),
+        ],
+        ids=[
+            "schedule-max-transitions-negative",
+            "verify-max-transitions-negative",
+            "schedule-workers-zero",
+            "verify-random-negative",
+            "verify-random-zero",
+            "fuzz-budget-negative",
+            "fuzz-budget-zero",
+        ],
+    )
+    def test_negative_counts_are_a_typed_error(self, capsys, argv, message):
+        """A count below its floor prints ``error: ...`` and exits 2
+        before any work: no solver traceback, no vacuous success."""
+        assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert message in captured.err
