@@ -311,12 +311,12 @@ class Formulation:
         serialized: bool = False,
         check_exclusive: bool = True,
     ) -> "list[EvaluationResult | Exception]":
-        """Evaluate a B&B frontier as one lockstep NumPy batch.
+        """Evaluate a B&B frontier in lockstep NumPy batches.
 
         Same calling convention and bit-identical results as
-        :meth:`evaluate_many`; siblings sharing all but one decision
-        are batched through the tensor event loop and contention
-        fixed point (:mod:`repro.core.frontier`).
+        :meth:`evaluate_many`; the members run together through the
+        tensor event loop and contention fixed point, split into
+        batches of bounded memory (:mod:`repro.core.frontier`).
         """
         return self.engine.evaluate_frontier(
             batch, serialized=serialized, check_exclusive=check_exclusive

@@ -1,14 +1,17 @@
-"""Frontier-batched schedule evaluation (lockstep across B&B siblings).
+"""Frontier-batched schedule evaluation (lockstep across B&B leaves).
 
-When branch-and-bound expands a node whose children are leaves, the
-children form a *frontier*: sibling assignments that share every
-decision except the branched stream's.  Each sibling still pays a full
+Branch-and-bound hands the engine a *frontier*: leaves it is about to
+reach -- one leaf-parent's children, or, once a finite limit prunes,
+every surviving leaf under a leaf-grandparent's remaining children
+(several leaf-parents in one batch).  Each member still pays a full
 contention fixed point (Eqs. 7-8) wrapped around the FCFS event-loop
 timeline (Eqs. 4-6), and the scalar engine evaluates them one at a
 time.  This module evaluates the whole frontier in **lockstep**: one
-NumPy program whose arrays carry a leading sibling axis ``B``, so the
+NumPy program whose arrays carry a leading member axis ``B``, so the
 per-commit Python interpreter cost -- the dominant term in the scalar
-event loop -- is paid once per frontier instead of once per sibling.
+event loop -- is paid once per batch instead of once per member.  The
+setup only pays off on wide batches (see ``MIN_LOCKSTEP``), which is
+why the solver widens them.
 
 Why lockstep is possible: the event loop commits exactly one item per
 iteration, every sibling schedules the same number of items (the
@@ -53,6 +56,14 @@ Bit-identity argument (the contract every caller relies on):
   field-by-field against ``evaluate_scratch`` on 60+ seeds, and the
   fuzz oracle re-checks it per scenario.
 
+Memory: the slowdown step holds ``(B, 2n - 1, n)`` tensors, so a
+frontier wider than ``CELLS // ((2n - 1) * n)`` members runs as
+several near-equal lockstep batches (``_chunks``).  Every row is
+computed independently of the others, so the split changes no bit.
+The engine's slowdown-structure cache, which both paths share, holds
+each structure's active cells only (``s[active]``; every other cell
+is 1.0).
+
 Fallbacks: serialized / non-resource-constrained formulations,
 pipelines, empty workloads, and tiny frontiers fall back to the scalar
 engine (``EvalEngine.evaluate`` per member), whose byte-identity is
@@ -67,14 +78,23 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from repro.contention.base import NoContentionModel
+from repro.core.evalcache import _frozen
 
 if TYPE_CHECKING:  # deferred: evalcache imports create a cycle otherwise
     from repro.core.evalcache import EvalEngine
     from repro.core.formulation import EvaluationResult
 
 #: below this many to-compute members the scalar engine (memo + prefix
-#: replay) beats the lockstep setup cost; measured in bench_eval
-MIN_LOCKSTEP = 6
+#: replay) beats the lockstep setup cost.  Measured by replaying every
+#: engine call of perfbench's solve-cold pass (seed 7) with each path
+#: forced, on 2 vCPUs: lockstep runs at 0.61x the scalar speed for 6-7
+#: members, 0.72x at 8-9, 0.82x at 10-11, 0.91x at 12-13, 1.02x at
+#: 14-15, 1.28x at 16-17 and 1.53x at 26-39
+MIN_LOCKSTEP = 14
+
+#: cell budget of one lockstep batch's (B, 2n - 1, n) slowdown
+#: tensors: wider frontiers run as several batches (see `_chunks`)
+CELLS = 2**17
 
 #: below this batch width the per-iteration row-compression (dropping
 #: converged members from timeline passes) costs more than it saves;
@@ -144,12 +164,12 @@ def evaluate_frontier(
         )
         if lockstep_ok:
             c.frontier_lockstep += len(pending)
-            computed = _lockstep(
-                engine,
-                [mk[0] for mk in pending],
-                serialized,
-                check_exclusive,
-            )
+            keys_p = [mk[0] for mk in pending]
+            computed = []
+            for lo, hi in _chunks(len(keys_p), engine._n_items):
+                computed += _lockstep(
+                    engine, keys_p[lo:hi], serialized, check_exclusive
+                )
         else:
             c.frontier_fallback += len(pending)
             computed = []
@@ -170,6 +190,22 @@ def evaluate_frontier(
             for j in slots:
                 out[j] = result
     return out  # type: ignore[return-value]
+
+
+def _chunks(m: int, n: int) -> list[tuple[int, int]]:
+    """Split ``m`` members into near-equal lockstep batches.
+
+    The batched slowdown step holds ``(B, 2n - 1, n)`` tensors, so a
+    batch takes at most ``CELLS // ((2n - 1) * n)`` members (never
+    fewer than ``MIN_LOCKSTEP``).  Spreading ``m`` evenly over the
+    fewest such batches keeps every batch at least half that wide
+    instead of leaving a narrow tail.  Splitting is bit-safe: every
+    row of a batch is computed independently of the others (see
+    :meth:`_TimelineCtx.select`).
+    """
+    cap = max(MIN_LOCKSTEP, CELLS // ((2 * n - 1) * n))
+    k = -(-m // cap)
+    return [(i * m // k, (i + 1) * m // k) for i in range(k)]
 
 
 def _lockstep(
@@ -549,23 +585,24 @@ def _slowdowns_batch(
     _, rep, inv = np.unique(vk, return_index=True, return_inverse=True)
     R = len(rep)
     c.slowdown_cache_hits += U - R
-    # per-unique-structure slowdown tensor, engine cache + batched miss
-    s3u = np.zeros((R, active3.shape[1], n))
+    # per-unique-structure slowdown tensor, engine cache + batched
+    # miss; the cache holds each structure's active cells only, and
+    # every other cell is 1.0 (the `_s_matrix` fill)
     s_cache = engine._s_cache
     rep_l = rep.tolist()
+    vals: list[Any] = [None] * R
     miss_pos: list[int] = []
     miss_keys: list[Any] = []
     miss_acts: list[np.ndarray] = []
     miss_bws: list[np.ndarray] = []
     for r_i, idx in enumerate(rep_l):
         row = int(u[idx])
-        kp = keep[idx]
-        act = active3[idx][kp]  # contiguous (K, n) == reference
+        act = active3[idx][keep[idx]]  # contiguous (K, n) == reference
         key = (act.shape[0], act.tobytes(), bw_bytes[row])
-        s = s_cache.get(key)
-        if s is not None:
+        v = s_cache.get(key)
+        if v is not None:
             c.slowdown_cache_hits += 1
-            s3u[r_i][kp] = s
+            vals[r_i] = v
             continue
         miss_pos.append(r_i)
         miss_keys.append(key)
@@ -575,9 +612,16 @@ def _slowdowns_batch(
         # all cache misses run as one padded batch through the same
         # algebra as the scalar `_s_matrix` (see `_s_matrix_many`)
         s_list = engine._s_matrix_many(miss_acts, miss_bws)
-        for r_i, key, s in zip(miss_pos, miss_keys, s_list):
-            s_cache.put(key, s)
-            s3u[r_i][keep[rep_l[r_i]]] = s
+        for r_i, key, act, s in zip(miss_pos, miss_keys, miss_acts, s_list):
+            v = _frozen(s[act])
+            s_cache.put(key, v)
+            vals[r_i] = v
+    # dropped (zero-length) interval rows keep 1.0 too: their weight
+    # is +0.0, and +0.0 * 1.0 == +0.0 * s for any finite s; the
+    # kept-and-active cells of all structures, in row-major order, are
+    # exactly the concatenated per-structure `act` cells
+    s3u = np.ones((R, active3.shape[1], n))
+    s3u[active3[rep] & keep[rep][:, :, None]] = np.concatenate(vals)
     s3 = s3u[inv]
     # `dur * keep` == `np.where(keep, dur, 0.0)` bitwise: durations are
     # finite and >= +0.0, so * 1.0 is the identity and * 0.0 is +0.0

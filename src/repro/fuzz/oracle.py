@@ -47,6 +47,7 @@ seed range produce byte-identical reports.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from repro.analysis.verify import verify_result, verify_solve
@@ -64,6 +65,10 @@ from repro.solver.problem import Infeasible
 #: full enumeration only below this search-space size; larger
 #: instances keep the certificate + portfolio + baseline oracles
 DEFAULT_EXHAUSTIVE_CAP = 2_000
+
+#: members of the frontier-byte-identity batch: more than the
+#: lockstep engine's minimum width, so the check reaches lockstep
+FRONTIER_MEMBERS = 32
 
 #: relative tolerance for objective agreement between solvers that
 #: evaluate through the same (memoized, deterministic) formulation
@@ -313,12 +318,16 @@ def run_oracles(
 
     # -- frontier batch vs scalar reference ----------------------------
     checks.append("frontier-byte-identity")
-    # a genuine sibling frontier: stream 0 sweeps its domain, the
-    # other streams keep the adopted assignment (the shape bnb's
-    # leaf-frontier prewarm hands the batched evaluator)
+    # a genuine leaf frontier: the first two streams sweep their
+    # domains, the others keep the adopted assignment -- the shape
+    # bnb's leaf-grandparent prewarm hands the batched evaluator
+    # (leaves of several leaf-parents), wide enough for lockstep
+    heads = [v.domain for v in problem.variables[:2]]
     siblings = [
-        [tuple(value), *assignments[1:]]
-        for value in problem.variables[0].domain[:12]
+        [*map(tuple, values), *assignments[len(heads):]]
+        for values in itertools.islice(
+            itertools.product(*heads), FRONTIER_MEMBERS
+        )
     ]
     batched = formulation.evaluate_frontier(
         siblings, serialized=serialized, check_exclusive=False

@@ -27,6 +27,8 @@ from typing import Any, Callable, Sequence
 from repro.solver.clock import monotonic_s
 from repro.solver.problem import Assignment, Infeasible, Problem, Variable
 
+_INF = float("inf")
+
 
 class StopSearch(Exception):
     """Raised by an ``on_sync`` hook to abort the search cooperatively.
@@ -188,6 +190,9 @@ class _SearchState:
         #: and incumbent recording both respect it
         self.external_bound = float("inf")
         self._next_sync = cfg.sync_every
+        #: the current leaf-grandparent has prewarmed its remaining
+        #: leaves, so its leaf-parents skip their own prewarm
+        self._warmed = False
 
     def limit(self) -> float:
         """Current upper bound: best of own and external incumbents."""
@@ -226,10 +231,79 @@ class _SearchState:
             self.external_bound = bound
 
     # -- search ----------------------------------------------------------
+    def _bounds(
+        self, partial: dict[str, Any], variable: Variable
+    ) -> Sequence[float] | None:
+        """Vectorized bounds of ``variable``'s children, if available.
+
+        Called before the caller mutates ``partial`` in place.
+        """
+        if self.problem.child_bounds is None:
+            return None
+        return self.problem.child_bounds(partial, variable)
+
+    def _price(
+        self,
+        partial: dict[str, Any],
+        bounds_vec: Sequence[float] | None,
+        i: int,
+    ) -> float | None:
+        """Bound of ``partial`` (its last variable set to domain value
+        ``i``), or ``None`` when the child is infeasible."""
+        problem = self.problem
+        try:
+            if not problem.feasible(partial):
+                return None
+            if bounds_vec is not None:
+                return float(bounds_vec[i])
+            if problem.lower_bound is not None:
+                return problem.lower_bound(partial)
+            return float("-inf")
+        except Infeasible:
+            # constraints and bounds may signal infeasibility the
+            # same way objectives do; the subtree is dead either way
+            return None
+
+    def _prewarm(
+        self,
+        warm: Callable[[Sequence[Assignment]], None],
+        partial: dict[str, Any],
+        variable: Variable,
+        children: Sequence[tuple[float, Any]],
+    ) -> None:
+        """Hand every leaf under ``children`` whose bound beats the
+        current limit to ``warm`` (``frontier_evaluate``) in one batch.
+
+        ``children`` are values of ``variable``, the branching variable
+        of a leaf-grandparent; ``partial`` lacks it on entry and exit.
+        Leaves are priced with the calls the search loop makes, so the
+        batch holds exactly the leaves the loop can still reach (the
+        limit only tightens).  Neither node counts nor sync points
+        move.
+        """
+        leaf = self.problem.variables[-1]
+        limit = self.limit()
+        frontier: list[dict[str, Any]] = []
+        for bound, value in children:
+            if bound >= limit:
+                continue
+            partial[variable.name] = value
+            bounds_vec = self._bounds(partial, leaf)
+            for i, leaf_value in enumerate(leaf.domain):
+                partial[leaf.name] = leaf_value
+                b = self._price(partial, bounds_vec, i)
+                if b is not None and b < limit:
+                    frontier.append(dict(partial))
+            partial.pop(leaf.name, None)
+        partial.pop(variable.name, None)
+        if len(frontier) > 1:
+            warm(frontier)
+
     def dfs(self, partial: dict[str, Any], depth: int) -> bool:
         """Explore the subtree; returns True when fully exhausted."""
         problem = self.problem
-        if depth == len(problem.variables):
+        n_vars = len(problem.variables)
+        if depth == n_vars:
             try:
                 objective = problem.objective(partial)
             except Infeasible:
@@ -240,46 +314,33 @@ class _SearchState:
         variable = problem.variables[depth]
         # one vectorized call prices the whole sibling set; evaluated
         # before the loop because the partial is mutated in place below
-        bounds_vec: Sequence[float] | None = (
-            problem.child_bounds(partial, variable)
-            if problem.child_bounds is not None
-            else None
-        )
+        bounds_vec = self._bounds(partial, variable)
         children: list[tuple[float, Any]] = []
         for i, value in enumerate(variable.domain):
             partial[variable.name] = value
             self.nodes += 1
             self.maybe_sync()
-            try:
-                if not problem.feasible(partial):
-                    continue
-                if bounds_vec is not None:
-                    bound = float(bounds_vec[i])
-                elif problem.lower_bound is not None:
-                    bound = problem.lower_bound(partial)
-                else:
-                    bound = float("-inf")
-            except Infeasible:
-                # constraints and bounds may signal infeasibility the
-                # same way objectives do; the subtree is dead either way
-                continue
-            children.append((bound, value))
+            bound = self._price(partial, bounds_vec, i)
+            if bound is not None:
+                children.append((bound, value))
         partial.pop(variable.name, None)
 
         if self.cfg.child_order is not None:
             ordered = self.cfg.child_order(variable, children)
         else:
             ordered = sorted(children, key=lambda c: c[0])
-        if (
-            depth + 1 == len(problem.variables)
-            and problem.frontier_evaluate is not None
-        ):
-            # leaf frontier: batch-evaluate the siblings the loop below
-            # is about to descend into, warming the objective's memo in
-            # one vectorized pass.  Memo-warming only -- the hint's
-            # contract (see Problem.frontier_evaluate) guarantees the
-            # loop's objective() calls see bit-identical results, so
-            # the explored tree does not depend on this call.
+        # Leaf prewarm: batch-evaluate the leaves the search is about
+        # to reach, warming the objective's memo in one vectorized
+        # pass.  Memo-warming only -- the hint's contract (see
+        # Problem.frontier_evaluate) guarantees the leaves' objective()
+        # calls see bit-identical results, so the explored tree does
+        # not depend on it.  The lockstep engine pays off only on wide
+        # batches, so a leaf-grandparent warms all its surviving
+        # leaves at once as soon as a finite limit prunes them; a
+        # leaf-parent warms its own siblings only when no grandparent
+        # did (no limit yet, or a single variable).
+        warm = problem.frontier_evaluate
+        if warm is not None and depth + 1 == n_vars and not self._warmed:
             limit = self.limit()
             frontier = [
                 {**partial, variable.name: value}
@@ -287,13 +348,19 @@ class _SearchState:
                 if bound < limit
             ]
             if len(frontier) > 1:
-                problem.frontier_evaluate(frontier)
+                warm(frontier)
+        grand_warm = warm if depth + 2 == n_vars else None
+        if grand_warm is not None:
+            self._warmed = False
         exhausted = True
-        for bound, value in ordered:
+        for k, (bound, value) in enumerate(ordered):
             if self.budget_exceeded():
                 return False
             if bound >= self.limit():
                 continue  # pruned subtrees are still fully accounted for
+            if grand_warm is not None and not self._warmed and self.limit() < _INF:
+                self._prewarm(grand_warm, partial, variable, ordered[k:])
+                self._warmed = True
             partial[variable.name] = value
             if not self.dfs(partial, depth + 1):
                 exhausted = False

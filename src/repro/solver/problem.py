@@ -65,9 +65,11 @@ class Problem:
         scalar path.
     frontier_evaluate:
         Optional batched-evaluation hint for the solver's leaf
-        frontiers: called with the complete sibling assignments the
-        search is about to descend into, it may pre-compute their
-        objectives in one vectorized pass (warming whatever memo
+        frontiers: called with complete assignments the search may
+        still reach -- one leaf-parent's children, or every surviving
+        leaf under a leaf-grandparent's remaining children, so one
+        batch can span several leaf-parents -- it may pre-compute
+        their objectives in one vectorized pass (warming whatever memo
         ``objective`` consults) but must not return anything the
         search acts on.  The contract is *invisibility*: for every
         assignment in the batch, a later ``objective`` call must

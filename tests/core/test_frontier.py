@@ -10,14 +10,18 @@ reference **bit for bit** -- scalars, per-item timings, and the type
 random formulations, every real platform (including the 4-DSA
 ``matcha`` with the ``vit_tiny`` transformer), and the adversarial
 paths: memo eviction mid-frontier, singleton frontiers, duplicate
-members, all-infeasible frontiers -- plus the solver-level guarantee
-that the leaf-frontier prewarm hook leaves the B&B tree untouched.
+members, all-infeasible frontiers, frontiers split across several
+lockstep batches, slowdown-cache entries read across paths -- plus
+the solver-level guarantee that the leaf prewarm hook leaves the B&B
+tree untouched.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
+import numpy as np
 import pytest
 
 from repro.core.evalcache import EvalEngine
@@ -26,7 +30,7 @@ from repro.core.haxconn import HaXCoNN, enumerate_assignments
 from repro.core.workload import Workload
 from repro.profiling.database import ProfileDB
 from repro.soc.platform import get_platform
-from repro.solver import BranchAndBound
+from repro.solver import BranchAndBound, PortfolioSolver
 from tests.core.test_evalcache import (
     ACCELS,
     assert_identical,
@@ -37,6 +41,15 @@ from tests.core.test_evalcache import (
 )
 
 SEEDS = range(64)
+
+
+@pytest.fixture
+def lockstep_from_two(monkeypatch):
+    """Lockstep from two pending members on, whatever the tuned
+    minimum: the byte-identity wall targets the lockstep path."""
+    from repro.core import frontier
+
+    monkeypatch.setattr(frontier, "MIN_LOCKSTEP", 2)
 
 
 def frontier_outcomes(form_or_engine, batch, **kwargs):
@@ -53,7 +66,7 @@ def frontier_outcomes(form_or_engine, batch, **kwargs):
 
 # -- seeded differential wall: frontier == scalar == scratch -----------
 @pytest.mark.parametrize("seed", SEEDS)
-def test_frontier_matches_scalar_and_scratch_bitwise(seed):
+def test_frontier_matches_scalar_and_scratch_bitwise(seed, lockstep_from_two):
     """One batch vs per-member evaluate vs from-scratch, bit for bit.
 
     The sequence mixes sibling rewrites, duplicates, and infeasible
@@ -73,6 +86,8 @@ def test_frontier_matches_scalar_and_scratch_bitwise(seed):
     counters = front_form.engine.counters
     assert counters.frontier_batches == 1
     assert counters.frontier_members == len(sequence)
+    if form.resource_constrained:
+        assert counters.frontier_lockstep > 0
 
     # a second pass over the same frontier is all memo hits -- and
     # still bit-identical
@@ -91,7 +106,9 @@ def test_frontier_matches_scalar_and_scratch_bitwise(seed):
 
 # -- adversarial paths --------------------------------------------------
 @pytest.mark.parametrize("seed", (0, 3, 8, 11, 17, 23, 31, 42))
-def test_memo_eviction_mid_frontier_preserves_identity(seed):
+def test_memo_eviction_mid_frontier_preserves_identity(
+    seed, lockstep_from_two
+):
     """A capacity-2 memo evicts while the frontier's own results are
     being inserted; every member must still match scratch exactly."""
     form, rng = random_formulation(seed)
@@ -123,7 +140,7 @@ def test_singleton_frontiers(seed):
 
 
 @pytest.mark.parametrize("seed", (2, 7, 19))
-def test_duplicate_members_share_one_evaluation(seed):
+def test_duplicate_members_share_one_evaluation(seed, lockstep_from_two):
     """Duplicates inside a frontier dedup onto one computation and
     every slot receives the identical result."""
     form, rng = random_formulation(seed)
@@ -169,6 +186,104 @@ def test_frontier_rejects_malformed_members():
         clone(form).evaluate_frontier([good[:1]])
 
 
+# -- chunked lockstep batches and the shared slowdown cache ------------
+def _distinct_members(form, count):
+    """The first ``count`` distinct complete assignments (product order)."""
+    domains = [
+        list(itertools.product(ACCELS, repeat=len(p))) for p in form.profiles
+    ]
+    members = [list(m) for m in itertools.islice(itertools.product(*domains), count)]
+    assert len(members) == count
+    return members
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3, 12))
+def test_chunked_frontier_matches_scratch_bitwise(seed, monkeypatch):
+    """A frontier wider than one lockstep batch runs as several
+    batches; with an infeasible member on each side of the first
+    boundary and a duplicate whose first copy sits before it and whose
+    repeat sits after it, every slot still equals ``evaluate_scratch``
+    field for field."""
+    from repro.core import frontier
+
+    monkeypatch.setattr(frontier, "MIN_LOCKSTEP", 4)
+    monkeypatch.setattr(frontier, "CELLS", 0)  # batches of MIN_LOCKSTEP
+    sizes = []
+    lockstep = frontier._lockstep
+
+    def recording(engine, keys, *args):
+        sizes.append(len(keys))
+        return lockstep(engine, keys, *args)
+
+    monkeypatch.setattr(frontier, "_lockstep", recording)
+
+    form, _rng = random_formulation(seed)
+    assert form.resource_constrained  # the lockstep path applies
+    distinct = _distinct_members(form, 14)
+    bad = [("nsp",) * len(p) for p in form.profiles]
+    n = clone(form).engine._n_items
+    cut = frontier._chunks(len(distinct), n)[0][1]
+    distinct[cut - 1] = [bad[0], *distinct[cut - 1][1:]]
+    distinct[cut] = [*distinct[cut][:-1], bad[-1]]
+    batch = distinct[: cut + 1] + [distinct[cut - 2]] + distinct[cut + 1 :]
+
+    ref = outcomes(clone(form).evaluate_scratch, batch)
+    assert [o[0] for o in ref].count("err") >= 2
+    front_form = clone(form)
+    got = frontier_outcomes(front_form, batch)
+    assert_identical(got, ref, items_every=1)
+    assert sizes == [hi - lo for lo, hi in frontier._chunks(len(distinct), n)]
+    assert len(sizes) >= 2
+    assert front_form.engine.counters.frontier_lockstep == len(distinct)
+
+
+def _cached_matrices(engine):
+    """Every slowdown-cache entry with its decoded overlap structure."""
+    for (k, act, bw), vals in list(engine._s_cache._data.items()):
+        active = np.frombuffer(act, dtype=bool).reshape(k, -1)
+        yield active, np.frombuffer(bw), vals
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3, 12))
+def test_slowdown_cache_entries_shared_across_paths(seed, lockstep_from_two):
+    """A slowdown entry the lockstep path writes reads back on the
+    scalar path bit for bit, and the reverse: both store the active
+    cells of the same `_s_matrix` algebra."""
+    form, _rng = random_formulation(seed)
+    members = _distinct_members(form, 10)
+    ref = outcomes(clone(form).evaluate_scratch, members)
+
+    for first, second in (("lockstep", "scalar"), ("scalar", "lockstep")):
+        writer = EvalEngine(clone(form))
+        if first == "lockstep":
+            writer.evaluate_frontier(members)
+            assert writer.counters.frontier_lockstep == len(members)
+        else:
+            outcomes(writer.evaluate, members)
+        entries = list(_cached_matrices(writer))
+        assert entries
+        for active, bw, vals in entries:
+            dense = (
+                writer._s_matrix(active, bw)
+                if first == "lockstep"
+                else writer._s_matrix_many([active], [bw])[0]
+            )
+            assert vals.tobytes() == dense[active].tobytes()
+
+        # a second engine (cold memo) reading the writer's cache
+        reader = EvalEngine(clone(form))
+        reader._s_cache = writer._s_cache
+        if second == "scalar":
+            got = outcomes(reader.evaluate, members)
+        else:
+            got = frontier_outcomes(reader, members)
+            assert reader.counters.frontier_lockstep == len(members)
+        assert_identical(got, ref, items_every=1)
+        c = reader.counters
+        assert c.slowdown_queries > 0
+        assert c.slowdown_cache_hits == c.slowdown_queries
+
+
 # -- real platforms, including matcha + vit_tiny ------------------------
 REAL_CASES = (
     ("xavier", ("alexnet", "resnet18")),
@@ -184,7 +299,7 @@ REAL_CASES = (
     REAL_CASES,
     ids=[f"{p}-{'+'.join(m)}" for p, m in REAL_CASES],
 )
-def test_real_platform_frontiers(platform_name, models):
+def test_real_platform_frontiers(platform_name, models, lockstep_from_two):
     """Profiled workloads on every platform class: a genuine sibling
     frontier (stream 0 sweeps its candidates) matches scratch and the
     scalar engine bit for bit."""
@@ -215,6 +330,54 @@ def test_real_platform_frontiers(platform_name, models):
 
 
 # -- solver invisibility ------------------------------------------------
+def _reverse_bound_order(variable, children):
+    """A non-default value ordering (worst bound first)."""
+    return sorted(children, key=lambda c: -c[0])
+
+
+def _first_feasible(problem):
+    """A deliberately mediocre warm start: the first feasible leaf."""
+    for values in itertools.product(*(v.domain for v in problem.variables)):
+        leaf = {v.name: x for v, x in zip(problem.variables, values)}
+        if problem.feasible(leaf):
+            try:
+                problem.objective(leaf)
+            except ScheduleInfeasible:
+                continue
+            return leaf
+    raise AssertionError("no feasible leaf")
+
+
+#: (case id, solver set-up) on a three-stream mix, whose
+#: leaf-grandparents sit below the root
+THREE = ("fcn_resnet18", "resnet18", "resnet50")
+SEARCH_SETUPS = (
+    ("three-stream", "plain"),
+    ("initial", "initial"),
+    ("node-budget", "budget"),
+    ("child-order", "order"),
+    ("portfolio-serial", "portfolio"),
+)
+
+
+def _solve(problem, setup, budget):
+    if setup == "initial":
+        return BranchAndBound().solve(
+            problem, initial=_first_feasible(problem)
+        )
+    if setup == "budget":
+        return BranchAndBound(node_budget=budget).solve(problem)
+    if setup == "order":
+        return BranchAndBound(child_order=_reverse_bound_order).solve(
+            problem
+        )
+    if setup == "portfolio":
+        return PortfolioSolver(
+            workers=3, backend="serial", clock="nodes", sync_every=8, seed=1
+        ).solve(problem)
+    return BranchAndBound().solve(problem)
+
+
 @pytest.mark.parametrize("objective", ("latency", "throughput", "energy"))
 def test_bnb_tree_identical_with_and_without_frontier_hint(
     xavier, xavier_db, objective
@@ -223,21 +386,58 @@ def test_bnb_tree_identical_with_and_without_frontier_hint(
     must reproduce the same tree: node count, incumbent objectives
     and assignments, certified optimum -- the mirror of the
     ``child_bounds`` invisibility test."""
+    _assert_hint_invisible(
+        xavier, xavier_db, objective, ("vgg16", "resnet50"), 6, 2, "plain"
+    )
+
+
+@pytest.mark.parametrize("objective", ("latency", "throughput", "energy"))
+@pytest.mark.parametrize(
+    "setup", [c[1] for c in SEARCH_SETUPS], ids=[c[0] for c in SEARCH_SETUPS]
+)
+def test_frontier_hint_invisible_across_search_setups(
+    xavier, xavier_db, objective, setup
+):
+    """The same invisibility on a three-stream mix under every way the
+    search can be driven: a leaf-grandparent below the root, a limit
+    that is finite from the start (seeded ``initial``), a truncated
+    search, a reordering hook and the portfolio's serial path (whose
+    sync points move the limit mid-loop)."""
+    _assert_hint_invisible(xavier, xavier_db, objective, THREE, 4, 1, setup)
+
+
+def _assert_hint_invisible(
+    xavier, xavier_db, objective, models, groups, transitions, setup
+):
     scheduler = HaXCoNN(
-        xavier, db=xavier_db, max_groups=3, max_transitions=1
+        xavier, db=xavier_db, max_groups=groups, max_transitions=transitions
     )
-    workload = Workload.concurrent(
-        "alexnet", "resnet18", objective=objective
-    )
+    workload = Workload.concurrent(*models, objective=objective)
     formulation, _ = scheduler.build_formulation(workload)
     problem = scheduler.build_problem(workload, formulation)
     assert problem.frontier_evaluate is not None
-    scalar = dataclasses.replace(problem, frontier_evaluate=None)
+    batches = []
 
-    fast = BranchAndBound().solve(problem)
-    slow = BranchAndBound().solve(scalar)
+    def recording(assignments):
+        batches.append([dict(a) for a in assignments])
+        problem.frontier_evaluate(assignments)
 
-    assert fast.optimal and slow.optimal
+    # the scalar side runs on its own formulation, so the hinted run
+    # cannot lean on memo entries it left behind
+    fresh_form, _ = scheduler.build_formulation(workload)
+    scalar = dataclasses.replace(
+        scheduler.build_problem(workload, fresh_form), frontier_evaluate=None
+    )
+    # a budget that cuts the search roughly in half
+    budget = BranchAndBound().solve(scalar).nodes_explored // 2
+    slow = _solve(scalar, setup, budget)
+    fast = _solve(
+        dataclasses.replace(problem, frontier_evaluate=recording),
+        setup,
+        budget,
+    )
+
+    assert fast.optimal == slow.optimal == (setup != "budget")
     assert fast.nodes_explored == slow.nodes_explored
     assert fast.best is not None and slow.best is not None
     assert fast.best.objective == slow.best.objective
@@ -248,8 +448,16 @@ def test_bnb_tree_identical_with_and_without_frontier_hint(
     assert [i.assignment for i in fast.incumbents] == [
         i.assignment for i in slow.incumbents
     ]
-    # the hint actually ran: the engine saw at least one batch
+    # the hint actually ran, and at least one batch spanned several
+    # leaf-parents (a leaf-grandparent's prewarm)
     assert formulation.engine.counters.frontier_batches > 0
+    leaf = problem.variables[-1].name
+    parents_per_batch = [
+        len({tuple(sorted((k, v) for k, v in a.items() if k != leaf))
+             for a in batch})
+        for batch in batches
+    ]
+    assert max(parents_per_batch) >= 2, parents_per_batch
 
 
 def test_frontier_counters_in_stats():
