@@ -17,7 +17,7 @@ analyzed code is never imported):
    HAX101..HAX104, each finding carrying the full call chain;
 3. **shm/gossip protocol checker** (:mod:`.protocol`) -- per-function
    abstract state machine over the ring API (HAX110) and merge-order
-   discipline at ``SharedEvalState.merge`` sites (HAX111).
+   discipline at gossip ``merge`` sites (HAX111).
 
 The CLI entry point is ``haxconn flow``; CI runs it against the
 checked-in ``tools/flow_baseline.json``, the single exception list

@@ -20,7 +20,7 @@ analyzed code (analyzing a module must not execute it):
   referenced function -- workers and callbacks stay reachable even
   though no direct call expression exists;
 * nested functions and lambdas are **inlined** into their enclosing
-  function: a closure like the portfolio worker's ``on_incumbent`` is
+  function: a closure like the anytime solver's ``on_incumbent`` is
   analyzed as part of the function that defines it, which matches how
   its effects escape;
 * each module body (class bodies included, function bodies excluded)

@@ -21,8 +21,8 @@ publication contract:
   receiver, so a post-enqueue mutation is visible on one transport
   and not the other (``mutate-after-enqueue``).
 
-HAX111 guards the gossip merge contract: ``SharedEvalState.merge``
-must be driven in an order derived from the worker/shard index, never
+HAX111 guards the gossip merge contract: a gossip ``merge`` must be
+driven in an order derived from the worker/shard index, never
 from a hash-ordered set or completion order (``as_completed``) --
 merge order feeds the byte-identity contract across backends.
 

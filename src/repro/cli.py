@@ -30,10 +30,10 @@ Subcommands
     (:mod:`repro.learn`): ``train`` fits the branch-ordering and
     warm-start-quality models on the store's schedules and writes the
     bundle back as a ``model`` record; ``stats`` summarizes the
-    training corpus; ``eval`` races the guided vs unguided portfolio
-    on held-out fuzz scenarios under the virtual node clock and
-    reports the TTFI / tt5% speedups (exits non-zero if any scenario
-    misses its certified optimum).
+    training corpus; ``eval`` races the guided vs the unguided
+    anytime solver on held-out fuzz scenarios under the virtual node
+    clock and reports the TTFI / tt5% speedups (exits non-zero if any
+    scenario misses its certified optimum).
 ``haxconn store gc|stats PATH``
     Solve-store maintenance: ``gc`` compacts the JSONL log in place
     (drops superseded schedule/model records and duplicate lines,
@@ -125,18 +125,12 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     from repro.runtime import run_schedule
     from repro.soc import get_platform
 
-    if _below_floor(
-        ("--max-transitions", args.max_transitions, 0),
-        ("--workers", args.workers, 1),
-    ):
+    if _below_floor(("--max-transitions", args.max_transitions, 0)):
         return 2
     platform = get_platform(args.platform)
     workload = Workload.concurrent(*args.models, objective=args.objective)
     scheduler = HaXCoNN(
-        platform,
-        max_transitions=args.max_transitions,
-        solver=args.solver,
-        solver_workers=args.workers,
+        platform, max_transitions=args.max_transitions, solver=args.solver
     )
     result = scheduler.schedule(workload)
     print(result.schedule.describe())
@@ -176,7 +170,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ("--sync-rounds", args.sync_rounds, 1),
         ("--max-lag", args.max_lag, 0),
         ("--max-transitions", args.max_transitions, 0),
-        ("--workers", args.workers, 1),
     ):
         return 2
     try:
@@ -222,7 +215,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 db=db,
                 max_transitions=args.max_transitions,
                 solver=args.solver,
-                solver_workers=args.workers,
                 # the fleet's cross-backend byte-identity needs
                 # virtual incumbent timestamps, not wall-clock ones
                 solver_clock=(
@@ -342,7 +334,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if _below_floor(
         ("--max-transitions", args.max_transitions, 0),
-        ("--workers", args.workers, 1),
         ("--random", args.random, 1),
     ):
         return 2
@@ -362,10 +353,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     platform = get_platform(args.platform)
     workload = Workload.concurrent(*args.models, objective=args.objective)
     scheduler = HaXCoNN(
-        platform,
-        max_transitions=args.max_transitions,
-        solver=args.solver,
-        solver_workers=args.workers,
+        platform, max_transitions=args.max_transitions, solver=args.solver
     )
     result = scheduler.schedule(workload)
     print(result.schedule.describe())
@@ -390,7 +378,7 @@ def _verify_random(args: argparse.Namespace) -> int:
         "exhaustive": lambda p: solve_exhaustive(p),
         "bnb": lambda p: BranchAndBound().solve(p),
         "portfolio": lambda p: PortfolioSolver(
-            workers=2, backend="serial", clock="nodes", node_budget=20_000
+            clock="nodes", node_budget=20_000
         ).solve(p),
     }
     failures = 0
@@ -519,7 +507,8 @@ def _cmd_learn(args: argparse.Namespace) -> int:
             + (guide.bundle.sig if guide is not None else "absent")
         )
         return 0
-    # eval: race guided vs unguided portfolios on held-out scenarios
+    # eval: race the guided vs the unguided anytime solver on
+    # held-out scenarios
     from repro.learn.evalrace import guidance_race
 
     try:
@@ -532,7 +521,6 @@ def _cmd_learn(args: argparse.Namespace) -> int:
             store,
             seeds,
             limit=args.limit,
-            workers=args.workers,
             verify=True,
         )
     except ValueError as exc:
@@ -680,14 +668,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--solver",
         choices=("bnb", "portfolio"),
         default="bnb",
-        help="single-threaded branch and bound, or the parallel "
-        "anytime portfolio",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="portfolio worker count (default: CPU count, capped at 4)",
+        help="plain branch and bound, or the warm-started anytime "
+        "solver",
     )
     p.add_argument(
         "--gantt", action="store_true", help="render an ASCII timeline"
@@ -725,13 +707,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--solver",
         choices=("bnb", "portfolio"),
         default="bnb",
-        help="anytime solver driving the haxconn policy",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="portfolio worker count (default: CPU count, capped at 4)",
+        help="solver driving the haxconn policy: plain branch and "
+        "bound, or the warm-started anytime solver",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -789,7 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="after the run, retrain the learned search-guidance "
         "models on the (updated) solve store so the next run's "
-        "portfolio starts warmer",
+        "anytime solver starts warmer",
     )
     p.set_defaults(fn=_cmd_serve)
 
@@ -812,7 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--solver", choices=("bnb", "portfolio"), default="bnb"
     )
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument(
         "--random",
         type=int,
@@ -860,7 +836,8 @@ def build_parser() -> argparse.ArgumentParser:
         "action",
         choices=("train", "stats", "eval"),
         help="train models on the store, summarize the corpus, or "
-        "race guided vs unguided portfolios on held-out scenarios",
+        "race the guided vs the unguided anytime solver on held-out "
+        "scenarios",
     )
     p.add_argument(
         "--store",
@@ -886,12 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help="fewest stored schedules worth training on",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=3,
-        help="portfolio worker count for the eval race",
     )
     p.set_defaults(fn=_cmd_learn)
 

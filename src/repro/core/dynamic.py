@@ -88,7 +88,7 @@ class DHaXCoNN:
     """Dynamic scheduler driver around an anytime :class:`HaXCoNN`.
 
     The anytime solver is the wrapped scheduler's: configure it there
-    (``HaXCoNN(solver=..., solver_workers=...)``).
+    (``HaXCoNN(solver=..., solver_clock=...)``).
     """
 
     def __init__(

@@ -1,6 +1,6 @@
 """Incremental, memoized schedule evaluation engine (the solver hot path).
 
-Every node the branch-and-bound / portfolio solvers expand pays one
+Every node the branch-and-bound / anytime solvers expand pays one
 :meth:`Formulation.evaluate`; D-HaX-CoNN and the serving layer re-solve
 mixes online, so evaluation throughput bounds time-to-first-incumbent
 (paper Fig. 7).  :class:`EvalEngine` makes the canonical evaluation
@@ -31,9 +31,9 @@ path fast **without changing a single bit of its results**:
   cells only (every other cell is 1.0), about a tenth of the dense
   matrix.
 * a bounded, signature-keyed memo table (assignment -> objective /
-  per-DNN latencies / iteration count) shared read-mostly across
-  portfolio workers through the epoch-sync protocol
-  (:class:`MemoTable.export_delta` / :meth:`MemoTable.merge`).
+  per-DNN latencies / iteration count) that the serving layer seeds
+  from the solve store and peer gossip (:meth:`MemoTable.merge`) and
+  harvests back after a solve (:meth:`MemoTable.export_all`).
   Memo entries store scalars only; ``EvaluationResult.items`` is
   re-materialized lazily on the rare occasions it is read.
 
@@ -41,13 +41,12 @@ Every evaluation restarts the damped contention fixed point from
 ``slow = 1`` exactly like the reference implementation: a
 warm-started fixed point stopped by a step tolerance is
 path-dependent (~1e-4 relative), which would break the repo's
-byte-identity contracts (portfolio-vs-bnb equality, memo purity, the
+byte-identity contracts (anytime-vs-bnb equality, memo purity, the
 certificate checker).
 
-Thread backends share one engine: all caches hold *pure* values
-(identical no matter which thread computed them), so races can only
-cost a duplicated computation, never change a result.  Counters are
-best-effort under threads (they are metrics, not results).
+All caches hold *pure* values (identical no matter which solve
+computed them), so a cache hit can only save a computation, never
+change a result.
 """
 
 from __future__ import annotations
@@ -130,13 +129,12 @@ class EvalCounters:
 class MemoTable:
     """Bounded FIFO assignment -> evaluation-scalars memo.
 
-    Values are pure (bit-identical to recomputation), so sharing
-    entries between portfolio workers can change *speed* but never a
-    result.  Insertion-order (FIFO) eviction rather than LRU: there is
-    no read-side mutation, which keeps concurrent readers safe under
-    the threads backend.  :meth:`export_delta` / :meth:`merge` are the
-    epoch-sync piggyback protocol (deltas are plain tuples, picklable
-    across the fork backend's queues).
+    Values are pure (bit-identical to recomputation), so entries
+    seeded from the solve store or peer shards can change *speed* but
+    never a result.  Insertion-order (FIFO) eviction rather than LRU.
+    :meth:`merge` adopts seeded entries and :meth:`export_all`
+    snapshots the table for persistence (entries are plain tuples,
+    picklable across the fleet's fork queues).
     """
 
     def __init__(self, capacity: int = 16384) -> None:
@@ -144,8 +142,6 @@ class MemoTable:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._data: dict[Any, MemoEntry] = {}
-        #: locally-computed entries not yet exported to peers
-        self._pending: list[tuple[Any, MemoEntry]] = []
 
     def __len__(self) -> int:
         return len(self._data)
@@ -157,41 +153,21 @@ class MemoTable:
         return self._data.get(key)
 
     def _evict(self, keep: Any) -> None:
-        # best-effort under concurrent writers: a racing eviction can
-        # only shrink the cache, never corrupt an entry
         while len(self._data) > self.capacity:
-            try:
-                oldest = next(iter(self._data))
-                if oldest == keep:
-                    break
-                del self._data[oldest]
-            except (StopIteration, KeyError, RuntimeError):
+            oldest = next(iter(self._data))
+            if oldest == keep:
                 break
+            del self._data[oldest]
 
     def put(self, key: Any, value: MemoEntry) -> None:
         if key in self._data:
             return
         self._data[key] = value
-        self._pending.append((key, value))
         self._evict(key)
 
-    # -- cross-worker sharing (portfolio epoch sync) -------------------
-    def export_delta(
-        self, limit: int = 256
-    ) -> tuple[tuple[Any, MemoEntry], ...]:
-        """Drain up to ``limit`` locally-new entries for peers.
-
-        Bounding the chunk bounds the sync-message size; the remainder
-        goes out with the next epoch.
-        """
-        if not self._pending:
-            return ()
-        out = tuple(self._pending[:limit])
-        del self._pending[: len(out)]
-        return out
-
+    # -- seeding and persistence ----------------------------------------
     def merge(self, delta: Sequence[tuple[Any, MemoEntry]]) -> None:
-        """Adopt peer entries; never re-exported (no echo loops)."""
+        """Adopt entries computed elsewhere (solve store, peer shards)."""
         for key, value in delta:
             if key not in self._data:
                 self._data[key] = value
@@ -202,12 +178,10 @@ class MemoTable:
     ) -> tuple[tuple[Any, MemoEntry], ...]:
         """Snapshot of the newest ``limit`` entries (all when None).
 
-        Unlike :meth:`export_delta` this does not drain ``_pending``:
-        it is the persistence path (the serving layer harvests a
-        solve's memo into the solve store), not the epoch-sync path,
-        and the two must not steal each other's entries.  The *newest*
-        entries are kept because they are the ones computed near
-        convergence -- the densest warm-start value per byte.
+        The persistence path: the serving layer harvests a solve's
+        memo into the solve store.  The *newest* entries are kept
+        because they are the ones computed near convergence -- the
+        densest warm-start value per byte.
         """
         items = list(self._data.items())
         if limit is not None and limit >= 0 and len(items) > limit:
@@ -235,13 +209,10 @@ class _FIFOCache:
             return
         self._data[key] = value
         while len(self._data) > self.capacity:
-            try:
-                oldest = next(iter(self._data))
-                if oldest == key:
-                    break
-                del self._data[oldest]
-            except (StopIteration, KeyError, RuntimeError):
+            oldest = next(iter(self._data))
+            if oldest == key:
                 break
+            del self._data[oldest]
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -1014,8 +985,7 @@ class EvalEngine:
         # duplicate bounds only add zero-length intervals, which the
         # dur filter below drops, so the kept (a, b) pairs -- and
         # everything derived from them -- are identical, at a fraction
-        # of the cost (local buffer: thread-safe under the portfolio's
-        # threads backend, in-place sort)
+        # of the cost (local buffer, in-place sort)
         n = len(start)
         bounds = np.empty(2 * n)
         bounds[:n] = start

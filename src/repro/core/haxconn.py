@@ -131,20 +131,27 @@ class HaXCoNN:
     node_budget:
         Explored-node budget per search (deterministic truncation).
     solver:
-        ``"bnb"`` (single-threaded branch and bound, the default) or
-        ``"portfolio"`` (the parallel anytime portfolio of
-        :mod:`repro.solver.portfolio`, seeded with the best
-        contention-oblivious baselines and any caller warm starts).
-    solver_workers / solver_seed / solver_backend / solver_clock:
-        Portfolio configuration, ignored for ``"bnb"``; see
+        ``"bnb"`` (plain branch and bound, the default) or
+        ``"portfolio"`` (the anytime solver of
+        :mod:`repro.solver.portfolio`: one branch and bound seeded
+        with the best contention-oblivious baseline or caller warm
+        start, greedily improved).
+    solver_clock:
+        Timestamp mode of the anytime solver (``"wall"`` or
+        ``"nodes"``), ignored for ``"bnb"``; see
         :class:`~repro.solver.portfolio.PortfolioSolver`.
+    solver_workers / solver_backend:
+        Accepted for old callers and ignored: the anytime solver runs
+        one search in-process.  ``solver_backend`` accepts only
+        ``"serial"`` and ``solver_workers`` only ``None`` or a count
+        ``>= 1``; anything else raises :class:`ValueError`, because
+        the parallel strategy race they once configured is gone.
     guide:
         Optional store-trained :class:`~repro.learn.guide.SearchGuide`.
-        With the portfolio solver it adds learned root seeds and the
-        ``learned`` strategy (branch ordering by predicted fragment
-        quality); guidance only reorders search, so the certified
-        optimum is identical with or without it.  Ignored by plain
-        ``bnb``.
+        With the anytime solver it adds learned root seeds and orders
+        branches by predicted fragment quality; guidance only
+        reorders search, so the certified optimum is identical with
+        or without it.  Ignored by plain ``bnb``.
     """
 
     def __init__(
@@ -162,8 +169,7 @@ class HaXCoNN:
         node_budget: int | None = None,
         solver: str = "bnb",
         solver_workers: int | None = None,
-        solver_seed: int = 0,
-        solver_backend: str = "auto",
+        solver_backend: str = "serial",
         solver_clock: str = "wall",
         verify: bool = False,
         guide: "SearchGuide | None" = None,
@@ -186,11 +192,17 @@ class HaXCoNN:
             raise ValueError(
                 f"solver must be 'bnb' or 'portfolio', got {solver!r}"
             )
+        if solver_backend != "serial" or (
+            solver_workers is not None and solver_workers < 1
+        ):
+            raise ValueError(
+                f"solver_backend={solver_backend!r}, "
+                f"solver_workers={solver_workers!r}: the parallel "
+                "portfolio race is removed; the anytime solver runs one "
+                "search in-process (solver_backend='serial')"
+            )
         self.solver = solver
         self.verify = verify
-        self.solver_workers = solver_workers
-        self.solver_seed = solver_seed
-        self.solver_backend = solver_backend
         self.solver_clock = solver_clock
         self.guide = guide
         #: evaluation-engine counters, accumulated across every
@@ -475,65 +487,6 @@ class HaXCoNN:
             frontier_evaluate=frontier_evaluate,
         )
 
-    def dominance_reduced(
-        self, formulation: Formulation, problem: Problem
-    ) -> Problem | None:
-        """Heuristically reduced problem for portfolio *hunter* workers.
-
-        Per stream, drop every assignment weakly dominated in
-        (isolated chain time, per-accelerator busy time, chain energy)
-        by another assignment.  Contention couples streams, so a
-        dominated assignment can in principle be part of the true
-        optimum -- hunters searching this problem find good incumbents
-        fast but never certify optimality; exact workers on the full
-        problem do.  Returns ``None`` when nothing was reducible.
-        """
-        accel_names = self.platform.accelerator_names
-        variables = []
-        reduced_any = False
-        for n, var in enumerate(problem.variables):
-            metrics = []
-            for a in var.domain:
-                busy = formulation.busy_times(n, a)
-                metrics.append(
-                    (
-                        formulation.chain_time(n, a),
-                        formulation.chain_energy(n, a),
-                        *(busy.get(acc, 0.0) for acc in accel_names),
-                    )
-                )
-            keep = []
-            for i, a in enumerate(var.domain):
-                dominated = False
-                for j in range(len(var.domain)):
-                    if j == i:
-                        continue
-                    better_eq = all(
-                        x <= y for x, y in zip(metrics[j], metrics[i])
-                    )
-                    # exact metric ties keep the earliest value only
-                    if better_eq and (metrics[j] != metrics[i] or j < i):
-                        dominated = True
-                        break
-                if not dominated:
-                    keep.append(a)
-            if not keep:  # defensive; a non-dominated value always exists
-                keep = list(var.domain)
-            reduced_any = reduced_any or len(keep) < len(var.domain)
-            variables.append(Variable(var.name, tuple(keep)))
-        if not reduced_any:
-            return None
-        return Problem(
-            variables=variables,
-            objective=problem.objective,
-            constraints=problem.constraints,
-            lower_bound=problem.lower_bound,
-            # the table closure indexes by value, so reduced domains
-            # (subsets of the full ones) gather correctly
-            child_bounds=problem.child_bounds,
-            frontier_evaluate=problem.frontier_evaluate,
-        )
-
     def contention_oblivious_seeds(
         self,
         workload: Workload,
@@ -546,7 +499,7 @@ class HaXCoNN:
         ``best-isolated`` (each stream on its fastest single DSA by
         isolated chain time), and ``spread`` (streams rotated across
         accelerators, the naive-concurrent shape).  Only
-        domain-feasible uniform assignments are used, so the portfolio
+        domain-feasible uniform assignments are used, so the anytime
         root incumbent is never worse than the best of these.
         """
         gpu = self.platform.gpu.name
@@ -709,7 +662,7 @@ class HaXCoNN:
         ``initial`` optionally seeds the solver (D-HaX-CoNN starts
         from the best naive schedule).  ``warm_starts`` are labeled
         per-stream assignment seeds -- the schedule cache supplies
-        fragments from similar mixes -- consumed by the portfolio
+        fragments from similar mixes -- consumed by the anytime
         solver (silently unused by plain ``bnb``).  With
         ``serial_fallback`` (the default) the serialized GPU-only
         schedule is also evaluated, so the returned schedule is never
@@ -746,16 +699,9 @@ class HaXCoNN:
                     self, workload, formulation=formulation, problem=problem
                 )
             portfolio = PortfolioSolver(
-                workers=self.solver_workers,
                 node_budget=self.node_budget,
                 on_incumbent=on_incumbent,
-                seed=self.solver_seed,
-                backend=self.solver_backend,
                 clock=self.solver_clock,
-                # workers trade evaluation-memo entries at epoch syncs
-                # and the parent keeps the union, so D-HaX-CoNN's next
-                # re-solve of a similar mix starts memo-warm
-                shared_state=formulation.engine.memo,
                 guide=(
                     problem_guide.scores
                     if problem_guide is not None
@@ -786,12 +732,7 @@ class HaXCoNN:
                     (label, self.canonicalize_assignment(workload, guess))
                     for label, guess in problem_guide.synthesized_seeds()
                 )
-            result = portfolio.solve(
-                problem,
-                initial=seed,
-                seeds=seeds,
-                reduced=self.dominance_reduced(formulation, problem),
-            )
+            result = portfolio.solve(problem, initial=seed, seeds=seeds)
         else:
             solver = BranchAndBound(
                 node_budget=self.node_budget, on_incumbent=on_incumbent

@@ -1,13 +1,10 @@
-"""One epoch runtime for the solver portfolio and the serving fleet.
+"""The epoch runtime of the serving fleet's fork backend.
 
-Both parallel parts of the repo race workers through numbered
-*epochs*: a :class:`~repro.solver.portfolio.PortfolioSolver` worker
-syncs every ``sync_every`` explored nodes, a
-:class:`~repro.serve.fleet.Fleet` shard every ``sync_rounds`` served
-rounds.  At each sync a worker posts its epoch delta (memo entries,
-gossip) to the parent and blocks for a *grant* carrying the epoch
-unions it must merge before it may go on.  This module holds the one
-copy of that protocol:
+:class:`~repro.serve.fleet.Fleet` shards run as fork workers through
+numbered *epochs*: a shard syncs every ``sync_rounds`` served rounds,
+posts its epoch delta (schedule and memo gossip) to the parent and
+blocks for a *grant* carrying the epoch unions it must merge before it
+may go on.  This module holds that protocol:
 
 * :class:`EpochGate` -- pure bookkeeping, no I/O.  It records each
   ``(epoch, index)`` contribution, builds every epoch's union in
@@ -17,12 +14,11 @@ copy of that protocol:
   yet; that horizon is pinned to the worker's *own* epoch, never to
   how far its peers ran, so every merge sequence is a pure function
   of the workload and ``max_lag``.  Workers that finish stop gating.
-  ``max_lag = 0`` is the classic lockstep barrier: the portfolio race
-  runs at 0, the fleet at its configured lag.
-* :class:`WorkerPool` -- the one launcher: fork processes or threads
-  with their queues and (fork only) shared-memory delta rings, a
-  liveness-checked receive, and teardown that joins, terminates
-  leftovers, and unlinks every ring.
+  ``max_lag = 0`` is the classic lockstep barrier.
+* :class:`WorkerPool` -- the launcher: fork processes with their
+  queues and shared-memory delta rings, a liveness-checked receive,
+  and teardown that joins, terminates leftovers, and unlinks every
+  ring.
 * :class:`Link` -- a worker's end of the same protocol.
 
 Messages on the shared outbox are ``(kind, index, epoch, body,
@@ -35,8 +31,6 @@ their ``(epoch, index)`` tag.
 from __future__ import annotations
 
 import multiprocessing
-import queue
-import threading
 from dataclasses import dataclass
 from multiprocessing.connection import wait
 from types import TracebackType
@@ -57,11 +51,11 @@ GRANT, STOP = "grant", "stop"
 JOIN_TIMEOUT_S = 10.0
 
 
-def resolve_backend(backend: str, workers: int, *, fallback: str) -> str:
+def resolve_backend(backend: str, workers: int) -> str:
     """The backend a run actually uses.
 
     ``auto`` runs a single worker in-process (``serial``), several on
-    ``fork`` when it is available, else on ``fallback``.  Fork is
+    ``fork`` when it is available, else ``serial``.  Fork is
     unavailable without the start method, and inside a daemonic
     process (a fork worker itself), which may not have children.
     """
@@ -70,7 +64,7 @@ def resolve_backend(backend: str, workers: int, *, fallback: str) -> str:
         "fork" in multiprocessing.get_all_start_methods() and not daemonic
     )
     if backend == "auto":
-        return "serial" if workers == 1 else "fork" if fork_ok else fallback
+        return "fork" if workers > 1 and fork_ok else "serial"
     if backend == "fork" and not fork_ok:
         if daemonic:
             raise ValueError(
@@ -226,16 +220,14 @@ class Link:
 
 
 class WorkerPool:
-    """Launch one worker per index and carry the parent's side.
+    """Launch one fork worker per index and carry the parent's side.
 
-    ``target(link, *args[index])`` runs in a fork child (``backend=
-    'fork'``) or a thread (``'threads'``).  Fork children get a pair
-    of shared-memory delta rings each when the host has shared memory
-    (``transport`` is then ``shm``); without it payloads ride the
-    control queue (``inline``).  Use as a context manager: leaving it
-    joins every worker, terminates fork children still running (at
-    once when an exception is leaving), and closes and unlinks the
-    rings.
+    ``target(link, *args[index])`` runs in a fork child.  Each child
+    gets a pair of shared-memory delta rings when the host has shared
+    memory (``transport`` is then ``shm``); without it payloads ride
+    the control queue (``inline``).  Use as a context manager: leaving
+    it joins every worker, terminates children still running (at once
+    when an exception is leaving), and closes and unlinks the rings.
     """
 
     def __init__(
@@ -243,7 +235,6 @@ class WorkerPool:
         target: Callable[..., None],
         args: Mapping[int, tuple[Any, ...]],
         *,
-        backend: str,
         label: str,
     ) -> None:
         self.label = label
@@ -252,25 +243,17 @@ class WorkerPool:
         #: ring vs inline-fallback payload counts, both directions
         self.stats = {"ring": 0, "inline": 0}
         self._reported: set[int] = set()
-        self._reader: Any = None
-        if backend == "fork":
-            if shared_memory_available():  # before fork: children inherit
-                self.channels = {i: make_channel_pair() for i in self.indices}
-            self.transport = "shm" if self.channels else "inline"
-            ctx = multiprocessing.get_context("fork")
-            self.inboxes: dict[int, Any] = {
-                i: ctx.SimpleQueue() for i in self.indices
-            }
-            self.outbox: Any = ctx.SimpleQueue()
-            self._reader = self.outbox._reader
-            spawn: Callable[..., Any] = ctx.Process
-        else:
-            self.transport = "inproc"
-            self.inboxes = {i: queue.SimpleQueue() for i in self.indices}
-            self.outbox = queue.SimpleQueue()
-            spawn = threading.Thread
+        if shared_memory_available():  # before fork: children inherit
+            self.channels = {i: make_channel_pair() for i in self.indices}
+        self.transport = "shm" if self.channels else "inline"
+        ctx = multiprocessing.get_context("fork")
+        self.inboxes: dict[int, Any] = {
+            i: ctx.SimpleQueue() for i in self.indices
+        }
+        self.outbox: Any = ctx.SimpleQueue()
+        self._reader: Any = self.outbox._reader
         self.runners = {
-            i: spawn(
+            i: ctx.Process(
                 target=target,
                 args=(
                     Link(
@@ -304,29 +287,28 @@ class WorkerPool:
     def receive(self) -> tuple[Any, ...]:
         """Next outbox message, its delta decoded from the ring.
 
-        Under fork the wait also watches every unreported worker's
-        process sentinel: a worker that exits without posting ``done``
-        or ``error`` raises :class:`RuntimeError` naming it and its
-        exit code instead of blocking the parent forever.
+        The wait also watches every unreported worker's process
+        sentinel: a worker that exits without posting ``done`` or
+        ``error`` raises :class:`RuntimeError` naming it and its exit
+        code instead of blocking the parent forever.
         """
-        if self._reader is not None:
-            while not self._reader.poll():
-                silent = [i for i in self.indices if i not in self._reported]
-                ready = wait(
-                    [self._reader, *(self.runners[i].sentinel for i in silent)]
-                )
-                # a ready sentinel means that worker exited before the
-                # wait returned, so its last message, if any, is readable
-                if self._reader.poll():
-                    break
-                for i in silent:
-                    runner = self.runners[i]
-                    if runner.sentinel in ready:
-                        runner.join()
-                        raise RuntimeError(
-                            f"{self.label} {i} exited with code "
-                            f"{runner.exitcode} before reporting"
-                        )
+        while not self._reader.poll():
+            silent = [i for i in self.indices if i not in self._reported]
+            ready = wait(
+                [self._reader, *(self.runners[i].sentinel for i in silent)]
+            )
+            # a ready sentinel means that worker exited before the
+            # wait returned, so its last message, if any, is readable
+            if self._reader.poll():
+                break
+            for i in silent:
+                runner = self.runners[i]
+                if runner.sentinel in ready:
+                    runner.join()
+                    raise RuntimeError(
+                        f"{self.label} {i} exited with code "
+                        f"{runner.exitcode} before reporting"
+                    )
         msg: tuple[Any, ...] = self.outbox.get()
         kind, index, token = msg[0], msg[1], msg[3]
         if kind != SYNC:
@@ -349,18 +331,15 @@ class WorkerPool:
         self.inboxes[index].put((STOP,))
 
     def _close(self, *, abort: bool) -> None:
-        fork = self._reader is not None
         if abort:
             for i in self.indices:
-                if not fork:
-                    self.stop(i)  # unblock threads parked on their inbox
-                elif self.runners[i].is_alive():
+                if self.runners[i].is_alive():
                     self.runners[i].terminate()
         for i in self.indices:
             runner = self.runners[i]
             if runner.ident is not None:  # started
                 runner.join(timeout=JOIN_TIMEOUT_S)
-            if fork and runner.is_alive():
+            if runner.is_alive():
                 runner.terminate()
                 runner.join()
             if i in self.channels:

@@ -83,10 +83,10 @@ def schedule_from_payload(payload: Mapping[str, Any]) -> Schedule:
 class ScheduleCache:
     """Solve-once, toggle-forever schedule store.
 
-    Beyond local solve-and-memoize, the cache speaks the portfolio's
-    ``SharedEvalState`` piggyback protocol (:meth:`export_delta` /
-    :meth:`merge`) so serving shards exchange published schedules at
-    epoch boundaries, and it can sit on top of a persistent
+    Beyond local solve-and-memoize, the cache speaks the fleet's
+    gossip protocol (:meth:`export_delta` / :meth:`merge`) so serving
+    shards exchange published schedules at epoch boundaries, and it
+    can sit on top of a persistent
     :class:`~repro.core.solve_store.SolveStore` so schedules survive
     the process (:meth:`attach_store`).
     """
@@ -221,9 +221,9 @@ class ScheduleCache:
     ) -> tuple[tuple[str, dict[str, Any]], ...]:
         """Drain up to ``limit`` locally-published entries for peers.
 
-        The ``SharedEvalState`` shape the portfolio's epoch sync uses:
-        items are plain picklable tuples, bounded per epoch, and the
-        remainder rides the next sync.
+        The gossip shape the fleet's epoch sync uses: items are plain
+        picklable tuples, bounded per epoch, and the remainder rides
+        the next sync.
         """
         if not self._pending:
             return ()
@@ -283,7 +283,7 @@ class ScheduleCache:
         A stream that appeared in any cached concurrent schedule --
         under a *different* mix -- contributes its assignment there as
         a fragment; a seed assembles one fragment per stream.  The
-        portfolio solver validates each seed against the current
+        anytime solver validates each seed against the current
         domains (grouping or transition-budget changes simply drop
         it), so stale fragments are harmless.  Returns up to ``limit``
         labeled seeds in ``schedule(warm_starts=...)`` shape.

@@ -1,9 +1,8 @@
 """Shared-memory ring-buffer transport for epoch-sync payloads.
 
-The portfolio solver and the serving fleet exchange bulk epoch
-payloads -- evaluation-memo deltas and solve gossip -- between fork
-workers and the parent, through the one epoch runtime in
-:mod:`repro.core.parallel`.  Those payloads used to ride inside the
+The serving fleet exchanges bulk epoch payloads -- evaluation-memo
+fragments and solve gossip -- between fork shards and the parent,
+through the epoch runtime in :mod:`repro.core.parallel`.  Those payloads used to ride inside the
 control messages on :class:`multiprocessing.SimpleQueue`, which means
 every epoch serializes kilobytes through a pipe one ``write(2)`` /
 ``read(2)`` pair at a time.  :class:`ShmRing` moves the bulk bytes

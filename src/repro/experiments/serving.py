@@ -218,7 +218,7 @@ def make_fleet_policy_factory(
 ) -> Callable[[int], ServingPolicy]:
     """Per-shard policy factory for a deterministic fleet.
 
-    The scheduler runs the portfolio under its ``nodes`` clock so
+    The scheduler runs the anytime solver under its ``nodes`` clock so
     incumbents carry virtual timestamps -- the fleet's cross-backend
     byte-identity needs swap decisions that do not depend on wall
     time.  The factory is called inside each worker (fork or serial),
@@ -234,8 +234,6 @@ def make_fleet_policy_factory(
             max_groups=max_groups,
             max_transitions=max_transitions,
             solver="portfolio",
-            solver_workers=2,
-            solver_backend="serial",
             solver_clock="nodes",
             node_budget=node_budget,
         )

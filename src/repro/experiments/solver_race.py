@@ -1,16 +1,20 @@
-"""Solver race: portfolio vs. single-threaded branch and bound.
+"""Solver race: the anytime solver vs. plain branch and bound.
 
 The paper leans on Z3 converging to near-optimal schedules within ~2s
-(Section 3.5); this reproduction's equivalent lever is the parallel
-anytime portfolio of :mod:`repro.solver.portfolio`.  This experiment
-races both solvers on the 3-network scenario and reports the anytime
-profile that matters to D-HaX-CoNN and the serving layer:
+(Section 3.5); this reproduction's equivalent lever is the anytime
+solver of :mod:`repro.solver.portfolio` (a greedy-improved warm-start
+root, then one seeded branch and bound).  This experiment races it
+against unseeded branch and bound on the 3-network scenario and
+reports the anytime profile that matters to D-HaX-CoNN and the
+serving layer, in wall seconds and in explored nodes (root
+evaluations included):
 
-- ``first_s`` -- time to the first incumbent (when the runtime can
-  first leave the naive schedule),
-- ``tt5pct_s`` -- time until the active incumbent is within 5% of the
-  certified optimum (when the phase has effectively converged),
-- ``total_s`` -- time to certified optimality.
+- ``first_s`` / ``first_nodes`` -- to the first incumbent (when the
+  runtime can first leave the naive schedule),
+- ``tt5pct_s`` / ``tt5pct_nodes`` -- until the active incumbent is
+  within 5% of the certified optimum (when the phase has effectively
+  converged),
+- ``total_s`` / ``nodes`` -- to certified optimality.
 
 Run via ``haxconn experiment solver-race``.
 """
@@ -36,18 +40,27 @@ MAX_TRANSITIONS = 2
 
 
 def anytime_profile(
-    incumbents: list[Incumbent], optimum: float, *, within: float = 0.05
+    incumbents: list[Incumbent],
+    optimum: float,
+    *,
+    within: float = 0.05,
+    nodes: bool = False,
 ) -> tuple[float | None, float | None]:
-    """(time to first incumbent, time to within ``within`` of optimum)."""
-    first_s = incumbents[0].wall_time_s if incumbents else None
+    """(first incumbent, first incumbent within ``within`` of optimum),
+    as incumbent timestamps, or as explored-node counts with
+    ``nodes=True``."""
+
+    def at(i: Incumbent) -> float:
+        return i.nodes_explored if nodes else i.wall_time_s
+
+    first = at(incumbents[0]) if incumbents else None
     threshold = optimum * (1.0 + within) if optimum >= 0 else optimum * (
         1.0 - within
     )
     tt_within = next(
-        (i.wall_time_s for i in incumbents if i.objective <= threshold),
-        None,
+        (at(i) for i in incumbents if i.objective <= threshold), None
     )
-    return first_s, tt_within
+    return first, tt_within
 
 
 def nodes_to_optimal(incumbents: list[Incumbent]) -> int | None:
@@ -67,42 +80,22 @@ def race(
     *,
     max_groups: int = MAX_GROUPS,
     max_transitions: int = MAX_TRANSITIONS,
-    workers: int = 3,
-    seed: int = 0,
     guide: "SearchGuide | None" = None,
 ) -> list[dict[str, object]]:
     """Race the solvers on one workload; one result row per solver.
 
     With a store-trained ``guide`` (see :mod:`repro.learn`) a third
-    ``learned/N`` row races the guided portfolio -- same worker count,
-    same seed -- so its anytime profile is directly comparable to the
-    unguided portfolio row.
+    ``learned`` row runs the guided anytime solver, so its anytime
+    profile is directly comparable to the unguided ``anytime`` row.
     """
     db = get_db(platform)
     workload = Workload.concurrent(*models, objective="latency")
     configs: list[tuple[str, dict[str, object]]] = [
         ("bnb", {"solver": "bnb"}),
-        (
-            f"portfolio/{workers}",
-            {
-                "solver": "portfolio",
-                "solver_workers": workers,
-                "solver_seed": seed,
-            },
-        ),
+        ("anytime", {"solver": "portfolio"}),
     ]
     if guide is not None:
-        configs.append(
-            (
-                f"learned/{workers}",
-                {
-                    "solver": "portfolio",
-                    "solver_workers": workers,
-                    "solver_seed": seed,
-                    "guide": guide,
-                },
-            )
-        )
+        configs.append(("learned", {"solver": "portfolio", "guide": guide}))
     rows = []
     for label, kwargs in configs:
         scheduler = HaXCoNN(
@@ -120,6 +113,9 @@ def race(
         first_s, tt5 = anytime_profile(
             solve.incumbents, solve.best.objective
         )
+        first_nodes, tt5_nodes = anytime_profile(
+            solve.incumbents, solve.best.objective, nodes=True
+        )
         counters = scheduler.eval_counters.as_dict()
         rows.append(
             {
@@ -130,6 +126,8 @@ def race(
                 "first_s": first_s,
                 "tt5pct_s": tt5,
                 "total_s": elapsed,
+                "first_nodes": first_nodes,
+                "tt5pct_nodes": tt5_nodes,
                 "nodes": solve.nodes_explored,
                 "nodes_to_opt": nodes_to_optimal(solve.incumbents),
                 "evals": int(counters["evals"]),
@@ -155,6 +153,8 @@ def format_results(rows: list[dict[str, object]]) -> str:
             "first_s",
             "tt5pct_s",
             "total_s",
+            "first_nodes",
+            "tt5pct_nodes",
             "nodes",
             "nodes_to_opt",
             "evals",

@@ -10,7 +10,7 @@ between the independent paths is a bug somewhere:
     On small instances, full enumeration must reproduce B&B's optimum
     (and agree on infeasibility).
 ``portfolio-agreement``
-    The parallel anytime portfolio (serial backend, node clock --
+    The anytime solver (warm-started root plus one B&B, node clock --
     deterministic) must land on the same optimum, or at least a
     feasible incumbent no better than it.
 ``schedule-certificate``
@@ -240,9 +240,9 @@ def run_oracles(
                 )
 
     checks.append("portfolio-agreement")
-    portfolio = PortfolioSolver(
-        workers=2, backend="serial", clock="nodes", node_budget=50_000
-    ).solve(problem)
+    portfolio = PortfolioSolver(clock="nodes", node_budget=50_000).solve(
+        problem
+    )
     port_cert = verify_solve(problem, portfolio)
     if not port_cert.ok:
         flag("portfolio-agreement", port_cert.describe())

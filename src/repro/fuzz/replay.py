@@ -42,13 +42,11 @@ def tenants_for(spec: ScenarioSpec) -> tuple[Tenant, ...]:
     return tuple(tenants)
 
 
-def scenario_policy(
-    spec: ScenarioSpec, *, solver_clock: str = "nodes"
-) -> ServingPolicy:
+def scenario_policy(spec: ScenarioSpec) -> ServingPolicy:
     """A deterministic anytime policy for the scenario's platform.
 
-    ``solver_clock="nodes"`` keeps the portfolio's anytime trace a
-    pure function of explored nodes, which is what makes fleet replays
+    The ``nodes`` solver clock keeps the anytime trace a pure function
+    of explored nodes, which is what makes fleet replays
     byte-identical across the serial and fork backends.
     """
     platform = get_platform(spec.platform)
@@ -58,9 +56,7 @@ def scenario_policy(
         max_groups=spec.max_groups,
         max_transitions=1,
         solver="portfolio",
-        solver_workers=2,
-        solver_backend="serial",
-        solver_clock=solver_clock,
+        solver_clock="nodes",
         node_budget=50_000,
     )
     return CachedAnytimePolicy(scheduler)

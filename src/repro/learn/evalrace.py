@@ -1,8 +1,8 @@
 """Held-out guidance race: does the trained model actually help?
 
 ``haxconn learn eval`` (and the bench gate) measure guidance the only
-way that is honest about anytime behavior: race the *same* portfolio
-configuration twice on scenarios the store has never seen -- once
+way that is honest about anytime behavior: race the *same* anytime
+solver configuration twice on scenarios the store has never seen -- once
 unguided, once with the store-trained :class:`~repro.learn.guide.
 SearchGuide` -- under the deterministic virtual node clock, and
 compare
@@ -50,14 +50,13 @@ def _scheduler_for(
     spec: "ScenarioSpec",
     *,
     solver: str,
-    workers: int = 3,
     guide: SearchGuide | None = None,
 ) -> tuple["HaXCoNN", "Workload"]:
     """Hermetic scheduler + workload for one fuzz scenario.
 
-    ``max_transitions=1`` keeps domains small enough for volume;
-    ``clock="nodes"`` with the thread backend makes every reported
-    timestamp a pure function of the search trace.
+    ``max_transitions=1`` keeps domains small enough for volume; the
+    anytime solver's ``nodes`` clock makes every reported timestamp a
+    pure function of the search trace.
     """
     from repro.core.haxconn import HaXCoNN
     from repro.learn.corpus import _database
@@ -68,8 +67,6 @@ def _scheduler_for(
         max_groups=spec.max_groups,
         max_transitions=1,
         solver=solver,
-        solver_workers=workers,
-        solver_backend="threads" if solver == "portfolio" else "auto",
         solver_clock="nodes" if solver == "portfolio" else "wall",
         guide=guide,
     )
@@ -129,7 +126,7 @@ def build_seed_store(
 def _first_improvement(
     result: "ScheduleResult",
 ) -> tuple[float | None, float | None]:
-    """(best naive objective, TTFI) for one portfolio run.
+    """(best naive objective, TTFI) for one anytime-solver run.
 
     The best naive seed is the best *non-learned* warm start -- the
     baseline a serving layer would run before any solve -- so both the
@@ -186,12 +183,12 @@ def guidance_race(
     seeds: Iterable[int],
     *,
     limit: int = 6,
-    workers: int = 3,
     verify: bool = True,
     min_space: int = MIN_SPACE,
     max_space: int = MAX_SPACE,
 ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
-    """Race unguided vs guided portfolios on held-out scenarios.
+    """Race the unguided vs the guided anytime solver on held-out
+    scenarios.
 
     Scenarios whose workload signature is already in ``store`` are
     skipped (they would not be cold), as are scenarios where a naive
@@ -221,9 +218,7 @@ def guidance_race(
             break
         spec = generate_scenario(seed)
         try:
-            base_sched, workload = _scheduler_for(
-                spec, solver="portfolio", workers=workers
-            )
+            base_sched, workload = _scheduler_for(spec, solver="portfolio")
             if workload_signature(workload, base_sched) in known:
                 skipped["warm"] += 1
                 continue
@@ -236,7 +231,7 @@ def guidance_race(
                 continue
             base = base_sched.schedule(workload, verify=verify)
             lrn_sched, workload2 = _scheduler_for(
-                spec, solver="portfolio", workers=workers, guide=guide
+                spec, solver="portfolio", guide=guide
             )
             lrn = lrn_sched.schedule(workload2, verify=verify)
         except (Infeasible, KeyError, ValueError):

@@ -6,7 +6,7 @@ ModelBundle` and materializes, per ``(scheduler, workload)`` pair, a
 
 1. **Branch-ordering scores** -- ``scores[variable][value]`` is the
    branch model's probability that ``value`` is the stream's fragment
-   of the optimal schedule.  The portfolio's ``learned`` strategy
+   of the optimal schedule.  The anytime solver's ``learned_order``
    feeds these to ``bnb.dfs``'s ``child_order`` hook, which *reorders*
    feasible children only: bounds, pruning, and incumbent admission
    are untouched, so guidance changes when the optimum is found, never
@@ -19,8 +19,8 @@ ModelBundle` and materializes, per ``(scheduler, workload)`` pair, a
    seed_quality` scores a complete assignment, and
    :meth:`ProblemGuide.synthesized_seeds` proposes the
    argmax-per-stream assignment (plus one runner-up) as labeled root
-   seeds, letting the portfolio start its hunters near the predicted
-   optimum.  Seeds are ordinary warm starts: they are *evaluated* at
+   seeds, letting the anytime solver start its search near the
+   predicted optimum.  Seeds are ordinary warm starts: they are *evaluated* at
    the root like any other, so a wrong prediction costs one
    evaluation, never a wrong result.
 """
@@ -45,7 +45,7 @@ class ProblemGuide:
 
     ``scores`` is a plain ``dict`` of ``dict`` s keyed by variable
     name and domain value -- picklable and safely inherited by forked
-    portfolio workers.
+    fleet shards.
     """
 
     def __init__(self, ctx: FeatureContext, bundle: ModelBundle) -> None:

@@ -8,9 +8,7 @@ being capped by one loop.  Shards share solve work two ways:
 * **epoch gossip** -- shards synchronize at fixed round-count
   intervals (``sync_rounds``): every alive shard posts the solve
   artifacts it published this epoch (converged schedules,
-  evaluation-memo fragments -- the
-  :class:`~repro.solver.portfolio.SharedEvalState` piggyback
-  protocol, spoken by
+  evaluation-memo fragments -- the gossip protocol spoken by
   :meth:`~repro.serve.policy.ServingPolicy.export_delta` /
   :meth:`~repro.serve.policy.ServingPolicy.merge`), the parent builds
   each epoch's union in shard-index order and hands it back;
@@ -33,10 +31,9 @@ slowest peer, so barrier idle time collapses while every merge stays
 deterministic.  Shards that finish stop gating the pipeline and
 contribute no later deltas.  The gate, the worker launcher and the
 shared-memory transport are the epoch runtime of
-:mod:`repro.core.parallel`, which the solver portfolio's race runs on
-too (at ``max_lag = 0``).
+:mod:`repro.core.parallel`.
 
-Determinism contract (the fleet extension of the portfolio's): a
+Determinism contract: a
 shard's :class:`~repro.serve.slo.FleetReport` is a pure function of
 its seeded arrival stream, its policy configuration, and the merge
 sequence it observes at its epoch boundaries.  Epochs are counted in
@@ -45,8 +42,8 @@ shard-index) merge order plus the bounded-lag gate make that sequence
 independent of how fast any shard happens to run.  At a fixed seed
 and fixed ``max_lag`` a shard's report is therefore byte-identical
 across the fork and serial backends (provided the policy itself is
-deterministic -- e.g. the portfolio solver under its
-``nodes`` clock).  Wall-clock only appears in telemetry fields
+deterministic -- e.g. the anytime solver under its ``nodes``
+clock).  Wall-clock only appears in telemetry fields
 (:attr:`ShardOutcome.wall_s`, :attr:`ShardOutcome.idle_wall_s`,
 :attr:`ShardOutcome.first_hax_wall_s`) that stay out of the report.
 """
@@ -801,7 +798,7 @@ class Fleet:
     ) -> ShardedFleetReport:
         """Serve every request within ``horizon_s`` across all shards."""
         start = monotonic_s()
-        backend = resolve_backend(self.backend, self.shards, fallback="serial")
+        backend = resolve_backend(self.backend, self.shards)
         if self.transport == "shm" and not (
             backend == "fork" and shared_memory_available()
         ):
@@ -962,7 +959,6 @@ class Fleet:
                 sid: (self.platform, bucket, self.policy_factory, initial, config)
                 for sid, bucket in live
             },
-            backend="fork",
             label="fleet shard",
         )
         with pool:

@@ -100,7 +100,7 @@ class ServingPolicy:
     def stats(self) -> dict[str, object]:
         return {"policy": self.name, "rejected": self.rejected}
 
-    # -- cross-shard gossip (the fleet's SharedEvalState protocol) -----
+    # -- cross-shard gossip (the fleet's epoch-sync protocol) ----------
     def export_delta(self, limit: int = 256) -> tuple[Any, ...]:
         """Drain locally-new solve artifacts for peer shards.
 
@@ -399,7 +399,7 @@ class CachedAnytimePolicy(ServingPolicy):
         self._pending_memo: list[tuple[str, tuple[Any, ...]]] = []
         self.store = store
         #: True when a store-trained guide is steering this policy's
-        #: solver (learned strategy + warm-start ranking)
+        #: solver (learned branch order + warm-start ranking)
         self.learned_guidance = False
         if store is not None:
             self.cache.attach_store(store)
@@ -409,8 +409,8 @@ class CachedAnytimePolicy(ServingPolicy):
                     self._memo_fragments[sig] = list(
                         entries[:_MEMO_FRAGMENT_CAP]
                     )
-            # adopt the store's trained guidance, if any: the learned
-            # portfolio strategy and warm-start ranking only reorder
+            # adopt the store's trained guidance, if any: learned
+            # branch ordering and warm-start ranking only reorder
             # search, so serving results are unchanged -- only earlier
             # (see repro.learn)
             if scheduler.guide is None:
@@ -484,7 +484,7 @@ class CachedAnytimePolicy(ServingPolicy):
 
         Schedules already published for *other* mixes seed the solver
         through :meth:`ScheduleCache.warm_starts` -- with the
-        portfolio solver, a good seed pulls the first strong incumbent
+        anytime solver, a good seed pulls the first strong incumbent
         to the earliest update points.  Memo fragments adopted for
         *this* mix (solve store, peer gossip) pre-load the fresh
         formulation's evaluation memo; after the solve, the newest
@@ -694,8 +694,8 @@ class CachedAnytimePolicy(ServingPolicy):
         """Evaluation-engine telemetry accumulated by the scheduler.
 
         Deliberately *not* part of :meth:`stats`: the hit/miss split
-        and fixed-point iteration counts depend on worker interleaving
-        under the parallel portfolio (results never do), so folding
+        and fixed-point iteration counts depend on how warm the
+        evaluation memo happens to be (results never do), so folding
         them into ``stats()`` would break the byte-identical
         same-seed guarantee the serving reports are tested against.
         Summaries that want the telemetry (``haxconn serve``, the

@@ -10,25 +10,15 @@ branch-and-bound optimizer** over finite-domain variables:
 - every improved incumbent is timestamped and reported through a
   callback, which is exactly the interface D-HaX-CoNN needs to swap
   progressively better schedules in at runtime (paper Fig. 7),
+- the anytime solver (:mod:`repro.solver.portfolio`) starts that
+  search from the best warm start, greedily improved,
 - an exhaustive enumerator cross-checks optimality in the test suite.
 """
 
 from repro.solver.problem import Problem, Variable, Infeasible
-from repro.solver.bnb import (
-    BranchAndBound,
-    SolveResult,
-    Incumbent,
-    StopSearch,
-)
+from repro.solver.bnb import BranchAndBound, SolveResult, Incumbent
 from repro.solver.exhaustive import solve_exhaustive
-from repro.solver.portfolio import (
-    PortfolioResult,
-    PortfolioSolver,
-    Strategy,
-    WorkerStats,
-    default_strategies,
-    guided_strategies,
-)
+from repro.solver.portfolio import PortfolioResult, PortfolioSolver
 
 __all__ = [
     "Problem",
@@ -37,12 +27,7 @@ __all__ = [
     "BranchAndBound",
     "SolveResult",
     "Incumbent",
-    "StopSearch",
     "solve_exhaustive",
     "PortfolioSolver",
     "PortfolioResult",
-    "Strategy",
-    "WorkerStats",
-    "default_strategies",
-    "guided_strategies",
 ]

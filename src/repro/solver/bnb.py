@@ -9,14 +9,10 @@ mid-flight (paper Section 3.5 / Fig. 7).
 When the search finishes without hitting its node budget, the returned
 result is *certified optimal* (the property the paper obtains from Z3).
 
-For the parallel portfolio (:mod:`repro.solver.portfolio`) the search
-exposes two cooperation hooks: ``on_sync`` is invoked at deterministic
-node-count intervals (``sync_every``) and may tighten an *external*
-upper bound shared by other solvers racing the same problem, and
-``child_order`` diversifies the value-ordering heuristic.  Both hooks
-fire at points that are a pure function of the search itself -- never
-of wall-clock time -- which is what keeps portfolio results
-reproducible (see DESIGN.md).
+The anytime solver (:mod:`repro.solver.portfolio`) wraps this search
+with a warm-started root and may reorder children through the
+``child_order`` hook; a reordering never changes the certified
+optimum.
 """
 
 from __future__ import annotations
@@ -28,14 +24,6 @@ from repro.solver.clock import monotonic_s
 from repro.solver.problem import Assignment, Infeasible, Problem, Variable
 
 _INF = float("inf")
-
-
-class StopSearch(Exception):
-    """Raised by an ``on_sync`` hook to abort the search cooperatively.
-
-    The solver returns its best-so-far result with ``optimal=False``,
-    exactly as if a budget had expired.
-    """
 
 
 @dataclass(frozen=True)
@@ -89,22 +77,11 @@ class BranchAndBound:
         :class:`~repro.solver.problem.Variable` and the feasible
         ``(bound, value)`` children of a node (in domain order) and
         returns the children in exploration order.  ``None`` keeps the
-        default ascending-bound order.  Portfolio strategies use this
-        to diversify dives; the learned strategy orders children by
-        store-trained branch scores.  Reordering only: the hook cannot
-        add or drop children, so bounds, pruning, and incumbent
-        admission -- and therefore the certified optimum -- are
-        unaffected.
-    sync_every / on_sync:
-        Cooperation hook for the solver portfolio: every
-        ``sync_every`` explored nodes, ``on_sync(nodes, best)`` runs
-        and may return a new *external* upper bound (an objective of a
-        solution found elsewhere); the search then prunes against
-        ``min(own best, external bound)`` and only records incumbents
-        strictly better than it.  The hook may raise
-        :class:`StopSearch` to abort.  Sync points depend only on the
-        node counter, so a worker's whole search is a deterministic
-        function of the bound sequence it is fed.
+        default ascending-bound order.  The anytime solver's learned
+        guide orders children by store-trained branch scores.
+        Reordering only: the hook cannot add or drop children, so
+        bounds, pruning, and incumbent admission -- and therefore the
+        certified optimum -- are unaffected.
     """
 
     def __init__(
@@ -117,19 +94,12 @@ class BranchAndBound:
             Sequence[tuple[float, Any]],
         ]
         | None = None,
-        sync_every: int | None = None,
-        on_sync: Callable[[int, Incumbent | None], float | None]
-        | None = None,
     ) -> None:
         if node_budget is not None and node_budget <= 0:
             raise ValueError("node_budget must be positive")
-        if sync_every is not None and sync_every <= 0:
-            raise ValueError("sync_every must be positive")
         self.node_budget = node_budget
         self.on_incumbent = on_incumbent
         self.child_order = child_order
-        self.sync_every = sync_every
-        self.on_sync = on_sync
 
     def solve(
         self,
@@ -156,10 +126,7 @@ class BranchAndBound:
                 pass
             else:
                 state.record(dict(initial), obj)
-        try:
-            exhausted = state.dfs({}, 0)
-        except StopSearch:
-            exhausted = False
+        exhausted = state.dfs({}, 0)
         result = SolveResult(
             best=state.best,
             optimal=exhausted,
@@ -186,18 +153,13 @@ class _SearchState:
         self.nodes = 0
         self.best: Incumbent | None = None
         self.incumbents: list[Incumbent] = []
-        #: best objective known elsewhere (portfolio peers); pruning
-        #: and incumbent recording both respect it
-        self.external_bound = float("inf")
-        self._next_sync = cfg.sync_every
         #: the current leaf-grandparent has prewarmed its remaining
         #: leaves, so its leaf-parents skip their own prewarm
         self._warmed = False
 
     def limit(self) -> float:
-        """Current upper bound: best of own and external incumbents."""
-        own = self.best.objective if self.best is not None else float("inf")
-        return min(own, self.external_bound)
+        """Current upper bound: the incumbent's objective."""
+        return self.best.objective if self.best is not None else _INF
 
     # -- bookkeeping -----------------------------------------------------
     def record(self, assignment: dict[str, Any], objective: float) -> None:
@@ -217,18 +179,6 @@ class _SearchState:
     def budget_exceeded(self) -> bool:
         budget = self.cfg.node_budget
         return budget is not None and self.nodes >= budget
-
-    def maybe_sync(self) -> None:
-        """Run the portfolio sync hook at deterministic node counts."""
-        if self._next_sync is None or self.nodes < self._next_sync:
-            return
-        assert self.cfg.sync_every is not None
-        self._next_sync += self.cfg.sync_every
-        if self.cfg.on_sync is None:
-            return
-        bound = self.cfg.on_sync(self.nodes, self.best)
-        if bound is not None and bound < self.external_bound:
-            self.external_bound = bound
 
     # -- search ----------------------------------------------------------
     def _bounds(
@@ -278,8 +228,7 @@ class _SearchState:
         of a leaf-grandparent; ``partial`` lacks it on entry and exit.
         Leaves are priced with the calls the search loop makes, so the
         batch holds exactly the leaves the loop can still reach (the
-        limit only tightens).  Neither node counts nor sync points
-        move.
+        limit only tightens).  Node counts do not move.
         """
         leaf = self.problem.variables[-1]
         limit = self.limit()
@@ -319,7 +268,6 @@ class _SearchState:
         for i, value in enumerate(variable.domain):
             partial[variable.name] = value
             self.nodes += 1
-            self.maybe_sync()
             bound = self._price(partial, bounds_vec, i)
             if bound is not None:
                 children.append((bound, value))

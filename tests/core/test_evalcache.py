@@ -266,22 +266,21 @@ def test_memo_eviction_preserves_identity(seed):
 
 @pytest.mark.parametrize("seed", (1, 5, 9, 13, 19, 29, 37, 41))
 def test_cross_worker_memo_share(seed):
-    """export_delta/merge (the portfolio epoch piggyback): a peer that
-    adopts a worker's delta serves the whole sequence from memo,
-    bit-identical, and never echoes adopted entries back."""
+    """export_all/merge (the solve-store and fleet-gossip memo path): a
+    peer that adopts a worker's snapshot serves the whole sequence
+    from memo, bit-identical."""
     form, rng = random_formulation(seed)
     sequence = random_sequence(form, rng)
     ref = outcomes(clone(form).evaluate_scratch, sequence)
 
     worker = EvalEngine(clone(form))
     assert_identical(outcomes(worker.evaluate, sequence), ref)
-    delta = worker.memo.export_delta(limit=10_000)
-    assert delta, "worker computed entries but exported nothing"
-    assert worker.memo.export_delta(limit=10_000) == ()
+    snapshot = worker.memo.export_all()
+    assert snapshot, "worker computed entries but exported nothing"
 
     peer = EvalEngine(clone(form))
-    peer.memo.merge(delta)
-    assert peer.memo.export_delta(limit=10_000) == (), "echoed merge"
+    peer.memo.merge(snapshot)
+    assert peer.memo.export_all() == snapshot
     assert_identical(outcomes(peer.evaluate, sequence), ref)
     assert peer.counters.computed_evals == 0, "peer should be all hits"
     assert peer.counters.memo_hits == len(sequence)

@@ -372,9 +372,7 @@ def _solve(problem, setup, budget):
             problem
         )
     if setup == "portfolio":
-        return PortfolioSolver(
-            workers=3, backend="serial", clock="nodes", sync_every=8, seed=1
-        ).solve(problem)
+        return PortfolioSolver(clock="nodes").solve(problem)
     return BranchAndBound().solve(problem)
 
 

@@ -152,3 +152,27 @@ class TestContentionModelDefault:
     def test_pccs_fetched_from_db(self, xavier, xavier_db):
         scheduler = HaXCoNN(xavier, db=xavier_db, max_groups=6)
         assert scheduler.contention_model is xavier_db.pccs
+
+
+class TestRemovedSolverKnobs:
+    """The strategy race is gone: its knobs are typed errors."""
+
+    @pytest.mark.parametrize("backend", ["threads", "fork", "auto"])
+    def test_parallel_backend_is_rejected(self, xavier, xavier_db, backend):
+        with pytest.raises(ValueError, match="race is removed"):
+            HaXCoNN(
+                xavier, db=xavier_db, solver="portfolio", solver_backend=backend
+            )
+
+    def test_zero_workers_is_rejected(self, xavier, xavier_db):
+        with pytest.raises(ValueError, match="race is removed"):
+            HaXCoNN(xavier, db=xavier_db, solver_workers=0)
+
+    def test_serial_knobs_are_accepted(self, xavier, xavier_db):
+        HaXCoNN(
+            xavier,
+            db=xavier_db,
+            solver="portfolio",
+            solver_workers=2,
+            solver_backend="serial",
+        )

@@ -1,4 +1,4 @@
-"""The epoch runtime shared by the portfolio race and the fleet.
+"""The epoch runtime of the fork fleet.
 
 :class:`EpochGate` is pure bookkeeping, so its contract is checked
 against a reference built straight from ``(epoch, index)`` order:
@@ -11,7 +11,6 @@ memory segment behind.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import os
 import signal
@@ -133,14 +132,15 @@ class _Daemon:
     reason="no fork start method on this platform",
 )
 def test_daemonic_caller_cannot_fork(monkeypatch):
-    """A fork worker may not have children: ``auto`` takes the
-    fallback there, an explicit ``fork`` is a typed error."""
+    """A fork worker may not have children: ``auto`` runs serial
+    there, an explicit ``fork`` is a typed error."""
     resolve = parallel.resolve_backend
-    assert resolve("auto", 2, fallback="threads") == "fork"
+    assert resolve("auto", 2) == "fork"
+    assert resolve("auto", 1) == "serial"
     monkeypatch.setattr(multiprocessing, "current_process", _Daemon)
-    assert resolve("auto", 2, fallback="threads") == "threads"
+    assert resolve("auto", 2) == "serial"
     with pytest.raises(ValueError, match="daemonic"):
-        resolve("fork", 2, fallback="threads")
+        resolve("fork", 2)
 
 
 def test_rejects_negative_lag():
@@ -202,30 +202,6 @@ def assert_cleaned_up(children_before, rings):
     for name in rings:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
-
-
-@needs_fork
-def test_killed_portfolio_worker_raises(tmp_path, rings):
-    from repro.solver import PortfolioSolver
-    from repro.solver.random_instances import InstanceSpec, random_problem
-
-    base = random_problem(5, InstanceSpec(variables=6, max_domain=5))
-    parent = os.getpid()
-
-    def doomed(model):
-        if os.getpid() != parent:
-            kill_once(tmp_path / "killed")
-        return base.objective(model)
-
-    problem = dataclasses.replace(base, objective=doomed)
-    before = set(multiprocessing.active_children())
-    solver = PortfolioSolver(workers=2, backend="fork", sync_every=4)
-    with deadline(DEADLINE_S):
-        with pytest.raises(
-            RuntimeError, match=r"portfolio worker \d exited with code -9"
-        ):
-            solver.solve(problem)
-    assert_cleaned_up(before, rings)
 
 
 @needs_fork

@@ -424,15 +424,13 @@ class TestWarmStarts:
     def test_seeds_accepted_by_portfolio_schedule(
         self, xavier, xavier_db
     ):
-        """End to end: cached fragments feed the portfolio root."""
+        """End to end: cached fragments feed the anytime solver's root."""
         scheduler = HaXCoNN(
             xavier,
             db=xavier_db,
             max_groups=4,
             max_transitions=1,
             solver="portfolio",
-            solver_workers=2,
-            solver_backend="threads",
             solver_clock="nodes",
         )
         cache = ScheduleCache(scheduler)

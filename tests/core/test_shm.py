@@ -3,22 +3,20 @@
 Hypothesis drives the ring through its contractual edge cases:
 records wrapping the physical end of the segment, torn or corrupted
 tails recovered as a valid prefix, reader-lag overflow degrading to
-the inline path with bit-identical content -- plus the end-to-end
-guarantee the transport exists for: a fork portfolio whose epoch
-memo deltas ride the rings lands on the same incumbent trace as the
-in-process race.
+the inline path with bit-identical content.  The end-to-end guarantee
+the transport exists for -- fork fleet shards gossiping over the
+rings report byte-identically to the serial fleet -- is pinned by
+``tests/serve/test_fleet.py`` and the fleet bench.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.haxconn import HaXCoNN
 from repro.core.shm import (
     _HEADER,
     _REC,
@@ -30,10 +28,6 @@ from repro.core.shm import (
     make_channel_pair,
     shared_memory_available,
 )
-from repro.core.workload import Workload
-from repro.profiling.database import ProfileDB
-from repro.soc.platform import get_platform
-from repro.solver.portfolio import PortfolioSolver
 
 pytestmark = pytest.mark.skipif(
     not shared_memory_available(),
@@ -243,59 +237,3 @@ def test_ring_record_with_a_foreign_tag_is_refused():
     finally:
         ch.close()
         ch.unlink()
-
-
-# -- fork-worker merge determinism: rings vs in-process race -----------
-def _trace(result):
-    return [
-        (
-            tuple(sorted(i.assignment.items())),
-            i.objective,
-            i.nodes_explored,
-        )
-        for i in result.incumbents
-    ]
-
-
-@settings(deadline=None, max_examples=1)
-@given(st.just(None))
-def test_fork_memo_delta_merge_identical_across_transports(_):
-    """A fork portfolio exchanging evaluation-memo deltas through the
-    shm rings lands on a byte-identical incumbent trace to the same
-    race run in-process (threads, one shared memo table, no rings) --
-    and the fork run actually used the rings.  The portfolio's
-    ``serial`` backend runs a single strategy, so the in-process race
-    is the thread backend.  (Hypothesis wrapper keeps this in the
-    property suite; the scenario itself is deterministic.)"""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("fork start method unavailable")
-
-    def solve(backend):
-        platform = get_platform("xavier")
-        scheduler = HaXCoNN(
-            platform,
-            db=ProfileDB(platform),
-            max_groups=3,
-            max_transitions=1,
-        )
-        workload = Workload.concurrent("alexnet", "resnet18")
-        formulation, _ = scheduler.build_formulation(workload)
-        problem = scheduler.build_problem(workload, formulation)
-        solver = PortfolioSolver(
-            workers=2,
-            backend=backend,
-            clock="nodes",
-            sync_every=64,
-            seed=3,
-            shared_state=formulation.engine.memo,
-        )
-        return solver.solve(problem)
-
-    res_inproc = solve("threads")
-    res_shm = solve("fork")
-    assert res_inproc.transport == "inproc"
-    assert res_shm.transport == "shm"
-    assert _trace(res_shm) == _trace(res_inproc)
-    assert res_shm.nodes_explored == res_inproc.nodes_explored
-    assert res_shm.optimal == res_inproc.optimal
-    assert res_shm.transport_stats["ring"] > 0, res_shm.transport_stats

@@ -1,21 +1,16 @@
 """Guidance is reordering-only: guided search, identical optima.
 
-The 60-seed differential pin of ISSUE-10: a portfolio running the
-``learned`` strategy with an arbitrary (even adversarial) score table
-must return bit-identical optima to single-threaded branch and bound,
-because branch scores reorder feasible children and seed hunters but
-never touch bounds, pruning, or incumbent admission.
+The 60-seed differential pin: the anytime solver ordering its
+branches by an arbitrary (even adversarial) score table must return
+bit-identical optima to plain branch and bound, because branch scores
+reorder feasible children but never touch bounds, pruning, or
+incumbent admission.
 """
 
 import pytest
 
 from repro.solver import BranchAndBound, PortfolioSolver
-from repro.solver.portfolio import (
-    Strategy,
-    _child_order,
-    default_strategies,
-    guided_strategies,
-)
+from repro.solver.portfolio import learned_order
 from repro.solver.random_instances import InstanceSpec, random_problem
 
 SEEDS = range(60)
@@ -37,12 +32,7 @@ def test_learned_strategy_matches_bnb_bitwise(seed):
     problem = random_problem(seed)
     bnb = BranchAndBound().solve(problem)
     guided = PortfolioSolver(
-        workers=3,
-        backend="threads",
-        clock="nodes",
-        sync_every=8,
-        seed=1,
-        guide=synthetic_guide(problem, salt=seed),
+        clock="nodes", guide=synthetic_guide(problem, salt=seed)
     ).solve(problem)
     assert bnb.optimal and guided.optimal
     if bnb.best is None:
@@ -62,67 +52,9 @@ def test_adversarial_guide_cannot_change_the_optimum():
         name: {value: -score for value, score in table.items()}
         for name, table in synthetic_guide(problem).items()
     }
-    guided = PortfolioSolver(
-        workers=2, backend="threads", clock="nodes", guide=inverted
-    ).solve(problem)
+    guided = PortfolioSolver(clock="nodes", guide=inverted).solve(problem)
     assert guided.optimal
     assert guided.best.objective == reference.best.objective
-
-
-class TestStrategySelection:
-    def test_guided_ladder_races_learned_in_front(self):
-        problem = random_problem(0)
-        strategies = guided_strategies(problem, 4)
-        assert strategies[0] == Strategy("learned", values="learned")
-        assert strategies[1:] == default_strategies(problem, 3)
-
-    def test_single_worker_is_learned_only(self):
-        problem = random_problem(0)
-        assert guided_strategies(problem, 1) == (
-            Strategy("learned", values="learned"),
-        )
-
-    @staticmethod
-    def _trace(result):
-        return [
-            (i.objective, i.nodes_explored, i.wall_time_s)
-            for i in result.incumbents
-        ]
-
-    def test_no_guide_is_byte_identical_to_default_ladder(self):
-        """``guide=None`` must keep the pre-guidance portfolio exactly:
-        the default ladder's strategies, one deterministic trace."""
-        problem = random_problem(5)
-        runs = [
-            PortfolioSolver(
-                workers=3, backend="threads", clock="nodes", seed=1
-            ).solve(problem)
-            for _ in range(2)
-        ]
-        assert [w.name for w in runs[0].workers] == [
-            s.name for s in default_strategies(problem, 3, seed=1)
-        ]
-        assert self._trace(runs[0]) == self._trace(runs[1])
-
-    def test_guide_without_explicit_strategies_races_guided_ladder(self):
-        problem = random_problem(5)
-        table = synthetic_guide(problem)
-        guided = PortfolioSolver(
-            workers=3,
-            backend="threads",
-            clock="nodes",
-            seed=1,
-            guide=table,
-        ).solve(problem)
-        plain = PortfolioSolver(
-            workers=3, backend="threads", clock="nodes", seed=1
-        ).solve(problem)
-        assert [w.name for w in guided.workers] == [
-            s.name for s in guided_strategies(problem, 3, seed=1)
-        ]
-        # guidance reorders the search, never the certified optimum
-        assert guided.optimal and plain.optimal
-        assert guided.best.objective == plain.best.objective
 
 
 class TestSearchGuide:
@@ -147,8 +79,6 @@ class TestSearchGuide:
                 max_groups=4,
                 max_transitions=1,
                 solver="portfolio",
-                solver_workers=3,
-                solver_backend="threads",
                 solver_clock="nodes",
                 guide=guide if with_guide else None,
             )
@@ -252,10 +182,7 @@ class TestChildOrder:
     def test_learned_order_is_a_permutation(self):
         problem = random_problem(0)
         variable = problem.variables[0]
-        order = _child_order(
-            Strategy("learned", values="learned"),
-            synthetic_guide(problem),
-        )
+        order = learned_order(synthetic_guide(problem))
         children = [
             (float(j), value) for j, value in enumerate(variable.domain)
         ]
@@ -265,7 +192,7 @@ class TestChildOrder:
     def test_unscored_values_fall_back_to_given_order(self):
         problem = random_problem(0)
         variable = problem.variables[0]
-        order = _child_order(Strategy("learned", values="learned"), {})
+        order = learned_order({})
         children = [
             (float(j), value) for j, value in enumerate(variable.domain)
         ]

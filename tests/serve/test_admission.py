@@ -289,8 +289,6 @@ class TestFleetAdmission:
                     max_groups=4,
                     max_transitions=1,
                     solver="portfolio",
-                    solver_workers=2,
-                    solver_backend="serial",
                     solver_clock="nodes",
                     node_budget=300,
                 ),

@@ -43,13 +43,11 @@ def fleet_tenants(count=4):
 def make_factory(
     xavier, xavier_db, policy_cls=CachedAnytimePolicy, **overrides
 ):
-    """Cheap deterministic per-shard policy (nodes-clock portfolio)."""
+    """Cheap deterministic per-shard policy (nodes-clock anytime solver)."""
     kwargs = dict(
         max_groups=4,
         max_transitions=1,
         solver="portfolio",
-        solver_workers=2,
-        solver_backend="serial",
         solver_clock="nodes",
         node_budget=300,
     )
@@ -254,26 +252,6 @@ class TestCrossBackendDeterminism:
             xavier, xavier_db, shards=3, backend="serial"
         )
         assert again.describe_shards() == serial_shards
-
-    def test_fork_shards_race_an_auto_portfolio(self, xavier, xavier_db):
-        """A fork shard is daemonic, so its 2-worker ``auto``
-        portfolio races on threads instead of forking (which would
-        crash), and the rows still equal the serial fleet's."""
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork start method on this platform")
-
-        def run(backend):
-            return Fleet(
-                xavier,
-                fleet_tenants(),
-                make_factory(xavier, xavier_db, solver_backend="auto"),
-                shards=2,
-                backend=backend,
-                sync_rounds=4,
-            ).run(horizon_s=HORIZON)
-
-        forked = run("fork")
-        assert forked.describe_shards() == run("serial").describe_shards()
 
 
 class TestGossip:

@@ -1,7 +1,7 @@
 """Differential tests: four solvers, one optimum.
 
 Every solver in the package -- exhaustive enumeration, branch and
-bound, the ``Optimizer`` SMT facade, and the parallel portfolio --
+bound, the ``Optimizer`` SMT facade, and the anytime solver --
 must report the same optimal objective on the same instance, across a
 seeded batch of >= 50 random problems and on real scheduling
 workloads.  Incumbent sequences must be monotonically improving and
@@ -73,10 +73,7 @@ def test_random_instance_agreement(seed):
     assert bnb.optimal
     assert_monotone_feasible(problem, bnb.incumbents)
 
-    backend = "fork" if seed % 10 == 0 else "threads"
-    portfolio = PortfolioSolver(
-        workers=3, backend=backend, clock="nodes", sync_every=8, seed=1
-    ).solve(problem)
+    portfolio = PortfolioSolver(clock="nodes").solve(problem)
     assert portfolio.optimal
     assert_monotone_feasible(problem, portfolio.incumbents)
 
@@ -102,9 +99,7 @@ def test_larger_instances_agree():
     for seed in range(8):
         problem = random_problem(1000 + seed, spec)
         reference = solve_exhaustive(problem)
-        portfolio = PortfolioSolver(
-            workers=4, backend="threads", clock="nodes", sync_every=16
-        ).solve(problem)
+        portfolio = PortfolioSolver(clock="nodes").solve(problem)
         assert portfolio.optimal
         if reference.best is None:
             assert portfolio.best is None
@@ -135,14 +130,11 @@ def test_real_workload_agreement(xavier, xavier_db, models):
     assert reference.best is not None
 
     bnb = BranchAndBound().solve(problem)
-    portfolio = PortfolioSolver(
-        workers=3, backend="threads", clock="nodes"
-    ).solve(
+    portfolio = PortfolioSolver(clock="nodes").solve(
         problem,
         seeds=scheduler.contention_oblivious_seeds(
             workload, formulation, problem
         ),
-        reduced=scheduler.dominance_reduced(formulation, problem),
     )
     smt = optimizer_result(problem)
 
@@ -168,9 +160,7 @@ def test_schedule_instance_agreement(seed):
     assert bnb.optimal
     assert_monotone_feasible(problem, bnb.incumbents)
 
-    portfolio = PortfolioSolver(
-        workers=2, backend="serial", clock="nodes", sync_every=8
-    ).solve(problem)
+    portfolio = PortfolioSolver(clock="nodes").solve(problem)
     assert portfolio.optimal
 
     smt = optimizer_result(problem)
@@ -243,9 +233,7 @@ def test_all_infeasible_instance_agreement():
     assert solve_exhaustive(blocked).best is None
     bnb = BranchAndBound().solve(blocked)
     assert bnb.best is None and bnb.optimal
-    portfolio = PortfolioSolver(workers=2, backend="threads").solve(
-        blocked
-    )
+    portfolio = PortfolioSolver().solve(blocked)
     assert portfolio.best is None and portfolio.optimal
     with pytest.raises(Infeasible):
         _ = portfolio.assignment

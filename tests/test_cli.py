@@ -219,10 +219,6 @@ class TestCommands:
                 ["verify", "googlenet", "resnet18", "--max-transitions", "-1"],
                 "--max-transitions must be >= 0",
             ),
-            (
-                ["schedule", "googlenet", "resnet18", "--workers", "0"],
-                "--workers must be >= 1",
-            ),
             (["verify", "--random", "-2"], "--random must be >= 1"),
             (["verify", "--random", "0"], "--random must be >= 1"),
             (["fuzz", "--seeds", "0:2", "--budget", "-1"], "--budget must be >= 1"),
@@ -231,7 +227,6 @@ class TestCommands:
         ids=[
             "schedule-max-transitions-negative",
             "verify-max-transitions-negative",
-            "schedule-workers-zero",
             "verify-random-negative",
             "verify-random-zero",
             "fuzz-budget-negative",
@@ -251,6 +246,24 @@ class TestCommands:
         with pytest.raises(SystemExit) as exc:
             cli.main(["serve", "googlenet", "--transport", "shm"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["schedule", "googlenet", "resnet18"],
+            ["verify", "googlenet", "resnet18"],
+            ["serve", "googlenet"],
+            ["learn", "eval", "--store", "unused.jsonl"],
+        ],
+        ids=["schedule", "verify", "serve", "learn-eval"],
+    )
+    def test_workers_flag_is_gone(self, capsys, argv):
+        """The anytime solver runs one search: ``--workers`` is an
+        unknown flag, rejected by argparse before any work."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_schedule_command(self, capsys):
         code = cli.main(

@@ -2,10 +2,9 @@
 
 The whole stack is designed to be a deterministic function of its
 seeds -- profiles are analytic, the simulator runs on virtual time,
-and the portfolio solver shares incumbents at deterministic epochs.
+and the anytime solver timestamps incumbents by explored nodes.
 These tests pin that property at three levels: streamed execution,
-the serving loop, and the parallel solver (whose workers must affect
-wall-clock only, never the result).
+the serving loop, and the anytime solver's incumbent trace.
 """
 
 from __future__ import annotations
@@ -18,15 +17,13 @@ from repro.serve.requests import PoissonArrivals
 
 
 def _portfolio_scheduler(platform, db):
-    """Portfolio on the virtual node clock: fully reproducible."""
+    """Anytime solver on the virtual node clock: fully reproducible."""
     return HaXCoNN(
         platform,
         db=db,
         max_groups=4,
         max_transitions=1,
         solver="portfolio",
-        solver_workers=3,
-        solver_backend="threads",
         solver_clock="nodes",
     )
 
