@@ -119,13 +119,16 @@ def _coalesce(
 
     Cost of a merge is the combined FLOPs of the pair, so the result
     stays roughly balanced -- mirroring how the paper coarsens
-    GoogleNet's 140 layers into the 10 groups of Table 2.
+    GoogleNet's 140 layers into the 10 groups of Table 2.  Segment
+    FLOPs are summed once and then kept current across merges, so each
+    merge costs one pass over the segments, not over every layer.
     """
     segs = [list(s) for s in segments]
+    flops = [sum(u.flops for u in s) for s in segs]
     while len(segs) > target:
-        flops = [sum(u.flops for u in s) for s in segs]
         best = min(range(len(segs) - 1), key=lambda i: flops[i] + flops[i + 1])
         segs[best] = segs[best] + segs.pop(best + 1)
+        flops[best] += flops.pop(best + 1)
     return segs
 
 

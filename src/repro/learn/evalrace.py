@@ -154,20 +154,6 @@ def _first_improvement(
     return best_naive, ttfi
 
 
-def _nodes_to_optimal(result: "ScheduleResult") -> int | None:
-    solve = result.solver
-    assert solve is not None and solve.best is not None
-    final = solve.best.objective
-    return next(
-        (
-            inc.nodes_explored
-            for inc in solve.incumbents
-            if inc.objective == final
-        ),
-        None,
-    )
-
-
 def _median(values: list[float]) -> float | None:
     if not values:
         return None
@@ -200,7 +186,10 @@ def guidance_race(
     already raised.
     """
     from repro.core.schedule_cache import workload_signature
-    from repro.experiments.solver_race import anytime_profile
+    from repro.experiments.solver_race import (
+        anytime_profile,
+        nodes_to_optimal,
+    )
     from repro.fuzz.universe import generate_scenario
     from repro.solver.problem import Infeasible
 
@@ -277,8 +266,12 @@ def guidance_race(
                     if base_tt5 is None or lrn_tt5 is None
                     else base_tt5 / max(lrn_tt5, 1e-9)
                 ),
-                "base_nodes_to_opt": _nodes_to_optimal(base),
-                "learned_nodes_to_opt": _nodes_to_optimal(lrn),
+                "base_nodes_to_opt": nodes_to_optimal(
+                    base.solver.incumbents
+                ),
+                "learned_nodes_to_opt": nodes_to_optimal(
+                    lrn.solver.incumbents
+                ),
                 "verified": verify,
             }
         )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from repro.dnn import zoo
-from repro.dnn.grouping import group_layers
+from repro.dnn.grouping import LayerGroup, group_layers
 from repro.soc.platform import Platform
 
 #: paper Table 5 standalone runtimes (milliseconds); ``None`` marks the
@@ -97,13 +97,22 @@ TABLE5_REFERENCE_MS: dict[str, dict[str, dict[str, float | None]]] = {
 
 
 def _modeled_latency_ms(
-    model_name: str, accel_name: str, platform: Platform
+    model_name: str,
+    accel_name: str,
+    platform: Platform,
+    grouped: dict[str, list[LayerGroup]],
 ) -> float:
-    """Uncalibrated standalone latency of a zoo model on one DSA."""
+    """Uncalibrated standalone latency of a zoo model on one DSA.
+
+    ``grouped`` maps model names to their minimal layer groups; the
+    caller passes one dict per pass over the reference table, so each
+    model is built and grouped once however many DSAs reference it.
+    """
     from repro.perf.model import standalone_latency
 
-    graph = zoo.build(model_name)
-    groups = group_layers(graph)
+    groups = grouped.get(model_name)
+    if groups is None:
+        groups = grouped[model_name] = group_layers(zoo.build(model_name))
     accel = platform.accel(accel_name)
     fallback = platform.gpu if accel.name != platform.gpu.name else None
     return (
@@ -123,12 +132,15 @@ def fit_scales(platform: Platform) -> dict[str, float]:
             f"no calibration reference for platform {platform.name!r}"
         )
     scales: dict[str, float] = {}
+    grouped: dict[str, list[LayerGroup]] = {}
     for accel_name, targets in reference.items():
         log_ratios: list[float] = []
         for model_name, ref_ms in targets.items():
             if ref_ms is None or platform.blocked(accel_name, model_name):
                 continue
-            modeled = _modeled_latency_ms(model_name, accel_name, platform)
+            modeled = _modeled_latency_ms(
+                model_name, accel_name, platform, grouped
+            )
             log_ratios.append(math.log(ref_ms / modeled))
         if not log_ratios:
             raise RuntimeError(
@@ -151,13 +163,16 @@ def calibration_report(platform: Platform) -> list[dict[str, object]]:
     """
     reference = TABLE5_REFERENCE_MS.get(platform.name, {})
     rows: list[dict[str, object]] = []
+    grouped: dict[str, list[LayerGroup]] = {}
     for accel_name, targets in reference.items():
         for model_name, ref_ms in sorted(targets.items()):
             blocked = platform.blocked(accel_name, model_name)
             modeled = (
                 None
                 if blocked
-                else _modeled_latency_ms(model_name, accel_name, platform)
+                else _modeled_latency_ms(
+                    model_name, accel_name, platform, grouped
+                )
             )
             rows.append(
                 {

@@ -373,20 +373,19 @@ def get_platform(name: str, *, calibrated: bool = True) -> Platform:
             f"unknown platform {name!r}; available: {available_platforms()}"
         ) from None
     if calibrated:
-        from repro.perf.calibration import calibrate, fit_scales
+        from repro.perf.calibration import TABLE5_REFERENCE_MS, calibrate
 
         proxy = _CALIBRATION_PROXY.get(key)
         if proxy is None:
             platform = calibrate(platform)
         else:
-            # borrow fitted scales from the calibrated sibling for the
-            # accelerators it shares; others keep scale 1.0
-            scales = fit_scales(_FACTORIES[proxy]())
-            platform = platform.with_scales(
-                {
-                    a.name: scales[a.name]
-                    for a in platform.accelerators
-                    if a.name in scales
-                }
-            )
+            # borrow the fitted scales of the (cached) calibrated
+            # sibling for the accelerators it fits; others keep 1.0
+            fitted = TABLE5_REFERENCE_MS[proxy]
+            scales = {
+                a.name: a.time_scale
+                for a in get_platform(proxy).accelerators
+                if a.name in fitted
+            }
+            platform = platform.with_scales(scales)
     return platform

@@ -65,11 +65,14 @@ class BranchAndBound:
     Parameters
     ----------
     node_budget:
-        Stop after this many explored nodes; the result is then the
+        Stop once this many nodes are explored; the result is then the
         best incumbent so far and ``optimal`` is ``False`` (unless the
-        tree was exhausted first).  Truncation by node count is
-        deterministic, which is why the solver has no wall-clock
-        budget.
+        tree was exhausted first).  Every child of a node is counted
+        when its sibling set is priced, and the budget is checked
+        before each child subtree, so a truncated search ends with
+        ``node_budget <= nodes_explored < node_budget + widest
+        domain``.  Truncation by node count is deterministic, which is
+        why the solver has no wall-clock budget.
     on_incumbent:
         Called with each :class:`Incumbent` as soon as it is found.
     child_order:

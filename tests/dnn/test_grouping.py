@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.dnn import zoo
-from repro.dnn.grouping import group_layers
+from repro.dnn.fusion import fuse
+from repro.dnn.grouping import _segment_units, group_layers
 
 
 class TestGroupingPartition:
@@ -69,6 +70,37 @@ class TestCoalescing:
         g = zoo.build("alexnet")
         with pytest.raises(ValueError):
             group_layers(g, max_groups=0)
+
+    @pytest.mark.parametrize("model", zoo.available())
+    def test_running_sums_match_quadratic_reference(self, model):
+        """Coalescing on running segment sums picks the same merges as
+        the original loop that re-summed every segment per merge."""
+
+        def reference(segments, target):
+            segs = [list(s) for s in segments]
+            while len(segs) > target:
+                flops = [sum(u.flops for u in s) for s in segs]
+                best = min(
+                    range(len(segs) - 1),
+                    key=lambda i: flops[i] + flops[i + 1],
+                )
+                segs[best] = segs[best] + segs.pop(best + 1)
+            return segs
+
+        g = zoo.build(model)
+        units = fuse(g)
+        segments = _segment_units(g, units)
+        position = {l.name: i for i, l in enumerate(g.compute_layers)}
+        # the greedy merge order does not depend on the target, so one
+        # reference run down from the widest target serves them all
+        for target in (16, 12, 10, 8, 4, 1):
+            segments = reference(segments, target)
+            expected = []
+            for seg in segments:
+                spots = [position[l.name] for u in seg for l in u.layers]
+                expected.append((f"{min(spots)}-{max(spots)}", tuple(seg)))
+            groups = group_layers(g, max_groups=target, units=units)
+            assert [(grp.label, grp.units) for grp in groups] == expected
 
     def test_coalescing_balances_flops(self):
         """Merging smallest pairs first avoids one giant group."""

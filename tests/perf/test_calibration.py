@@ -51,6 +51,37 @@ class TestFitScales:
             assert abs(sum(logs) / len(logs)) < 0.05
 
 
+class TestProxyCalibration:
+    """trident and matcha borrow orin's fit instead of refitting it."""
+
+    def test_proxied_scales_equal_a_fresh_orin_fit(self):
+        scales = fit_scales(get_platform("orin", calibrated=False))
+        for name in ("trident", "matcha"):
+            platform = get_platform(name)
+            for accel, scale in scales.items():
+                assert platform.accel(accel).time_scale == scale
+            for accel in platform.accelerators:
+                if accel.name not in scales:
+                    assert accel.time_scale == 1.0
+
+    def test_proxy_is_fitted_once(self, monkeypatch):
+        from repro.perf import calibration
+
+        fitted: list[str] = []
+
+        def counting_fit(platform):
+            fitted.append(platform.name)
+            return fit_scales(platform)
+
+        monkeypatch.setattr(calibration, "fit_scales", counting_fit)
+        get_platform.cache_clear()
+        for name in ("orin", "trident", "matcha"):
+            get_platform(name)
+        get_platform.cache_clear()
+        get_platform("matcha")
+        assert fitted == ["orin", "orin"]
+
+
 class TestReportQuality:
     def test_every_reference_cell_reported(self, report):
         name, rows = report

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.solver.bnb import BranchAndBound
 from repro.solver.exhaustive import solve_exhaustive
 from repro.solver.problem import Infeasible, Problem, Variable
+from repro.solver.random_instances import InstanceSpec, random_problem
 
 
 def knapsack_like(weights, values, capacity):
@@ -126,6 +127,27 @@ class TestBudgets:
         )
         result = BranchAndBound(node_budget=5).solve(problem)
         assert not result.optimal
+
+    def test_node_budget_overshoot_is_below_one_domain(self):
+        """The budget is checked between child subtrees, after a whole
+        sibling set is priced, so a truncated search overshoots by less
+        than the widest domain -- and never stops short of it."""
+        problem = random_problem(2, InstanceSpec(variables=6, max_domain=5))
+        assert BranchAndBound(node_budget=1).solve(problem).nodes_explored == 2
+        assert BranchAndBound(node_budget=5).solve(problem).nodes_explored == 6
+        truncated = 0
+        for seed in range(8):
+            problem = random_problem(
+                seed, InstanceSpec(variables=6, max_domain=5)
+            )
+            widest = max(len(v.domain) for v in problem.variables)
+            for budget in range(1, 40, 3):
+                result = BranchAndBound(node_budget=budget).solve(problem)
+                if result.optimal:
+                    continue
+                truncated += 1
+                assert budget <= result.nodes_explored < budget + widest
+        assert truncated > 50
 
     def test_budget_result_is_best_so_far(self):
         problem = knapsack_like([2, 3, 4, 5], [3, 4, 5, 6], 9)
