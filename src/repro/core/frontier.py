@@ -29,14 +29,21 @@ What batches and what stays scalar (the Eq. 7-8 split):
   Eq. 7 overlap structure: row-wise sorted bounds, durations, the
   ``active`` incidence tensor), and the Eq. 8 weighted-average
   slowdown projection with per-sibling damping and convergence masks.
-* **scalar, per sibling** -- the contention-model kernel itself
-  (Eq. 7's slowdown matrix), because it is cached under the discrete
-  overlap structure and the bandwidth vector in ``EvalEngine._s_cache``
-  and typically *hits* (siblings share structures); on a miss the
-  engine's own ``_s_matrix`` runs, so both paths execute literally the
-  same code.  Final per-DNN maxima, energy, and the objective also
-  stay scalar: they are a few microseconds per sibling and reusing
-  the reference's exact expressions keeps bit-identity trivial.
+  Each stream's timeline cursor is a flat index into padded item
+  arrays, advanced through a next-item table.
+* **reused per member** -- a member's overlap structure settles within
+  a few fixed-point iterations while its bounds keep drifting, so each
+  member keeps its last structure and dense slowdown rows for the
+  next iteration.  Nothing is shared *across* members: siblings differ
+  in one stream's assignment, so their bandwidth rows and structures
+  differ (a whole solve-cold pass found no duplicate in 60,878 rows).
+* **scalar, per changed structure** -- the contention-model kernel
+  (Eq. 7's slowdown matrix), cached under the overlap structure and
+  the bandwidth vector in ``EvalEngine._s_cache``; a step's misses run
+  as one ``_s_matrix_many`` batch, the algebra of the scalar path's
+  ``_s_matrix``, so both paths share entries.  Per-DNN maxima, energy
+  and the objective stay scalar too: the reference's exact expressions
+  keep bit-identity trivial at a few microseconds per sibling.
 
 Bit-identity argument (the contract every caller relies on):
 
@@ -50,6 +57,8 @@ Bit-identity argument (the contract every caller relies on):
   strict improvement on ``(c, r)`` -- equals the lexicographic
   minimum with lowest stream id on ties, computed here as masked row
   minima plus ``argmax`` on the winner mask (first ``True`` wins).
+* A reused slowdown row is the one the cache would return: the
+  structure and the member's bandwidth row fix the cache key.
 * Reductions that feed results are row-wise over the *last* axis or
   sequential over a middle axis with ``+0.0`` rows interleaved;
   ``tests/core/test_frontier.py`` certifies the end-to-end claim
@@ -87,10 +96,10 @@ if TYPE_CHECKING:  # deferred: evalcache imports create a cycle otherwise
 #: below this many to-compute members the scalar engine (memo + prefix
 #: replay) beats the lockstep setup cost.  Measured by replaying every
 #: engine call of perfbench's solve-cold pass (seed 7) with each path
-#: forced, on 2 vCPUs: lockstep runs at 0.61x the scalar speed for 6-7
-#: members, 0.72x at 8-9, 0.82x at 10-11, 0.91x at 12-13, 1.02x at
-#: 14-15, 1.28x at 16-17 and 1.53x at 26-39
-MIN_LOCKSTEP = 14
+#: forced, on 2 vCPUs: lockstep runs at 0.53x the scalar speed for 2-5
+#: members, 0.96-1.00x at 6-7, 1.10-1.15x at 8-9, 1.25-1.37x at 10-11,
+#: 1.4-1.5x at 12-15, 1.9x at 18-25 and 2.2x at 26-39
+MIN_LOCKSTEP = 8
 
 #: cell budget of one lockstep batch's (B, 2n - 1, n) slowdown
 #: tensors: wider frontiers run as several batches (see `_chunks`)
@@ -257,13 +266,9 @@ def _lockstep(
     # one stream), so each block is one gather from the few unique
     # rows instead of B per-member concatenations
     offsets = engine._offsets
-    t0_m = np.empty((B, n))
-    bw_m = np.empty((B, n))
-    acc_m = np.empty((B, n), dtype=int)
-    lo_m = np.empty((B, n))
-    li_m = np.empty((B, n))
-    prev_m = np.empty((B, n), dtype=int)
-    mats = (t0_m, bw_m, acc_m, lo_m, li_m, prev_m)
+    dtypes = (float, float, int, float, float, int)
+    mats = tuple(np.empty((B, n), dtype=t) for t in dtypes)
+    t0_m, bw_m, acc_m, lo_m, li_m, prev_m = mats
     for s in range(n_profiles):
         uniq: dict[Any, int] = {}
         take: list[int] = []
@@ -280,36 +285,29 @@ def _lockstep(
         blk = slice(int(offsets[s]), int(offsets[s + 1]))
         for field, mat in enumerate(mats):
             mat[:, blk] = np.stack([r[field] for r in rows_u])[sel]
+    # column n of every padded (B, n + 1) item array is the slot that
+    # closed streams' cursors point at; its +inf leads push their
+    # candidate starts to +inf so they lose the FCFS minimum without a
+    # separate open-stream mask
     inf_col = np.full((B, 1), _INF)
-    # lead-out and lead-in ride in one (2, B, n+1) tensor so the
-    # planning loop gathers both with a single fancy index; column n
-    # is the padding slot closed streams point at, and its +inf leads
-    # push closed streams' candidate starts to +inf so they lose the
-    # FCFS minimum without a separate open-stream mask
-    leads_p = np.stack(
-        [
-            np.concatenate([lo_m, inf_col], axis=1),
-            np.concatenate([li_m, inf_col], axis=1),
-        ]
-    )
-    acc_p = np.concatenate([acc_m, np.zeros((B, 1), dtype=int)], axis=1)
+    lo_p = np.concatenate([lo_m, inf_col], axis=1)
+    li_p = np.concatenate([li_m, inf_col], axis=1)
     any_lead = bool((lo_m > 0).any() or (li_m > 0).any())
 
-    ctx = _TimelineCtx(engine, leads_p, acc_p, t0_m, prev_m, any_lead)
+    ctx = _TimelineCtx(engine, lo_p, li_p, acc_m, t0_m, prev_m, any_lead)
     contention_free = serialized or isinstance(
         f.contention_model, NoContentionModel
     )
-    start = np.empty((B, n))
-    end = np.empty((B, n))
     slow = np.ones((B, n))
     iters = np.zeros(B, dtype=int)
 
     if contention_free:
-        ctx.run(slow, start, end)
+        start, end = ctx.run(slow)
         c.timeline_passes += B
         iters[:] = 1
     else:
         bw_bytes = [bw_m[pos].tobytes() for pos in range(B)]
+        structures = _Structures()
         #: slowdown vector frozen (tolerance met)
         conv = np.zeros(B, dtype=bool)
         #: frozen *and* the post-convergence extra pass has run --
@@ -317,28 +315,26 @@ def _lockstep(
         #: subsequent timeline passes entirely
         done = np.zeros(B, dtype=bool)
         compress = B >= _COMPRESS_MIN
+        start = np.empty((B, n))
+        end = np.empty((B, n))
         for it in range(1, f.max_iterations + 1):
             alive = np.nonzero(~done)[0] if compress else ctx.rows
-            sub = ctx if len(alive) == B else ctx.select(alive)
-            st = np.empty((len(alive), n))
-            en = np.empty((len(alive), n))
-            sub.run(slow[alive], st, en)
+            if len(alive) == B:
+                start, end = ctx.run(slow)
+            else:
+                start[alive], end[alive] = ctx.select(alive).run(slow[alive])
             c.timeline_passes += len(alive)
-            start[alive] = st
-            end[alive] = en
             # members already frozen just received their extra pass
             done[alive[conv[alive]]] = True
             if bool(done.all()):
                 break
-            new = _slowdowns_batch(
-                engine, bw_m, bw_bytes, start, end, slow, conv, c
+            u, new = _slowdowns_batch(
+                engine, bw_m, bw_bytes, start, end, slow, conv, structures, c
             )
-            step = np.abs(new - slow).max(axis=1)
-            just = (~conv) & (step < f.tolerance)
-            upd = ~conv
-            slow[upd] = new[upd]
+            just = u[np.abs(new - slow[u]).max(axis=1) < f.tolerance]
+            slow[u] = new
             iters[just] = it
-            conv |= just
+            conv[just] = True
         else:
             # iteration budget exhausted: non-converged members keep
             # the arrays of the last in-loop pass (reference: the
@@ -347,20 +343,13 @@ def _lockstep(
             iters[~conv] = f.max_iterations
             pend = np.nonzero(conv & ~done)[0]
             if len(pend):
-                sub = ctx.select(pend)
-                st = np.empty((len(pend), n))
-                en = np.empty((len(pend), n))
-                sub.run(slow[pend], st, en)
+                start[pend], end[pend] = ctx.select(pend).run(slow[pend])
                 c.timeline_passes += len(pend)
-                start[pend] = st
-                end[pend] = en
 
     # -- per-member finalization: the reference's exact scalar
     # expressions on contiguous row views (no batched reductions feed
     # results directly, so no reduction-order risk here)
-    offsets = engine._offsets
     power = engine.tensor.power
-    n_profiles = len(f.profiles)
     for row, j in enumerate(live):
         c.computed_evals += 1
         iterations = int(iters[row])
@@ -386,13 +375,8 @@ def _lockstep(
             ("ok", per_dnn, objective, makespan, energy, iterations),
         )
         arrays = (
-            engine._stream_vec,
-            acc_m[row],
-            start_r,
-            end_r,
-            t0_m[row],
-            slow[row],
-            bw_m[row],
+            engine._stream_vec, acc_m[row], start_r, end_r,
+            t0_m[row], slow[row], bw_m[row],
         )
         results[j] = engine._result(
             per_dnn, objective, makespan, energy, iterations, arrays
@@ -401,46 +385,52 @@ def _lockstep(
 
 
 class _TimelineCtx:
-    """Per-frontier immutable inputs for the lockstep event loop."""
+    """Per-frontier immutable inputs for the lockstep event loop.
+
+    Item arrays are padded to ``(B, n + 1)`` and raveled: each
+    stream's cursor is a flat index into them, advanced through the
+    ``nxt`` table (a chain's last item maps to its row's pad slot,
+    which maps to itself), so one ``take`` per array plans every
+    stream of every member.  ``accf`` / ``srcf`` hold each item's flat
+    index into the ``(B, A)`` DSA availability buffer.
+    """
 
     __slots__ = (
-        "engine",
-        "B",
-        "S",
-        "n",
-        "A",
-        "leads_p",
-        "acc_p",
-        "t0_m",
-        "prev_m",
-        "any_lead",
-        "chain_base",
-        "lens",
-        "rows",
+        "engine", "B", "S", "n", "A", "lo_p", "li_p", "acc_m", "t0_m",
+        "prev_m", "any_lead", "accf", "srcf", "nxt", "cur0", "rows",
     )
 
     def __init__(
         self,
         engine: "EvalEngine",
-        leads_p: np.ndarray,
-        acc_p: np.ndarray,
+        lo_p: np.ndarray,
+        li_p: np.ndarray,
+        acc_m: np.ndarray,
         t0_m: np.ndarray,
         prev_m: np.ndarray,
         any_lead: bool,
     ) -> None:
         self.engine = engine
-        self.B = len(t0_m)
+        B = self.B = len(t0_m)
         self.S = len(engine._chains)
-        self.n = engine._n_items
-        self.A = len(engine.tensor.names)
-        self.leads_p = leads_p
-        self.acc_p = acc_p
-        self.t0_m = t0_m
-        self.prev_m = prev_m
-        self.any_lead = any_lead
-        self.chain_base = engine._offsets[:-1][None, :]  # (1, S)
-        self.lens = np.asarray(engine._lens)[None, :]  # (1, S)
-        self.rows = np.arange(self.B)
+        n = self.n = engine._n_items
+        A = self.A = len(engine.tensor.names)
+        self.lo_p, self.li_p, self.acc_m = lo_p, li_p, acc_m
+        self.t0_m, self.prev_m, self.any_lead = t0_m, prev_m, any_lead
+        rowp = (np.arange(B) * (n + 1))[:, None]
+        rowa = (np.arange(B) * A)[:, None]
+        # the pad slot's DSA 0 is never written: closed streams cannot
+        # win, so it only feeds a harmless availability read
+        pad = np.zeros((B, 1), dtype=int)
+        self.accf = (np.concatenate([acc_m, pad], axis=1) + rowa).ravel()
+        self.srcf = (np.concatenate([prev_m, pad], axis=1) + rowa).ravel()
+        offsets, filled = engine._offsets, np.asarray(engine._lens) > 0
+        nxt = np.arange(1, n + 2)
+        nxt[offsets[1:][filled] - 1] = n  # chain ends -> pad slot
+        nxt[n] = n
+        self.nxt = (rowp + nxt).ravel()
+        self.cur0 = rowp + np.where(filled, offsets[:-1], n)
+        self.rows = np.arange(B)
 
     def select(self, rows_idx: np.ndarray) -> "_TimelineCtx":
         """Row-subset context (members still needing timeline passes).
@@ -451,17 +441,17 @@ class _TimelineCtx:
         """
         return _TimelineCtx(
             self.engine,
-            self.leads_p[:, rows_idx],
-            self.acc_p[rows_idx],
+            self.lo_p[rows_idx],
+            self.li_p[rows_idx],
+            self.acc_m[rows_idx],
             self.t0_m[rows_idx],
             self.prev_m[rows_idx],
             self.any_lead,
         )
 
-    def run(
-        self, slow: np.ndarray, start: np.ndarray, end: np.ndarray
-    ) -> None:
-        """One FCFS event-loop pass for every sibling at once.
+    def run(self, slow: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One FCFS event-loop pass for every sibling at once; returns
+        the ``(B, n)`` start and end times.
 
         Each round plans every open stream's next item (Eq. 4-6
         candidate starts), picks the per-sibling FCFS winner
@@ -470,35 +460,27 @@ class _TimelineCtx:
         arithmetic matches the scalar loop expression for expression;
         see the module docstring for the ``+0.0`` bit-safety argument.
         """
-        B, S, n, A = self.B, self.S, self.n, self.A
-        any_lead = self.any_lead
-        # flat views + flat index bases: np.take / 1-D fancy writes on
-        # raveled buffers are markedly cheaper than 2-D fancy indexing,
-        # and values are untouched (pure address arithmetic)
-        lo_f = self.leads_p[0].ravel()
-        li_f = self.leads_p[1].ravel()
-        acc_f = self.acc_p.ravel()
-        prev_f = self.prev_m.ravel()
-        t0_f = self.t0_m.ravel()
-        slow_f = slow.ravel()
-        start_f = start.reshape(-1)
-        end_f = end.reshape(-1)
-        rowp = (np.arange(B) * (n + 1))[:, None]  # (B, 1): padded stride
-        rown = np.arange(B) * n
-        rowa = np.arange(B) * A
-        rows = self.rows
-        pointer = np.zeros((B, S), dtype=int)
+        B, S, n, any_lead = self.B, self.S, self.n, self.any_lead
+        lo_f, li_f = self.lo_p.ravel(), self.li_p.ravel()
+        accf, srcf, nxt = self.accf, self.srcf, self.nxt
+        # item durations t0 * slow, padded like the item arrays: the
+        # same elementwise products the reference forms per commit
+        dur = np.zeros((B, n + 1))
+        np.multiply(self.t0_m, slow, out=dur[:, :n])
+        dur_f = dur.ravel()
+        # start/end staged in padded buffers, returned as (B, n) views
+        start_p, end_p = np.empty((B, n + 1)), np.empty((B, n + 1))
+        start_f, end_f = start_p.ravel(), end_p.ravel()
+        rows_s = np.arange(B) * S  # flat (B, S) row bases
+        cur = self.cur0.copy()
         ready = np.zeros((B, S))
-        avail_f = np.zeros(B * A)
+        cur_f, ready_f = cur.ravel(), ready.ravel()
+        avail_f = np.zeros(B * self.A)
         for _ in range(n):
-            i_all = self.chain_base + pointer  # (B, S)
-            open_m = pointer < self.lens
-            g = rowp + np.where(open_m, i_all, n)  # closed -> pad column
-            lo = lo_f.take(g)
-            li = li_f.take(g)
-            acc = acc_f.take(g)
+            lo = lo_f.take(cur)
+            li = li_f.take(cur)
             fe = ready + lo  # flush end (no-lead: + 0.0, bit-safe)
-            ls = np.maximum(fe, avail_f.take(rowa[:, None] + acc))
+            ls = np.maximum(fe, avail_f.take(accf.take(cur)))
             cst = ls + li  # candidate start; closed streams get +inf
             if any_lead:
                 hl = (lo + li) > 0.0  # exact: leads are >= 0
@@ -509,27 +491,41 @@ class _TimelineCtx:
                 # from the winner mask below
                 r = ready
             best_c = cst.min(axis=1)
-            eqc = cst == best_c[:, None]
-            rm = np.where(eqc, r, _INF)
+            rm = np.where(cst == best_c[:, None], r, _INF)
             best_r = rm.min(axis=1)
-            win = eqc & (rm == best_r[:, None])
-            best_n = win.argmax(axis=1)  # first True = lowest stream id
-            # winner item: flat index into the unpadded (B, n) arrays
-            iw = rown + i_all[rows, best_n]
+            # best_r is finite (some stream is open every round), so
+            # equality with it implies the candidate-start tie too;
+            # argmax picks the first True = lowest stream id
+            w = rows_s + (rm == best_r[:, None]).argmax(axis=1)
+            cw = cur_f.take(w)  # winner items, padded flat index
             if any_lead:
                 # commit the flush: it occupies the source DSA
-                hw = hl[rows, best_n]
-                srcw = rowa + prev_f.take(iw)
-                few = fe[rows, best_n]
-                sel = hw & (few > avail_f.take(srcw))
+                srcw = srcf.take(cw)
+                few = fe.ravel().take(w)
+                sel = hl.ravel().take(w) & (few > avail_f.take(srcw))
                 if bool(sel.any()):
                     avail_f[srcw[sel]] = few[sel]
-            e = best_c + t0_f.take(iw) * slow_f.take(iw)
-            start_f[iw] = best_c
-            end_f[iw] = e
-            ready[rows, best_n] = e
-            avail_f[rowa + acc[rows, best_n]] = e
-            pointer[rows, best_n] += 1
+            e = best_c + dur_f.take(cw)
+            start_f[cw] = best_c
+            end_f[cw] = e
+            ready_f[w] = e
+            avail_f[accf.take(cw)] = e
+            cur_f[w] = nxt.take(cw)
+        return start_p[:, :n], end_p[:, :n]
+
+
+class _Structures:
+    """Each unconverged member's overlap structure -- packed (active
+    and kept, kept) interval bits -- and the dense ``(2n - 1, n)``
+    slowdown rows it produced, carried from one fixed-point iteration
+    to the next of one :func:`_lockstep` call."""
+
+    __slots__ = ("rows", "bits", "s3")
+
+    def __init__(self) -> None:
+        self.rows = np.empty(0, dtype=int)  # the last step's members
+        self.bits = np.empty((0, 0), dtype=np.uint8)
+        self.s3 = np.empty((0, 0, 0))
 
 
 def _slowdowns_batch(
@@ -540,10 +536,12 @@ def _slowdowns_batch(
     end: np.ndarray,
     previous: np.ndarray,
     skip: np.ndarray,
+    structures: _Structures,
     c: Any,
-) -> np.ndarray:
-    """Batched Eq. 7-8 step; rows in ``skip`` return garbage (their
-    slowdowns are frozen by the caller and never read).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched Eq. 7-8 step for the rows not in ``skip`` (their
+    slowdowns are frozen by the caller); returns those rows and their
+    damped slowdowns.
 
     The interval construction keeps *all* ``2n - 1`` sorted-bound
     intervals per row instead of filtering zero-length ones: dropped
@@ -552,84 +550,82 @@ def _slowdowns_batch(
     the kept rows add up bit-identically to the reference's filtered
     sum (all summands are ``>= +0.0``; certified differentially).
     """
-    B, n = start.shape
-    # compress to unconverged rows: converged members' slowdowns are
-    # frozen by the caller, so their rows would be dead weight here
+    n = start.shape[1]
     u = np.nonzero(~skip)[0]
-    su = start[u]
-    eu = end[u]
-    U = len(u)
+    su, eu, U = start[u], end[u], len(u)
     c.slowdown_queries += U
     bounds = np.concatenate([su, eu], axis=1)
     bounds.sort(axis=1)
-    a = bounds[:, :-1]
-    b = bounds[:, 1:]
+    a, b = bounds[:, :-1], bounds[:, 1:]
     dur = b - a
     keep = dur > 1e-15
+    # kept-and-active cells: zero-length intervals carry no structure
     active3 = (su[:, None, :] <= a[:, :, None] + 1e-15) & (
         eu[:, None, :] >= b[:, :, None] - 1e-15
     )
-    # vectorized structure dedup: the slowdown matrix depends only on
-    # the *discretized* overlap structure (active incidence + kept
-    # intervals) and the bandwidth vector, and siblings share most
-    # structures -- so unique-ify those keys in one packbits+unique
-    # pass and run the cache machinery per unique structure only.
-    # (Durations stay continuous and per-row: the weighted average
-    # below still runs on every row.)
-    pk_a = np.packbits(active3.reshape(U, -1), axis=1)
-    pk_k = np.packbits(keep, axis=1)
-    raw = np.ascontiguousarray(
-        np.concatenate([pk_a, pk_k, bw_m[u].view(np.uint8)], axis=1)
+    active3 &= keep[:, :, None]
+    # the slowdown rows depend only on this structure and the member's
+    # own bandwidth row: an unchanged structure reuses last step's rows
+    bits = np.concatenate(
+        [np.packbits(active3.reshape(U, -1), axis=1), np.packbits(keep, axis=1)],
+        axis=1,
     )
-    vk = raw.view(np.dtype((np.void, raw.shape[1]))).ravel()
-    _, rep, inv = np.unique(vk, return_index=True, return_inverse=True)
-    R = len(rep)
-    c.slowdown_cache_hits += U - R
-    # per-unique-structure slowdown tensor, engine cache + batched
-    # miss; the cache holds each structure's active cells only, and
-    # every other cell is 1.0 (the `_s_matrix` fill)
-    s_cache = engine._s_cache
-    rep_l = rep.tolist()
-    vals: list[Any] = [None] * R
-    miss_pos: list[int] = []
-    miss_keys: list[Any] = []
-    miss_acts: list[np.ndarray] = []
-    miss_bws: list[np.ndarray] = []
-    for r_i, idx in enumerate(rep_l):
-        row = int(u[idx])
-        act = active3[idx][keep[idx]]  # contiguous (K, n) == reference
-        key = (act.shape[0], act.tobytes(), bw_bytes[row])
-        v = s_cache.get(key)
-        if v is not None:
-            c.slowdown_cache_hits += 1
-            vals[r_i] = v
-            continue
-        miss_pos.append(r_i)
-        miss_keys.append(key)
-        miss_acts.append(act)
-        miss_bws.append(bw_m[row])
-    if miss_keys:
-        # all cache misses run as one padded batch through the same
-        # algebra as the scalar `_s_matrix` (see `_s_matrix_many`)
-        s_list = engine._s_matrix_many(miss_acts, miss_bws)
-        for r_i, key, act, s in zip(miss_pos, miss_keys, miss_acts, s_list):
-            v = _frozen(s[act])
-            s_cache.put(key, v)
-            vals[r_i] = v
-    # dropped (zero-length) interval rows keep 1.0 too: their weight
-    # is +0.0, and +0.0 * 1.0 == +0.0 * s for any finite s; the
-    # kept-and-active cells of all structures, in row-major order, are
-    # exactly the concatenated per-structure `act` cells
-    s3u = np.ones((R, active3.shape[1], n))
-    s3u[active3[rep] & keep[rep][:, :, None]] = np.concatenate(vals)
-    s3 = s3u[inv]
-    # `dur * keep` == `np.where(keep, dur, 0.0)` bitwise: durations are
-    # finite and >= +0.0, so * 1.0 is the identity and * 0.0 is +0.0
-    wd3 = active3 * (dur * keep)[:, :, None]
-    weighted = (wd3 * s3).sum(axis=1)
+    rows = structures.rows
+    if len(rows) == 0:
+        s3, changed = np.empty((U, 2 * n - 1, n)), np.arange(U)
+    else:
+        s3, old = structures.s3, structures.bits
+        if len(rows) != U:
+            # converged members left, nobody joins: keep the survivors
+            pos = np.searchsorted(rows, u)
+            s3, old = s3[pos], old[pos]
+        changed = np.nonzero((bits != old).any(axis=1))[0]
+    c.slowdown_cache_hits += U - len(changed)
+    if len(changed):
+        # changed structures go through the engine cache under the
+        # scalar path's key; this step's misses run as one batch, and
+        # a miss repeated within it is a hit on the first one's result
+        s_cache = engine._s_cache
+        u_l = u.tolist()
+        vals: list[Any] = []
+        misses: dict[Any, list[int]] = {}
+        miss_acts: list[np.ndarray] = []
+        miss_bws: list[np.ndarray] = []
+        for i in changed.tolist():
+            act = active3[i][keep[i]]  # contiguous (K, n) == reference
+            key = (act.shape[0], act.tobytes(), bw_bytes[u_l[i]])
+            v = s_cache.get(key)
+            if v is not None:
+                c.slowdown_cache_hits += 1
+            elif key in misses:
+                c.slowdown_cache_hits += 1
+                misses[key].append(len(vals))
+            else:
+                misses[key] = [len(vals)]
+                miss_acts.append(act)
+                miss_bws.append(bw_m[u_l[i]])
+            vals.append(v)
+        if misses:
+            s_list = engine._s_matrix_many(miss_acts, miss_bws)
+            for (key, slots), act, s in zip(misses.items(), miss_acts, s_list):
+                v = _frozen(s[act])
+                s_cache.put(key, v)
+                for k in slots:
+                    vals[k] = v
+        # dropped (zero-length) interval rows keep 1.0 too: their weight
+        # is +0.0, and +0.0 * 1.0 == +0.0 * s for any finite s; the
+        # kept-and-active cells of all structures, in row-major order,
+        # are exactly the concatenated per-structure `act` cells
+        fresh = np.ones((len(changed), 2 * n - 1, n))
+        fresh[active3[changed]] = np.concatenate(vals)
+        s3[changed] = fresh
+    structures.rows, structures.bits, structures.s3 = u, bits, s3
+    # `active3 * dur` == the reference's `np.where(keep, dur, 0.0)`
+    # weights bitwise: durations are finite and >= +0.0, so * 1.0 is
+    # the identity and * 0.0 is +0.0
+    wd3 = active3 * dur[:, :, None]
     covered = wd3.sum(axis=1)
+    wd3 *= s3
+    weighted = wd3.sum(axis=1)
     new_u = np.where(covered > 0, weighted / np.maximum(covered, 1e-30), 1.0)
-    # scatter back; skipped rows keep their previous (frozen) values
-    new = previous.copy()
-    new[u] = 0.25 * previous[u] + 0.75 * new_u
-    return new
+    return u, 0.25 * previous[u] + 0.75 * new_u

@@ -23,10 +23,12 @@ between the independent paths is a bug somewhere:
     The memoized incremental evaluator vs the from-scratch reference
     on the adopted assignments -- bit-for-bit equal fields and items.
 ``frontier-byte-identity``
-    The lockstep frontier batch (``evaluate_frontier``) over sibling
-    variations of the adopted assignment vs the per-member scratch
+    The lockstep engine (``frontier._lockstep``) over a sweep of every
+    stream's domain, on a fresh formulation, vs the per-member scratch
     reference -- equal fields for feasible members, equal exception
-    type and message for infeasible ones.
+    type and message for infeasible ones.  Pipelines, which have no
+    lockstep path, batch sibling variations of the adopted assignment
+    through ``evaluate_frontier`` instead.
 ``baseline-dominance``
     The adopted schedule never loses to the serialized GPU-only
     fallback *under the same formulation*.
@@ -51,6 +53,7 @@ import itertools
 from dataclasses import dataclass
 
 from repro.analysis.verify import verify_result, verify_solve
+from repro.core import frontier
 from repro.core.baselines import naive_concurrent
 from repro.core.formulation import EvaluationResult, ScheduleInfeasible
 from repro.core.haxconn import HaXCoNN, ScheduleResult
@@ -66,8 +69,7 @@ from repro.solver.problem import Infeasible
 #: instances keep the certificate + portfolio + baseline oracles
 DEFAULT_EXHAUSTIVE_CAP = 2_000
 
-#: members of the frontier-byte-identity batch: more than the
-#: lockstep engine's minimum width, so the check reaches lockstep
+#: members of the frontier-byte-identity batch (a cap on the sweep)
 FRONTIER_MEMBERS = 32
 
 #: relative tolerance for objective agreement between solvers that
@@ -318,24 +320,39 @@ def run_oracles(
 
     # -- frontier batch vs scalar reference ----------------------------
     checks.append("frontier-byte-identity")
-    # a genuine leaf frontier: the first two streams sweep their
-    # domains, the others keep the adopted assignment -- the shape
-    # bnb's leaf-grandparent prewarm hands the batched evaluator
-    # (leaves of several leaf-parents), wide enough for lockstep
-    heads = [v.domain for v in problem.variables[:2]]
-    siblings = [
-        [*map(tuple, values), *assignments[len(heads):]]
-        for values in itertools.islice(
-            itertools.product(*heads), FRONTIER_MEMBERS
+    # a leaf frontier straight into the lockstep engine, whatever its
+    # width: every stream sweeps its domain (capped), priced concurrent
+    # on a fresh formulation so no member is memoized.  Pipelines have
+    # no lockstep path and keep the dispatching entry point.
+    if workload.pipeline:
+        heads = [v.domain for v in problem.variables[:2]]
+        siblings = [
+            [*map(tuple, values), *assignments[len(heads):]]
+            for values in itertools.islice(
+                itertools.product(*heads), FRONTIER_MEMBERS
+            )
+        ]
+        reference, front_serialized = formulation, serialized
+        batched = formulation.evaluate_frontier(
+            siblings, serialized=serialized, check_exclusive=False
         )
-    ]
-    batched = formulation.evaluate_frontier(
-        siblings, serialized=serialized, check_exclusive=False
-    )
+    else:
+        siblings = [
+            list(values)
+            for values in itertools.islice(
+                itertools.product(*(v.domain for v in problem.variables)),
+                FRONTIER_MEMBERS,
+            )
+        ]
+        reference = scheduler.build_formulation(workload)[0]
+        front_serialized = False
+        batched = frontier._lockstep(
+            reference.engine, [tuple(m) for m in siblings], False, False
+        )
     for j, (member, got) in enumerate(zip(siblings, batched)):
         try:
-            ref = formulation.evaluate_scratch(
-                member, serialized=serialized, check_exclusive=False
+            ref = reference.evaluate_scratch(
+                member, serialized=front_serialized, check_exclusive=False
             )
         except ScheduleInfeasible as exc:
             if type(got) is not type(exc) or str(got) != str(exc):

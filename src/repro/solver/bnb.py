@@ -223,7 +223,7 @@ class _SearchState:
         partial: dict[str, Any],
         variable: Variable,
         children: Sequence[tuple[float, Any]],
-    ) -> None:
+    ) -> dict[Any, list[float | None]]:
         """Hand every leaf under ``children`` whose bound beats the
         current limit to ``warm`` (``frontier_evaluate``) in one batch.
 
@@ -231,28 +231,44 @@ class _SearchState:
         of a leaf-grandparent; ``partial`` lacks it on entry and exit.
         Leaves are priced with the calls the search loop makes, so the
         batch holds exactly the leaves the loop can still reach (the
-        limit only tightens).  Node counts do not move.
+        limit only tightens).  Returns those prices (``_price`` per
+        leaf, in domain order) keyed by leaf-parent value, for the
+        leaf-parents' own sibling loops: pricing reads only the
+        partial, never the incumbent.  Node counts do not move.
         """
         leaf = self.problem.variables[-1]
         limit = self.limit()
         frontier: list[dict[str, Any]] = []
+        priced: dict[Any, list[float | None]] = {}
         for bound, value in children:
             if bound >= limit:
                 continue
             partial[variable.name] = value
             bounds_vec = self._bounds(partial, leaf)
+            prices: list[float | None] = []
+            priced[value] = prices
             for i, leaf_value in enumerate(leaf.domain):
                 partial[leaf.name] = leaf_value
                 b = self._price(partial, bounds_vec, i)
+                prices.append(b)
                 if b is not None and b < limit:
                     frontier.append(dict(partial))
             partial.pop(leaf.name, None)
         partial.pop(variable.name, None)
         if len(frontier) > 1:
             warm(frontier)
+        return priced
 
-    def dfs(self, partial: dict[str, Any], depth: int) -> bool:
-        """Explore the subtree; returns True when fully exhausted."""
+    def dfs(
+        self,
+        partial: dict[str, Any],
+        depth: int,
+        priced: Sequence[float | None] | None = None,
+    ) -> bool:
+        """Explore the subtree; returns True when fully exhausted.
+
+        ``priced`` holds this node's child prices when a prewarm has
+        already computed them (see :meth:`_prewarm`)."""
         problem = self.problem
         n_vars = len(problem.variables)
         if depth == n_vars:
@@ -266,12 +282,15 @@ class _SearchState:
         variable = problem.variables[depth]
         # one vectorized call prices the whole sibling set; evaluated
         # before the loop because the partial is mutated in place below
-        bounds_vec = self._bounds(partial, variable)
+        bounds_vec = self._bounds(partial, variable) if priced is None else None
         children: list[tuple[float, Any]] = []
         for i, value in enumerate(variable.domain):
-            partial[variable.name] = value
             self.nodes += 1
-            bound = self._price(partial, bounds_vec, i)
+            if priced is None:
+                partial[variable.name] = value
+                bound = self._price(partial, bounds_vec, i)
+            else:
+                bound = priced[i]
             if bound is not None:
                 children.append((bound, value))
         partial.pop(variable.name, None)
@@ -304,16 +323,19 @@ class _SearchState:
         if grand_warm is not None:
             self._warmed = False
         exhausted = True
+        leaf_prices: dict[Any, list[float | None]] = {}
         for k, (bound, value) in enumerate(ordered):
             if self.budget_exceeded():
                 return False
             if bound >= self.limit():
                 continue  # pruned subtrees are still fully accounted for
             if grand_warm is not None and not self._warmed and self.limit() < _INF:
-                self._prewarm(grand_warm, partial, variable, ordered[k:])
+                leaf_prices = self._prewarm(
+                    grand_warm, partial, variable, ordered[k:]
+                )
                 self._warmed = True
             partial[variable.name] = value
-            if not self.dfs(partial, depth + 1):
+            if not self.dfs(partial, depth + 1, leaf_prices.get(value)):
                 exhausted = False
                 partial.pop(variable.name, None)
                 return False

@@ -11,7 +11,8 @@ random formulations, every real platform (including the 4-DSA
 ``matcha`` with the ``vit_tiny`` transformer), and the adversarial
 paths: memo eviction mid-frontier, singleton frontiers, duplicate
 members, all-infeasible frontiers, frontiers split across several
-lockstep batches, slowdown-cache entries read across paths -- plus
+lockstep batches, slowdown-cache entries read across paths, per-member
+structure reuse across fixed-point iterations -- plus
 the solver-level guarantee that the leaf prewarm hook leaves the B&B
 tree untouched.
 """
@@ -24,7 +25,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.evalcache import EvalEngine
+from repro.core.evalcache import EvalEngine, _FIFOCache
 from repro.core.formulation import ScheduleInfeasible
 from repro.core.haxconn import HaXCoNN, enumerate_assignments
 from repro.core.workload import Workload
@@ -282,6 +283,94 @@ def test_slowdown_cache_entries_shared_across_paths(seed, lockstep_from_two):
         c = reader.counters
         assert c.slowdown_queries > 0
         assert c.slowdown_cache_hits == c.slowdown_queries
+
+
+# -- per-member structure reuse across fixed-point iterations ----------
+def _lockstep_members(form, count):
+    """``count`` distinct members (fewer when the space is smaller)."""
+    space = 1
+    for p in form.profiles:
+        space *= len(ACCELS) ** len(p)
+    return _distinct_members(form, min(space, count))
+
+
+@pytest.mark.parametrize("seed", (19, 21, 38))
+def test_structure_that_changes_back_is_rebuilt(seed, monkeypatch):
+    """A member whose overlap structure goes A -> B -> A over three
+    iterations must get A's slowdown rows back, not B's: reuse is
+    keyed on the previous iteration's structure, which the B step
+    replaced."""
+    from repro.core import frontier
+
+    monkeypatch.setattr(frontier, "MIN_LOCKSTEP", 2)
+    step = frontier._slowdowns_batch
+    history = {}
+
+    def recording(*args):
+        out = step(*args)
+        structures = args[7]
+        for row, bits in zip(structures.rows.tolist(), structures.bits):
+            history.setdefault(row, []).append(bits.tobytes())
+        return out
+
+    monkeypatch.setattr(frontier, "_slowdowns_batch", recording)
+    form, _rng = random_formulation(seed)
+    members = _lockstep_members(form, 24)
+    ref = outcomes(clone(form).evaluate_scratch, members)
+    front_form = clone(form)
+    got = frontier_outcomes(front_form, members)
+    assert_identical(got, ref, items_every=1)
+    assert front_form.engine.counters.frontier_lockstep == len(members)
+    assert any(
+        h[t] == h[t + 2] != h[t + 1]
+        for h in history.values()
+        for t in range(len(h) - 2)
+    )
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_one_entry_slowdown_cache(seed, lockstep_from_two):
+    """With a one-entry slowdown cache every put evicts, so reused
+    rows can no longer be found in the cache; every member still
+    equals scratch bit for bit."""
+    form, _rng = random_formulation(seed)
+    members = _lockstep_members(form, 20)
+    ref = outcomes(clone(form).evaluate_scratch, members)
+    engine = EvalEngine(clone(form))
+    engine._s_cache = _FIFOCache(1)
+    got = frontier_outcomes(engine, members)
+    assert_identical(got, ref, items_every=1)
+    assert len(engine._s_cache) <= 1
+    if form.resource_constrained:
+        assert engine.counters.frontier_lockstep == len(members)
+
+
+@pytest.mark.parametrize("width", (24, 96), ids=("narrow", "compressed"))
+@pytest.mark.parametrize("seed", (0, 9, 17, 38))
+def test_mixed_convergence_batches(seed, width, monkeypatch):
+    """Members converge at different iterations: frozen members leave
+    the slowdown step (and, from ``_COMPRESS_MIN`` members on, the
+    timeline passes) while the rest keep iterating on their carried
+    structures; all equal scratch bit for bit."""
+    from repro.core import frontier
+
+    monkeypatch.setattr(frontier, "MIN_LOCKSTEP", 2)
+    sizes = []
+    lockstep = frontier._lockstep
+
+    def recording(engine, keys, *args):
+        sizes.append(len(keys))
+        return lockstep(engine, keys, *args)
+
+    monkeypatch.setattr(frontier, "_lockstep", recording)
+    form, _rng = random_formulation(seed)
+    members = _distinct_members(form, width)
+    ref = outcomes(clone(form).evaluate_scratch, members)
+    got = frontier_outcomes(clone(form), members)
+    assert_identical(got, ref, items_every=1)
+    assert (min(sizes) >= frontier._COMPRESS_MIN) == (width > 64)
+    iterations = {o[1].fixed_point_iterations for o in got if o[0] == "ok"}
+    assert len(iterations) > 1
 
 
 # -- real platforms, including matcha + vit_tiny ------------------------

@@ -19,6 +19,36 @@ def test_generated_scenarios_pass(seed):
     assert "baseline-dominance" in outcome.checks
 
 
+def test_frontier_check_reaches_lockstep(monkeypatch):
+    """The frontier-byte-identity check runs the lockstep engine on
+    every non-pipeline scenario, however narrow its search space: with
+    the dispatcher's lockstep path shut off, every ``_lockstep`` call
+    comes from the check itself."""
+    from repro.core import frontier
+
+    monkeypatch.setattr(frontier, "MIN_LOCKSTEP", 10**9)
+    lockstep = frontier._lockstep
+    calls = []
+
+    def recording(engine, keys, *args):
+        calls.append(len(keys))
+        return lockstep(engine, keys, *args)
+
+    monkeypatch.setattr(frontier, "_lockstep", recording)
+    checked = 0
+    for seed in range(20):
+        spec = generate_scenario(seed)
+        before = len(calls)
+        outcome = run_oracles(spec)
+        assert outcome.ok, [d.describe() for d in outcome.discrepancies]
+        if spec.workload().pipeline:
+            continue
+        checked += 1
+        assert "frontier-byte-identity" in outcome.checks
+        assert len(calls) == before + 1, seed
+    assert checked >= 15
+
+
 def test_small_instances_get_the_exhaustive_oracle():
     spec = generate_scenario(2)
     outcome = run_oracles(spec)

@@ -1,5 +1,7 @@
 """Branch-and-bound: certified optimality, anytime behaviour, budgets."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -163,6 +165,59 @@ class TestBudgets:
             BranchAndBound(node_budget=-1)
         with pytest.raises(TypeError):  # node budgets only
             BranchAndBound(time_budget_s=1.0)
+
+
+def _priced(problem, calls, batches=None):
+    """``problem`` with a halved (still admissible: objectives are
+    positive) bound, priced by a vectorized ``child_bounds`` that logs
+    each sibling set it prices, and with a recording no-op
+    ``frontier_evaluate`` when ``batches`` is given.  The loose bound
+    lets several leaf-parents survive each prewarm."""
+
+    def lower_bound(partial):
+        return 0.5 * problem.lower_bound(partial)
+
+    def child_bounds(partial, variable):
+        calls.append((tuple(sorted(partial.items())), variable.name))
+        return [
+            lower_bound({**partial, variable.name: value})
+            for value in variable.domain
+        ]
+
+    return dataclasses.replace(
+        problem,
+        lower_bound=lower_bound,
+        child_bounds=child_bounds,
+        frontier_evaluate=None if batches is None else batches.append,
+    )
+
+
+class TestPrewarmPricing:
+    @pytest.mark.parametrize("seed", (0, 1, 3, 4, 5, 7, 9))
+    def test_each_sibling_set_is_priced_once(self, seed):
+        """A leaf-grandparent's prewarm prices the children of every
+        surviving leaf-parent; the leaf-parents' own loops reuse those
+        prices instead of calling ``child_bounds`` again.  The tree,
+        node count and incumbents equal the search without the hint."""
+        problem = random_problem(seed, InstanceSpec(variables=5, max_domain=5))
+        plain_calls, calls, batches = [], [], []
+        plain = BranchAndBound().solve(_priced(problem, plain_calls))
+        hinted = BranchAndBound().solve(_priced(problem, calls, batches))
+        assert len(calls) == len(set(calls))
+        # the prewarm may price leaf-parents a tightened limit prunes
+        # later, never fewer than the search reaches
+        assert set(plain_calls) <= set(calls)
+        assert hinted.nodes_explored == plain.nodes_explored
+        assert [(i.assignment, i.objective) for i in hinted.incumbents] == [
+            (i.assignment, i.objective) for i in plain.incumbents
+        ]
+        # a prewarm ran and spanned several leaf-parents
+        leaf = problem.variables[-1].name
+        assert any(
+            len({tuple(sorted((k, v) for k, v in a.items() if k != leaf))
+                 for a in batch}) >= 2
+            for batch in batches
+        )
 
 
 class TestExhaustive:
