@@ -50,28 +50,3 @@ def save_json():
         return path
 
     return _save
-
-
-@pytest.fixture(scope="session", autouse=True)
-def profile_store():
-    """Share one on-disk profile store across every benchmark run.
-
-    Points ``REPRO_PROFILE_STORE`` at ``benchmarks/results`` so
-    :func:`repro.experiments.common.get_db` loads persisted profile
-    databases instead of re-deriving them, and persists whatever was
-    profiled at session end -- the paper's profile-once workflow,
-    across processes.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    from repro.experiments import common
-
-    previous = os.environ.get(common.PROFILE_STORE_ENV)
-    os.environ[common.PROFILE_STORE_ENV] = str(RESULTS_DIR)
-    try:
-        yield
-        common.persist_profile_stores()
-    finally:
-        if previous is None:
-            os.environ.pop(common.PROFILE_STORE_ENV, None)
-        else:
-            os.environ[common.PROFILE_STORE_ENV] = previous

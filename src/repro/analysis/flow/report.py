@@ -60,10 +60,6 @@ class FlowReport:
     stale_keys: tuple[str, ...] = ()
 
     @property
-    def new_findings(self) -> tuple[FlowFinding, ...]:
-        return self.findings
-
-    @property
     def ok(self) -> bool:
         return not self.findings
 

@@ -264,7 +264,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # to the policy, which then owns read and write-through)
     policy = make_policy(True)
     server = Server(
-        platform, tenants, policy, max_batch=args.max_batch
+        platform,
+        tenants,
+        policy,
+        max_batch=args.max_batch,
+        batching=args.batching,
     )
     report = server.run(horizon_s=args.horizon)
     print(report.describe())

@@ -112,28 +112,6 @@ class PCCSModel(ContentionModel):
         bot = table[i1, j0] * (1 - fj) + table[i1, j1] * fj
         return top * (1 - fi) + bot * fi
 
-    # -- persistence -----------------------------------------------------
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "own_grid": self.own_grid.tolist(),
-            "ext_grid": self.ext_grid.tolist(),
-            "tables": {
-                str(n): t.tolist() for n, t in sorted(self.tables.items())
-            },
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, object]) -> "PCCSModel":
-        tables = {
-            int(n): np.asarray(t, dtype=float)
-            for n, t in payload["tables"].items()  # type: ignore[union-attr]
-        }
-        return cls(
-            own_grid=np.asarray(payload["own_grid"], dtype=float),
-            ext_grid=np.asarray(payload["ext_grid"], dtype=float),
-            tables=tables,
-        )
-
 
 def _synthetic_task(
     task_id: str, host: str, demand_bw: float, duration_s: float

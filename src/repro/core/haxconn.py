@@ -103,10 +103,6 @@ class ScheduleResult:
     def __getstate__(self) -> dict[str, Any]:
         return {**self.__dict__, "_executions": {}}
 
-    @property
-    def predicted_latency(self) -> float:
-        return self.predicted.makespan
-
     def describe(self) -> str:
         return self.schedule.describe()
 

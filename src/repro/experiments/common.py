@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.core.baselines import gpu_only, h2h, herald, mensa, naive_concurrent
@@ -11,10 +9,6 @@ from repro.core.haxconn import HaXCoNN, ScheduleResult
 from repro.core.workload import Workload
 from repro.profiling.database import ProfileDB
 from repro.soc.platform import Platform, get_platform
-
-#: environment variable naming a directory of persisted profile
-#: databases (``<platform>_profiles.json`` files); see :func:`get_db`
-PROFILE_STORE_ENV = "REPRO_PROFILE_STORE"
 
 #: display names matching the paper's column headers
 SCHEDULER_LABELS = {
@@ -31,58 +25,15 @@ SCHEDULER_LABELS = {
 _DBS: dict[str, ProfileDB] = {}
 
 
-def profile_store_path(platform_name: str) -> Path | None:
-    """Where ``platform_name``'s profiles persist, or None when the
-    ``REPRO_PROFILE_STORE`` directory is not configured."""
-    root = os.environ.get(PROFILE_STORE_ENV)
-    if not root:
-        return None
-    return Path(root) / f"{platform_name}_profiles.json"
-
-
 def get_db(platform_name: str) -> ProfileDB:
-    """One shared profile database per platform (profiling is offline
-    and happens once, as in the paper).
-
-    When the ``REPRO_PROFILE_STORE`` environment variable names a
-    directory, a previously persisted database is loaded from
-    ``<dir>/<platform>_profiles.json`` instead of re-deriving profiles
-    from scratch -- the on-disk analogue of the paper's profile-once
-    workflow, shared by the benchmark and experiment runs.  A missing
-    or stale file falls back to a fresh database (the store is a
-    cache, never a correctness dependency); call
-    :func:`persist_profile_stores` to write the current databases
-    back.
-    """
+    """One shared profile database per platform and process (profiling
+    is offline and happens once, as in the paper).  Profiles derive
+    from the platform model only, so every caller -- experiments,
+    benchmarks and the fuzzer -- sees the same tables."""
     db = _DBS.get(platform_name)
-    if db is not None:
-        return db
-    path = profile_store_path(platform_name)
-    if path is not None and path.exists():
-        try:
-            db = ProfileDB.load(path)
-        except (OSError, ValueError, KeyError, TypeError):
-            # corrupt / schema-drifted store file: profile afresh
-            db = ProfileDB(get_platform(platform_name))
-    else:
-        db = ProfileDB(get_platform(platform_name))
-    _DBS[platform_name] = db
+    if db is None:
+        db = _DBS[platform_name] = ProfileDB(get_platform(platform_name))
     return db
-
-
-def persist_profile_stores() -> list[Path]:
-    """Write every database :func:`get_db` handed out back to the
-    profile store; returns the written paths (empty when the store
-    directory is not configured)."""
-    written: list[Path] = []
-    for name in sorted(_DBS):
-        path = profile_store_path(name)
-        if path is None:
-            continue
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _DBS[name].save(path)
-        written.append(path)
-    return written
 
 
 def make_scheduler(

@@ -57,8 +57,9 @@ from repro.core import frontier
 from repro.core.baselines import naive_concurrent
 from repro.core.formulation import EvaluationResult, ScheduleInfeasible
 from repro.core.haxconn import HaXCoNN, ScheduleResult
+from repro.experiments.common import get_db
+from repro.fuzz.replay import fleet_scenario
 from repro.fuzz.universe import ScenarioSpec
-from repro.profiling.database import ProfileDB
 from repro.soc.platform import get_platform
 from repro.solver.bnb import BranchAndBound
 from repro.solver.exhaustive import solve_exhaustive
@@ -75,26 +76,6 @@ FRONTIER_MEMBERS = 32
 #: relative tolerance for objective agreement between solvers that
 #: evaluate through the same (memoized, deterministic) formulation
 REL_TOL = 1e-9
-
-#: per-platform hermetic profile databases.  The fuzzer deliberately
-#: does NOT go through :func:`repro.experiments.common.get_db`: that
-#: helper consults the ``REPRO_PROFILE_STORE`` environment variable
-#: and may load persisted profiles from disk, so a stale store on one
-#: host would silently change the campaign digest that CI compares
-#: byte-for-byte.  Campaign inputs must be a pure function of the
-#: scenario spec.
-_HERMETIC_DBS: dict[str, ProfileDB] = {}
-
-
-def hermetic_db(platform_name: str) -> ProfileDB:
-    """A profile database derived only from the platform model --
-    never from the environment or the filesystem."""
-    db = _HERMETIC_DBS.get(platform_name)
-    if db is None:
-        db = ProfileDB(get_platform(platform_name))
-        _HERMETIC_DBS[platform_name] = db
-    return db
-
 
 @dataclass(frozen=True)
 class Discrepancy:
@@ -184,7 +165,7 @@ def run_oracles(
         discrepancies.append(Discrepancy(check=check, detail=detail))
 
     platform = get_platform(spec.platform)
-    db = hermetic_db(spec.platform)
+    db = get_db(spec.platform)
     scheduler = HaXCoNN(
         platform,
         db=db,
@@ -423,10 +404,6 @@ def run_oracles(
     # -- pipelined fleet vs lockstep (corpus replays) ------------------
     if pipelined_replay:
         checks.append("pipelined-fleet-identity")
-        # oracle -> replay is a cycle at import time (replay builds on
-        # hermetic_db); resolve it at the one call site instead
-        from repro.fuzz.replay import fleet_scenario
-
         lockstep = fleet_scenario(spec, horizon_s=0.2, max_lag=0)
         pipelined = fleet_scenario(spec, horizon_s=0.2, max_lag=2)
         lock_lines = lockstep.describe_shards()

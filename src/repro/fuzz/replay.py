@@ -15,7 +15,7 @@ deterministic as the scenario itself.
 from __future__ import annotations
 
 from repro.core.haxconn import HaXCoNN
-from repro.fuzz.oracle import hermetic_db
+from repro.experiments.common import get_db
 from repro.fuzz.universe import ScenarioSpec
 from repro.serve.fleet import Fleet, ShardedFleetReport
 from repro.serve.policy import CachedAnytimePolicy, ServingPolicy
@@ -52,7 +52,7 @@ def scenario_policy(spec: ScenarioSpec) -> ServingPolicy:
     platform = get_platform(spec.platform)
     scheduler = HaXCoNN(
         platform,
-        db=hermetic_db(spec.platform),
+        db=get_db(spec.platform),
         max_groups=spec.max_groups,
         max_transitions=1,
         solver="portfolio",

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from repro.dnn.grouping import LayerGroup
 from repro.soc.accelerator import AcceleratorSpec
@@ -78,11 +78,6 @@ class UnitCost:
             dram_bytes=dram_bytes,
             req_bw=dram_bytes / time_s if time_s > 0 else 0.0,
         )
-
-    @property
-    def memory_bound(self) -> bool:
-        """Whether DRAM traffic, not compute, limits the unit."""
-        return self.compute_s < self.time_s
 
 
 ZERO_COST = UnitCost(0.0, 0.0, 0.0, 0.0)
@@ -244,12 +239,3 @@ def standalone_latency(
             total += out_s + in_s
         prev = target
     return total
-
-
-def iter_costs(
-    groups: Iterable[LayerGroup],
-    accel: AcceleratorSpec,
-    platform: Platform,
-) -> list[UnitCost]:
-    """Per-group costs on one DSA (no fallback handling)."""
-    return [group_cost(g, accel, platform) for g in groups]

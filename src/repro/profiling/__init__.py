@@ -9,7 +9,7 @@ pairwise co-runs:
 - per-group requested memory throughput and EMC utilization,
   including the paper's four-step black-box estimation for DSAs that
   expose no hardware counters,
-- a JSON-serializable profile database.
+- a per-platform, in-process profile database.
 """
 
 from repro.profiling.profiler import (

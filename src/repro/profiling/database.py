@@ -1,88 +1,24 @@
-"""Profile database: JSON persistence for offline profiling results.
+"""Profile database: the per-platform cache of offline profiling results.
 
 The paper performs profiling once, offline ("since our approach is
 layer-centric, we performed profiling only once").  :class:`ProfileDB`
 caches :class:`~repro.profiling.profiler.DNNProfile` objects and the
-fitted PCCS model per platform, and can round-trip them through JSON
-so repeated experiment runs skip re-profiling.
+fitted PCCS model per platform.  Profiles are a pure function of the
+platform model, so they are computed in-process on first use and
+never read from disk.
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Iterator
 
 from repro.contention.pccs import PCCSModel, calibrate_pccs
-from repro.profiling.profiler import DNNProfile, GroupProfile, profile_dnn
+from repro.profiling.profiler import DNNProfile, profile_dnn
 from repro.soc.platform import Platform, get_platform
 
 
-def _profile_to_dict(profile: DNNProfile) -> dict[str, object]:
-    return {
-        "dnn": profile.dnn_name,
-        "platform": profile.platform_name,
-        "max_groups": profile.max_groups,
-        "groups": [
-            {
-                "label": g.group.label,
-                "time_s": dict(g.time_s),
-                "req_bw": dict(g.req_bw),
-                "emc_util": dict(g.emc_util),
-                "transition_s": {
-                    f"{src}->{dst}": list(v)
-                    for (src, dst), v in g.transition_s.items()
-                },
-            }
-            for g in profile.groups
-        ],
-    }
-
-
-def _profile_from_dict(payload: dict[str, object]) -> DNNProfile:
-    """Rebuild a profile; layer groups are reconstructed from the zoo."""
-    from repro.dnn import zoo
-    from repro.dnn.grouping import group_layers
-
-    graph = zoo.build(str(payload["dnn"]))
-    max_groups = payload.get("max_groups")
-    groups = group_layers(
-        graph, max_groups=None if max_groups is None else int(max_groups)  # type: ignore[arg-type]
-    )
-    stored = payload["groups"]
-    assert isinstance(stored, list)
-    if len(stored) != len(groups):
-        raise ValueError(
-            f"stored profile for {payload['dnn']} has {len(stored)} groups "
-            f"but the zoo graph regroups into {len(groups)}"
-        )
-    rebuilt: list[GroupProfile] = []
-    for group, entry in zip(groups, stored):
-        transitions = {}
-        for key, v in entry["transition_s"].items():
-            src, dst = key.split("->")
-            transitions[(src, dst)] = (float(v[0]), float(v[1]))
-        rebuilt.append(
-            GroupProfile(
-                group=group,
-                time_s={k: float(v) for k, v in entry["time_s"].items()},
-                req_bw={k: float(v) for k, v in entry["req_bw"].items()},
-                emc_util={
-                    k: float(v) for k, v in entry["emc_util"].items()
-                },
-                transition_s=transitions,
-            )
-        )
-    return DNNProfile(
-        dnn_name=str(payload["dnn"]),
-        platform_name=str(payload["platform"]),
-        groups=tuple(rebuilt),
-        max_groups=None if max_groups is None else int(max_groups),  # type: ignore[arg-type]
-    )
-
-
 class ProfileDB:
-    """Cache of DNN profiles and PCCS models, JSON round-trippable."""
+    """Cache of DNN profiles and the PCCS model for one platform."""
 
     def __init__(self, platform: Platform | str) -> None:
         self.platform = (
@@ -133,25 +69,3 @@ class ProfileDB:
                 max_clients=max(3, len(self.platform.accelerators)),
             )
         return self._pccs
-
-    # -- persistence -----------------------------------------------------
-    def save(self, path: str | Path) -> None:
-        payload = {
-            "platform": self.platform.name,
-            "profiles": [
-                _profile_to_dict(p) for p in self._profiles.values()
-            ],
-            "pccs": self._pccs.to_dict() if self._pccs else None,
-        }
-        Path(path).write_text(json.dumps(payload))
-
-    @classmethod
-    def load(cls, path: str | Path) -> "ProfileDB":
-        payload = json.loads(Path(path).read_text())
-        db = cls(str(payload["platform"]))
-        for entry in payload["profiles"]:
-            profile = _profile_from_dict(entry)
-            db._profiles[(profile.dnn_name, profile.max_groups)] = profile
-        if payload.get("pccs"):
-            db._pccs = PCCSModel.from_dict(payload["pccs"])
-        return db

@@ -63,7 +63,6 @@ class DNNProfile:
     dnn_name: str
     platform_name: str
     groups: tuple[GroupProfile, ...]
-    max_groups: int | None = None
 
     def __len__(self) -> int:
         return len(self.groups)
@@ -123,7 +122,6 @@ def concat_profiles(profiles: Sequence[DNNProfile]) -> DNNProfile:
         dnn_name="+".join(p.dnn_name for p in profiles),
         platform_name=profiles[0].platform_name,
         groups=tuple(g for p in profiles for g in p.groups),
-        max_groups=None,
     )
 
 
@@ -184,5 +182,4 @@ def profile_dnn(
         dnn_name=graph.name,
         platform_name=platform.name,
         groups=tuple(profiles),
-        max_groups=max_groups,
     )

@@ -46,17 +46,6 @@ def hit_rate(hits: int, misses: int) -> float:
     return hits / lookups if lookups else 0.0
 
 
-def per_event_mean(total: float, events: int) -> float:
-    """Mean of an accumulated total over its event count (0 if none).
-
-    The shape of every "iterations per evaluation"-style counter pair
-    exported by the evaluation engine.
-    """
-    if events < 0:
-        raise ValueError("events must be >= 0")
-    return total / events if events else 0.0
-
-
 # -- sample aggregation -----------------------------------------------
 
 
@@ -130,15 +119,6 @@ def per_round_ms(total_s: float, rounds: int) -> float:
     if rounds <= 0:
         return 0.0
     return total_s * 1e3 / rounds
-
-
-def stall_fraction(idle_s: float, wall_s: float) -> float:
-    """Fraction of wall time spent stalled waiting on peers."""
-    if idle_s < 0:
-        raise ValueError("idle_s must be >= 0")
-    if wall_s <= 0:
-        return 0.0
-    return min(idle_s / wall_s, 1.0)
 
 
 def utilization(busy_s: float, span_s: float) -> float:

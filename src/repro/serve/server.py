@@ -123,13 +123,6 @@ class Server:
         self.batching = batching
 
     # ------------------------------------------------------------------
-    def _mix_workload(self, active: Sequence[Tenant]) -> Workload:
-        """The active mix as a workload (tenant order = stream order;
-        identical models get distinct instance indices)."""
-        return Workload.concurrent(
-            *[t.stream() for t in active], objective=self.objective
-        )
-
     def _mix_groups(
         self, active: Sequence[Tenant]
     ) -> list[tuple[tuple[str, ...], tuple[Tenant, ...]]]:

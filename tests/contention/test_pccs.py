@@ -1,4 +1,4 @@
-"""PCCS: decoupled calibration accuracy and persistence."""
+"""PCCS: decoupled calibration accuracy."""
 
 import numpy as np
 import pytest
@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 
 from repro.contention.analytic import AnalyticShareModel
 from repro.contention.base import NoContentionModel
-from repro.contention.pccs import (
-    PCCSModel,
-    calibrate_pccs,
-    measure_corun_slowdown,
-)
+from repro.contention.pccs import calibrate_pccs, measure_corun_slowdown
 
 
 @pytest.fixture(scope="module")
@@ -93,21 +89,6 @@ class TestQueries:
         out = pccs.slowdown_bulk(own, ext, n)
         assert out.shape == (3, 4)
         assert (out >= 1.0).all()
-
-
-class TestPersistence:
-    def test_roundtrip(self, pccs):
-        restored = PCCSModel.from_dict(pccs.to_dict())
-        assert np.allclose(restored.own_grid, pccs.own_grid)
-        for n, table in pccs.tables.items():
-            assert np.allclose(restored.tables[n], table)
-
-    def test_roundtrip_preserves_queries(self, pccs, xavier):
-        restored = PCCSModel.from_dict(pccs.to_dict())
-        bw = xavier.dram_bandwidth
-        assert restored.slowdown(0.5 * bw, [0.4 * bw]) == pytest.approx(
-            pccs.slowdown(0.5 * bw, [0.4 * bw])
-        )
 
 
 class TestNoContentionModel:

@@ -1,7 +1,10 @@
 """Experiment-suite shared helpers."""
 
+import json
+
 import pytest
 
+from repro.experiments import common
 from repro.experiments.common import (
     SCHEDULER_LABELS,
     format_table,
@@ -66,3 +69,51 @@ class TestSchedulerFactory:
     def test_get_db_cached(self):
         assert get_db("xavier") is get_db("xavier")
         assert get_db("xavier") is not get_db("orin")
+
+
+class TestProfilesStayInProcess:
+    def test_get_db_ignores_a_persisted_profile_file(
+        self, tmp_path, monkeypatch
+    ):
+        """Profiles derive from the platform model only: a profile file
+        in the format older releases persisted (and loaded back when
+        ``REPRO_PROFILE_STORE`` named its directory) changes nothing,
+        even one whose times were scaled by 1.5."""
+        from repro.profiling.database import ProfileDB
+
+        fresh = ProfileDB("xavier").profile("googlenet", max_groups=10)
+        stored = {
+            "platform": "xavier",
+            "profiles": [
+                {
+                    "dnn": fresh.dnn_name,
+                    "platform": "xavier",
+                    "max_groups": 10,
+                    "groups": [
+                        {
+                            "label": g.label,
+                            "time_s": {
+                                a: 1.5 * t for a, t in g.time_s.items()
+                            },
+                            "req_bw": dict(g.req_bw),
+                            "emc_util": dict(g.emc_util),
+                            "transition_s": {
+                                f"{src}->{dst}": list(v)
+                                for (src, dst), v in g.transition_s.items()
+                            },
+                        }
+                        for g in fresh
+                    ],
+                }
+            ],
+            "pccs": None,
+        }
+        (tmp_path / "xavier_profiles.json").write_text(json.dumps(stored))
+        monkeypatch.setattr(common, "_DBS", {})
+        monkeypatch.setenv("REPRO_PROFILE_STORE", str(tmp_path))
+
+        profile = get_db("xavier").profile("googlenet", max_groups=10)
+        assert [g.label for g in profile] == [g.label for g in fresh]
+        assert [dict(g.time_s) for g in profile] == [
+            dict(g.time_s) for g in fresh
+        ]

@@ -1,4 +1,4 @@
-"""Profile database: caching and JSON persistence."""
+"""Profile database: per-platform caching."""
 
 import pytest
 
@@ -40,39 +40,3 @@ class TestCaching:
     def test_pccs_lazy_and_cached(self, db):
         model = db.pccs
         assert db.pccs is model
-
-
-class TestPersistence:
-    def test_roundtrip(self, db, tmp_path):
-        db.profile("resnet18", max_groups=6)
-        db.profile("googlenet", max_groups=10)
-        _ = db.pccs
-        path = tmp_path / "profiles.json"
-        db.save(path)
-
-        restored = ProfileDB.load(path)
-        assert restored.platform.name == "xavier"
-        assert len(restored) == 2
-        a = db.profile("resnet18", max_groups=6)
-        b = restored.profile("resnet18", max_groups=6)
-        assert len(a) == len(b)
-        for ga, gb in zip(a, b):
-            assert ga.time_s == pytest.approx(gb.time_s)
-            assert ga.transition_s == pytest.approx(gb.transition_s)
-
-    def test_roundtrip_without_pccs(self, db, tmp_path):
-        db.profile("resnet18", max_groups=6)
-        path = tmp_path / "profiles.json"
-        db.save(path)
-        restored = ProfileDB.load(path)
-        assert restored._pccs is None
-
-    def test_restored_pccs_answers_queries(self, db, tmp_path, xavier):
-        _ = db.pccs
-        path = tmp_path / "p.json"
-        db.save(path)
-        restored = ProfileDB.load(path)
-        bw = xavier.dram_bandwidth
-        assert restored.pccs.slowdown(0.5 * bw, [0.5 * bw]) == pytest.approx(
-            db.pccs.slowdown(0.5 * bw, [0.5 * bw])
-        )

@@ -161,6 +161,34 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "googlenet@1" in out
 
+    def test_serve_single_replica_honours_batching(self, capsys):
+        """``--batching`` reaches the single-replica server too: two
+        tenants on the same model share one dispatch stream under
+        ``continuous`` batching, so the report must differ from the
+        one-stream-per-tenant run."""
+        outputs = {}
+        for batching in ("tenant", "continuous"):
+            code = cli.main(
+                [
+                    "serve",
+                    "googlenet:400",
+                    "googlenet:400",
+                    "--platform",
+                    "xavier",
+                    "--policy",
+                    "naive",
+                    "--horizon",
+                    "0.1",
+                    "--batching",
+                    batching,
+                ]
+            )
+            assert code == 0
+            outputs[batching] = capsys.readouterr().out
+        assert outputs["tenant"] != outputs["continuous"]
+        assert "solves=2" in outputs["tenant"]
+        assert "solves=1" in outputs["continuous"]
+
     def test_serve_unknown_model(self, capsys):
         assert cli.main(["serve", "notanet", "--horizon", "0.05"]) == 2
         assert "error" in capsys.readouterr().err
