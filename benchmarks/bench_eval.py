@@ -7,8 +7,8 @@ workload (the Table 6 scenario the solver race also uses):
   at least 3x the evaluations/second of the from-scratch baseline
   ``Formulation.evaluate_scratch`` over a branch-and-bound-shaped
   descent sequence of *distinct* assignments -- i.e. with zero memo
-  hits, the speedup must come from the item tensor, prefix replay,
-  and the slowdown caches alone;
+  hits, the speedup must come from the item tensor, the plan-cached
+  event loop and the slowdown caches alone;
 * the frontier-batched path ``Formulation.evaluate_frontier`` must
   sustain at least 10x scratch over the *full* descent space (one
   lockstep NumPy batch), with every member's result -- objective,
@@ -60,8 +60,7 @@ def _reference_sequence(slices=DESCENT_SLICES):
     """A descent-shaped sequence of distinct sibling assignments.
 
     Nested sweeps over per-stream candidates mimic the solver's DFS:
-    consecutive evaluations differ in one stream's assignment, which
-    is exactly the shape the prefix-replay path accelerates -- and
+    consecutive evaluations differ in one stream's assignment -- and
     the whole sweep is one giant sibling frontier, the shape the
     lockstep batch evaluates in a single call.
     """
@@ -212,7 +211,6 @@ def _measure():
         "memo_hit_rate_second_pass": (
             (stats_memo["memo_hits"] - stats_inc["memo_hits"]) / n
         ),
-        "replayed_evals": stats_inc["replayed_evals"],
         "fp_iter_mean_exact": stats_inc["fp_iter_mean"],
         "slowdown_cache_hit_rate": stats_inc["slowdown_cache_hit_rate"],
     }
@@ -236,7 +234,6 @@ def _format(summary: dict) -> str:
         "speedup_incremental",
         "speedup_batch",
         "memo_hit_rate_second_pass",
-        "replayed_evals",
         "fp_iter_mean_exact",
         "slowdown_cache_hit_rate",
         "evals_frontier",

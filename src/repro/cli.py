@@ -277,8 +277,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"eval engine: {int(eval_stats['evals'])} evals, "
             f"memo hit rate {eval_stats['memo_hit_rate'] * 100:.1f}%, "
-            f"{eval_stats['fp_iter_mean']:.2f} fixed-point iters/eval, "
-            f"{int(eval_stats['replayed_evals'])} prefix-replayed"
+            f"{eval_stats['fp_iter_mean']:.2f} fixed-point iters/eval"
         )
     if store is not None:
         print(

@@ -16,12 +16,6 @@ path fast **without changing a single bit of its results**:
   same accelerator, pipeline downstreams) instead of re-planning every
   stream twice per commit.  Arithmetic order is identical to the
   reference loop, so timelines are bit-identical.
-* prefix-delta replay: the first fixed-point pass always runs with
-  ``slow = 1``, so when an evaluation differs from the previous one in
-  the suffix of a single stream's assignment, the previous commit log
-  is replayed up to (excluding) the first decision that could have
-  consulted a changed item -- every replayed decision provably sees
-  identical state, so the replay is exact, not approximate.
 * a slowdown-structure cache: the contention-model query (Eqs. 7-8)
   depends only on the discrete overlap structure (the ``active``
   matrix) and the bandwidth vector, not on the continuous interval
@@ -30,12 +24,10 @@ path fast **without changing a single bit of its results**:
   per-interval slowdown matrix bit-for-bit.  Entries hold the active
   cells only (every other cell is 1.0), about a tenth of the dense
   matrix.
-* a bounded, signature-keyed memo table (assignment -> objective /
-  per-DNN latencies / iteration count) that the serving layer seeds
-  from the solve store and peer gossip (:meth:`MemoTable.merge`) and
-  harvests back after a solve (:meth:`MemoTable.export_all`).
-  Memo entries store scalars only; ``EvaluationResult.items`` is
-  re-materialized lazily on the rare occasions it is read.
+* a bounded memo table (assignment -> objective / per-DNN latencies /
+  iteration count) that lives as long as its formulation, i.e. one
+  solve.  Memo entries store scalars only; ``EvaluationResult.items``
+  is re-materialized lazily on the rare occasions it is read.
 
 Every evaluation restarts the damped contention fixed point from
 ``slow = 1`` exactly like the reference implementation: a
@@ -89,8 +81,6 @@ class EvalCounters:
     timeline_passes: int = 0
     slowdown_queries: int = 0
     slowdown_cache_hits: int = 0
-    replayed_evals: int = 0
-    replayed_commits: int = 0
     batch_evals: int = 0
     batch_items: int = 0
     #: frontier-batched evaluation (repro.core.frontier)
@@ -126,75 +116,20 @@ class EvalCounters:
         return out
 
 
-class MemoTable:
-    """Bounded FIFO assignment -> evaluation-scalars memo.
+class FIFOCache:
+    """Bounded insert-only cache with first-in-first-out eviction.
 
-    Values are pure (bit-identical to recomputation), so entries
-    seeded from the solve store or peer shards can change *speed* but
-    never a result.  Insertion-order (FIFO) eviction rather than LRU.
-    :meth:`merge` adopts seeded entries and :meth:`export_all`
-    snapshots the table for persistence (entries are plain tuples,
-    picklable across the fleet's fork queues).
+    Backs the evaluation memo, the slowdown-structure cache and the
+    item tensor's stream-gather cache.  Every value it holds is pure
+    (bit-identical to recomputation), so eviction can only cost a
+    recomputation, never change a result.
     """
-
-    def __init__(self, capacity: int = 16384) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._data: dict[Any, MemoEntry] = {}
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._data
-
-    def get(self, key: Any) -> MemoEntry | None:
-        return self._data.get(key)
-
-    def _evict(self, keep: Any) -> None:
-        while len(self._data) > self.capacity:
-            oldest = next(iter(self._data))
-            if oldest == keep:
-                break
-            del self._data[oldest]
-
-    def put(self, key: Any, value: MemoEntry) -> None:
-        if key in self._data:
-            return
-        self._data[key] = value
-        self._evict(key)
-
-    # -- seeding and persistence ----------------------------------------
-    def merge(self, delta: Sequence[tuple[Any, MemoEntry]]) -> None:
-        """Adopt entries computed elsewhere (solve store, peer shards)."""
-        for key, value in delta:
-            if key not in self._data:
-                self._data[key] = value
-                self._evict(key)
-
-    def export_all(
-        self, limit: int | None = None
-    ) -> tuple[tuple[Any, MemoEntry], ...]:
-        """Snapshot of the newest ``limit`` entries (all when None).
-
-        The persistence path: the serving layer harvests a solve's
-        memo into the solve store.  The *newest* entries are kept
-        because they are the ones computed near convergence -- the
-        densest warm-start value per byte.
-        """
-        items = list(self._data.items())
-        if limit is not None and limit >= 0 and len(items) > limit:
-            items = items[len(items) - limit :]
-        return tuple(items)
-
-
-class _FIFOCache:
-    """Minimal bounded insert-only cache for pure derived arrays."""
 
     __slots__ = ("capacity", "_data")
 
     def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._data: dict[Any, Any] = {}
 
@@ -223,11 +158,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 class ItemTensor:
     """Immutable per-formulation (group, accelerator) item tensor.
 
-    The accelerator-id table is the sorted union of every group's
-    supported accelerators, frozen at construction -- the subset of
-    accelerators one assignment uses sorts identically inside the
-    union, so ids, Eq. 9 audit order, and the energy power gather all
-    match the reference implementation observably.
+    Accelerator ids index the formulation's frozen accelerator-id table
+    (:attr:`Formulation.accel_names`, the sorted union of every group's
+    supported accelerators), so ids, Eq. 9 audit order and the energy
+    power gather all match the reference implementation observably.
 
     Unsupported (group, accel) cells and missing transition pairs hold
     NaN; gathers that touch one fall back to the reference lookup so
@@ -237,12 +171,9 @@ class ItemTensor:
     def __init__(self, formulation: "Formulation") -> None:
         f = formulation
         self.f = f
-        names = sorted(
-            {a for p in f.profiles for g in p.groups for a in g.time_s}
-        )
-        self.names: tuple[str, ...] = tuple(names)
-        self.index: dict[str, int] = {a: i for i, a in enumerate(names)}
-        A = len(names)
+        self.names: tuple[str, ...] = f.accel_names
+        self.index: dict[str, int] = f._accel_index
+        A = len(self.names)
         self.t0: list[np.ndarray] = []
         self.bw: list[np.ndarray] = []
         self.sup: list[np.ndarray] = []
@@ -276,9 +207,9 @@ class ItemTensor:
             self.trans_in.append(_frozen(tin))
         #: power per frozen accel id (energy objective, Eq. 10 family)
         self.power = _frozen(
-            np.array([f.accel_power_w.get(a, 0.0) for a in names])
+            np.array([f.accel_power_w.get(a, 0.0) for a in self.names])
         )
-        self._stream_cache = _FIFOCache(4096)
+        self._stream_cache = FIFOCache(4096)
 
     # ------------------------------------------------------------------
     def _raise_like_reference(
@@ -386,8 +317,8 @@ class EvalEngine:
         self.f = formulation
         self.counters = counters if counters is not None else EvalCounters()
         self.tensor = ItemTensor(formulation)
-        self.memo = MemoTable(memo_capacity)
-        self._s_cache = _FIFOCache(SLOWDOWN_CACHE_CAPACITY)
+        self.memo = FIFOCache(memo_capacity)
+        self._s_cache = FIFOCache(SLOWDOWN_CACHE_CAPACITY)
         #: (own_bw, ext_bw, n_clients) -> slowdown (see _slowdown_cells)
         self._trip_cache: dict[tuple[float, float, int], float] = {}
         # static workload geometry (independent of assignments)
@@ -417,9 +348,6 @@ class EvalEngine:
         self._down_lists = [
             tuple(self._downstream.get(n, ())) for n in range(len(counts))
         ]
-        #: (key, commit log, converged slow) of the last computed
-        #: evaluation (non-serialized) -- the prefix-delta parent
-        self._last: tuple[AssignKey, list[tuple], np.ndarray] | None = None
 
     # -- public API ----------------------------------------------------
     def evaluate(
@@ -466,10 +394,8 @@ class EvalEngine:
     ) -> list["EvaluationResult | Exception"]:
         """Evaluate sibling assignments in one pass.
 
-        Siblings share the engine's gather / slowdown-structure caches
-        and chain through the prefix-delta replay state (consecutive
-        siblings typically differ in one stream's suffix -- exactly the
-        B&B child-ordering shape).  Infeasible entries come back as
+        Siblings share the engine's memo and its gather /
+        slowdown-structure caches.  Infeasible entries come back as
         exception *instances* in place, so one bad sibling does not
         abort the batch; results are bit-identical to per-call
         :meth:`evaluate`.
@@ -577,17 +503,12 @@ class EvalEngine:
     ) -> tuple["ItemTiming", ...]:
         """Rebuild per-item timings for a memoized result (rare path).
 
-        Pure recomputation: no memo, no replay state, no counters --
-        materializing a display never perturbs the engine.
+        Pure recomputation: no memo, no counters -- materializing a
+        display never perturbs the engine.
         """
         f = self.f
         (_pd, _obj, _mk, _en, _it, arrays) = self._compute(
-            key,
-            serialized,
-            False,
-            replay_ok=False,
-            record_state=False,
-            tally=False,
+            key, serialized, False, tally=False
         )
         stream, accel_id, start, end, t0, slow, bw = arrays
         names = list(self.tensor.names)
@@ -620,8 +541,6 @@ class EvalEngine:
         serialized: bool,
         check_exclusive: bool,
         *,
-        replay_ok: bool = True,
-        record_state: bool = True,
         tally: bool = True,
     ) -> tuple[
         tuple[float, ...],
@@ -644,15 +563,7 @@ class EvalEngine:
         )
         event_loop = not serialized and f.resource_constrained
 
-        last = self._last if event_loop else None
         slow = np.ones(n_items)
-        replay: list[tuple] | None = None
-        if event_loop and replay_ok and last is not None:
-            replay = self._replay_prefix(key, last)
-            if replay:
-                c.replayed_evals += 1
-                c.replayed_commits += len(replay)
-
         start = np.zeros(n_items)
         end = np.zeros(n_items)
         bw_bytes = bw.tobytes()
@@ -665,58 +576,26 @@ class EvalEngine:
         acc_l = accel_id.tolist()
         prev_l = prev_id.tolist()
 
-        log: list[tuple] | None = None
-        iterations = 0
-        for iterations in range(1, f.max_iterations + 1):
-            first = iterations == 1
+        def timeline(slow_l: list[float]) -> None:
             if event_loop:
-                record = [] if first else None
                 self._timeline_rc(
-                    t0_l,
-                    slow.tolist(),
-                    acc_l,
-                    lo_l,
-                    li_l,
-                    prev_l,
-                    start,
-                    end,
-                    replay=replay if first else None,
-                    record=record,
+                    t0_l, slow_l, acc_l, lo_l, li_l, prev_l, start, end
                 )
-                if record is not None:
-                    log = (list(replay) + record) if replay else record
             else:
                 self._timeline_chain(
-                    t0_l, slow.tolist(), lo_l, li_l, serialized, start, end
+                    t0_l, slow_l, lo_l, li_l, serialized, start, end
                 )
             c.timeline_passes += 1
+
+        iterations = 0
+        for iterations in range(1, f.max_iterations + 1):
+            timeline(slow.tolist())
             if contention_free:
                 break
             new_slow = self._slowdowns(bw, bw_bytes, start, end, slow, c)
             if np.max(np.abs(new_slow - slow)) < f.tolerance:
                 slow = new_slow
-                if event_loop:
-                    self._timeline_rc(
-                        t0_l,
-                        slow.tolist(),
-                        acc_l,
-                        lo_l,
-                        li_l,
-                        prev_l,
-                        start,
-                        end,
-                    )
-                else:
-                    self._timeline_chain(
-                        t0_l,
-                        slow.tolist(),
-                        lo_l,
-                        li_l,
-                        serialized,
-                        start,
-                        end,
-                    )
-                c.timeline_passes += 1
+                timeline(slow.tolist())
                 break
             slow = new_slow
         c.fp_iterations += iterations
@@ -743,45 +622,8 @@ class EvalEngine:
                 ((end - start) * self.tensor.power[accel_id]).sum()
             )
         objective = f._objective(per_dnn, serialized, energy)
-        if record_state and event_loop and log is not None:
-            self._last = (key, log, slow.copy())
         arrays = (self._stream_vec, accel_id, start, end, t0, slow, bw)
         return per_dnn, objective, makespan, energy, iterations, arrays
-
-    def _replay_prefix(
-        self,
-        key: AssignKey,
-        last: tuple[AssignKey, list[tuple], np.ndarray],
-    ) -> list[tuple] | None:
-        """Commit-log prefix provably shared with the last evaluation.
-
-        Valid only for the first fixed-point pass (both runs start at
-        ``slow = 1``).  When exactly one stream ``d`` differs, with
-        first differing group ``k``, every scheduling decision made
-        while fewer than ``k`` of ``d``'s items were committed
-        consulted only unchanged items in an identical state, so the
-        parent's decisions replay verbatim up to that point.
-        """
-        last_key, log, _slow = last
-        diffs = [n for n, (a, b) in enumerate(zip(key, last_key)) if a != b]
-        if not diffs:
-            return list(log)  # identical assignments: full replay
-        if len(diffs) > 1:
-            return None
-        d = diffs[0]
-        a, b = key[d], last_key[d]
-        k = next(i for i in range(len(a)) if a[i] != b[i])
-        if k == 0:
-            return None
-        prefix: list[tuple] = []
-        committed_d = 0
-        for entry in log:
-            if committed_d >= k:
-                break
-            prefix.append(entry)
-            if entry[0] == d:
-                committed_d += 1
-        return prefix or None
 
     # -- timelines -----------------------------------------------------
     def _timeline_chain(
@@ -815,8 +657,6 @@ class EvalEngine:
         prev_accel: list[int],
         start: np.ndarray,
         end: np.ndarray,
-        replay: list[tuple] | None = None,
-        record: list[tuple] | None = None,
     ) -> None:
         """Resource-constrained FCFS event loop (Eqs. 4-6 plus Eq. 9).
 
@@ -843,17 +683,6 @@ class EvalEngine:
         # caller's arrays at the end (scalar ndarray writes are slow)
         start_l = [0.0] * n_items
         end_l = [0.0] * n_items
-
-        if replay:
-            for (m, i, s_i, e_i, src, flush_end) in replay:
-                if src >= 0 and flush_end > avail[src]:
-                    avail[src] = flush_end
-                start_l[i] = s_i
-                end_l[i] = e_i
-                ready[m] = e_i
-                avail[accel[i]] = e_i
-                pointer[m] += 1
-            remaining -= len(replay)
 
         # per-stream plan cache as parallel scalar lists (cheaper than
         # tuples): _valid gates recomputation, _none marks a stream
@@ -937,7 +766,6 @@ class EvalEngine:
                     avail[src] = flush_end
             else:
                 src = -1
-                flush_end = 0.0
             e = best_c + t0[i] * slow[i]
             start_l[i] = best_c
             end_l[i] = e
@@ -946,8 +774,6 @@ class EvalEngine:
             avail[own] = e
             pointer[best_n] += 1
             remaining -= 1
-            if record is not None:
-                record.append((best_n, i, best_c, e, src, flush_end))
             # invalidate exactly the plans whose inputs this commit
             # could have touched
             p_valid[best_n] = False

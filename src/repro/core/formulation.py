@@ -162,8 +162,8 @@ class Formulation:
         # union over every group's supported DSAs.  Any assignment's
         # accelerators are a subset, and a sorted subset induces the
         # same relative order as the union, so ids are stable across
-        # evaluations (no more per-evaluate re-sorting or result
-        # snapshots).
+        # evaluations.  The evaluation engine's item tensor reads this
+        # same table, so the id order is decided here only.
         self._accel_names: list[str] = sorted(
             {a for p in self.profiles for g in p.groups for a in g.time_s}
         )
@@ -276,9 +276,9 @@ class Formulation:
         streams run back-to-back and never contend).
 
         Delegates to the incremental engine (:mod:`repro.core.evalcache`):
-        memoized, prefix-delta, cached-gather evaluation that is
-        bit-identical to :meth:`evaluate_scratch` -- the reference
-        implementation kept as the differential baseline.
+        memoized, cached-gather evaluation that is bit-identical to
+        :meth:`evaluate_scratch` -- the reference implementation kept
+        as the differential baseline.
         """
         return self.engine.evaluate(
             assignments,

@@ -93,10 +93,10 @@ if TYPE_CHECKING:  # deferred: evalcache imports create a cycle otherwise
     from repro.core.evalcache import EvalEngine
     from repro.core.formulation import EvaluationResult
 
-#: below this many to-compute members the scalar engine (memo + prefix
-#: replay) beats the lockstep setup cost.  Measured by replaying every
-#: engine call of perfbench's solve-cold pass (seed 7) with each path
-#: forced, on 2 vCPUs: lockstep runs at 0.53x the scalar speed for 2-5
+#: below this many to-compute members the scalar engine beats the
+#: lockstep setup cost.  Measured by replaying every engine call of
+#: perfbench's solve-cold pass (seed 7) with each path forced, on 2
+#: vCPUs: lockstep runs at 0.53x the scalar speed for 2-5
 #: members, 0.96-1.00x at 6-7, 1.10-1.15x at 8-9, 1.25-1.37x at 10-11,
 #: 1.4-1.5x at 12-15, 1.9x at 18-25 and 2.2x at 26-39
 MIN_LOCKSTEP = 8

@@ -658,7 +658,6 @@ class HaXCoNN:
         warm_starts: Sequence[
             tuple[str, Sequence[Sequence[str]]]
         ] = (),
-        memo_seed: Sequence[tuple[Any, Any]] = (),
         serial_fallback: bool = True,
         scheduler_name: str = "haxconn",
         verify: bool | None = None,
@@ -681,16 +680,8 @@ class HaXCoNN:
         checker (:mod:`repro.analysis.verify`) and raises
         :class:`repro.analysis.CertificateError` if any Eq. 1-11
         constraint or the claimed objective fails to re-derive.
-
-        ``memo_seed`` pre-loads the fresh formulation's evaluation
-        memo with entries persisted by earlier solves (the serving
-        fleet's solve store).  Memo entries are pure -- bit-identical
-        to recomputation -- so seeding changes solve *speed*, never
-        the returned schedule.
         """
         formulation, _profiles = self.build_formulation(workload)
-        if memo_seed:
-            formulation.engine.memo.merge(memo_seed)
         problem = self.build_problem(workload, formulation)
         seed = None
         if initial is not None:

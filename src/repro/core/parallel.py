@@ -2,7 +2,7 @@
 
 :class:`~repro.serve.fleet.Fleet` shards run as fork workers through
 numbered *epochs*: a shard syncs every ``sync_rounds`` served rounds,
-posts its epoch delta (schedule and memo gossip) to the parent and
+posts its epoch delta (schedule gossip) to the parent and
 blocks for a *grant* carrying the epoch unions it must merge before it
 may go on.  This module holds that protocol:
 

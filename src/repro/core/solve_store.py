@@ -1,15 +1,12 @@
 """Persistent, content-addressed solve store (append-only JSONL).
 
 The serving fleet shares solve work across shard processes *and*
-across runs: every converged schedule and every exported
-evaluation-memo fragment lands in one on-disk store keyed by
-:func:`repro.core.schedule_cache.workload_signature`, so a cold shard
-(or a repeated benchmark run) starts with the incumbents and memo
-entries earlier runs already paid for.  Both record kinds hold *pure*
-values -- a stored schedule re-materializes bit-identically against a
-fresh formulation, and memo entries are bit-identical to recomputation
-(see :class:`repro.core.evalcache.MemoTable`) -- so the store is
-purely a speed channel: results never depend on whether it was warm.
+across runs: every converged schedule lands in one on-disk store keyed
+by :func:`repro.core.schedule_cache.workload_signature`, so a cold
+shard (or a repeated benchmark run) starts with the schedules earlier
+runs already paid for.  A stored schedule re-materializes
+bit-identically against a fresh formulation, so the store is purely a
+speed channel: results never depend on whether it was warm.
 
 File format (one JSON object per line, documented in
 ``docs/architecture.md`` section 6b):
@@ -18,11 +15,14 @@ File format (one JSON object per line, documented in
 "id": "sha256:<hex>", "schedule": {"serialized": bool, "streams":
 [{"dnn": str, "assignment": [accel, ...]}, ...]}}``
 
-``{"v": 1, "kind": "memo", "sig": <workload signature>,
-"id": "sha256:<hex>", "entries": [[key, value], ...]}`` where ``key``
-is ``[[ [accel, ...], ... ], serialized, check_exclusive]`` and
-``value`` is ``["ok", [per_dnn...], objective, makespan, energy|null,
-iterations]`` or ``["bad", message]``.
+``memo`` is a legacy record kind: nothing in the package writes or
+reads it any more, but stores that hold such lines keep loading
+(:meth:`SolveStore.append_memo` / :meth:`SolveStore.memo_for` still
+round-trip it).  Its shape is ``{"v": 1, "kind": "memo", "sig":
+<workload signature>, "id": "sha256:<hex>", "entries": [[key, value],
+...]}`` where ``key`` is ``[[ [accel, ...], ... ], serialized,
+check_exclusive]`` and ``value`` is ``["ok", [per_dnn...], objective,
+makespan, energy|null, iterations]`` or ``["bad", message]``.
 
 Older stores may also hold ``{"v": 1, "kind": "model", ...}`` lines:
 trained search-guidance bundles from a retired subsystem.  The loader

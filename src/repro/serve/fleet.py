@@ -6,15 +6,14 @@ deterministic tenant->shard router, so served-request throughput stops
 being capped by one loop.  Shards share solve work two ways:
 
 * **epoch gossip** -- shards synchronize at fixed round-count
-  intervals (``sync_rounds``): every alive shard posts the solve
-  artifacts it published this epoch (converged schedules,
-  evaluation-memo fragments -- the gossip protocol spoken by
+  intervals (``sync_rounds``): every alive shard posts the converged
+  schedules it published this epoch (the gossip protocol spoken by
   :meth:`~repro.serve.policy.ServingPolicy.export_delta` /
   :meth:`~repro.serve.policy.ServingPolicy.merge`), the parent builds
   each epoch's union in shard-index order and hands it back;
 * **the persistent solve store** -- the parent seeds every shard with
-  the store's schedules and memo fragments before the first round and
-  appends each epoch's gossip union to disk
+  the store's schedules before the first round and appends each
+  epoch's gossip union to disk
   (:class:`~repro.core.solve_store.SolveStore`; the parent is the
   single writer, so fork workers never interleave partial lines).
 
@@ -674,7 +673,7 @@ class Fleet:
         batched stream per round; see
         :meth:`~repro.serve.server.Server._mix_groups`).
     store:
-        Optional :class:`SolveStore`: its contents seed every shard
+        Optional :class:`SolveStore`: its schedules seed every shard
         before the first round, and (when writable) the parent appends
         each epoch's gossip union -- single-writer by construction.
     transport:
@@ -755,7 +754,7 @@ class Fleet:
 
     # ------------------------------------------------------------------
     def _initial_delta(self) -> tuple[Any, ...]:
-        """The solve store's contents as one gossip delta.
+        """The solve store's schedules as one gossip delta.
 
         Workers receive artifacts through the same ``merge`` path as
         epoch gossip -- they never touch the store file, which keeps
@@ -763,15 +762,10 @@ class Fleet:
         """
         if self.store is None:
             return ()
-        items: list[Any] = [
+        return tuple(
             ("sched-store", sig, payload)
             for sig, payload in sorted(self.store.schedules().items())
-        ]
-        for sig in self.store.signatures():
-            entries = self.store.memo_for(sig)
-            if entries:
-                items.append(("memo", sig, entries))
-        return tuple(items)
+        )
 
     def _append_store(self, delta: Sequence[Any]) -> None:
         """Persist one epoch's gossip union (parent-side, writable
@@ -779,11 +773,8 @@ class Fleet:
         if self.store is None or self.store.readonly:
             return
         for item in delta:
-            kind = item[0]
-            if kind == "sched":
+            if item[0] == "sched":
                 self.store.append_schedule(item[1], item[2])
-            elif kind == "memo":
-                self.store.append_memo(item[1], item[2])
 
     # ------------------------------------------------------------------
     def run(

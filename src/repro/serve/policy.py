@@ -35,11 +35,6 @@ from repro.core.workload import Workload
 from repro.profiling.database import ProfileDB
 from repro.soc.platform import Platform, get_platform
 
-#: per-signature cap on adopted memo fragments (gossip + store)
-_MEMO_FRAGMENT_CAP = 4096
-#: newest memo entries harvested from one converged solve
-_MEMO_EXPORT_LIMIT = 512
-
 
 @dataclass(frozen=True)
 class MixCandidate:
@@ -105,7 +100,7 @@ class ServingPolicy:
         """Drain locally-new solve artifacts for peer shards.
 
         Static policies share nothing; the cache-plus-anytime policy
-        overrides this with schedule and evaluation-memo deltas.
+        overrides this with schedule deltas.
         """
         return ()
 
@@ -392,20 +387,8 @@ class CachedAnytimePolicy(ServingPolicy):
         self.solves = 0
         self.swaps = 0
         self.verify_failures = 0
-        #: per-signature evaluation-memo fragments adopted from the
-        #: solve store / peer shards; seeded into novel-mix solves
-        self._memo_fragments: dict[str, list[tuple[Any, Any]]] = {}
-        #: harvested (sig, entries) batches not yet gossiped
-        self._pending_memo: list[tuple[str, tuple[Any, ...]]] = []
-        self.store = store
         if store is not None:
             self.cache.attach_store(store)
-            for sig in store.signatures():
-                entries = store.memo_for(sig)
-                if entries:
-                    self._memo_fragments[sig] = list(
-                        entries[:_MEMO_FRAGMENT_CAP]
-                    )
 
     # ------------------------------------------------------------------
     def _best_naive(
@@ -456,32 +439,19 @@ class CachedAnytimePolicy(ServingPolicy):
             return concurrent
         return serial
 
-    def _solve_anytime(
-        self, workload: Workload, key: str | None = None
-    ) -> _AnytimePhase:
+    def _solve_anytime(self, workload: Workload) -> _AnytimePhase:
         """Build the swap plan for a novel mix (one solver run).
 
         Schedules already published for *other* mixes seed the solver
         through :meth:`ScheduleCache.warm_starts` -- with the
         anytime solver, a good seed pulls the first strong incumbent
-        to the earliest update points.  Memo fragments adopted for
-        *this* mix (solve store, peer gossip) pre-load the fresh
-        formulation's evaluation memo; after the solve, the newest
-        locally-computed entries are harvested back for gossip and
-        persistence.  Both channels trade only pure values, so they
-        change solve speed, never the plan.
+        to the earliest update points.
         """
-        if key is None:
-            key = workload_signature(workload, self.scheduler)
-        memo_seed = tuple(self._memo_fragments.get(key, ()))
         formulation, _ = self.scheduler.build_formulation(workload)
         naive = self._best_naive(workload, formulation)
         solve = self.scheduler.schedule(
-            workload,
-            warm_starts=self.cache.warm_starts(workload),
-            memo_seed=memo_seed,
+            workload, warm_starts=self.cache.warm_starts(workload)
         )
-        self._harvest_memo(key, solve, {k for k, _ in memo_seed})
 
         candidates: list[tuple[float, ScheduleResult]] = [(0.0, naive)]
         best_objective = naive.predicted.objective
@@ -547,29 +517,6 @@ class CachedAnytimePolicy(ServingPolicy):
             candidates=candidates, final_available_s=adopt_at
         )
 
-    def _harvest_memo(
-        self, key: str, solve: ScheduleResult, seeded: set[Any]
-    ) -> None:
-        """Queue this solve's freshest memo entries for gossip and
-        write them through to the solve store (when attached and
-        writable).  Entries that arrived via the seed are filtered so
-        gossip never echoes."""
-        formulation = solve.formulation
-        if formulation is None:
-            return
-        entries = tuple(
-            item
-            for item in formulation.engine.memo.export_all(
-                limit=_MEMO_EXPORT_LIMIT
-            )
-            if item[0] not in seeded
-        )
-        if not entries:
-            return
-        self._pending_memo.append((key, entries))
-        if self.store is not None and not self.store.readonly:
-            self.store.append_memo(key, entries)
-
     # ------------------------------------------------------------------
     def result_for(
         self, workload: Workload, elapsed_s: float
@@ -582,7 +529,7 @@ class CachedAnytimePolicy(ServingPolicy):
             if cached is not None:
                 return cached
             self.solves += 1
-            phase = self._solve_anytime(workload, key)
+            phase = self._solve_anytime(workload)
             self._phases[key] = phase
         # an in-flight phase outranks the cache entry its own solve
         # published: the mix swaps through incumbents as D-HaX-CoNN
@@ -611,25 +558,19 @@ class CachedAnytimePolicy(ServingPolicy):
 
     # -- cross-shard gossip --------------------------------------------
     def export_delta(self, limit: int = 256) -> tuple[Any, ...]:
-        """Published schedules plus harvested memo batches, tagged.
+        """Schedules published since the last export, tagged.
 
-        Items are ``("sched", sig, payload)`` or ``("memo", sig,
-        entries)`` plain tuples -- picklable across the fleet's fork
-        queues, mergeable by :meth:`merge` on any peer.
+        Items are ``("sched", sig, payload)`` plain tuples -- picklable
+        across the fleet's fork queues, mergeable by :meth:`merge` on
+        any peer.
         """
-        items: list[Any] = [
+        return tuple(
             ("sched", sig, payload)
             for sig, payload in self.cache.export_delta(limit)
-        ]
-        memo = self._pending_memo[: max(0, limit - len(items))]
-        del self._pending_memo[: len(memo)]
-        items.extend(("memo", sig, entries) for sig, entries in memo)
-        return tuple(items)
+        )
 
     def merge(self, delta: Sequence[Any]) -> None:
-        """Adopt peer schedules into the cache and peer memo batches
-        into the per-signature fragment pools (deduplicated, bounded,
-        never re-exported)."""
+        """Adopt peer schedules and store-seeded ones into the cache."""
         for item in delta:
             kind = item[0]
             if kind == "sched":
@@ -639,16 +580,6 @@ class CachedAnytimePolicy(ServingPolicy):
                 # adopted like peer gossip, but lookups they answer
                 # additionally count as store hits
                 self.cache.adopt_stored([(item[1], item[2])])
-            elif kind == "memo":
-                sig, entries = item[1], item[2]
-                bucket = self._memo_fragments.setdefault(sig, [])
-                known = {k for k, _ in bucket}
-                for entry_key, entry_value in entries:
-                    if len(bucket) >= _MEMO_FRAGMENT_CAP:
-                        break
-                    if entry_key not in known:
-                        bucket.append((entry_key, entry_value))
-                        known.add(entry_key)
 
     def stats(self) -> dict[str, object]:
         return {

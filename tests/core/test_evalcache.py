@@ -2,13 +2,13 @@
 
 The engine behind ``Formulation.evaluate`` (repro.core.evalcache) is a
 pure speedup: every default-path mechanism -- item-tensor gathers,
-prefix-delta replay, the slowdown-structure cache, the bounded memo
-table, cross-worker memo sharing, and batch evaluation -- must
+the slowdown-structure cache, the bounded memo table and batch
+evaluation -- must
 reproduce the reference ``evaluate_scratch`` **bit for bit**,
 including per-item timings and the type *and message* of every raised
 exception.  These tests sweep 60+ seeded random formulations plus a
-hypothesis layer over synthetic profiles; dedicated cases force memo
-eviction and the export/merge sharing path.
+hypothesis layer over synthetic profiles; a dedicated case forces memo
+eviction.
 """
 
 from __future__ import annotations
@@ -147,8 +147,8 @@ def random_sequence(
     form: Formulation, rng: random.Random, length: int = 10
 ) -> list[list[tuple[str, ...]]]:
     """Descent-shaped assignments: each step rewrites one stream's
-    suffix (the B&B sibling shape the replay path targets), with
-    duplicates and infeasible entries mixed in."""
+    suffix (the B&B sibling shape), with duplicates and infeasible
+    entries mixed in."""
     n_groups = [len(p) for p in form.profiles]
     current = [
         tuple(rng.choice(ACCELS) for _ in range(g)) for g in n_groups
@@ -216,8 +216,9 @@ def assert_identical(
 def test_engine_matches_scratch_bitwise(seed):
     """Incremental + memoized evaluation == from-scratch, bit for bit.
 
-    Two passes over the same engine: the first exercises gathers,
-    replay, and the slowdown cache; the second is all memo hits.  Both
+    Two passes over the same engine: the first exercises gathers, the
+    event-loop plan cache and the slowdown cache; the second is all
+    memo hits.  Both
     must equal the reference exactly -- scalars, items, exceptions.
     """
     form, rng = random_formulation(seed)
@@ -262,28 +263,6 @@ def test_memo_eviction_preserves_identity(seed):
     # second pass re-computes what was evicted -- identity must hold
     assert_identical(outcomes(tiny.evaluate, sequence), ref)
     assert len(tiny.memo) <= 2
-
-
-@pytest.mark.parametrize("seed", (1, 5, 9, 13, 19, 29, 37, 41))
-def test_cross_worker_memo_share(seed):
-    """export_all/merge (the solve-store and fleet-gossip memo path): a
-    peer that adopts a worker's snapshot serves the whole sequence
-    from memo, bit-identical."""
-    form, rng = random_formulation(seed)
-    sequence = random_sequence(form, rng)
-    ref = outcomes(clone(form).evaluate_scratch, sequence)
-
-    worker = EvalEngine(clone(form))
-    assert_identical(outcomes(worker.evaluate, sequence), ref)
-    snapshot = worker.memo.export_all()
-    assert snapshot, "worker computed entries but exported nothing"
-
-    peer = EvalEngine(clone(form))
-    peer.memo.merge(snapshot)
-    assert peer.memo.export_all() == snapshot
-    assert_identical(outcomes(peer.evaluate, sequence), ref)
-    assert peer.counters.computed_evals == 0, "peer should be all hits"
-    assert peer.counters.memo_hits == len(sequence)
 
 
 @pytest.mark.parametrize("seed", (2, 7, 14, 21, 28, 35))

@@ -25,7 +25,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.core.evalcache import EvalEngine, _FIFOCache
+from repro.core.evalcache import EvalEngine, FIFOCache
 from repro.core.formulation import ScheduleInfeasible
 from repro.core.haxconn import HaXCoNN, enumerate_assignments
 from repro.core.workload import Workload
@@ -337,7 +337,7 @@ def test_one_entry_slowdown_cache(seed, lockstep_from_two):
     members = _lockstep_members(form, 20)
     ref = outcomes(clone(form).evaluate_scratch, members)
     engine = EvalEngine(clone(form))
-    engine._s_cache = _FIFOCache(1)
+    engine._s_cache = FIFOCache(1)
     got = frontier_outcomes(engine, members)
     assert_identical(got, ref, items_every=1)
     assert len(engine._s_cache) <= 1

@@ -1,5 +1,6 @@
 """The sharded serving fleet: routing, gossip, store, determinism."""
 
+import json
 import multiprocessing
 
 import pytest
@@ -24,6 +25,18 @@ HORIZON = 0.2
 #: else the byte-identical serial scan
 FORK = (
     "fork" if "fork" in multiprocessing.get_all_start_methods() else "serial"
+)
+
+
+#: one ``memo`` record as older fleets wrote it (evaluation-memo
+#: entries for a mix this file never serves); current fleets write
+#: schedules only but must keep loading such stores
+LEGACY_MEMO_LINE = (
+    '{"v": 1, "kind": "memo", "sig": "xavier|4|1|True|True|0.05|0|'
+    'PCCSModel|latency|vgg19x1;resnet152x1|", "id": "sha256:4eaa6e3cc30c'
+    '2397e4fa1b376419c1ac7c2834f6ae44503453b605b3d0e9e521", "entries": '
+    '[[[[["gpu", "dla"], ["dla", "gpu"]], false, true], ["ok", [0.0121, '
+    '0.0098], 0.0121, 0.0121, null, 7]]]}'
 )
 
 
@@ -324,6 +337,52 @@ class TestSolveStore:
         assert warm.solves == 0
         assert warm.store_hits > 0
         assert warm.served == cold.served
+
+    def test_fleet_persists_schedules_only(
+        self, xavier, xavier_db, tmp_path
+    ):
+        store = SolveStore(tmp_path / "solves.jsonl")
+        cold = run_fleet(
+            xavier, xavier_db, shards=2, backend="serial", store=store
+        )
+        assert cold.solves > 0
+        assert SolveStore(store.path).stats()["memo_entries"] == 0
+        kinds = {
+            json.loads(line)["kind"]
+            for line in store.path.read_text().splitlines()
+        }
+        assert kinds == {"schedule"}
+
+    def test_legacy_memo_records_still_load(
+        self, xavier, xavier_db, tmp_path
+    ):
+        """A store written by an older fleet holds ``memo`` lines next
+        to its schedules; it loads and warms a fleet exactly like the
+        schedule-only store."""
+        store = SolveStore(tmp_path / "solves.jsonl")
+        run_fleet(xavier, xavier_db, shards=2, backend="serial", store=store)
+        lines = store.path.read_text().splitlines()
+        legacy_path = tmp_path / "legacy.jsonl"
+        legacy_path.write_text(
+            "\n".join([lines[0], LEGACY_MEMO_LINE, *lines[1:]]) + "\n"
+        )
+        legacy = SolveStore(legacy_path, readonly=True)
+        assert legacy.skipped_lines == 0
+        assert legacy.stats()["memo_entries"] == 1
+        assert legacy.schedules() == store.schedules()
+
+        plain = run_fleet(
+            xavier,
+            xavier_db,
+            shards=2,
+            backend="serial",
+            store=SolveStore(store.path, readonly=True),
+        )
+        warm = run_fleet(
+            xavier, xavier_db, shards=2, backend="serial", store=legacy
+        )
+        assert warm.solves == 0 and plain.solves == 0
+        assert warm.describe_shards() == plain.describe_shards()
 
     def test_store_seeding_is_deterministic(
         self, xavier, xavier_db, tmp_path
