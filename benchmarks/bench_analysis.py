@@ -2,7 +2,7 @@
 
 ``haxconn flow`` runs in CI on every push (and is meant to run in a
 pre-commit loop), so the whole-program pass over ``src/repro`` --
-parse, call graph, effect fixpoint, taint, protocol machine -- gets
+parse, call graph, effect fixpoint, taint, merge-order check -- gets
 the same treatment as the solver benches: a hard wall-time budget and
 a machine-readable JSON artifact recording what the pass saw.
 

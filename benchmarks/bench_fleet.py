@@ -1,5 +1,5 @@
 """Sharded-fleet benchmark: throughput scaling, solve-store reuse,
-cross-backend determinism, gossip transport, bounded-lag pipelining.
+cross-backend determinism, bounded-lag pipelining.
 
 Tier-1 gates for the fleet acceptance criteria:
 
@@ -15,10 +15,7 @@ Tier-1 gates for the fleet acceptance criteria:
    of the store).
 3. **determinism** -- at a fixed seed the per-shard ``FleetReport``\\ s
    are byte-identical across the serial and fork backends.
-4. **transport** -- fork shards pick the shared-memory gossip rings
-   (``shm``) on their own, with actual ring traffic, and deliver
-   per-shard reports byte-identical to the serial fleet's.
-5. **pipelining** -- a 16-shard fork fleet under diurnal traffic with
+4. **pipelining** -- a 16-shard fork fleet under diurnal traffic with
    staggered expensive solve epochs (`serving.pipeline_tenants`):
    bounded lag (``max_lag=8``) must cut the barrier-stall share of
    per-round wall time by >= 1.5x vs the lockstep barrier
@@ -34,8 +31,8 @@ Tier-1 gates for the fleet acceptance criteria:
 
 Wall-clock ratios on shared CI hardware are noisy, so the timing
 gates are retried a bounded number of times; the deterministic
-assertions (equal served counts, byte-identity, zero warm solves,
-ring traffic) are checked on every attempt -- a retry must never mask
+assertions (equal served counts, byte-identity, zero warm solves)
+are checked on every attempt -- a retry must never mask
 a correctness regression.  Results go to
 ``benchmarks/results/fleet.txt`` and ``fleet.json``.
 """
@@ -45,7 +42,6 @@ import os
 
 import pytest
 
-from repro.core import shm
 from repro.core.solve_store import SolveStore
 from repro.experiments import serving
 from repro.serve.fleet import Fleet
@@ -135,31 +131,6 @@ def _attempt(tmp_path, attempt: int):
     return reports, tput_ratio, ttf_ratio
 
 
-def _measure_transport():
-    """Gate 4: fork gossip rides the shm rings, byte-identical to the
-    serial fleet.  Deterministic, so it runs once."""
-    if _parallel_backend() != "fork":
-        pytest.skip("shm transport requires the fork start method")
-    if not shm.shared_memory_available():
-        pytest.skip("no usable shared memory on this host")
-    rep_serial = _run(SHARDS, "serial")
-    rep_shm = _run(SHARDS, "fork")
-    assert rep_serial.transport == "inproc"
-    assert rep_shm.transport == "shm"
-    assert (
-        rep_shm.describe_shards() == rep_serial.describe_shards()
-    ), "shm transport changed a shard report"
-    assert rep_shm.transport_stats["ring"] > 0, (
-        "no gossip actually rode the rings: "
-        f"{rep_shm.transport_stats}"
-    )
-    return {
-        "round_wall_ms_shm": rep_shm.wall_s * 1e3 / max(1, rep_shm.rounds),
-        "shm_ring_payloads": rep_shm.transport_stats["ring"],
-        "shm_inline_fallbacks": rep_shm.transport_stats["inline"],
-    }
-
-
 def _usable_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -168,7 +139,7 @@ def _usable_cores() -> int:
 
 
 def _measure_pipeline():
-    """Gate 5: bounded-lag pipelining vs the lockstep barrier.
+    """Gate 4: bounded-lag pipelining vs the lockstep barrier.
 
     Byte-identity (backends x lag settings) is asserted on every
     attempt; the stall-per-round ratio is the retried wall gate, and
@@ -271,7 +242,6 @@ def test_bench_fleet(save_report, save_json, tmp_path):
         {"run": name, **serving.fleet_row(report)}
         for name, report in reports.items()
     ]
-    transport = _measure_transport()
     pipeline = _measure_pipeline()
     text = "\n\n".join(
         [
@@ -301,7 +271,6 @@ def test_bench_fleet(save_report, save_json, tmp_path):
             "ttf_hax_ratio": ttf_ratio,
             "ttf_hax_threshold": TTF_RATIO,
             "rows": rows,
-            "transport": transport,
             "pipeline": pipeline,
         },
     )

@@ -12,11 +12,10 @@ analyzed code is never imported):
    per-line rules HAX001..HAX008;
 2. **effect summaries + determinism taint** (:mod:`.effects`,
    :mod:`.taint`) -- bottom-up fixpoint summaries, then effect sources
-   reaching replicated sinks (gossip deltas, shm ring records,
-   solve-store entries, incumbent traces, campaign digests), rules
+   reaching replicated sinks (gossip deltas, solve-store entries,
+   incumbent traces, campaign digests), rules
    HAX101..HAX104, each finding carrying the full call chain;
-3. **shm/gossip protocol checker** (:mod:`.protocol`) -- per-function
-   abstract state machine over the ring API (HAX110) and merge-order
+3. **gossip merge-order checker** (:mod:`.protocol`) -- merge-order
    discipline at gossip ``merge`` sites (HAX111).
 
 The CLI entry point is ``haxconn flow``; CI runs it against the

@@ -2,8 +2,8 @@
 
 A *sink* is a function whose result (or side effect) is replicated,
 persisted, or compared byte-for-byte across processes and runs:
-gossip delta construction, shm ring writes, solve-store records,
-portfolio incumbent traces, campaign digests, fleet report text.  If
+gossip delta construction, solve-store records, portfolio
+incumbent traces, campaign digests, fleet report text.  If
 anything in a sink's transitive call tree reads the wall clock, a
 global RNG, the environment / pid / ``id()``, or iterates an
 unordered container, the replicated bytes can differ across runs --
@@ -48,8 +48,6 @@ TAINT_RULES: dict[str, str] = {
 #: sink qualname -> the replicated artifact it feeds.  Keep sorted.
 DEFAULT_SINKS: dict[str, str] = {
     "repro.core.parallel.EpochGate.union": "epoch grant / gossip union",
-    "repro.core.shm.DeltaChannel.pack": "shm delta-channel payload",
-    "repro.core.shm.ShmRing.try_write": "shm ring record",
     "repro.core.solve_store.SolveStore._append": "solve-store record",
     "repro.fuzz.runner.CampaignReport.digest": "campaign digest",
     "repro.fuzz.runner.run_campaign": "campaign digest inputs",

@@ -34,7 +34,7 @@ Subcommands
     The static analysis: per-line determinism/concurrency rules
     (HAX001-HAX008) and whole-program determinism flow
     (HAX101-HAX111): call graph + effect summaries, source->sink
-    taint with full call chains, and the shm/gossip protocol checker.
+    taint with full call chains, and the gossip merge-order checker.
     A module that does not parse exits 2.  With ``--baseline``
     only findings outside the checked-in baseline fail; with
     ``--write-baseline`` the current findings are written back so the

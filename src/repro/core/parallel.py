@@ -16,9 +16,8 @@ may go on.  This module holds that protocol:
   of the workload and ``max_lag``.  Workers that finish stop gating.
   ``max_lag = 0`` is the classic lockstep barrier.
 * :class:`WorkerPool` -- the launcher: fork processes with their
-  queues and shared-memory delta rings, a liveness-checked receive,
-  and teardown that joins, terminates leftovers, and unlinks every
-  ring.
+  queues, a liveness-checked receive, and teardown that joins and
+  terminates leftovers.
 * :class:`Link` -- a worker's end of the same protocol.
 
 Messages on the shared outbox are ``(kind, index, epoch, body,
@@ -35,12 +34,6 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait
 from types import TracebackType
 from typing import Any, Callable, Iterable, Mapping
-
-from repro.core.shm import (
-    DeltaChannel,
-    make_channel_pair,
-    shared_memory_available,
-)
 
 #: message kinds on the worker -> parent outbox
 SYNC, DONE, ERROR = "sync", "done", "error"
@@ -182,26 +175,17 @@ class EpochGate:
 
 @dataclass
 class Link:
-    """A worker's end of the epoch protocol.
-
-    ``channel`` is the worker's fork-inherited ``(up, down)``
-    :class:`~repro.core.shm.DeltaChannel` pair: bulk deltas ride the
-    shared-memory rings, tagged with their epoch, and only fixed-size
-    tokens cross the queues.  ``None`` keeps payloads inline.
-    """
+    """A worker's end of the epoch protocol; deltas and grants ride
+    inside the control messages on the queues."""
 
     index: int
     inbox: Any
     outbox: Any
-    channel: tuple[DeltaChannel, DeltaChannel] | None = None
 
     def post(
         self, kind: str, epoch: int, delta: tuple[Any, ...], *extra: Any
     ) -> None:
-        token: Any = delta
-        if self.channel is not None and delta:
-            token = self.channel[0].pack(delta, epoch)
-        self.outbox.put((kind, self.index, epoch, token, *extra))
+        self.outbox.put((kind, self.index, epoch, delta, *extra))
 
     def fail(self, epoch: int, exc: BaseException) -> None:
         self.outbox.put((ERROR, self.index, epoch, repr(exc)))
@@ -212,22 +196,16 @@ class Link:
         reply = self.inbox.get()
         if reply[0] == STOP:
             return None
-        _, token, *extra = reply
-        payload = token
-        if self.channel is not None and token:
-            payload = self.channel[1].unpack(token)
+        _, payload, *extra = reply
         return payload, tuple(extra)
 
 
 class WorkerPool:
     """Launch one fork worker per index and carry the parent's side.
 
-    ``target(link, *args[index])`` runs in a fork child.  Each child
-    gets a pair of shared-memory delta rings when the host has shared
-    memory (``transport`` is then ``shm``); without it payloads ride
-    the control queue (``inline``).  Use as a context manager: leaving
-    it joins every worker, terminates children still running (at once
-    when an exception is leaving), and closes and unlinks the rings.
+    ``target(link, *args[index])`` runs in a fork child.  Use as a
+    context manager: leaving it joins every worker and terminates
+    children still running (at once when an exception is leaving).
     """
 
     def __init__(
@@ -239,13 +217,9 @@ class WorkerPool:
     ) -> None:
         self.label = label
         self.indices = sorted(args)
-        self.channels: dict[int, tuple[DeltaChannel, DeltaChannel]] = {}
-        #: ring vs inline-fallback payload counts, both directions
-        self.stats = {"ring": 0, "inline": 0}
+        #: non-empty deltas and grants that crossed the queues
+        self.stats = {"inline": 0}
         self._reported: set[int] = set()
-        if shared_memory_available():  # before fork: children inherit
-            self.channels = {i: make_channel_pair() for i in self.indices}
-        self.transport = "shm" if self.channels else "inline"
         ctx = multiprocessing.get_context("fork")
         self.inboxes: dict[int, Any] = {
             i: ctx.SimpleQueue() for i in self.indices
@@ -255,12 +229,7 @@ class WorkerPool:
         self.runners = {
             i: ctx.Process(
                 target=target,
-                args=(
-                    Link(
-                        i, self.inboxes[i], self.outbox, self.channels.get(i)
-                    ),
-                    *args[i],
-                ),
+                args=(Link(i, self.inboxes[i], self.outbox), *args[i]),
                 daemon=True,
             )
             for i in self.indices
@@ -285,7 +254,7 @@ class WorkerPool:
 
     # -- parent side ----------------------------------------------------
     def receive(self) -> tuple[Any, ...]:
-        """Next outbox message, its delta decoded from the ring.
+        """Next outbox message.
 
         The wait also watches every unreported worker's process
         sentinel: a worker that exits without posting ``done`` or
@@ -310,22 +279,17 @@ class WorkerPool:
                         f"{runner.exitcode} before reporting"
                     )
         msg: tuple[Any, ...] = self.outbox.get()
-        kind, index, token = msg[0], msg[1], msg[3]
+        kind, index, body = msg[0], msg[1], msg[3]
         if kind != SYNC:
             self._reported.add(index)
-        if kind == ERROR or not token or index not in self.channels:
-            return msg
-        self.stats["ring" if token[0] == "shm" else "inline"] += 1
-        delta = self.channels[index][0].unpack(token)
-        return (*msg[:3], delta, *msg[4:])
+        if kind != ERROR and body:
+            self.stats["inline"] += 1
+        return msg
 
-    def grant(
-        self, index: int, horizon: int, payload: tuple[Any, ...], *extra: Any
-    ) -> None:
-        token: Any = payload
-        if index in self.channels and payload:
-            token = self.channels[index][1].pack(payload, horizon)
-        self.inboxes[index].put((GRANT, token, *extra))
+    def grant(self, index: int, payload: tuple[Any, ...], *extra: Any) -> None:
+        if payload:
+            self.stats["inline"] += 1
+        self.inboxes[index].put((GRANT, payload, *extra))
 
     def stop(self, index: int) -> None:
         self.inboxes[index].put((STOP,))
@@ -342,10 +306,3 @@ class WorkerPool:
             if runner.is_alive():
                 runner.terminate()
                 runner.join()
-            if i in self.channels:
-                up, down = self.channels[i]
-                self.stats["ring"] += down.sent_ring
-                self.stats["inline"] += down.sent_inline
-                for channel in (up, down):
-                    channel.close()
-                    channel.unlink()

@@ -28,9 +28,9 @@ concatenation of that epoch's per-shard deltas in shard-index order.
 lets fast shards keep serving up to that many epochs ahead of the
 slowest peer, so barrier idle time collapses while every merge stays
 deterministic.  Shards that finish stop gating the pipeline and
-contribute no later deltas.  The gate, the worker launcher and the
-shared-memory transport are the epoch runtime of
-:mod:`repro.core.parallel`.
+contribute no later deltas.  The gate and the worker launcher are the
+epoch runtime of :mod:`repro.core.parallel`; fork shards send their
+deltas inside the control messages on its queues.
 
 Determinism contract: a
 shard's :class:`~repro.serve.slo.FleetReport` is a pure function of
@@ -63,7 +63,6 @@ from repro.core.parallel import (
     WorkerPool,
     resolve_backend,
 )
-from repro.core.shm import shared_memory_available
 from repro.core.solve_store import SolveStore
 from repro.runtime import metrics
 from repro.runtime.trace import timeline_to_trace_events, write_trace_events
@@ -81,8 +80,7 @@ from repro.solver.clock import monotonic_s
 #: fork runs shards in worker processes; serial scans them in-process
 #: and produces byte-identical reports; auto picks fork when it can
 BACKENDS = ("auto", "fork", "serial")
-#: ``auto`` uses the shared-memory rings whenever fork shards run on a
-#: host that has them; ``shm`` additionally insists on them
+#: accepted, retired ``Fleet(transport=)`` values; both select nothing
 TRANSPORTS = ("auto", "shm")
 #: most gossip items a shard exports per epoch
 GOSSIP_LIMIT = 256
@@ -411,7 +409,6 @@ class ShardedFleetReport:
         router: str,
         wall_s: float,
         store: SolveStore | None = None,
-        transport: str = "inproc",
         transport_stats: Mapping[str, int] | None = None,
         max_lag: int = 0,
     ) -> None:
@@ -422,10 +419,8 @@ class ShardedFleetReport:
         self.router = router
         self.wall_s = wall_s
         self.store_path = None if store is None else store.path
-        #: gossip-payload path actually used: ``inproc`` (serial),
-        #: ``shm`` (fork, rings) or ``inline`` (fork, no shared memory)
-        self.transport = transport
-        #: parent-side transport telemetry (ring vs inline-fallback)
+        #: fork runs: ``inline`` counts the non-empty deltas and grants
+        #: that crossed the control queues
         self.transport_stats = dict(transport_stats or {})
         #: bounded-lag window the run used (0 = lockstep barrier)
         self.max_lag = max_lag
@@ -577,7 +572,7 @@ class ShardedFleetReport:
             )
         lines.append(
             f"fleet: {self.shards} shards ({self.backend} backend, "
-            f"{self.router} routing, {self.transport} transport), "
+            f"{self.router} routing), "
             f"{self.served} served / "
             f"{self.shed} shed in {self.rounds} rounds; "
             f"{self.solves} solves, {self.store_hits} store hits; "
@@ -677,15 +672,11 @@ class Fleet:
         before the first round, and (when writable) the parent appends
         each epoch's gossip union -- single-writer by construction.
     transport:
-        Fork shards move gossip payloads through per-shard
-        :class:`repro.core.shm.DeltaChannel` ring pairs (tokens on the
-        control queues, bytes in shared memory) whenever the host has
-        shared memory, and inline on the control queue otherwise.
-        ``"auto"`` (default) accepts either; ``"shm"`` makes
-        :meth:`run` raise unless the rings are used, i.e. when the run
-        is serial or the host lacks shared memory.  Serial shards
-        always exchange deltas in-process.  The transport never
-        changes report bytes -- only how they travel.
+        Retired: ``"auto"`` (default) and ``"shm"`` are accepted and
+        select nothing; any other value raises :class:`ValueError`.
+        Fork shards always send their deltas inside the control
+        messages on the queues, and serial shards exchange them
+        in-process.
     """
 
     def __init__(
@@ -750,7 +741,6 @@ class Fleet:
         self.admission = admission
         self.batching = batching
         self.store = store
-        self.transport = transport
 
     # ------------------------------------------------------------------
     def _initial_delta(self) -> tuple[Any, ...]:
@@ -783,13 +773,6 @@ class Fleet:
         """Serve every request within ``horizon_s`` across all shards."""
         start = monotonic_s()
         backend = resolve_backend(self.backend, self.shards)
-        if self.transport == "shm" and not (
-            backend == "fork" and shared_memory_available()
-        ):
-            raise ValueError(
-                "transport='shm' requires the fork backend on a host "
-                "with shared memory"
-            )
         assignment = self.router.assign(
             self.tenants,
             horizon_s=horizon_s,
@@ -812,13 +795,11 @@ class Fleet:
             for sid, bucket in enumerate(assignment)
             if bucket
         ]
-        transport, transport_stats = "inproc", {"ring": 0, "inline": 0}
+        transport_stats = {"inline": 0}
         if backend == "serial":
             outcomes = self._run_serial(live, initial, config)
         else:
-            outcomes, transport, transport_stats = self._run_fork(
-                live, initial, config
-            )
+            outcomes, transport_stats = self._run_fork(live, initial, config)
         for sid, bucket in enumerate(assignment):
             if not bucket:
                 outcomes[sid] = _empty_outcome(sid)
@@ -828,7 +809,6 @@ class Fleet:
             router=self.router.mode,
             wall_s=monotonic_s() - start,
             store=self.store,
-            transport=transport,
             transport_stats=transport_stats,
             max_lag=self.max_lag,
         )
@@ -910,7 +890,7 @@ class Fleet:
         live: Sequence[tuple[int, list[Tenant]]],
         initial: tuple[Any, ...],
         config: _ShardConfig,
-    ) -> tuple[dict[int, ShardOutcome], str, dict[str, int]]:
+    ) -> tuple[dict[int, ShardOutcome], dict[str, int]]:
         """Shard processes serve epochs concurrently; the parent
         drives the :class:`~repro.core.parallel.EpochGate`.
 
@@ -947,11 +927,11 @@ class Fleet:
                     for waiting in gate.stop():
                         pool.stop(waiting)
                     continue
-                for waiting, horizon, payload in gate.grants():
-                    pool.grant(waiting, horizon, payload)
+                for waiting, _horizon, payload in gate.grants():
+                    pool.grant(waiting, payload)
                 for _epoch, union in gate.flush():
                     self._append_store(union)
         if error is not None:
             sid, message = error
             raise RuntimeError(f"fleet shard {sid} failed: {message}")
-        return outcomes, pool.transport, dict(pool.stats)
+        return outcomes, dict(pool.stats)

@@ -16,12 +16,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import flow
-from repro.analysis.flow.protocol import (
-    SUB_DUAL_ROLE,
-    SUB_MUTATE_AFTER_ENQUEUE,
-    SUB_READ_AFTER_ACK,
-    SUB_WRITE_AFTER_COMMIT,
-)
 from repro.analysis.flow.taint import DEFAULT_SINKS
 
 REPRO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -190,114 +184,7 @@ def test_default_sink_registry_is_not_stale():
         assert qual in sinks
 
 
-# -- shm protocol checker: one fixture per HAX110 sub-rule -------------
-
-
-def _protocol_subs(root: Path) -> dict[str, list[str]]:
-    pkg = flow.load_package(root)
-    graph = flow.build_call_graph(pkg)
-    out: dict[str, list[str]] = {}
-    for f in flow.run_protocol(graph):
-        out.setdefault(f.sub, []).append(f.qualname)
-    return out
-
-
-def test_protocol_write_after_commit(tmp_path):
-    root = make_pkg(
-        tmp_path,
-        {
-            "ring.py": """
-            import struct
-
-            _U64 = struct.Struct("<Q")
-
-            class Ring:
-                def bad_write(self, payload):
-                    offset = self.committed
-                    _U64.pack_into(self._shm.buf, 0, offset + 1)
-                    self._write_at(offset, payload)
-
-                def good_write(self, payload):
-                    offset = self.committed
-                    self._write_at(offset, payload)
-                    _U64.pack_into(self._shm.buf, 0, offset + 1)
-            """,
-        },
-    )
-    subs = _protocol_subs(root)
-    assert subs == {SUB_WRITE_AFTER_COMMIT: ["pkgx.ring.Ring.bad_write"]}
-
-
-def test_protocol_read_after_ack(tmp_path):
-    root = make_pkg(
-        tmp_path,
-        {
-            "ring.py": """
-            import struct
-
-            _U64 = struct.Struct("<Q")
-
-            class Ring:
-                def bad_read(self):
-                    _U64.pack_into(self._shm.buf, 8, self._read_off)
-                    return self._read_at(self._read_off, 16)
-
-                def good_read(self):
-                    payload = self._read_at(self._read_off, 16)
-                    _U64.pack_into(self._shm.buf, 8, self._read_off)
-                    return payload
-            """,
-        },
-    )
-    subs = _protocol_subs(root)
-    assert subs == {SUB_READ_AFTER_ACK: ["pkgx.ring.Ring.bad_read"]}
-
-
-def test_protocol_dual_role(tmp_path):
-    root = make_pkg(
-        tmp_path,
-        {
-            "use.py": """
-            def echo(ring, payload):
-                ring.try_write(payload)
-                return ring.read_one()
-
-            def send_recv(up, down, payload):
-                up.try_write(payload)
-                return down.read_one()
-            """,
-        },
-    )
-    subs = _protocol_subs(root)
-    # per-object roles: the echo loopback trips, the two-ring pair
-    # (the fleet's real shape) does not
-    assert subs == {SUB_DUAL_ROLE: ["pkgx.use.echo"]}
-
-
-def test_protocol_mutate_after_enqueue(tmp_path):
-    root = make_pkg(
-        tmp_path,
-        {
-            "use.py": """
-            from pkgx.shmx import DeltaChannel
-
-            def bad(chan: DeltaChannel, delta):
-                chan.pack(delta)
-                delta.append("late")
-
-            def good(chan: DeltaChannel, delta):
-                delta.append("early")
-                chan.pack(delta)
-            """,
-            "shmx.py": """
-            class DeltaChannel:
-                def pack(self, obj):
-                    return ("inline", obj)
-            """,
-        },
-    )
-    subs = _protocol_subs(root)
-    assert subs == {SUB_MUTATE_AFTER_ENQUEUE: ["pkgx.use.bad"]}
+# -- gossip merge-order checker (HAX111) ------------------------------
 
 
 def test_merge_order_rule(tmp_path):

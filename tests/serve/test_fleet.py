@@ -6,7 +6,6 @@ import multiprocessing
 import pytest
 
 from repro.core.haxconn import HaXCoNN
-from repro.core.shm import shared_memory_available
 from repro.core.solve_store import SolveStore
 from repro.serve import CachedAnytimePolicy, Tenant
 from repro.serve.fleet import (
@@ -50,6 +49,31 @@ def fleet_tenants(count=4):
             slo_s=0.1,
         )
         for k in range(count)
+    ]
+
+
+def gossip_tenants():
+    """Shard 1 ("det") solves googlenet first; shard 0 ("seg") meets
+    the same mix epochs later and adopts it through gossip."""
+    return [
+        Tenant.of(
+            "det",
+            "googlenet",
+            arrivals=PeriodicArrivals(40.0),
+            slo_s=0.1,
+        ),
+        Tenant.of(
+            "d",
+            "alexnet",
+            arrivals=PeriodicArrivals(40.0),
+            slo_s=0.1,
+        ),
+        Tenant.of(
+            "seg",
+            "googlenet",
+            arrivals=TraceArrivals((0.16,)),
+            slo_s=0.1,
+        ),
     ]
 
 
@@ -283,29 +307,9 @@ class TestGossip:
         assert stable_shard("det", 2) == 1
         assert stable_shard("d", 2) == 0
         assert stable_shard("seg", 2) == 0
-        tenants = [
-            Tenant.of(
-                "det",
-                "googlenet",
-                arrivals=PeriodicArrivals(40.0),
-                slo_s=0.1,
-            ),
-            Tenant.of(
-                "d",
-                "alexnet",
-                arrivals=PeriodicArrivals(40.0),
-                slo_s=0.1,
-            ),
-            Tenant.of(
-                "seg",
-                "googlenet",
-                arrivals=TraceArrivals((0.16,)),
-                slo_s=0.1,
-            ),
-        ]
         fleet = Fleet(
             xavier,
-            tenants,
+            gossip_tenants(),
             make_factory(xavier, xavier_db),
             shards=2,
             backend="serial",
@@ -624,11 +628,9 @@ class TestBoundedLag:
     def test_pipelined_identical_across_backends(
         self, xavier, xavier_db
     ):
-        """serial == fork (over the shm rings when the host has
-        them) at every lag window."""
+        """serial == fork at every lag window."""
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("no fork start method on this platform")
-        expected = "shm" if shared_memory_available() else "inline"
         for lag in (0, 1, 2):
             serial = self._run(
                 xavier, xavier_db, backend="serial", max_lag=lag
@@ -636,8 +638,6 @@ class TestBoundedLag:
             forked = self._run(
                 xavier, xavier_db, backend="fork", max_lag=lag
             )
-            assert serial.transport == "inproc"
-            assert forked.transport == expected
             assert forked.describe_shards() == serial.describe_shards(), lag
 
     def test_pipelined_telemetry(self, xavier, xavier_db):
@@ -660,8 +660,8 @@ class TestBoundedLag:
 
 
 class TestTransport:
-    """``transport`` only accepts ``auto`` and ``shm``; ``shm`` insists
-    on the fork backend's rings."""
+    """``transport`` is retired: it accepts ``auto`` and ``shm`` and
+    selects nothing; fork deltas always ride the control queues."""
 
     def test_queue_transport_rejected(self, xavier, xavier_db):
         with pytest.raises(ValueError, match="auto.*shm"):
@@ -673,17 +673,30 @@ class TestTransport:
                 transport="queue",
             )
 
-    def test_shm_transport_requires_fork(self, xavier, xavier_db):
-        fleet = Fleet(
+    def test_shm_transport_selects_nothing(self, xavier, xavier_db):
+        auto, shm = (
+            run_fleet(
+                xavier, xavier_db, shards=2, backend="serial", transport=t
+            )
+            for t in ("auto", "shm")
+        )
+        assert shm.describe_shards() == auto.describe_shards()
+
+    def test_fork_gossip_counts_inline_payloads(self, xavier, xavier_db):
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork start method on this platform")
+        report = Fleet(
             xavier,
-            fleet_tenants(),
+            gossip_tenants(),
             make_factory(xavier, xavier_db),
             shards=2,
-            backend="serial",
-            transport="shm",
-        )
-        with pytest.raises(ValueError, match="fork backend"):
-            fleet.run(horizon_s=HORIZON)
+            backend="fork",
+            sync_rounds=2,
+        ).run(horizon_s=HORIZON)
+        # the peer adopted the gossiped schedule: two solves, not three
+        assert report.solves == 2
+        assert report.transport_stats["inline"] > 0
+        assert "ring" not in report.transport_stats
 
 
 class TestEdges:
