@@ -27,8 +27,8 @@ def test_fig7_dynamic(benchmark, save_report):
     save_report("fig7_dynamic", fig7_dynamic.format_results(rows))
 
     for row in rows:
-        # D-HaX-CoNN improves monotonically from the naive start and
-        # reaches the oracle (paper: convergence within 1.3-5.8 s)
+        # D-HaX-CoNN ends no worse than its naive start and reaches
+        # the oracle (paper: convergence within 1.3-5.8 s)
         assert float(row["final_ms"]) <= float(row["initial_ms"])
         assert bool(row["converged"]), row
     assert any(

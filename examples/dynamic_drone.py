@@ -5,8 +5,9 @@ The drone alternates between *discovery* (wide-area detection +
 classification) and *tracking* (tracker + segmentation) modes; each
 switch changes the control-flow graph, so no static schedule fits.
 D-HaX-CoNN starts each phase with the best naive schedule, runs the
-anytime solver on a CPU core, and swaps in better schedules at the
-paper's update instants until it reaches the optimum (Fig. 7).
+anytime solver on a CPU core, and swaps in schedules the cost model
+predicts are better at the paper's update instants until it reaches
+the optimum (Fig. 7).
 
 Run:  python examples/dynamic_drone.py
 """

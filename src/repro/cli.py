@@ -206,11 +206,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 db=db,
                 max_transitions=args.max_transitions,
                 solver=args.solver,
-                # the fleet's cross-backend byte-identity needs
-                # virtual incumbent timestamps, not wall-clock ones
-                solver_clock=(
-                    "nodes" if args.solver == "portfolio" else "wall"
-                ),
             )
             return CachedAnytimePolicy(
                 scheduler,

@@ -8,9 +8,13 @@ When the autonomous CFG changes (new DNN pairs appear), D-HaX-CoNN
    far, converging to the optimum while the loop keeps running
    (paper Fig. 7; solver co-run overhead is Table 7's <= 2%).
 
-The solver here is the anytime branch-and-bound; its incumbents carry
-wall-clock timestamps, so the phase trace reconstructs exactly which
-schedule was active when.
+:meth:`DHaXCoNN.plan` is the one planner, shared by the offline
+Fig. 7 driver (:meth:`DHaXCoNN.run_phase`) and the serving policy
+(:class:`repro.serve.policy.CachedAnytimePolicy`).  It decides every
+swap from the cost model alone -- predicted objective, and phase time
+counted in explored solver nodes (``nodes_explored / NODE_RATE``) --
+so a plan is a pure function of the workload and the seeds, whatever
+the host's speed.  The simulator only measures the plan afterwards.
 """
 
 from __future__ import annotations
@@ -18,10 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.core.baselines import gpu_only, naive_concurrent
+from repro.core.formulation import Formulation
 from repro.core.haxconn import HaXCoNN, ScheduleResult
 from repro.core.schedule import Schedule
 from repro.core.workload import Workload
 from repro.soc.platform import Platform
+from repro.solver.bnb import Incumbent
+from repro.solver.portfolio import NODE_RATE
 
 #: paper Fig. 7 schedule-update instants (seconds after phase start);
 #: the tail points let long solves land (the paper observes convergence
@@ -29,9 +37,43 @@ from repro.soc.platform import Platform
 DEFAULT_UPDATE_POINTS = (0.025, 0.100, 0.250, 0.500, 1.500, 3.0, 6.0, 10.0)
 
 
+@dataclass
+class _AnytimePhase:
+    """Swap plan for one phase: (available-at, result) candidates.
+
+    Candidate availability is in *phase time* (seconds the mix has been
+    actively served), mirroring D-HaX-CoNN's solver-co-runs-with-
+    inference model: the solver makes progress only while the mix is
+    on the SoC.  Candidates strictly improve the predicted objective.
+    """
+
+    candidates: list[tuple[float, ScheduleResult]]
+    #: phase time at which the certified-final schedule is active
+    final_available_s: float
+    #: the solver's certified answer (the measured oracle of Fig. 7)
+    solve: ScheduleResult
+    active_idx: int = 0
+
+    def active(self, elapsed_s: float) -> tuple[ScheduleResult, bool, int]:
+        """(result, converged, swaps-performed-now) at ``elapsed_s``."""
+        idx = self.active_idx
+        while (
+            idx + 1 < len(self.candidates)
+            and self.candidates[idx + 1][0] <= elapsed_s
+        ):
+            idx += 1
+        swaps = idx - self.active_idx
+        self.active_idx = idx
+        converged = (
+            idx == len(self.candidates) - 1
+            and elapsed_s >= self.final_available_s
+        )
+        return self.candidates[idx][1], converged, swaps
+
+
 @dataclass(frozen=True)
 class ScheduleUpdate:
-    """One activation of a (better) schedule during a phase."""
+    """One activation of a planned schedule during a phase."""
 
     time_s: float
     latency_ms: float
@@ -88,7 +130,8 @@ class DHaXCoNN:
     """Dynamic scheduler driver around an anytime :class:`HaXCoNN`.
 
     The anytime solver is the wrapped scheduler's: configure it there
-    (``HaXCoNN(solver=..., solver_clock=...)``).
+    (``HaXCoNN(solver=...)``).  Its ``solver_clock`` does not move the
+    plan, which counts phase time in explored nodes.
     """
 
     def __init__(
@@ -121,97 +164,147 @@ class DHaXCoNN:
         )
         return execution.latency_ms
 
-    def _initial_naive(
-        self, workload: Workload
+    def _best_naive(
+        self, workload: Workload, formulation: Formulation
     ) -> ScheduleResult:
-        """Best naive schedule by predicted cost (paper footnote 1:
-        Herald/H2H are no seeds -- they also take seconds)."""
-        from repro.core.baselines import gpu_only, naive_concurrent
-
-        candidates = [
-            gpu_only(
+        """Best naive start, compared under the *contention-aware*
+        formulation so its objective is commensurable with solver
+        incumbents (the baselines' own predictions are contention-free
+        and would not be).  The scheduler's ``fallback_margin`` guards
+        the choice: concurrency must be predicted to win by more than
+        the model's error band, or the phase starts serialized --
+        the same never-worse-than-naive guarantee the offline
+        scheduler gives.  Herald/H2H are no starts (paper footnote 1:
+        they also take seconds)."""
+        scheduler = self.scheduler
+        serial, concurrent = (
+            scheduler.result_from_assignments(
                 workload,
-                self.platform,
-                db=self.scheduler.db,
-                max_groups=self.scheduler.max_groups,
-            ),
-            naive_concurrent(
-                workload,
-                self.platform,
-                db=self.scheduler.db,
-                max_groups=self.scheduler.max_groups,
-            ),
-        ]
-        return min(candidates, key=lambda r: r.predicted.objective)
-
-    def run_phase(
-        self, workload: Workload, *, duration_s: float = 10.0
-    ) -> PhaseTrace:
-        """Execute one phase: naive start, anytime refinement, frames."""
-        initial = self._initial_naive(workload)
-        solve = self.scheduler.schedule(workload)
-        formulation = solve.formulation
-
-        # reconstruct which incumbent was active at each update point
-        updates: list[ScheduleUpdate] = [
-            ScheduleUpdate(
-                time_s=0.0,
-                latency_ms=self._measure(initial),
-                schedule=initial.schedule,
-                predicted_ms=initial.predicted.makespan * 1e3,
+                formulation,
+                [s.assignment for s in base.schedule],
+                scheduler_name=label,
+                serialized=base.schedule.serialized,
             )
-        ]
+            for base, label in (
+                (
+                    gpu_only(
+                        workload,
+                        scheduler.platform,
+                        db=scheduler.db,
+                        max_groups=scheduler.max_groups,
+                    ),
+                    "gpu-only-start",
+                ),
+                (
+                    naive_concurrent(
+                        workload,
+                        scheduler.platform,
+                        db=scheduler.db,
+                        max_groups=scheduler.max_groups,
+                    ),
+                    "naive-start",
+                ),
+            )
+        )
+        threshold = serial.predicted.objective - (
+            scheduler.fallback_margin * abs(serial.predicted.objective)
+        )
+        if concurrent.predicted.objective <= threshold:
+            return concurrent
+        return serial
+
+    def plan(
+        self,
+        workload: Workload,
+        *,
+        warm_starts: Sequence[tuple[str, Sequence[Sequence[str]]]] = (),
+    ) -> _AnytimePhase:
+        """Plan one phase's swaps from a single solver run.
+
+        The naive start is active at phase time 0.  An incumbent
+        becomes available once the solver has explored its nodes
+        (``nodes_explored / NODE_RATE`` seconds, whichever solver or
+        clock the scheduler uses); at each update point the best
+        available incumbent is adopted if it strictly improves the
+        predicted objective.  The certified answer follows at the
+        first update point after the solver finishes, again only if
+        it is predicted better.  ``warm_starts`` seed the solver (the
+        serving cache supplies schedules of similar mixes).
+        """
+        scheduler = self.scheduler
+        formulation, _ = scheduler.build_formulation(workload)
+        naive = self._best_naive(workload, formulation)
+        solve = scheduler.schedule(workload, warm_starts=warm_starts)
+
+        candidates: list[tuple[float, ScheduleResult]] = [(0.0, naive)]
+        best_objective = naive.predicted.objective
         incumbents = solve.solver.incumbents if solve.solver else []
-        best_so_far = None
+        adopted: list[tuple[float, Incumbent]] = []
         for point in self.update_points:
-            candidates = [i for i in incumbents if i.wall_time_s <= point]
-            if not candidates:
+            available = [
+                i for i in incumbents if i.nodes_explored / NODE_RATE <= point
+            ]
+            if not available:
                 continue
-            best = min(candidates, key=lambda i: i.objective)
-            if best_so_far is not None and best is best_so_far:
+            best = min(available, key=lambda i: i.objective)
+            # strict improvement only: re-selecting the incumbent
+            # already adopted at an earlier point compares equal and
+            # is skipped, so no per-object dedup is needed
+            if best.objective >= best_objective:
                 continue
-            best_so_far = best
-            result = self.scheduler.result_from_assignments(
+            adopted.append((point, best))
+            best_objective = best.objective
+        if adopted:
+            # one frontier batch materializes every adopted incumbent
+            # (bit-identical to per-incumbent scalar evaluation)
+            results = scheduler.results_from_assignments(
                 workload,
                 formulation,
                 [
-                    best.assignment[f"dnn{n}"]
-                    for n in range(len(workload))
+                    [inc.assignment[f"dnn{n}"] for n in range(len(workload))]
+                    for _, inc in adopted
                 ],
-                scheduler_name="d-haxconn",
+                scheduler_name="haxconn-incumbent",
             )
-            latency = self._measure(result)
-            if latency < updates[-1].latency_ms:
-                updates.append(
-                    ScheduleUpdate(
-                        time_s=point,
-                        latency_ms=latency,
-                        schedule=result.schedule,
-                        predicted_ms=result.predicted.makespan * 1e3,
-                    )
-                )
+            candidates.extend(
+                (point, result)
+                for (point, _), result in zip(adopted, results)
+            )
 
-        oracle_latency = self._measure(solve)
-
-        # once the solver finishes, its final choice (which may be the
-        # serialized fallback -- never part of the incumbent stream)
-        # becomes available at the next update instant
+        # the solver's certified answer (possibly the serialized GPU
+        # fallback, which never appears in the incumbent stream)
         solver_done_s = (
-            solve.solver.wall_time_s if solve.solver else 0.0
+            solve.solver.nodes_explored / NODE_RATE if solve.solver else 0.0
         )
         adopt_at = next(
             (p for p in self.update_points if p >= solver_done_s),
             solver_done_s,  # solver outran every update point
         )
-        if oracle_latency < updates[-1].latency_ms:
-            updates.append(
-                ScheduleUpdate(
-                    time_s=max(adopt_at, updates[-1].time_s),
-                    latency_ms=oracle_latency,
-                    schedule=solve.schedule,
-                    predicted_ms=solve.predicted.makespan * 1e3,
-                )
+        adopt_at = max(adopt_at, candidates[-1][0])
+        if solve.predicted.objective < best_objective:
+            candidates.append((adopt_at, solve))
+        return _AnytimePhase(
+            candidates=candidates, final_available_s=adopt_at, solve=solve
+        )
+
+    def run_phase(
+        self, workload: Workload, *, duration_s: float = 10.0
+    ) -> PhaseTrace:
+        """Execute one phase: the planned swaps, measured, then frames.
+
+        Every planned swap is taken, including one that measures worse
+        than the schedule it replaces: the plan sees only the model.
+        """
+        phase = self.plan(workload)
+        updates = [
+            ScheduleUpdate(
+                time_s=time_s,
+                latency_ms=self._measure(result),
+                schedule=result.schedule,
+                predicted_ms=result.predicted.makespan * 1e3,
             )
+            for time_s, result in phase.candidates
+        ]
 
         # frame-by-frame latency trace under the active schedule
         frames: list[tuple[float, float]] = []
@@ -229,7 +322,7 @@ class DHaXCoNN:
         return PhaseTrace(
             workload=workload,
             updates=tuple(updates),
-            oracle_latency_ms=oracle_latency,
+            oracle_latency_ms=self._measure(phase.solve),
             frames=tuple(frames),
             duration_s=duration_s,
         )

@@ -218,10 +218,9 @@ def make_fleet_policy_factory(
 ) -> Callable[[int], ServingPolicy]:
     """Per-shard policy factory for a deterministic fleet.
 
-    The scheduler runs the anytime solver under its ``nodes`` clock so
-    incumbents carry virtual timestamps -- the fleet's cross-backend
-    byte-identity needs swap decisions that do not depend on wall
-    time.  The factory is called inside each worker (fork or serial),
+    The policy plans its swaps in node-count phase time, so its
+    decisions never depend on wall time, whatever the solver or its
+    clock.  The factory is called inside each worker (fork or serial),
     which all inherit the one shared profile database.
     """
     platform = get_platform(platform_name)

@@ -45,8 +45,8 @@ def tenants_for(spec: ScenarioSpec) -> tuple[Tenant, ...]:
 def scenario_policy(spec: ScenarioSpec) -> ServingPolicy:
     """A deterministic anytime policy for the scenario's platform.
 
-    The ``nodes`` solver clock keeps the anytime trace a pure function
-    of explored nodes, which is what makes fleet replays
+    The policy plans its swaps in node-count phase time, a pure
+    function of explored nodes, which is what makes fleet replays
     byte-identical across the serial and fork backends.
     """
     platform = get_platform(spec.platform)

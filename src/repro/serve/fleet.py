@@ -638,8 +638,8 @@ class Fleet:
         ``shard_index -> ServingPolicy``; called *inside* each worker
         so every backend builds identical fresh policies.  For
         cross-backend byte-identity the produced policy must itself be
-        deterministic (e.g. :class:`CachedAnytimePolicy` over a
-        portfolio scheduler with ``solver_clock="nodes"``).
+        deterministic, as :class:`CachedAnytimePolicy` is over any
+        scheduler: it plans swaps in node-count phase time.
     shards:
         Replica count.
     backend:

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.core.baselines import gpu_only, naive_concurrent
-from repro.core.dynamic import DEFAULT_UPDATE_POINTS
-from repro.core.formulation import Formulation
+from repro.core.dynamic import DEFAULT_UPDATE_POINTS, DHaXCoNN, _AnytimePhase
 from repro.core.haxconn import HaXCoNN, ScheduleResult
 from repro.core.schedule_cache import ScheduleCache, workload_signature
 from repro.core.solve_store import SolveStore
@@ -323,45 +322,15 @@ class DynamicThrottlePolicy(StaticPolicy):
         }
 
 
-@dataclass
-class _AnytimePhase:
-    """Swap plan for one novel mix: (available-at, result) candidates.
-
-    Candidate availability is in *phase time* (seconds the mix has been
-    actively served), mirroring D-HaX-CoNN's solver-co-runs-with-
-    inference model: the solver makes progress only while the mix is
-    on the SoC.
-    """
-
-    candidates: list[tuple[float, ScheduleResult]]
-    #: phase time at which the certified-final schedule is active
-    final_available_s: float
-    active_idx: int = 0
-
-    def active(self, elapsed_s: float) -> tuple[ScheduleResult, bool, int]:
-        """(result, converged, swaps-performed-now) at ``elapsed_s``."""
-        idx = self.active_idx
-        while (
-            idx + 1 < len(self.candidates)
-            and self.candidates[idx + 1][0] <= elapsed_s
-        ):
-            idx += 1
-        swaps = idx - self.active_idx
-        self.active_idx = idx
-        converged = (
-            idx == len(self.candidates) - 1
-            and elapsed_s >= self.final_available_s
-        )
-        return self.candidates[idx][1], converged, swaps
-
-
 class CachedAnytimePolicy(ServingPolicy):
     """Schedule-cache lookups plus D-HaX-CoNN anytime solving.
 
     * mix in cache -> toggle instantly, zero solver work;
     * novel mix -> best naive schedule for the first round, better
       incumbents adopted at ``update_points`` of phase time, converged
-      schedule inserted into the cache.
+      schedule inserted into the cache.  The swap plan is
+      :meth:`repro.core.dynamic.DHaXCoNN.plan`, the same planner the
+      offline Fig. 7 driver measures.
     """
 
     name = "haxconn-serve"
@@ -378,11 +347,9 @@ class CachedAnytimePolicy(ServingPolicy):
         super().__init__(max_queue_depth=max_queue_depth)
         if cache is not None and cache.scheduler is not scheduler:
             raise ValueError("cache must wrap the same scheduler")
-        if any(t <= 0 for t in update_points):
-            raise ValueError("update points must be positive")
+        self._planner = DHaXCoNN(scheduler, update_points=update_points)
         self.scheduler = scheduler
         self.cache = cache if cache is not None else ScheduleCache(scheduler)
-        self.update_points = tuple(sorted(update_points))
         self._phases: dict[str, _AnytimePhase] = {}
         self.solves = 0
         self.swaps = 0
@@ -391,131 +358,30 @@ class CachedAnytimePolicy(ServingPolicy):
             self.cache.attach_store(store)
 
     # ------------------------------------------------------------------
-    def _best_naive(
-        self, workload: Workload, formulation: Formulation
-    ) -> ScheduleResult:
-        """Best naive start, compared under the *contention-aware*
-        formulation so its objective is commensurable with solver
-        incumbents (the baselines' own predictions are contention-free
-        and would not be).  The scheduler's ``fallback_margin`` guards
-        the choice: concurrency must be predicted to win by more than
-        the model's error band, or the phase starts serialized --
-        the same never-worse-than-naive guarantee the offline
-        scheduler gives."""
-        serial, concurrent = (
-            self.scheduler.result_from_assignments(
-                workload,
-                formulation,
-                [s.assignment for s in base.schedule],
-                scheduler_name=label,
-                serialized=base.schedule.serialized,
-            )
-            for base, label in (
-                (
-                    gpu_only(
-                        workload,
-                        self.scheduler.platform,
-                        db=self.scheduler.db,
-                        max_groups=self.scheduler.max_groups,
-                    ),
-                    "gpu-only-start",
-                ),
-                (
-                    naive_concurrent(
-                        workload,
-                        self.scheduler.platform,
-                        db=self.scheduler.db,
-                        max_groups=self.scheduler.max_groups,
-                    ),
-                    "naive-start",
-                ),
-            )
-        )
-        threshold = serial.predicted.objective - (
-            self.scheduler.fallback_margin
-            * abs(serial.predicted.objective)
-        )
-        if concurrent.predicted.objective <= threshold:
-            return concurrent
-        return serial
-
     def _solve_anytime(self, workload: Workload) -> _AnytimePhase:
-        """Build the swap plan for a novel mix (one solver run).
+        """Plan the swaps for a novel mix (one solver run).
 
         Schedules already published for *other* mixes seed the solver
         through :meth:`ScheduleCache.warm_starts` -- with the
         anytime solver, a good seed pulls the first strong incumbent
         to the earliest update points.
+
+        The phase's final schedule is already certified (the solver
+        ran to completion; phase time only gates *serving* it, per
+        D-HaX-CoNN's solver-co-runs-with-inference model), so it is
+        published to the cache -- and through it to gossip and the
+        solve store -- immediately.  Locally the in-flight phase takes
+        precedence over the cache entry (see :meth:`result_for`), so
+        serving fidelity is unchanged; peers and future processes
+        toggle without re-solving.
         """
-        formulation, _ = self.scheduler.build_formulation(workload)
-        naive = self._best_naive(workload, formulation)
-        solve = self.scheduler.schedule(
+        phase = self._planner.plan(
             workload, warm_starts=self.cache.warm_starts(workload)
         )
-
-        candidates: list[tuple[float, ScheduleResult]] = [(0.0, naive)]
-        best_objective = naive.predicted.objective
-        incumbents = solve.solver.incumbents if solve.solver else []
-        adopted: list[tuple[float, Any]] = []
-        for point in self.update_points:
-            available = [
-                i for i in incumbents if i.wall_time_s <= point
-            ]
-            if not available:
-                continue
-            best = min(available, key=lambda i: i.objective)
-            # strict improvement only: re-selecting the incumbent
-            # already adopted at an earlier point compares equal and
-            # is skipped, so no per-object dedup is needed
-            if best.objective >= best_objective:
-                continue
-            adopted.append((point, best))
-            best_objective = best.objective
-        if adopted:
-            # one frontier batch materializes every adopted incumbent
-            # (bit-identical to per-incumbent scalar evaluation)
-            results = self.scheduler.results_from_assignments(
-                workload,
-                formulation,
-                [
-                    [
-                        inc.assignment[f"dnn{n}"]
-                        for n in range(len(workload))
-                    ]
-                    for _, inc in adopted
-                ],
-                scheduler_name="haxconn-incumbent",
-            )
-            candidates.extend(
-                (point, result)
-                for (point, _), result in zip(adopted, results)
-            )
-
-        # the solver's certified answer (possibly the serialized GPU
-        # fallback, which never appears in the incumbent stream)
-        solver_done_s = solve.solver.wall_time_s if solve.solver else 0.0
-        adopt_at = next(
-            (p for p in self.update_points if p >= solver_done_s),
-            solver_done_s,
-        )
-        adopt_at = max(adopt_at, candidates[-1][0])
-        if solve.predicted.objective < best_objective:
-            candidates.append((adopt_at, solve))
-
-        # the phase's final schedule is already certified (the solver
-        # ran to completion above; phase time only gates *serving* it,
-        # per D-HaX-CoNN's solver-co-runs-with-inference model), so
-        # publish it to the cache -- and through it to gossip and the
-        # solve store -- immediately.  Locally the in-flight phase
-        # takes precedence over the cache entry (see result_for), so
-        # serving fidelity is unchanged; peers and future processes
-        # toggle without re-solving.
-        final = candidates[-1][1]
+        final = phase.candidates[-1][1]
         if self._admit(workload, final):
             self.cache.put(workload, final.schedule)
-        return _AnytimePhase(
-            candidates=candidates, final_available_s=adopt_at
-        )
+        return phase
 
     # ------------------------------------------------------------------
     def result_for(

@@ -25,15 +25,20 @@ def phase(dynamic):
 
 class TestPhase:
     def test_updates_monotonically_improve(self, phase):
-        latencies = [u.latency_ms for u in phase.updates]
-        assert latencies == sorted(latencies, reverse=True)
+        """Swaps are planned on the model alone: each one strictly
+        improves the *predicted* objective, in time order.  Measured
+        latency may rise across a swap when the model misjudges it."""
+        predicted = [u.predicted_ms for u in phase.updates]
+        assert all(b < a for a, b in zip(predicted, predicted[1:]))
+        times = [u.time_s for u in phase.updates]
+        assert times == sorted(times)
 
     def test_starts_with_naive(self, phase):
         first = phase.updates[0]
         assert first.time_s == 0.0
         assert first.schedule.meta["scheduler"] in (
-            "gpu-only",
-            "naive-gpu-dsa",
+            "gpu-only-start",
+            "naive-start",
         )
 
     def test_final_at_most_initial(self, phase):
@@ -87,3 +92,35 @@ class TestValidation:
         assert (
             loaded.oracle_latency_ms >= quiet.oracle_latency_ms - 1e-9
         )
+
+
+class TestHostSpeed:
+    """Swaps are planned in node-count phase time, so a host whose
+    branch-and-bound clock reads 8x the elapsed time makes exactly the
+    decisions an unscaled one does."""
+
+    @staticmethod
+    def _slow_host(monkeypatch):
+        import repro.solver.bnb as bnb
+
+        real = bnb.monotonic_s
+        monkeypatch.setattr(bnb, "monotonic_s", lambda: 8.0 * real())
+
+    def test_phase_trace_ignores_solver_clock(self, dynamic, monkeypatch):
+        workload = Workload.concurrent(
+            "resnet152", "inception", objective="latency"
+        )
+        unscaled = dynamic.run_phase(workload, duration_s=1.0)
+        self._slow_host(monkeypatch)
+        slow = dynamic.run_phase(workload, duration_s=1.0)
+        # update times, schedules, predicted and measured ms, frames
+        assert slow == unscaled
+
+    def test_serving_report_ignores_solver_clock(self, monkeypatch):
+        from repro.experiments import serving
+
+        # the haxconn row of benchmarks/bench_serving.py
+        config = {"horizon_s": 0.5, "max_groups": 6, "policies": ("haxconn",)}
+        unscaled = serving.run(**config)
+        self._slow_host(monkeypatch)
+        assert serving.run(**config) == unscaled

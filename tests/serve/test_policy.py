@@ -166,7 +166,7 @@ class TestCachedAnytime:
         from repro.core.baselines import gpu_only
 
         formulation, _ = scheduler.build_formulation(workload)
-        start = CachedAnytimePolicy(scheduler)._best_naive(
+        start = CachedAnytimePolicy(scheduler)._planner._best_naive(
             workload, formulation
         )
         assert start.schedule.meta["scheduler"] in (
