@@ -37,9 +37,12 @@ mid-compaction leaves the original intact.
 Records are content-addressed: ``id`` is the SHA-256 of the canonical
 (sorted-keys, compact) JSON of ``[kind, sig, body]``, and appends
 deduplicate on it, so replaying gossip deltas or re-running a
-benchmark never grows the file with duplicate records.  Appends are
-single-line and the loader tolerates malformed lines (a crash
-mid-append loses only the trailing record, never the store).  The
+benchmark never grows the file with duplicate records.  The loader
+re-derives every ``id`` and skips (and counts) a record whose content
+no longer matches it, so an edited or bit-flipped record is never
+adopted.  Appends are single-line and the loader tolerates malformed
+lines (a crash mid-append loses only the trailing record, never the
+store).  The
 fleet keeps a single writer -- the parent process -- so concurrent
 shard workers never interleave partial lines.
 """
@@ -54,6 +57,10 @@ from typing import Any, Mapping, Sequence
 
 #: on-disk schema version stamped into every record
 SCHEMA_VERSION = 1
+
+
+#: record kind -> the field holding its content-addressed body
+_BODY_FIELD = {"schedule": "schedule", "memo": "entries"}
 
 
 def _record_id(kind: str, sig: str, body: Any) -> str:
@@ -113,6 +120,18 @@ def memo_entry_from_json(item: Sequence[Any]) -> tuple[Any, Any]:
     return key, value
 
 
+def _check_id(record: Mapping[str, Any]) -> None:
+    """Raise :class:`ValueError` unless a loaded record's ``id`` is the
+    content address of its kind, signature and body (retired ``model``
+    records carry no checked body)."""
+    kind = str(record["kind"])
+    field = _BODY_FIELD.get(kind)
+    if field is None:
+        return
+    if record["id"] != _record_id(kind, str(record["sig"]), record[field]):
+        raise ValueError(f"{kind} record id does not match its content")
+
+
 class SolveStore:
     """Append-only, content-addressed store of solve artifacts.
 
@@ -129,7 +148,7 @@ class SolveStore:
         self._ids: set[str] = set()
         self._schedules: dict[str, dict[str, Any]] = {}
         self._memo: dict[str, list[tuple[Any, Any]]] = {}
-        #: malformed lines skipped while loading (crash-tolerant tail)
+        #: malformed or id-mismatched lines skipped while loading
         self.skipped_lines = 0
         if self.path.exists():
             self._load()
@@ -141,10 +160,12 @@ class SolveStore:
                 continue
             try:
                 record = json.loads(line)
+                _check_id(record)
                 self._adopt(record)
             except (ValueError, KeyError, TypeError, IndexError):
-                # a torn append (crash mid-write) loses one record,
-                # never the store; count it so callers can report
+                # a torn append (crash mid-write) or an edited record
+                # loses one record, never the store; count it so
+                # callers can report
                 self.skipped_lines += 1
 
     def _adopt(self, record: Mapping[str, Any]) -> None:
@@ -209,7 +230,7 @@ class SolveStore:
         }
 
     # -- appends -------------------------------------------------------
-    def _append(self, kind: str, sig: str, field: str, body: Any) -> bool:
+    def _append(self, kind: str, sig: str, body: Any) -> bool:
         if self.readonly:
             raise ValueError(f"solve store {self.path} is read-only")
         rid = _record_id(kind, sig, body)
@@ -220,7 +241,7 @@ class SolveStore:
             "kind": kind,
             "sig": sig,
             "id": rid,
-            field: body,
+            _BODY_FIELD[kind]: body,
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a", encoding="utf-8") as handle:
@@ -242,7 +263,7 @@ class SolveStore:
                 for s in payload["streams"]
             ],
         }
-        return self._append("schedule", sig, "schedule", body)
+        return self._append("schedule", sig, body)
 
     def append_memo(
         self, sig: str, entries: Sequence[tuple[Any, Any]]
@@ -251,7 +272,7 @@ class SolveStore:
         if not entries:
             return False
         body = [memo_entry_to_json(key, value) for key, value in entries]
-        return self._append("memo", sig, "entries", body)
+        return self._append("memo", sig, body)
 
     # -- maintenance ---------------------------------------------------
     def compact(self) -> dict[str, int]:
@@ -259,8 +280,9 @@ class SolveStore:
 
         Keeps, in original file order: every memo batch, and the *last*
         schedule record per signature (earlier ones are the superseded
-        history).  Duplicate record ids, malformed lines and retired
-        ``model`` records are dropped.  Kept lines are copied
+        history).  Duplicate record ids, malformed lines, records whose
+        id does not match their content and retired ``model`` records
+        are dropped.  Kept lines are copied
         byte-for-byte -- no re-serialization -- and the rewrite lands
         via a temp file and :func:`os.replace`, so a crash
         mid-compaction leaves the original file intact.  In-memory
@@ -278,6 +300,7 @@ class SolveStore:
         for i, line in enumerate(lines):
             try:
                 record = json.loads(line)
+                _check_id(record)
                 kind = str(record["kind"])
                 sig = str(record["sig"])
                 rid = str(record["id"])

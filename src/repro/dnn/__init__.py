@@ -12,6 +12,7 @@ Public entry points:
 - :func:`repro.dnn.fusion.fuse`
 - :func:`repro.dnn.grouping.group_layers`
 - :func:`repro.dnn.zoo.build` / :data:`repro.dnn.zoo.MODEL_REGISTRY`
+- :func:`repro.dnn.zoo.compiled` (the shared fused form of a zoo model)
 """
 
 from repro.dnn.shapes import TensorShape

@@ -40,7 +40,21 @@ class FusedLayer:
     fetch from memory, i.e. inputs whose producer lies outside the
     chain; intra-chain intermediates stay on chip, which is the whole
     point of fusion.
+
+    ``primary``, ``flops`` and ``weight_params`` are derived from the
+    layers once, at construction; the sums are integers, so they are
+    exact.
     """
+
+    __slots__ = (
+        "layers",
+        "name",
+        "_external_input_elems",
+        "primary",
+        "flops",
+        "weight_params",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -56,6 +70,18 @@ class FusedLayer:
         if external_input_elems is None:
             external_input_elems = self.layers[0].input_elems
         self._external_input_elems = external_input_elems
+        #: the layer that dominates the unit's execution behaviour
+        self.primary: Layer = next(
+            (
+                layer
+                for kind in _PRIMARY_KINDS
+                for layer in self.layers
+                if layer.kind == kind
+            ),
+            self.layers[0],
+        )
+        self.flops: int = sum(l.flops for l in self.layers)
+        self.weight_params: int = sum(l.weight_params for l in self.layers)
 
     def __iter__(self) -> Iterator[Layer]:
         return iter(self.layers)
@@ -64,25 +90,8 @@ class FusedLayer:
         return len(self.layers)
 
     @property
-    def primary(self) -> Layer:
-        """The layer that dominates the unit's execution behaviour."""
-        for kind in _PRIMARY_KINDS:
-            for layer in self.layers:
-                if layer.kind == kind:
-                    return layer
-        return self.layers[0]
-
-    @property
     def kind(self) -> str:
         return self.primary.kind
-
-    @property
-    def flops(self) -> int:
-        return sum(l.flops for l in self.layers)
-
-    @property
-    def weight_params(self) -> int:
-        return sum(l.weight_params for l in self.layers)
 
     @property
     def input_elems(self) -> int:

@@ -89,17 +89,17 @@ class LayerGroup:
 
 
 def _segment_units(
-    graph: DNNGraph, units: Sequence[FusedLayer]
+    graph: DNNGraph, units: Sequence[FusedLayer], position: dict[str, int]
 ) -> list[list[FusedLayer]]:
     """Split fused units at the graph's cut points.
 
     A unit belongs to the segment of the first cut point at or after
-    its *last* layer position.  Assigning by position (rather than by
+    its *last* layer position (``position`` maps each compute layer to
+    its topological index).  Assigning by position (rather than by
     unit list order) keeps side branches -- e.g. a residual downsample
     conv whose fused Add lives in the main-path unit -- inside the
     block segment they are part of.
     """
-    position = {l.name: i for i, l in enumerate(graph.compute_layers)}
     cut_positions = sorted(position[l.name] for l in graph.cut_points())
     segments: list[list[FusedLayer]] = [[] for _ in cut_positions]
     for unit in units:
@@ -111,25 +111,25 @@ def _segment_units(
     return [seg for seg in segments if seg]
 
 
-def _coalesce(
-    segments: list[list[FusedLayer]], target: int
-) -> list[list[FusedLayer]]:
+def _coalesce(flops: Sequence[int], target: int) -> list[tuple[int, int]]:
     """Greedily merge the cheapest adjacent segment pair until at most
-    ``target`` segments remain.
+    ``target`` segments remain; returns the ``[start, stop)`` range of
+    segments each merged group covers.
 
     Cost of a merge is the combined FLOPs of the pair, so the result
     stays roughly balanced -- mirroring how the paper coarsens
-    GoogleNet's 140 layers into the 10 groups of Table 2.  Segment
-    FLOPs are summed once and then kept current across merges, so each
-    merge costs one pass over the segments, not over every layer.
+    GoogleNet's 140 layers into the 10 groups of Table 2.  ``flops``
+    holds each segment's FLOPs; the sums are kept current across
+    merges, so each merge costs one pass over the segments, not over
+    every layer.
     """
-    segs = [list(s) for s in segments]
-    flops = [sum(u.flops for u in s) for s in segs]
-    while len(segs) > target:
-        best = min(range(len(segs) - 1), key=lambda i: flops[i] + flops[i + 1])
-        segs[best] = segs[best] + segs.pop(best + 1)
-        flops[best] += flops.pop(best + 1)
-    return segs
+    spans = [(i, i + 1) for i in range(len(flops))]
+    sums = list(flops)
+    while len(spans) > target:
+        best = min(range(len(spans) - 1), key=lambda i: sums[i] + sums[i + 1])
+        spans[best] = (spans[best][0], spans.pop(best + 1)[1])
+        sums[best] += sums.pop(best + 1)
+    return spans
 
 
 def group_layers(
@@ -152,29 +152,76 @@ def group_layers(
     units:
         Pre-fused units, if the caller already ran :func:`fuse`.
     """
-    if units is None:
-        units = fuse(graph)
-    segments = _segment_units(graph, units)
-    if max_groups is not None:
-        if max_groups < 1:
-            raise ValueError(f"max_groups must be >= 1, got {max_groups}")
-        segments = _coalesce(segments, max_groups)
+    return CompiledModel(graph, units).groups(max_groups)
 
-    # positional index of each compute layer for span labels
-    position = {l.name: i for i, l in enumerate(graph.compute_layers)}
 
-    groups: list[LayerGroup] = []
-    for idx, seg in enumerate(segments):
-        layers = [l for u in seg for l in u.layers]
-        positions = [position[l.name] for l in layers]
-        groups.append(
-            LayerGroup(
-                index=idx,
-                dnn_name=graph.name,
-                units=tuple(seg),
-                first_layer_index=min(positions),
-                last_layer_index=max(positions),
-                layer_kinds=frozenset(l.kind for l in layers),
+class CompiledModel:
+    """A model's fused units and minimal grouping: the
+    platform-independent half of characterization.
+
+    Construction fuses the graph (unless ``units`` are given) and
+    splits the units at the graph's cut points; the graph itself is
+    not kept.  Every grouping (:meth:`groups`, one per ``max_groups``)
+    coalesces the same minimal groups of the same units, so a cost
+    memoized per unit (:func:`repro.perf.model.group_cost`) is shared
+    by all of them.  Nothing here is mutated after construction.
+    """
+
+    def __init__(
+        self, graph: DNNGraph, units: Sequence[FusedLayer] | None = None
+    ) -> None:
+        self.name = graph.name
+        self.units: tuple[FusedLayer, ...] = tuple(
+            fuse(graph) if units is None else units
+        )
+        position = {l.name: i for i, l in enumerate(graph.compute_layers)}
+        self._minimal: tuple[LayerGroup, ...] = tuple(
+            _span_group(idx, graph.name, seg, position)
+            for idx, seg in enumerate(
+                _segment_units(graph, self.units, position)
             )
         )
-    return groups
+        self._flops = [group.flops for group in self._minimal]
+
+    def groups(self, max_groups: int | None = None) -> list[LayerGroup]:
+        """The layer groups at ``max_groups`` (see :func:`group_layers`)."""
+        if max_groups is None:
+            return list(self._minimal)
+        if max_groups < 1:
+            raise ValueError(f"max_groups must be >= 1, got {max_groups}")
+        groups: list[LayerGroup] = []
+        for idx, (start, stop) in enumerate(_coalesce(self._flops, max_groups)):
+            parts = self._minimal[start:stop]
+            groups.append(
+                LayerGroup(
+                    index=idx,
+                    dnn_name=self.name,
+                    units=tuple(u for part in parts for u in part.units),
+                    first_layer_index=min(p.first_layer_index for p in parts),
+                    last_layer_index=max(p.last_layer_index for p in parts),
+                    layer_kinds=frozenset().union(
+                        *(p.layer_kinds for p in parts)
+                    ),
+                )
+            )
+        return groups
+
+
+def _span_group(
+    index: int,
+    dnn_name: str,
+    units: Sequence[FusedLayer],
+    position: dict[str, int],
+) -> LayerGroup:
+    """One segment of fused units as a group, labelled by the positions
+    of its layers."""
+    layers = [l for u in units for l in u.layers]
+    positions = [position[l.name] for l in layers]
+    return LayerGroup(
+        index=index,
+        dnn_name=dnn_name,
+        units=tuple(units),
+        first_layer_index=min(positions),
+        last_layer_index=max(positions),
+        layer_kinds=frozenset(l.kind for l in layers),
+    )

@@ -25,8 +25,10 @@ Aliases follow the paper's spelling (``inception`` = Inception-v4,
 from __future__ import annotations
 
 from typing import Callable
+from weakref import WeakValueDictionary
 
 from repro.dnn.graph import DNNGraph
+from repro.dnn.grouping import CompiledModel
 from repro.dnn.zoo.alexnet import build_alexnet, build_caffenet
 from repro.dnn.zoo.vgg import build_vgg16, build_vgg19
 from repro.dnn.zoo.googlenet import build_googlenet
@@ -99,6 +101,27 @@ def build(name: str) -> DNNGraph:
     return graph
 
 
+#: canonical name -> the compiled form some caller still holds
+_COMPILED: WeakValueDictionary[str, CompiledModel] = WeakValueDictionary()
+
+
+def compiled(name: str) -> CompiledModel:
+    """The shared compiled form (fused units, minimal grouping) of ``name``.
+
+    A model is built and fused once for as long as any caller holds its
+    compiled form (every :class:`~repro.profiling.database.ProfileDB`
+    that profiled it); once the last holder drops it, the next call
+    builds afresh, so no compiled model outlives its users.  The weak
+    map is read with one ``get`` whose result is held, so a collection
+    between lookup and use cannot lose the entry.
+    """
+    key = canonical_name(name)
+    model = _COMPILED.get(key)
+    if model is None:
+        model = _COMPILED[key] = CompiledModel(build(key))
+    return model
+
+
 def available() -> list[str]:
     """Sorted canonical model names."""
     return sorted(MODEL_REGISTRY)
@@ -108,6 +131,7 @@ __all__ = [
     "MODEL_REGISTRY",
     "ALIASES",
     "build",
+    "compiled",
     "available",
     "canonical_name",
 ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from repro.dnn import zoo
-from repro.dnn.grouping import LayerGroup, group_layers
+from repro.dnn.grouping import LayerGroup
 from repro.soc.platform import Platform
 
 #: paper Table 5 standalone runtimes (milliseconds); ``None`` marks the
@@ -106,13 +106,16 @@ def _modeled_latency_ms(
 
     ``grouped`` maps model names to their minimal layer groups; the
     caller passes one dict per pass over the reference table, so each
-    model is built and grouped once however many DSAs reference it.
+    model is grouped once however many DSAs reference it.  The groups
+    come from the model's shared compiled form
+    (:func:`repro.dnn.zoo.compiled`), so a model some profile database
+    already holds is not built again.
     """
     from repro.perf.model import standalone_latency
 
     groups = grouped.get(model_name)
     if groups is None:
-        groups = grouped[model_name] = group_layers(zoo.build(model_name))
+        groups = grouped[model_name] = zoo.compiled(model_name).groups()
     accel = platform.accel(accel_name)
     fallback = platform.gpu if accel.name != platform.gpu.name else None
     return (

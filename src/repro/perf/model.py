@@ -166,15 +166,26 @@ def group_cost(
     Computed once per (group, DSA): the sum is memoized on ``accel``
     under the group plus the two platform fields the model reads and
     ``batch``, so the simulator lowering every dispatched round and
-    the profiler share one walk of the group's units.
+    the profiler share one walk of the group's units.  Each unit's
+    cost is memoized on ``accel`` under the unit and the same key, so
+    the groupings of one compiled model (every ``max_groups``) price
+    each unit once per DSA; the sum is the same left fold over the
+    same terms whichever grouping priced them first.
     """
     key = (platform.dtype_bytes, platform.dram_bandwidth, batch)
-    per_group = accel._cost_memo.setdefault(group, {})
+    memo = accel._cost_memo
+    per_group = memo.setdefault(group, {})
     cost = per_group.get(key)
     if cost is None:
         cost = ZERO_COST
         for unit in group.units:
-            cost = cost + unit_cost(unit, accel, platform, batch=batch)
+            per_unit = memo.setdefault(unit, {})
+            term = per_unit.get(key)
+            if term is None:
+                term = per_unit[key] = unit_cost(
+                    unit, accel, platform, batch=batch
+                )
+            cost = cost + term
         per_group[key] = cost
     return cost
 

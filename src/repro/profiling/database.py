@@ -5,7 +5,10 @@ layer-centric, we performed profiling only once").  :class:`ProfileDB`
 caches :class:`~repro.profiling.profiler.DNNProfile` objects and the
 fitted PCCS model per platform.  Profiles are a pure function of the
 platform model, so they are computed in-process on first use and
-never read from disk.
+never read from disk.  Each database holds the compiled form
+(:func:`repro.dnn.zoo.compiled`) of every model it profiled, so every
+grouping of a model, and every other database alive at the same time,
+derives from one build and fusion.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.contention.pccs import PCCSModel, calibrate_pccs
+from repro.dnn import zoo
+from repro.dnn.grouping import CompiledModel
 from repro.profiling.profiler import DNNProfile, profile_dnn
 from repro.soc.platform import Platform, get_platform
 
@@ -25,6 +30,7 @@ class ProfileDB:
             get_platform(platform) if isinstance(platform, str) else platform
         )
         self._profiles: dict[tuple[str, int | None], DNNProfile] = {}
+        self._models: dict[str, CompiledModel] = {}
         self._pccs: PCCSModel | None = None
 
     # -- profiles -----------------------------------------------------
@@ -32,19 +38,19 @@ class ProfileDB:
         self, model: str, *, max_groups: int | None = None
     ) -> DNNProfile:
         """Profile ``model`` (cached)."""
-        from repro.dnn.zoo import canonical_name
-
-        key = (canonical_name(model), max_groups)
+        name = zoo.canonical_name(model)
+        key = (name, max_groups)
         if key not in self._profiles:
+            compiled = self._models.get(name)
+            if compiled is None:
+                compiled = self._models[name] = zoo.compiled(name)
             self._profiles[key] = profile_dnn(
-                key[0], self.platform, max_groups=max_groups
+                compiled, self.platform, max_groups=max_groups
             )
         return self._profiles[key]
 
     def __contains__(self, model: str) -> bool:
-        from repro.dnn.zoo import canonical_name
-
-        name = canonical_name(model)
+        name = zoo.canonical_name(model)
         return any(k[0] == name for k in self._profiles)
 
     def __iter__(self) -> Iterator[DNNProfile]:

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from repro.dnn import zoo
 from repro.dnn.graph import DNNGraph
-from repro.dnn.grouping import LayerGroup, group_layers
+from repro.dnn.grouping import CompiledModel, LayerGroup
 from repro.perf.model import group_cost, transition_cost
 from repro.soc.platform import Platform
 
@@ -126,26 +126,30 @@ def concat_profiles(profiles: Sequence[DNNProfile]) -> DNNProfile:
 
 
 def profile_dnn(
-    model: str | DNNGraph,
+    model: str | DNNGraph | CompiledModel,
     platform: Platform,
     *,
     max_groups: int | None = None,
 ) -> DNNProfile:
     """Profile one DNN on every accelerator of ``platform``.
 
-    ``model`` is a zoo name (paper aliases accepted) or an already
-    built graph.  ``max_groups`` coarsens the grouping as in paper
-    Table 2 (GoogleNet's 140 layers -> 10 groups).
+    ``model`` is a zoo name (paper aliases accepted; its shared
+    :func:`~repro.dnn.zoo.compiled` form is used), a compiled model or
+    an already built graph (fused here).  ``max_groups`` coarsens the
+    grouping as in paper Table 2 (GoogleNet's 140 layers -> 10 groups).
     """
-    graph = zoo.build(model) if isinstance(model, str) else model
-    groups = group_layers(graph, max_groups=max_groups)
+    if isinstance(model, str):
+        model = zoo.compiled(model)
+    elif isinstance(model, DNNGraph):
+        model = CompiledModel(model)
+    groups = model.groups(max_groups)
     profiles: list[GroupProfile] = []
     for i, group in enumerate(groups):
         time_s: dict[str, float] = {}
         req_bw: dict[str, float] = {}
         emc_util: dict[str, float] = {}
         for accel in platform.accelerators:
-            if platform.blocked(accel.name, graph.name):
+            if platform.blocked(accel.name, model.name):
                 continue
             if not accel.supports_kinds(group.layer_kinds):
                 continue
@@ -155,7 +159,7 @@ def profile_dnn(
             emc_util[accel.name] = cost.req_bw / platform.dram_bandwidth
         if not time_s:
             raise RuntimeError(
-                f"group {group.label} of {graph.name} is not supported on "
+                f"group {group.label} of {model.name} is not supported on "
                 f"any accelerator of {platform.name}"
             )
         # transition costs are computed for every group (including the
@@ -179,7 +183,7 @@ def profile_dnn(
             )
         )
     return DNNProfile(
-        dnn_name=graph.name,
+        dnn_name=model.name,
         platform_name=platform.name,
         groups=tuple(profiles),
     )

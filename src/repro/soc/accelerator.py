@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Mapping
 from weakref import WeakKeyDictionary
 
 if TYPE_CHECKING:  # the memo's owner sits above this layer
+    from repro.dnn.fusion import FusedLayer
     from repro.dnn.grouping import LayerGroup
     from repro.perf.model import UnitCost
 
@@ -156,12 +157,12 @@ class AcceleratorSpec:
     #: energy-aware mappers like AxoNN shift layers onto them)
     active_power_w: float = 10.0
     #: standalone-cost memo owned by :func:`repro.perf.model.group_cost`:
-    #: layer group -> {(dtype_bytes, dram_bandwidth, batch): UnitCost}.
-    #: Weakly keyed so it never keeps a profiled graph alive; outside
-    #: init, repr and comparison so ``replace``/``scaled`` copies start
-    #: empty.
+    #: layer group or fused unit ->
+    #: {(dtype_bytes, dram_bandwidth, batch): UnitCost}.  Weakly keyed
+    #: so it never keeps a profiled graph alive; outside init, repr and
+    #: comparison so ``replace``/``scaled`` copies start empty.
     _cost_memo: WeakKeyDictionary[
-        LayerGroup, dict[tuple[int, float, int], UnitCost]
+        LayerGroup | FusedLayer, dict[tuple[int, float, int], UnitCost]
     ] = field(
         default_factory=WeakKeyDictionary,
         init=False,

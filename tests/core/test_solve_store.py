@@ -137,6 +137,24 @@ class TestDurability:
         assert reloaded.schedules() == {"sig-a": SCHED_A}
         assert reloaded.memo_for("sig-a") == ((MEMO_KEY, MEMO_OK),)
 
+    def test_id_mismatch_is_skipped_and_compacted_away(self, tmp_path):
+        store = SolveStore(tmp_path / "s.jsonl")
+        store.append_schedule("sig-a", SCHED_A)
+        store.append_schedule("sig-b", SCHED_B)
+        first, second = store.path.read_text().splitlines()
+        record = json.loads(second)
+        record["sig"] = "sig-c"  # content no longer matches the id
+        store.path.write_text(first + "\n" + json.dumps(record) + "\n")
+        reloaded = SolveStore(store.path)
+        assert reloaded.skipped_lines == 1
+        assert reloaded.schedules() == {"sig-a": SCHED_A}
+        assert reloaded.compact() == {
+            "kept": 1,
+            "dropped": 1,
+            "bytes": len(first) + 1,
+        }
+        assert SolveStore(store.path).skipped_lines == 0
+
     def test_unknown_kind_is_skipped(self, tmp_path):
         path = tmp_path / "s.jsonl"
         path.write_text(

@@ -89,8 +89,8 @@ class TestCoalescing:
 
         g = zoo.build(model)
         units = fuse(g)
-        segments = _segment_units(g, units)
         position = {l.name: i for i, l in enumerate(g.compute_layers)}
+        segments = _segment_units(g, units, position)
         # the greedy merge order does not depend on the target, so one
         # reference run down from the widest target serves them all
         for target in (16, 12, 10, 8, 4, 1):

@@ -388,6 +388,48 @@ class TestSolveStore:
         assert warm.solves == 0 and plain.solves == 0
         assert warm.describe_shards() == plain.describe_shards()
 
+    def test_edited_record_is_skipped_and_resolved(
+        self, xavier, xavier_db, tmp_path
+    ):
+        """A schedule record edited after it was written (stream 0's
+        first group moved from dla to gpu: still a feasible schedule)
+        no longer matches its content id.  The loader skips and counts
+        it, and the fleet re-solves the mix exactly as it does over
+        the same store with that record deleted."""
+
+        def run(store):
+            tenants = fleet_tenants()
+            tenants = tenants[1:] + tenants[:1]  # resnet18 leads
+            return Fleet(
+                xavier,
+                tenants,
+                make_factory(xavier, xavier_db, max_transitions=2),
+                shards=2,
+                backend="serial",
+                sync_rounds=4,
+                store=store,
+            ).run(horizon_s=HORIZON)
+
+        store = SolveStore(tmp_path / "solves.jsonl")
+        assert run(store).solves == 1
+        [line] = store.path.read_text().splitlines()
+        record = json.loads(line)
+        assignment = record["schedule"]["streams"][0]["assignment"]
+        assert assignment[0] == "dla"
+        assignment[0] = "gpu"
+        flipped = tmp_path / "flipped.jsonl"
+        flipped.write_text(json.dumps(record) + "\n")
+        deleted = tmp_path / "deleted.jsonl"
+        deleted.write_text("")
+
+        edited = SolveStore(flipped, readonly=True)
+        assert edited.skipped_lines == 1
+        assert edited.schedules() == {}
+        warm = run(edited)
+        clean = run(SolveStore(deleted, readonly=True))
+        assert warm.solves == clean.solves == 1
+        assert warm.describe_shards() == clean.describe_shards()
+
     def test_store_seeding_is_deterministic(
         self, xavier, xavier_db, tmp_path
     ):
