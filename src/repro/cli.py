@@ -234,7 +234,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             tenants,
             lambda shard_id: make_policy(False),
             shards=args.shards,
-            backend=args.backend,
             router=args.router,
             max_batch=args.max_batch,
             sync_rounds=args.sync_rounds,
@@ -588,12 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
         "deterministic tenant router and epoch solve gossip",
     )
     p.add_argument(
-        "--backend",
-        choices=("auto", "fork", "serial"),
-        default="auto",
-        help="fleet worker backend (ignored with --shards 1)",
-    )
-    p.add_argument(
         "--router",
         choices=("hash", "balanced"),
         default="hash",
@@ -737,6 +730,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    from repro.core.solve_store import StoreVersionError
+
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
@@ -744,6 +739,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         # unknown model / platform names surface as KeyError with a
         # human-readable message listing the alternatives
         print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except StoreVersionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -42,9 +42,12 @@ re-derives every ``id`` and skips (and counts) a record whose content
 no longer matches it, so an edited or bit-flipped record is never
 adopted.  Appends are single-line and the loader tolerates malformed
 lines (a crash mid-append loses only the trailing record, never the
-store).  The
-fleet keeps a single writer -- the parent process -- so concurrent
-shard workers never interleave partial lines.
+store).  A well-formed record whose ``v`` is not
+:data:`SCHEMA_VERSION` is not skipped: the loader (and
+:meth:`SolveStore.compact`) raises :class:`StoreVersionError` naming
+the file and line, since this code cannot tell what such a record
+means and must not drop it.  The serving fleet appends from the one
+process that scans its shards; shards never touch the file.
 """
 
 from __future__ import annotations
@@ -57,6 +60,19 @@ from typing import Any, Mapping, Sequence
 
 #: on-disk schema version stamped into every record
 SCHEMA_VERSION = 1
+
+
+class StoreVersionError(ValueError):
+    """A store record carries a schema version this code cannot read."""
+
+    def __init__(self, path: Path, line: int, version: Any) -> None:
+        super().__init__(
+            f"solve store {path} line {line}: record version {version!r} "
+            f"is not {SCHEMA_VERSION}"
+        )
+        self.path = path
+        self.line = line
+        self.version = version
 
 
 #: record kind -> the field holding its content-addressed body
@@ -135,10 +151,11 @@ def _check_id(record: Mapping[str, Any]) -> None:
 class SolveStore:
     """Append-only, content-addressed store of solve artifacts.
 
-    ``readonly=True`` refuses appends (fleet shard workers receive the
-    store's *contents* through the gossip protocol instead of a file
-    handle; only the fleet parent writes).  The latest schedule record
-    per signature wins; memo records accumulate in file order.
+    ``readonly=True`` refuses appends (fleet shards receive the
+    store's *contents* through the gossip protocol, never the file;
+    the fleet itself appends only to a writable store).  The latest
+    schedule record per signature wins; memo records accumulate in
+    file order.
     """
 
     def __init__(self, path: str | Path, *, readonly: bool = False) -> None:
@@ -154,19 +171,38 @@ class SolveStore:
             self._load()
 
     # -- loading -------------------------------------------------------
+    def _parse(self, number: int, line: str) -> dict[str, Any] | None:
+        """Line ``number``'s record, or None when it is malformed or its
+        id does not match its content.  Raises
+        :class:`StoreVersionError` for an unknown schema version."""
+        try:
+            record: dict[str, Any] = json.loads(line)
+            version = record["v"]
+        except (ValueError, KeyError, TypeError, IndexError):
+            return None
+        if version != SCHEMA_VERSION:
+            raise StoreVersionError(self.path, number, version)
+        try:
+            _check_id(record)
+        except (ValueError, KeyError, TypeError, IndexError):
+            return None
+        return record
+
     def _load(self) -> None:
-        for line in self.path.read_text().splitlines():
+        for number, line in enumerate(self.path.read_text().splitlines(), 1):
             if not line.strip():
                 continue
-            try:
-                record = json.loads(line)
-                _check_id(record)
-                self._adopt(record)
-            except (ValueError, KeyError, TypeError, IndexError):
-                # a torn append (crash mid-write) or an edited record
-                # loses one record, never the store; count it so
-                # callers can report
-                self.skipped_lines += 1
+            record = self._parse(number, line)
+            if record is not None:
+                try:
+                    self._adopt(record)
+                    continue
+                except (ValueError, KeyError, TypeError, IndexError):
+                    pass
+            # a torn append (crash mid-write) or an edited record
+            # loses one record, never the store; count it so callers
+            # can report
+            self.skipped_lines += 1
 
     def _adopt(self, record: Mapping[str, Any]) -> None:
         kind = str(record["kind"])
@@ -298,17 +334,12 @@ class SolveStore:
         last: dict[str, int] = {}
         parsed: list[tuple[str, str, str] | None] = []
         for i, line in enumerate(lines):
-            try:
-                record = json.loads(line)
-                _check_id(record)
-                kind = str(record["kind"])
-                sig = str(record["sig"])
-                rid = str(record["id"])
-                if kind not in ("schedule", "memo"):
-                    raise KeyError(kind)
-            except (ValueError, KeyError, TypeError, IndexError):
+            record = self._parse(i + 1, line)
+            if record is None or str(record["kind"]) not in _BODY_FIELD:
                 parsed.append(None)
                 continue
+            kind, sig = str(record["kind"]), str(record["sig"])
+            rid = str(record["id"])
             parsed.append((kind, sig, rid))
             if kind == "schedule":
                 last[sig] = i

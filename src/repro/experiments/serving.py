@@ -26,7 +26,7 @@ from typing import Callable
 from repro.core.haxconn import HaXCoNN
 from repro.core.solve_store import SolveStore
 from repro.runtime import metrics
-from repro.serve.slo import AdmissionConfig, TierConfig
+from repro.serve.slo import AdmissionConfig
 from repro.experiments.common import format_table, get_db
 from repro.serve.fleet import Fleet, ShardedFleetReport
 from repro.serve.policy import (
@@ -37,7 +37,6 @@ from repro.serve.policy import (
     naive_policy,
 )
 from repro.serve.requests import (
-    DiurnalArrivals,
     PeriodicArrivals,
     PoissonArrivals,
     Tenant,
@@ -220,8 +219,8 @@ def make_fleet_policy_factory(
 
     The policy plans its swaps in node-count phase time, so its
     decisions never depend on wall time, whatever the solver or its
-    clock.  The factory is called inside each worker (fork or serial),
-    which all inherit the one shared profile database.
+    clock.  The factory is called once per shard, and every shard
+    shares the one profile database.
     """
     platform = get_platform(platform_name)
     db = get_db(platform_name)
@@ -248,7 +247,6 @@ def run_fleet(
     *,
     horizon_s: float = 0.12,
     shard_counts: tuple[int, ...] = (1, 2, 4),
-    backend: str = "auto",
     store: SolveStore | None = None,
     sync_rounds: int = 4,
 ) -> list[dict[str, object]]:
@@ -263,149 +261,12 @@ def run_fleet(
             fleet_tenants(),
             factory,
             shards=shards,
-            backend=backend,
             router="balanced",
             sync_rounds=sync_rounds,
             store=store,
         )
         rows.append(fleet_row(fleet.run(horizon_s=horizon_s)))
     return rows
-
-
-# -- the pipelined (bounded-lag) fleet scenario -----------------------
-
-#: per-shard base streams, pairwise-distinct as model multisets: every
-#: mix signature a shard can form (base solo, joiner solo, base+joiner)
-#: is unique fleet-wide, so gossip is inert and a lockstep run does
-#: byte-identical solve work to a pipelined one -- the two differ only
-#: in barrier stalls, which is exactly what the pipeline gate measures
-PIPELINE_BASE_MODELS: tuple[tuple[str, ...], ...] = (
-    ("alexnet",),
-    ("caffenet",),
-    ("densenet121",),
-    ("fcn_resnet18",),
-    ("googlenet",),
-    ("inception_resnet_v2",),
-    ("inception_v4",),
-    ("mobilenet_v1",),
-    ("resnet101",),
-    ("resnet152",),
-    ("resnet18",),
-    ("resnet50",),
-    ("vgg16",),
-    ("vgg19",),
-    ("vit_tiny",),
-    ("alexnet", "resnet18"),
-)
-
-#: second model chained into every joiner stream (the joiner mix stays
-#: signature-unique because its first model is the shard's base model)
-PIPELINE_JOINER_MODEL = "resnet50"
-PIPELINE_SYNC_ROUNDS = 2
-
-
-def pipeline_tenants(
-    shards: int = 16,
-    *,
-    sync_rounds: int = PIPELINE_SYNC_ROUNDS,
-    lead_epochs: int = 2,
-    spacing_epochs: int = 2,
-    tail: int = 3,
-    rate_hz: float = 5.0,
-) -> tuple[list[Tenant], dict[str, int]]:
-    """Staggered-solve diurnal workload for the bounded-lag gate.
-
-    Shard ``k`` serves a diurnal base tenant plus a one-request
-    "joiner" tenant whose arrival coincides with base arrival
-    ``sync_rounds * (lead_epochs + spacing_epochs * k)`` -- so each
-    shard hits its one expensive two-stream solve at a *distinct*
-    local gossip epoch, roughly ``lead_epochs + spacing_epochs * k``.
-    Under the lockstep barrier every shard stalls through every peer's
-    solve that lands before its own exit; under bounded lag a shard
-    only stalls when it would run more than ``max_lag`` epochs ahead
-    of the slowest alive peer.  Finite traces make shards finish (and
-    stop gating peers) shortly after their solve.
-
-    Returns the tenant list plus the pinned tenant->shard placement.
-    """
-    if not 1 <= shards <= len(PIPELINE_BASE_MODELS):
-        raise ValueError(
-            f"shards must be in [1, {len(PIPELINE_BASE_MODELS)}]"
-        )
-    tenants: list[Tenant] = []
-    pinned: dict[str, int] = {}
-    for k in range(shards):
-        join_at = sync_rounds * (lead_epochs + spacing_epochs * k)
-        times = DiurnalArrivals(
-            rate_hz,
-            amplitude=0.5,
-            period_s=4.0,
-            seed=1000 + 17 * k,
-        ).times(join_at + tail + 1)
-        base = Tenant.of(
-            f"b{k:02d}",
-            *PIPELINE_BASE_MODELS[k],
-            arrivals=TraceArrivals(times),
-            slo_s=0.5,
-            priority=1,
-        )
-        joiner = Tenant.of(
-            f"j{k:02d}",
-            PIPELINE_BASE_MODELS[k][0],
-            PIPELINE_JOINER_MODEL,
-            arrivals=TraceArrivals((times[join_at],)),
-            slo_s=0.5,
-            priority=2,
-        )
-        tenants.extend((base, joiner))
-        pinned[base.name] = k
-        pinned[joiner.name] = k
-    return tenants, pinned
-
-
-def pipeline_admission(
-    *, rate_hz: float = 4.0, burst: int = 2
-) -> AdmissionConfig:
-    """Admission tier for the pipeline scenario's diurnal base tier.
-
-    The token bucket sits below the diurnal peak rate, so arrival
-    bursts at the top of the sine get rate-shed -- deterministic
-    (arrival-clocked), identical across backends and lag settings,
-    and it exercises the admit/shed benchmark columns.  Joiners run
-    at priority 2, which has no tier and is always admitted.
-    """
-    return AdmissionConfig(
-        tiers=(TierConfig(priority=1, rate_hz=rate_hz, burst=burst),)
-    )
-
-
-def run_pipeline_fleet(
-    platform_name: str = "xavier",
-    *,
-    shards: int = 16,
-    max_lag: int = 8,
-    backend: str = "fork",
-    node_budget: int = 250,
-    horizon_s: float = 60.0,
-) -> ShardedFleetReport:
-    """One pipelined (or, at ``max_lag=0``, lockstep) gate run."""
-    from repro.serve.fleet import ShardRouter
-
-    tenants, pinned = pipeline_tenants(shards)
-    fleet = Fleet(
-        get_platform(platform_name),
-        tenants,
-        make_fleet_policy_factory(
-            platform_name, node_budget=node_budget
-        ),
-        shards=shards,
-        backend=backend,
-        router=ShardRouter(shards, mode="pinned", pinned=pinned),
-        sync_rounds=PIPELINE_SYNC_ROUNDS,
-        max_lag=max_lag,
-        admission=pipeline_admission(),
-    )
-    return fleet.run(horizon_s=horizon_s)
 
 
 def fleet_row(report: ShardedFleetReport) -> dict[str, object]:
@@ -415,7 +276,6 @@ def fleet_row(report: ShardedFleetReport) -> dict[str, object]:
     totals = report.admission_totals()
     return {
         "shards": report.shards,
-        "backend": report.backend,
         "served": report.served,
         "admitted": totals.get("admitted", report.served),
         "shed": report.shed,
@@ -426,7 +286,6 @@ def fleet_row(report: ShardedFleetReport) -> dict[str, object]:
         "store_hits": report.store_hits,
         "wall_ms": report.wall_s * 1e3,
         "round_wall_ms": report.mean_round_wall_ms(),
-        "idle_ms_per_round": report.idle_per_round_ms(),
         "max_lag": report.max_lag,
         "tput_rps": report.throughput_rps,
         "ttf_hax_ms": None if ttf is None else ttf * 1e3,
@@ -435,7 +294,6 @@ def fleet_row(report: ShardedFleetReport) -> dict[str, object]:
 
 FLEET_COLUMNS = (
     "shards",
-    "backend",
     "served",
     "admitted",
     "shed",
@@ -446,7 +304,6 @@ FLEET_COLUMNS = (
     "store_hits",
     "wall_ms",
     "round_wall_ms",
-    "idle_ms_per_round",
     "max_lag",
     "tput_rps",
     "ttf_hax_ms",

@@ -47,7 +47,7 @@ def scenario_policy(spec: ScenarioSpec) -> ServingPolicy:
 
     The policy plans its swaps in node-count phase time, a pure
     function of explored nodes, which is what makes fleet replays
-    byte-identical across the serial and fork backends.
+    byte-identical from run to run and across ``max_lag`` windows.
     """
     platform = get_platform(spec.platform)
     scheduler = HaXCoNN(
@@ -82,12 +82,11 @@ def fleet_scenario(
     spec: ScenarioSpec,
     *,
     shards: int = 2,
-    backend: str = "serial",
     horizon_s: float = 0.25,
     max_requests: int = 256,
     max_lag: int = 0,
 ) -> ShardedFleetReport:
-    """Serve the scenario on a sharded fleet (any backend).
+    """Serve the scenario on a sharded fleet.
 
     ``max_lag`` selects the bounded-lag window of the fleet's
     pipelined round protocol (0 = lockstep barrier); the report must
@@ -99,7 +98,6 @@ def fleet_scenario(
         tenants_for(spec),
         lambda shard: scenario_policy(spec),
         shards=shards,
-        backend=backend,
         objective=spec.objective,
         max_lag=max_lag,
     )

@@ -1,68 +1,58 @@
-"""Sharded multi-process serving fleet with cross-shard solve gossip.
+"""Sharded serving fleet with cross-shard solve gossip.
 
 One :class:`~repro.serve.server.Server` is a single serial event loop;
-the fleet runs ``N`` server replicas in worker processes behind a
-deterministic tenant->shard router, so served-request throughput stops
-being capped by one loop.  Shards share solve work two ways:
+the fleet runs ``N`` server replicas behind a deterministic
+tenant->shard router and scans them in one process.  Sharding pays
+algorithmically: each shard co-schedules only its own tenants, so its
+mixes (and their solves) stay small.  Shards share solve work two
+ways:
 
 * **epoch gossip** -- shards synchronize at fixed round-count
   intervals (``sync_rounds``): every alive shard posts the converged
   schedules it published this epoch (the gossip protocol spoken by
   :meth:`~repro.serve.policy.ServingPolicy.export_delta` /
-  :meth:`~repro.serve.policy.ServingPolicy.merge`), the parent builds
-  each epoch's union in shard-index order and hands it back;
-* **the persistent solve store** -- the parent seeds every shard with
+  :meth:`~repro.serve.policy.ServingPolicy.merge`), and the fleet
+  builds each epoch's union in shard-index order and hands it back;
+* **the persistent solve store** -- the fleet seeds every shard with
   the store's schedules before the first round and appends each
   epoch's gossip union to disk
-  (:class:`~repro.core.solve_store.SolveStore`; the parent is the
-  single writer, so fork workers never interleave partial lines).
+  (:class:`~repro.core.solve_store.SolveStore`); shards see the store
+  only through ``merge``.
 
-Gossip rounds follow a **bounded-lag pipelined protocol** instead of
-a global barrier.  A shard that has completed epoch ``f`` may start
-epoch ``f + 1`` as soon as every alive peer has completed epoch
-``f - max_lag``; before it does, it merges the unions of every epoch
-``<= f - max_lag`` it has not merged yet, each union being the
-concatenation of that epoch's per-shard deltas in shard-index order.
-``max_lag = 0`` degenerates to the classic lockstep barrier
-(broadcast sequence identical message for message); ``max_lag >= 1``
-lets fast shards keep serving up to that many epochs ahead of the
-slowest peer, so barrier idle time collapses while every merge stays
-deterministic.  Shards that finish stop gating the pipeline and
-contribute no later deltas.  The gate and the worker launcher are the
-epoch runtime of :mod:`repro.core.parallel`; fork shards send their
-deltas inside the control messages on its queues.
+Gossip rounds follow a **bounded-lag protocol**.  A shard that has
+completed epoch ``f`` may start epoch ``f + 1`` as soon as every alive
+peer has completed epoch ``f - max_lag``; before it does, it merges
+the unions of every epoch ``<= f - max_lag`` it has not merged yet,
+each union being the concatenation of that epoch's per-shard deltas
+in shard-index order.  ``max_lag = 0`` is the classic lockstep
+barrier; ``max_lag >= 1`` lets a shard serve up to that many epochs
+ahead of the slowest peer, which only moves where the merges fall in
+its timeline.  Shards that finish stop gating their peers and
+contribute no later deltas.  The gate is
+:class:`repro.core.parallel.EpochGate`.
 
 Determinism contract: a
 shard's :class:`~repro.serve.slo.FleetReport` is a pure function of
 its seeded arrival stream, its policy configuration, and the merge
 sequence it observes at its epoch boundaries.  Epochs are counted in
 *rounds* (virtual time), never wall-clock, and the (epoch,
-shard-index) merge order plus the bounded-lag gate make that sequence
-independent of how fast any shard happens to run.  At a fixed seed
-and fixed ``max_lag`` a shard's report is therefore byte-identical
-across the fork and serial backends (provided the policy itself is
-deterministic -- e.g. the anytime solver under its ``nodes``
-clock).  Wall-clock only appears in telemetry fields
-(:attr:`ShardOutcome.wall_s`, :attr:`ShardOutcome.idle_wall_s`,
+shard-index) merge order plus the bounded-lag gate fix that sequence
+for a given ``max_lag``, so a shard's report is byte-identical from
+run to run (provided the policy itself is deterministic -- e.g. the
+anytime solver under its ``nodes`` clock).  Wall-clock only appears
+in telemetry fields (:attr:`ShardOutcome.wall_s`,
 :attr:`ShardOutcome.first_hax_wall_s`) that stay out of the report.
 """
 
 from __future__ import annotations
 
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from repro.core.parallel import (
-    DONE,
-    ERROR,
-    SYNC,
-    EpochGate,
-    Link,
-    WorkerPool,
-    resolve_backend,
-)
+from repro.core.parallel import EpochGate
 from repro.core.solve_store import SolveStore
 from repro.runtime import metrics
 from repro.runtime.trace import timeline_to_trace_events, write_trace_events
@@ -77,8 +67,7 @@ from repro.serve.slo import (
 from repro.soc.platform import Platform, get_platform
 from repro.solver.clock import monotonic_s
 
-#: fork runs shards in worker processes; serial scans them in-process
-#: and produces byte-identical reports; auto picks fork when it can
+#: accepted, retired ``Fleet(backend=)`` values; all select nothing
 BACKENDS = ("auto", "fork", "serial")
 #: accepted, retired ``Fleet(transport=)`` values; both select nothing
 TRANSPORTS = ("auto", "shm")
@@ -233,13 +222,11 @@ class ShardOutcome:
     #: deterministic round index of the first HaX-CoNN-family dispatch
     first_hax_round: int | None
     #: wall-clock seconds to that dispatch (telemetry; excluded from
-    #: the report and from cross-backend identity)
+    #: the report)
     first_hax_wall_s: float | None
-    #: wall-clock seconds this shard spent serving (telemetry)
+    #: wall-clock seconds from this shard's opening to its last round
+    #: (telemetry; peers' epochs run in between)
     wall_s: float
-    #: wall-clock seconds spent blocked on the bounded-lag gate
-    #: (telemetry; the pipelined protocol exists to shrink this)
-    idle_wall_s: float = 0.0
     #: gossip epochs this shard completed
     epochs: int = 0
 
@@ -258,10 +245,7 @@ class ShardOutcome:
 
 
 def _empty_outcome(index: int) -> ShardOutcome:
-    """Outcome for a shard the router left without tenants.
-
-    Built identically by every backend (no worker runs), so empty
-    shards preserve the cross-backend byte-identity of the fleet."""
+    """Outcome for a shard the router left without tenants."""
     report = FleetReport(
         [], [], tenant_slos={}, policy_stats={"policy": "idle"}
     )
@@ -275,127 +259,14 @@ def _empty_outcome(index: int) -> ShardOutcome:
     )
 
 
-@dataclass(frozen=True)
-class _ShardConfig:
-    """Picklable per-shard serving parameters."""
-
-    horizon_s: float
-    max_requests: int
-    max_batch: int
-    objective: str
-    sync_rounds: int
-    max_lag: int = 0
-    admission: AdmissionConfig | None = None
-    batching: str = "tenant"
-
-
-def _shard_outcome(
-    shard_id: int,
-    tenants: Sequence[Tenant],
-    session: ServingSession,
-    wall_start: float,
-    *,
-    idle_wall_s: float = 0.0,
-    epochs: int = 0,
-) -> ShardOutcome:
-    return ShardOutcome(
-        index=shard_id,
-        tenants=tuple(t.name for t in tenants),
-        report=session.report(),
-        first_hax_round=session.first_hax_round,
-        first_hax_wall_s=session.first_hax_wall_s,
-        wall_s=monotonic_s() - wall_start,
-        idle_wall_s=idle_wall_s,
-        epochs=epochs,
-    )
-
-
-def _open_shard(
-    platform: Platform,
-    tenants: Sequence[Tenant],
-    policy_factory: Callable[[int], ServingPolicy],
-    initial_delta: tuple[Any, ...],
-    config: _ShardConfig,
-    shard_id: int,
-) -> tuple[ServingSession, ServingPolicy, float]:
-    """A fresh shard: its policy seeded with the store delta, its
-    serving session, and the session's wall-clock start."""
-    policy = policy_factory(shard_id)
-    policy.merge(initial_delta)
-    server = Server(
-        platform,
-        tenants,
-        policy,
-        max_batch=config.max_batch,
-        objective=config.objective,
-        admission=config.admission,
-        batching=config.batching,
-    )
-    wall_start = monotonic_s()
-    session = server.session(
-        horizon_s=config.horizon_s, max_requests=config.max_requests
-    )
-    return session, policy, wall_start
-
-
-def _run_shard(
-    link: Link,
-    platform: Platform,
-    tenants: Sequence[Tenant],
-    policy_factory: Callable[[int], ServingPolicy],
-    initial_delta: tuple[Any, ...],
-    config: _ShardConfig,
-) -> None:
-    """Shard worker: serve in gossip epochs under the bounded-lag gate.
-
-    Run ``sync_rounds`` rounds, post this epoch's delta tagged with
-    the epoch number, block until the parent grants the next epoch
-    (the grant carries every epoch union the bounded-lag invariant
-    says must be merged first), merge, repeat.  With ``max_lag = 0``
-    the grant only arrives once every peer has posted the same epoch,
-    i.e. the classic lockstep barrier.  The policy and server are
-    built *inside* the worker from the factory so fork and serial
-    shards start from an identical fresh state (under fork the
-    factory's closed-over profile database is inherited
-    copy-on-write, so no shard re-profiles).  Time spent blocked on
-    the grant accumulates into :attr:`ShardOutcome.idle_wall_s`
-    (telemetry only).
-    """
-    shard_id = link.index
-    idle_wall_s = 0.0
-    epoch = 0
+@contextmanager
+def _shard_errors(shard_id: int) -> Iterator[None]:
+    """Re-raise anything a shard's policy or server raises as a
+    :class:`RuntimeError` naming the shard."""
     try:
-        session, policy, wall_start = _open_shard(
-            platform, tenants, policy_factory, initial_delta, config, shard_id
-        )
-
-        def outcome() -> ShardOutcome:
-            return _shard_outcome(
-                shard_id,
-                tenants,
-                session,
-                wall_start,
-                idle_wall_s=idle_wall_s,
-                epochs=epoch + 1,
-            )
-
-        while True:
-            session.run_rounds(config.sync_rounds)
-            delta = policy.export_delta(limit=GOSSIP_LIMIT)
-            if session.finished:
-                link.post(DONE, epoch, delta, outcome())
-                return
-            link.post(SYNC, epoch, delta)
-            wait_start = monotonic_s()
-            reply = link.wait()
-            idle_wall_s += monotonic_s() - wait_start
-            if reply is None:  # a peer failed: report and exit
-                link.post(DONE, epoch, (), outcome())
-                return
-            policy.merge(reply[0])
-            epoch += 1
-    except Exception as exc:  # surfaced by the parent
-        link.fail(epoch, exc)
+        yield
+    except Exception as exc:
+        raise RuntimeError(f"fleet shard {shard_id} failed: {exc!r}") from exc
 
 
 class ShardedFleetReport:
@@ -405,23 +276,17 @@ class ShardedFleetReport:
         self,
         outcomes: Sequence[ShardOutcome],
         *,
-        backend: str,
         router: str,
         wall_s: float,
         store: SolveStore | None = None,
-        transport_stats: Mapping[str, int] | None = None,
         max_lag: int = 0,
     ) -> None:
         self.outcomes = tuple(
             sorted(outcomes, key=lambda o: o.index)
         )
-        self.backend = backend
         self.router = router
         self.wall_s = wall_s
         self.store_path = None if store is None else store.path
-        #: fork runs: ``inline`` counts the non-empty deltas and grants
-        #: that crossed the control queues
-        self.transport_stats = dict(transport_stats or {})
         #: bounded-lag window the run used (0 = lockstep barrier)
         self.max_lag = max_lag
 
@@ -478,11 +343,6 @@ class ShardedFleetReport:
         )
 
     @property
-    def idle_wall_s(self) -> float:
-        """Wall seconds shards spent blocked on the bounded-lag gate."""
-        return sum(o.idle_wall_s for o in self.outcomes)
-
-    @property
     def epochs(self) -> int:
         """Gossip epochs completed, summed over shards."""
         return sum(o.epochs for o in self.outcomes)
@@ -490,12 +350,8 @@ class ShardedFleetReport:
     def mean_round_wall_ms(self) -> float:
         """Mean per-shard wall milliseconds per dispatched round.
 
-        Each shard's wall time (compute *plus* gate stall) is divided
-        by the rounds it dispatched, then averaged across shards --
-        the per-iteration cost metric of the bounded-staleness
-        literature, and the quantity the pipelined protocol shrinks:
-        a shard marching at the global barrier pace pays the barrier
-        in every round's denominator.
+        Each shard's wall time is divided by the rounds it
+        dispatched, then averaged across shards.
         """
         per = [
             metrics.per_round_ms(o.wall_s, len(o.report.rounds))
@@ -504,14 +360,19 @@ class ShardedFleetReport:
         ]
         return sum(per) / len(per) if per else 0.0
 
+    # -- retired telemetry, still read by the benchmark harness --------
+    # No shard ever blocks on a peer or sends gossip across a process
+    # boundary, so these read 0 and empty.
+    @property
+    def transport_stats(self) -> dict[str, int]:
+        return {}
+
+    @property
+    def idle_wall_s(self) -> float:
+        return 0.0
+
     def idle_per_round_ms(self) -> float:
-        """Mean per-shard gate-stall milliseconds per dispatched round."""
-        per = [
-            metrics.per_round_ms(o.idle_wall_s, len(o.report.rounds))
-            for o in self.outcomes
-            if o.report.rounds
-        ]
-        return sum(per) / len(per) if per else 0.0
+        return 0.0
 
     def admission_totals(self) -> dict[str, int]:
         """Fleet-wide admission counters (empty when no shard ran an
@@ -537,7 +398,7 @@ class ShardedFleetReport:
         return max(times) if times else None
 
     def describe_shards(self) -> tuple[str, ...]:
-        """Per-shard report texts, the cross-backend identity unit."""
+        """Per-shard report texts, the byte-identity unit."""
         return tuple(o.report.describe() for o in self.outcomes)
 
     # -- presentation ---------------------------------------------------
@@ -571,8 +432,7 @@ class ShardedFleetReport:
                 f"{int(_stat(stats, 'store_hits')):5d}"
             )
         lines.append(
-            f"fleet: {self.shards} shards ({self.backend} backend, "
-            f"{self.router} routing), "
+            f"fleet: {self.shards} shards ({self.router} routing), "
             f"{self.served} served / "
             f"{self.shed} shed in {self.rounds} rounds; "
             f"{self.solves} solves, {self.store_hits} store hits; "
@@ -583,8 +443,7 @@ class ShardedFleetReport:
             lines.append(
                 f"pipeline: max_lag {self.max_lag}, "
                 f"{self.epochs} epochs, "
-                f"mean round wall {self.mean_round_wall_ms():.2f} ms, "
-                f"idle {self.idle_per_round_ms():.2f} ms/round"
+                f"mean round wall {self.mean_round_wall_ms():.2f} ms"
             )
         totals = self.admission_totals()
         if totals:
@@ -599,8 +458,8 @@ class ShardedFleetReport:
 
     def __repr__(self) -> str:
         return (
-            f"<ShardedFleetReport {self.shards} shards "
-            f"({self.backend}), {self.served} served, "
+            f"<ShardedFleetReport {self.shards} shards, "
+            f"{self.served} served, "
             f"{self.shed} shed, {self.wall_s * 1e3:.1f} ms wall>"
         )
 
@@ -635,28 +494,28 @@ class Fleet:
     tenants:
         The full tenant population; the router partitions it.
     policy_factory:
-        ``shard_index -> ServingPolicy``; called *inside* each worker
-        so every backend builds identical fresh policies.  For
-        cross-backend byte-identity the produced policy must itself be
-        deterministic, as :class:`CachedAnytimePolicy` is over any
-        scheduler: it plans swaps in node-count phase time.
+        ``shard_index -> ServingPolicy``; called once per shard that
+        serves tenants, at the start of every run, so each run starts
+        from fresh policies.  For byte-identical reports the produced
+        policy must itself be deterministic, as
+        :class:`CachedAnytimePolicy` is over any scheduler: it plans
+        swaps in node-count phase time.
     shards:
         Replica count.
     backend:
-        ``fork`` (worker processes; requires the fork start method),
-        ``serial`` (the same protocol scanned in-process, byte-identical
-        reports), or ``auto`` (fork for several shards when available,
-        else serial).
+        Retired: ``"auto"`` (default), ``"fork"`` and ``"serial"`` are
+        accepted and select nothing; any other value raises
+        :class:`ValueError`.  Every fleet scans its shards in one
+        process.
     router:
         ``hash`` / ``balanced`` or a :class:`ShardRouter`.
     sync_rounds:
         Rounds each shard serves between gossip epochs.
     max_lag:
-        Bounded-lag window of the pipelined round protocol: a shard
-        may run up to ``max_lag`` gossip epochs ahead of the slowest
-        alive peer.  ``0`` (default) is the classic lockstep barrier;
-        raising it removes barrier idle time while keeping every
-        shard's merge sequence deterministic.
+        Bounded-lag window of the round protocol: a shard may run up
+        to ``max_lag`` gossip epochs ahead of the slowest alive peer.
+        ``0`` (default) is the classic lockstep barrier; every window
+        keeps each shard's merge sequence deterministic.
     admission:
         Optional :class:`~repro.serve.slo.AdmissionConfig`: per-tenant
         priority tiers with token-bucket rate, queue-depth, and
@@ -669,14 +528,11 @@ class Fleet:
         :meth:`~repro.serve.server.Server._mix_groups`).
     store:
         Optional :class:`SolveStore`: its schedules seed every shard
-        before the first round, and (when writable) the parent appends
-        each epoch's gossip union -- single-writer by construction.
+        before the first round, and (when writable) the fleet appends
+        each epoch's gossip union.
     transport:
         Retired: ``"auto"`` (default) and ``"shm"`` are accepted and
         select nothing; any other value raises :class:`ValueError`.
-        Fork shards always send their deltas inside the control
-        messages on the queues, and serial shards exchange them
-        in-process.
     """
 
     def __init__(
@@ -726,7 +582,6 @@ class Fleet:
         self.tenants = tuple(tenants)
         self.policy_factory = policy_factory
         self.shards = shards
-        self.backend = backend
         self.router = (
             router
             if isinstance(router, ShardRouter)
@@ -746,9 +601,8 @@ class Fleet:
     def _initial_delta(self) -> tuple[Any, ...]:
         """The solve store's schedules as one gossip delta.
 
-        Workers receive artifacts through the same ``merge`` path as
-        epoch gossip -- they never touch the store file, which keeps
-        the parent the single writer.
+        Shards receive artifacts through the same ``merge`` path as
+        epoch gossip; they never touch the store file.
         """
         if self.store is None:
             return ()
@@ -758,8 +612,8 @@ class Fleet:
         )
 
     def _append_store(self, delta: Sequence[Any]) -> None:
-        """Persist one epoch's gossip union (parent-side, writable
-        stores only; content addressing makes replays free)."""
+        """Persist one epoch's gossip union (writable stores only;
+        content addressing makes replays free)."""
         if self.store is None or self.store.readonly:
             return
         for item in delta:
@@ -767,89 +621,66 @@ class Fleet:
                 self.store.append_schedule(item[1], item[2])
 
     # ------------------------------------------------------------------
+    def _open_shard(
+        self,
+        shard_id: int,
+        tenants: Sequence[Tenant],
+        initial_delta: tuple[Any, ...],
+        horizon_s: float,
+        max_requests: int,
+    ) -> tuple[ServingSession, ServingPolicy, float]:
+        """A fresh shard: its policy seeded with the store delta, its
+        serving session, and the session's wall-clock start."""
+        policy = self.policy_factory(shard_id)
+        policy.merge(initial_delta)
+        server = Server(
+            self.platform,
+            tenants,
+            policy,
+            max_batch=self.max_batch,
+            objective=self.objective,
+            admission=self.admission,
+            batching=self.batching,
+        )
+        wall_start = monotonic_s()
+        session = server.session(
+            horizon_s=horizon_s, max_requests=max_requests
+        )
+        return session, policy, wall_start
+
     def run(
         self, *, horizon_s: float, max_requests: int = 10_000
     ) -> ShardedFleetReport:
-        """Serve every request within ``horizon_s`` across all shards."""
+        """Serve every request within ``horizon_s`` across all shards.
+
+        The scan visits the alive shards in index order and runs a
+        shard's next epoch once the
+        :class:`~repro.core.parallel.EpochGate` grants it, merging the
+        grant right before that epoch.  With ``max_lag = 0`` every
+        scan runs every alive shard once: the classic lockstep epoch.
+        Completed epoch unions reach the store in epoch order.  A
+        shard that raises ends the run with a :class:`RuntimeError`
+        naming it.
+        """
         start = monotonic_s()
-        backend = resolve_backend(self.backend, self.shards)
         assignment = self.router.assign(
             self.tenants,
             horizon_s=horizon_s,
             max_requests=max_requests,
             admission=self.admission,
         )
-        config = _ShardConfig(
-            horizon_s=horizon_s,
-            max_requests=max_requests,
-            max_batch=self.max_batch,
-            objective=self.objective,
-            sync_rounds=self.sync_rounds,
-            max_lag=self.max_lag,
-            admission=self.admission,
-            batching=self.batching,
-        )
         initial = self._initial_delta()
-        live = [
-            (sid, bucket)
-            for sid, bucket in enumerate(assignment)
-            if bucket
-        ]
-        transport_stats = {"inline": 0}
-        if backend == "serial":
-            outcomes = self._run_serial(live, initial, config)
-        else:
-            outcomes, transport_stats = self._run_fork(live, initial, config)
+        shards: dict[int, tuple[ServingSession, ServingPolicy, float]] = {}
+        outcomes: dict[int, ShardOutcome] = {}
         for sid, bucket in enumerate(assignment):
             if not bucket:
                 outcomes[sid] = _empty_outcome(sid)
-        return ShardedFleetReport(
-            [outcomes[sid] for sid in sorted(outcomes)],
-            backend=backend,
-            router=self.router.mode,
-            wall_s=monotonic_s() - start,
-            store=self.store,
-            transport_stats=transport_stats,
-            max_lag=self.max_lag,
-        )
-
-    # -- serial backend: the protocol scanned in-process ---------------
-    def _run_serial(
-        self,
-        live: Sequence[tuple[int, list[Tenant]]],
-        initial: tuple[Any, ...],
-        config: _ShardConfig,
-    ) -> dict[int, ShardOutcome]:
-        """Run every shard in-process under the bounded-lag gate.
-
-        Exactly the fork protocol with the worker loop inlined: the
-        scan visits shards in index order and runs each shard's next
-        epoch once the :class:`~repro.core.parallel.EpochGate` grants
-        it, merging the grant right before the epoch that needs it --
-        the same positions in each shard's own timeline as a fork
-        worker's merges, so reports match fork byte for byte.  With
-        ``max_lag = 0`` every scan runs every alive shard once: the
-        classic lockstep epoch.
-        """
-        shards: dict[int, tuple[ServingSession, ServingPolicy, float]] = {}
-        for sid, bucket in live:
-            try:
-                shards[sid] = _open_shard(
-                    self.platform,
-                    bucket,
-                    self.policy_factory,
-                    initial,
-                    config,
-                    sid,
+                continue
+            with _shard_errors(sid):
+                shards[sid] = self._open_shard(
+                    sid, bucket, initial, horizon_s, max_requests
                 )
-            except Exception as exc:
-                # same surface as a failed fork worker
-                raise RuntimeError(
-                    f"fleet shard {sid} failed: {exc!r}"
-                ) from exc
-        tenants_of = {sid: bucket for sid, bucket in live}
-        outcomes: dict[int, ShardOutcome] = {}
-        gate = EpochGate(shards, config.max_lag)
+        gate = EpochGate(shards, self.max_lag)
         while gate.alive:
             progressed = False
             for sid in list(gate.alive):
@@ -860,78 +691,30 @@ class Fleet:
                         continue  # gated behind a slower peer this scan
                     policy.merge(granted[1])
                 epoch = gate.completed[sid] + 1
-                try:
-                    session.run_rounds(config.sync_rounds)
+                with _shard_errors(sid):
+                    session.run_rounds(self.sync_rounds)
                     delta = policy.export_delta(limit=GOSSIP_LIMIT)
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"fleet shard {sid} failed: {exc!r}"
-                    ) from exc
                 gate.post(sid, epoch, delta, last=session.finished)
                 progressed = True
                 if session.finished:
-                    outcomes[sid] = _shard_outcome(
-                        sid,
-                        tenants_of[sid],
-                        session,
-                        wall_start,
+                    outcomes[sid] = ShardOutcome(
+                        index=sid,
+                        tenants=tuple(t.name for t in assignment[sid]),
+                        report=session.report(),
+                        first_hax_round=session.first_hax_round,
+                        first_hax_wall_s=session.first_hax_wall_s,
+                        wall_s=monotonic_s() - wall_start,
                         epochs=epoch + 1,
                     )
             if not progressed:  # unreachable: the slowest shard is
                 # never gated by its own epoch
-                raise RuntimeError("pipelined fleet scan stalled")
+                raise RuntimeError("fleet scan stalled")
             for _epoch, union in gate.flush():
                 self._append_store(union)
-        return outcomes
-
-    # -- fork backend: bounded-lag pipelined workers ---------------------
-    def _run_fork(
-        self,
-        live: Sequence[tuple[int, list[Tenant]]],
-        initial: tuple[Any, ...],
-        config: _ShardConfig,
-    ) -> tuple[dict[int, ShardOutcome], dict[str, int]]:
-        """Shard processes serve epochs concurrently; the parent
-        drives the :class:`~repro.core.parallel.EpochGate`.
-
-        A shard that posted epoch ``f`` blocks until every alive peer
-        has completed epoch ``f - max_lag``; its grant then carries
-        exactly the epoch unions up to ``f - max_lag`` it has not
-        merged yet, so the merge sequence is a pure function of the
-        workload and ``max_lag``.  Completed unions reach the store in
-        epoch order.  A failed shard stops the others and raises.
-        """
-        outcomes: dict[int, ShardOutcome] = {}
-        error: tuple[int, str] | None = None
-        gate = EpochGate((sid for sid, _ in live), config.max_lag)
-        pool = WorkerPool(
-            _run_shard,
-            {
-                sid: (self.platform, bucket, self.policy_factory, initial, config)
-                for sid, bucket in live
-            },
-            label="fleet shard",
+        return ShardedFleetReport(
+            [outcomes[sid] for sid in sorted(outcomes)],
+            router=self.router.mode,
+            wall_s=monotonic_s() - start,
+            store=self.store,
+            max_lag=self.max_lag,
         )
-        with pool:
-            while gate.alive:
-                kind, sid, epoch, body, *extra = pool.receive()
-                if kind == ERROR:
-                    if error is None:
-                        error = (sid, body)
-                    gate.retire(sid)
-                else:
-                    gate.post(sid, epoch, body, last=kind == DONE)
-                    if kind == DONE:
-                        outcomes[sid] = extra[0]
-                if error is not None:
-                    for waiting in gate.stop():
-                        pool.stop(waiting)
-                    continue
-                for waiting, _horizon, payload in gate.grants():
-                    pool.grant(waiting, payload)
-                for _epoch, union in gate.flush():
-                    self._append_store(union)
-        if error is not None:
-            sid, message = error
-            raise RuntimeError(f"fleet shard {sid} failed: {message}")
-        return outcomes, dict(pool.stats)

@@ -426,9 +426,8 @@ class CachedAnytimePolicy(ServingPolicy):
     def export_delta(self, limit: int = 256) -> tuple[Any, ...]:
         """Schedules published since the last export, tagged.
 
-        Items are ``("sched", sig, payload)`` plain tuples -- picklable
-        across the fleet's fork queues, mergeable by :meth:`merge` on
-        any peer.
+        Items are ``("sched", sig, payload)`` plain tuples, mergeable
+        by :meth:`merge` on any peer.
         """
         return tuple(
             ("sched", sig, payload)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.solve_store import (
     SolveStore,
+    StoreVersionError,
     memo_entry_from_json,
     memo_entry_to_json,
 )
@@ -154,6 +155,38 @@ class TestDurability:
             "bytes": len(first) + 1,
         }
         assert SolveStore(store.path).skipped_lines == 0
+
+    def test_unknown_version_raises_naming_file_and_line(self, tmp_path):
+        store = SolveStore(tmp_path / "s.jsonl")
+        store.append_schedule("sig-a", SCHED_A)
+        record = json.loads(store.path.read_text())
+        record["v"] = 2
+        with store.path.open("a") as handle:
+            handle.write('{"v": 1, "kind": "schedule", "si\n')  # torn
+            handle.write(json.dumps(record) + "\n")
+        with pytest.raises(StoreVersionError) as exc:
+            SolveStore(store.path)
+        assert (exc.value.path, exc.value.line) == (store.path, 3)
+        assert exc.value.version == 2
+        assert f"{store.path} line 3" in str(exc.value)
+        # without the v2 record, the torn line is one skipped line
+        torn = "".join(store.path.read_text().splitlines(True)[:2])
+        store.path.write_text(torn)
+        reloaded = SolveStore(store.path)
+        assert reloaded.skipped_lines == 1
+        assert reloaded.schedules() == {"sig-a": SCHED_A}
+
+    def test_compaction_keeps_a_store_with_unknown_version(self, tmp_path):
+        store = SolveStore(tmp_path / "s.jsonl")
+        store.append_schedule("sig-a", SCHED_A)
+        record = json.loads(store.path.read_text())
+        record["v"] = 2
+        with store.path.open("a") as handle:
+            handle.write(json.dumps(record) + "\n")
+        before = store.path.read_text()
+        with pytest.raises(StoreVersionError, match="line 2"):
+            store.compact()
+        assert store.path.read_text() == before
 
     def test_unknown_kind_is_skipped(self, tmp_path):
         path = tmp_path / "s.jsonl"

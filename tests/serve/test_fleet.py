@@ -1,7 +1,6 @@
 """The sharded serving fleet: routing, gossip, store, determinism."""
 
 import json
-import multiprocessing
 
 import pytest
 
@@ -20,11 +19,6 @@ from repro.serve.requests import (
 )
 
 HORIZON = 0.2
-#: the parallel backend: fork processes where the platform has them,
-#: else the byte-identical serial scan
-FORK = (
-    "fork" if "fork" in multiprocessing.get_all_start_methods() else "serial"
-)
 
 
 #: one ``memo`` record as older fleets wrote it (evaluation-memo
@@ -99,13 +93,12 @@ def make_factory(
     return factory
 
 
-def run_fleet(xavier, xavier_db, *, shards, backend, **kwargs):
+def run_fleet(xavier, xavier_db, *, shards, **kwargs):
     fleet = Fleet(
         xavier,
         fleet_tenants(),
         make_factory(xavier, xavier_db),
         shards=shards,
-        backend=backend,
         sync_rounds=4,
         **kwargs,
     )
@@ -222,9 +215,7 @@ class TestFleetValidation:
 class TestSerialFleet:
     @pytest.fixture(scope="class")
     def report(self, xavier, xavier_db):
-        return run_fleet(
-            xavier, xavier_db, shards=2, backend="serial"
-        )
+        return run_fleet(xavier, xavier_db, shards=2)
 
     def test_every_request_accounted(self, report):
         expected = len(
@@ -254,9 +245,7 @@ class TestSerialFleet:
     def test_single_shard_equals_plain_server(
         self, xavier, xavier_db
     ):
-        fleet = run_fleet(
-            xavier, xavier_db, shards=1, backend="serial"
-        )
+        fleet = run_fleet(xavier, xavier_db, shards=1)
         assert fleet.shards == 1
         assert fleet.served + fleet.shed == len(
             generate_requests(fleet_tenants(), horizon_s=HORIZON)
@@ -264,30 +253,16 @@ class TestSerialFleet:
 
 
 class TestCrossBackendDeterminism:
-    """Fixed seed => per-shard reports byte-identical per backend."""
+    """Fixed seed => per-shard reports byte-identical run to run."""
 
     @pytest.fixture(scope="class")
     def serial_shards(self, xavier, xavier_db):
-        return run_fleet(
-            xavier, xavier_db, shards=3, backend="serial"
-        ).describe_shards()
-
-    def test_fork_matches_serial(
-        self, xavier, xavier_db, serial_shards
-    ):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork start method on this platform")
-        forked = run_fleet(
-            xavier, xavier_db, shards=3, backend="fork"
-        )
-        assert forked.describe_shards() == serial_shards
+        return run_fleet(xavier, xavier_db, shards=3).describe_shards()
 
     def test_serial_is_repeatable(
         self, xavier, xavier_db, serial_shards
     ):
-        again = run_fleet(
-            xavier, xavier_db, shards=3, backend="serial"
-        )
+        again = run_fleet(xavier, xavier_db, shards=3)
         assert again.describe_shards() == serial_shards
 
 
@@ -312,7 +287,6 @@ class TestGossip:
             gossip_tenants(),
             make_factory(xavier, xavier_db),
             shards=2,
-            backend="serial",
             sync_rounds=2,
         )
         report = fleet.run(horizon_s=HORIZON)
@@ -324,9 +298,7 @@ class TestSolveStore:
         self, xavier, xavier_db, tmp_path
     ):
         store = SolveStore(tmp_path / "solves.jsonl")
-        cold = run_fleet(
-            xavier, xavier_db, shards=2, backend="serial", store=store
-        )
+        cold = run_fleet(xavier, xavier_db, shards=2, store=store)
         assert cold.solves > 0
         assert len(store.schedules()) >= cold.solves
 
@@ -335,7 +307,6 @@ class TestSolveStore:
             xavier,
             xavier_db,
             shards=2,
-            backend="serial",
             store=warm_store,
         )
         assert warm.solves == 0
@@ -346,9 +317,7 @@ class TestSolveStore:
         self, xavier, xavier_db, tmp_path
     ):
         store = SolveStore(tmp_path / "solves.jsonl")
-        cold = run_fleet(
-            xavier, xavier_db, shards=2, backend="serial", store=store
-        )
+        cold = run_fleet(xavier, xavier_db, shards=2, store=store)
         assert cold.solves > 0
         assert SolveStore(store.path).stats()["memo_entries"] == 0
         kinds = {
@@ -364,7 +333,7 @@ class TestSolveStore:
         to its schedules; it loads and warms a fleet exactly like the
         schedule-only store."""
         store = SolveStore(tmp_path / "solves.jsonl")
-        run_fleet(xavier, xavier_db, shards=2, backend="serial", store=store)
+        run_fleet(xavier, xavier_db, shards=2, store=store)
         lines = store.path.read_text().splitlines()
         legacy_path = tmp_path / "legacy.jsonl"
         legacy_path.write_text(
@@ -379,12 +348,9 @@ class TestSolveStore:
             xavier,
             xavier_db,
             shards=2,
-            backend="serial",
             store=SolveStore(store.path, readonly=True),
         )
-        warm = run_fleet(
-            xavier, xavier_db, shards=2, backend="serial", store=legacy
-        )
+        warm = run_fleet(xavier, xavier_db, shards=2, store=legacy)
         assert warm.solves == 0 and plain.solves == 0
         assert warm.describe_shards() == plain.describe_shards()
 
@@ -405,7 +371,6 @@ class TestSolveStore:
                 tenants,
                 make_factory(xavier, xavier_db, max_transitions=2),
                 shards=2,
-                backend="serial",
                 sync_rounds=4,
                 store=store,
             ).run(horizon_s=HORIZON)
@@ -434,16 +399,10 @@ class TestSolveStore:
         self, xavier, xavier_db, tmp_path
     ):
         store = SolveStore(tmp_path / "solves.jsonl")
-        run_fleet(
-            xavier, xavier_db, shards=2, backend="serial", store=store
-        )
+        run_fleet(xavier, xavier_db, shards=2, store=store)
         warm = SolveStore(store.path, readonly=True)
-        a = run_fleet(
-            xavier, xavier_db, shards=2, backend="serial", store=warm
-        )
-        b = run_fleet(
-            xavier, xavier_db, shards=2, backend=FORK, store=warm
-        )
+        a = run_fleet(xavier, xavier_db, shards=2, store=warm)
+        b = run_fleet(xavier, xavier_db, shards=2, store=warm)
         assert a.describe_shards() == b.describe_shards()
 
     def test_warm_rerun_pays_only_for_simulation(
@@ -455,9 +414,9 @@ class TestSolveStore:
         import repro.perf.model as perf_model
 
         store = SolveStore(tmp_path / "solves.jsonl")
-        run_fleet(xavier, xavier_db, shards=2, backend="serial", store=store)
+        run_fleet(xavier, xavier_db, shards=2, store=store)
         warm = SolveStore(store.path, readonly=True)
-        run_fleet(xavier, xavier_db, shards=2, backend="serial", store=warm)
+        run_fleet(xavier, xavier_db, shards=2, store=warm)
 
         policies = []
 
@@ -484,7 +443,6 @@ class TestSolveStore:
             fleet_tenants(),
             make_factory(xavier, xavier_db, policy_cls=RecordingPolicy),
             shards=2,
-            backend="serial",
             sync_rounds=4,
             store=warm,
         ).run(horizon_s=HORIZON)
@@ -499,19 +457,16 @@ class TestSolveStore:
             rounds += policy.cache.hits
         assert rounds > sum(len(p.mixes) for p in policies)
 
-    @pytest.mark.parametrize("backend", ["serial", FORK])
     def test_repeated_rounds_share_one_timeline(
-        self, xavier, xavier_db, tmp_path, backend
+        self, xavier, xavier_db, tmp_path
     ):
         """On a warm store every round of a mix dispatches the same
         materialized result, so rounds with equal (mix, batch) carry
-        one simulated timeline -- also after the fork pickle."""
+        one simulated timeline."""
         store = SolveStore(tmp_path / "solves.jsonl")
-        run_fleet(xavier, xavier_db, shards=2, backend="serial", store=store)
+        run_fleet(xavier, xavier_db, shards=2, store=store)
         warm = SolveStore(store.path, readonly=True)
-        report = run_fleet(
-            xavier, xavier_db, shards=2, backend=backend, store=warm
-        )
+        report = run_fleet(xavier, xavier_db, shards=2, store=warm)
         repeated = 0
         for outcome in report.outcomes:
             timelines: dict[tuple, set[int]] = {}
@@ -618,8 +573,8 @@ class TestBalancedAdmitted:
 
 class TestBoundedLag:
     """The max_lag sweep: lockstep must stay byte-identical to the
-    pre-change fleet, and every lag window must agree across backends
-    (and, on this gossip-inert workload, with lockstep itself)."""
+    pre-change fleet, and on this gossip-inert workload every lag
+    window must agree with lockstep itself."""
 
     #: sha256 of "\n".join(describe_shards()) for the 2-shard serial
     #: lockstep run below, produced by the epoch-barrier fleet as of
@@ -628,13 +583,12 @@ class TestBoundedLag:
         "24d285cb9c506466fb3239647e7405652ab6d92c28c7d5d3d04aa63654527371"
     )
 
-    def _run(self, xavier, xavier_db, *, backend, max_lag, **kwargs):
+    def _run(self, xavier, xavier_db, *, max_lag, **kwargs):
         fleet = Fleet(
             xavier,
             fleet_tenants(),
             make_factory(xavier, xavier_db),
             shards=2,
-            backend=backend,
             sync_rounds=4,
             max_lag=max_lag,
             **kwargs,
@@ -646,9 +600,7 @@ class TestBoundedLag:
     ):
         import hashlib
 
-        report = self._run(
-            xavier, xavier_db, backend="serial", max_lag=0
-        )
+        report = self._run(xavier, xavier_db, max_lag=0)
         blob = "\n".join(report.describe_shards()).encode()
         assert (
             hashlib.sha256(blob).hexdigest() == self.PRE_CHANGE_DIGEST
@@ -657,35 +609,14 @@ class TestBoundedLag:
     def test_max_lag_sweep_serial(self, xavier, xavier_db):
         # the four tenants here carry four distinct models, so gossip
         # is inert and the lag window must not change any report
-        baseline = self._run(
-            xavier, xavier_db, backend="serial", max_lag=0
-        ).describe_shards()
+        baseline = self._run(xavier, xavier_db, max_lag=0).describe_shards()
         for lag in (1, 2, 4, 16):
-            swept = self._run(
-                xavier, xavier_db, backend="serial", max_lag=lag
-            )
+            swept = self._run(xavier, xavier_db, max_lag=lag)
             assert swept.describe_shards() == baseline, lag
             assert swept.max_lag == lag
 
-    def test_pipelined_identical_across_backends(
-        self, xavier, xavier_db
-    ):
-        """serial == fork at every lag window."""
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork start method on this platform")
-        for lag in (0, 1, 2):
-            serial = self._run(
-                xavier, xavier_db, backend="serial", max_lag=lag
-            )
-            forked = self._run(
-                xavier, xavier_db, backend="fork", max_lag=lag
-            )
-            assert forked.describe_shards() == serial.describe_shards(), lag
-
     def test_pipelined_telemetry(self, xavier, xavier_db):
-        report = self._run(
-            xavier, xavier_db, backend=FORK, max_lag=2
-        )
+        report = self._run(xavier, xavier_db, max_lag=2)
         assert report.epochs > 0
         assert report.mean_round_wall_ms() > 0
         assert "pipeline: max_lag 2" in report.describe()
@@ -703,7 +634,7 @@ class TestBoundedLag:
 
 class TestTransport:
     """``transport`` is retired: it accepts ``auto`` and ``shm`` and
-    selects nothing; fork deltas always ride the control queues."""
+    selects nothing."""
 
     def test_queue_transport_rejected(self, xavier, xavier_db):
         with pytest.raises(ValueError, match="auto.*shm"):
@@ -717,35 +648,56 @@ class TestTransport:
 
     def test_shm_transport_selects_nothing(self, xavier, xavier_db):
         auto, shm = (
-            run_fleet(
-                xavier, xavier_db, shards=2, backend="serial", transport=t
-            )
+            run_fleet(xavier, xavier_db, shards=2, transport=t)
             for t in ("auto", "shm")
         )
         assert shm.describe_shards() == auto.describe_shards()
 
-    def test_fork_gossip_counts_inline_payloads(self, xavier, xavier_db):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork start method on this platform")
-        report = Fleet(
-            xavier,
-            gossip_tenants(),
-            make_factory(xavier, xavier_db),
-            shards=2,
-            backend="fork",
-            sync_rounds=2,
-        ).run(horizon_s=HORIZON)
-        # the peer adopted the gossiped schedule: two solves, not three
-        assert report.solves == 2
-        assert report.transport_stats["inline"] > 0
-        assert "ring" not in report.transport_stats
+
+class TestRetiredBackend:
+    """``backend`` is retired: ``auto``, ``fork`` and ``serial`` are
+    accepted and select nothing.  The call shapes of the benchmark
+    harness (``perfbench/serve.py``) start no process and give the
+    same shard reports as ``serial``."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"backend": "fork", "transport": "shm", "max_lag": 2},
+            {"backend": "auto"},
+        ],
+        ids=["fork-shm-lag2", "auto"],
+    )
+    def test_starts_no_process(self, xavier, xavier_db, monkeypatch, kwargs):
+        from multiprocessing.process import BaseProcess
+
+        factory = make_factory(
+            xavier, xavier_db, solver_workers=2, solver_backend="serial"
+        )
+
+        def run(**options):
+            return Fleet(
+                xavier,
+                fleet_tenants(),
+                factory,
+                shards=2,
+                router="balanced",
+                sync_rounds=4,
+                **options,
+            ).run(horizon_s=HORIZON)
+
+        serial = run(max_lag=kwargs.get("max_lag", 0), backend="serial")
+
+        def refuse(process):
+            raise AssertionError(f"the fleet started {process!r}")
+
+        monkeypatch.setattr(BaseProcess, "start", refuse)
+        assert run(**kwargs).describe_shards() == serial.describe_shards()
 
 
 class TestEdges:
     def test_more_shards_than_tenants(self, xavier, xavier_db):
-        report = run_fleet(
-            xavier, xavier_db, shards=6, backend="serial"
-        )
+        report = run_fleet(xavier, xavier_db, shards=6)
         assert report.shards == 6
         empty = [o for o in report.outcomes if not o.tenants]
         assert empty  # 4 tenants cannot fill 6 shards
@@ -766,7 +718,6 @@ class TestEdges:
             fleet_tenants(),
             factory,
             shards=2,
-            backend="serial",
         )
         with pytest.raises(RuntimeError, match="fleet shard 0"):
             fleet.run(horizon_s=HORIZON)

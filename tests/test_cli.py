@@ -275,6 +275,19 @@ class TestCommands:
             cli.main(["serve", "googlenet", "--transport", "shm"])
         assert exc.value.code == 2
 
+    def test_serve_has_no_backend_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["serve", "googlenet", "--backend", "fork"])
+        assert exc.value.code == 2
+
+    def test_store_unknown_version_is_a_typed_error(self, capsys, tmp_path):
+        path = tmp_path / "future.jsonl"
+        path.write_text('{"v": 2, "kind": "schedule"}\n')
+        assert cli.main(["store", "stats", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: solve store {path} line 1")
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [
