@@ -47,7 +47,6 @@ TAINT_RULES: dict[str, str] = {
 
 #: sink qualname -> the replicated artifact it feeds.  Keep sorted.
 DEFAULT_SINKS: dict[str, str] = {
-    "repro.core.parallel.EpochGate.union": "epoch grant / gossip union",
     "repro.core.solve_store.SolveStore._append": "solve-store record",
     "repro.fuzz.runner.CampaignReport.digest": "campaign digest",
     "repro.fuzz.runner.run_campaign": "campaign digest inputs",

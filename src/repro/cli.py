@@ -159,7 +159,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ("--shards", args.shards, 1),
         ("--max-batch", args.max_batch, 1),
         ("--sync-rounds", args.sync_rounds, 1),
-        ("--max-lag", args.max_lag, 0),
         ("--max-transitions", args.max_transitions, 0),
     ):
         return 2
@@ -237,7 +236,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             router=args.router,
             max_batch=args.max_batch,
             sync_rounds=args.sync_rounds,
-            max_lag=args.max_lag,
             batching=args.batching,
             store=store,
         )
@@ -604,14 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         help="serving rounds between fleet gossip epochs",
-    )
-    p.add_argument(
-        "--max-lag",
-        type=int,
-        default=0,
-        help="bounded-lag window of the pipelined fleet protocol: "
-        "shards may run this many gossip epochs ahead of the "
-        "slowest peer (0 = lockstep barrier)",
     )
     p.add_argument(
         "--batching",

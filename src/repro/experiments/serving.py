@@ -286,7 +286,6 @@ def fleet_row(report: ShardedFleetReport) -> dict[str, object]:
         "store_hits": report.store_hits,
         "wall_ms": report.wall_s * 1e3,
         "round_wall_ms": report.mean_round_wall_ms(),
-        "max_lag": report.max_lag,
         "tput_rps": report.throughput_rps,
         "ttf_hax_ms": None if ttf is None else ttf * 1e3,
     }
@@ -304,7 +303,6 @@ FLEET_COLUMNS = (
     "store_hits",
     "wall_ms",
     "round_wall_ms",
-    "max_lag",
     "tput_rps",
     "ttf_hax_ms",
 )

@@ -67,13 +67,10 @@ class CorpusEntry:
         )
 
     def replay(self) -> OracleOutcome:
-        """Re-run the full oracle stack on the stored scenario.
-
-        Corpus replays carry the tenth check: the scenario served
-        through the pipelined fleet must match a lockstep run byte
-        for byte (see :func:`repro.fuzz.oracle.run_oracles`).
-        """
-        return run_oracles(self.spec, pipelined_replay=True)
+        """Re-run the full oracle stack on the stored scenario (the
+        same checks a campaign runs, see
+        :func:`repro.fuzz.oracle.run_oracles`)."""
+        return run_oracles(self.spec)
 
 
 def artifact_name(spec: ScenarioSpec) -> str:

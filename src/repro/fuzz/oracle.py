@@ -35,12 +35,6 @@ between the independent paths is a bug somewhere:
 ``baseline-optimality``
     The naive concurrent baseline, wherever it is feasible in the
     solver's own search space, can never beat the claimed optimum.
-``pipelined-fleet-identity``
-    (corpus replays only, ``pipelined_replay=True``) The scenario
-    served through the sharded fleet's bounded-lag pipelined round
-    protocol (``max_lag=2``) must produce a report byte-identical to
-    the lockstep (``max_lag=0``) run -- the pipeline reorders wall
-    time, never virtual results.
 
 Everything runs in virtual time (``repro.fuzz`` is one of HAX002's
 virtual-time modules): no wall-clock reads, so two runs of the same
@@ -58,7 +52,6 @@ from repro.core.baselines import naive_concurrent
 from repro.core.formulation import EvaluationResult, ScheduleInfeasible
 from repro.core.haxconn import HaXCoNN, ScheduleResult
 from repro.experiments.common import get_db
-from repro.fuzz.replay import fleet_scenario
 from repro.fuzz.universe import ScenarioSpec
 from repro.soc.platform import get_platform
 from repro.solver.bnb import BranchAndBound
@@ -149,15 +142,8 @@ def run_oracles(
     spec: ScenarioSpec,
     *,
     exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
-    pipelined_replay: bool = False,
 ) -> OracleOutcome:
-    """Run the full oracle stack on one scenario.
-
-    ``pipelined_replay`` adds the tenth check -- serving the scenario
-    through the fleet's pipelined round protocol and demanding byte
-    identity with a lockstep run.  Off by default because it costs two
-    full serving runs per scenario; corpus replays turn it on.
-    """
+    """Run the full oracle stack on one scenario."""
     checks: list[str] = []
     discrepancies: list[Discrepancy] = []
 
@@ -400,37 +386,6 @@ def run_oracles(
             # the naive mapping lies outside the bounded-transition
             # search space on this scenario; nothing to compare
             pass
-
-    # -- pipelined fleet vs lockstep (corpus replays) ------------------
-    if pipelined_replay:
-        checks.append("pipelined-fleet-identity")
-        lockstep = fleet_scenario(spec, horizon_s=0.2, max_lag=0)
-        pipelined = fleet_scenario(spec, horizon_s=0.2, max_lag=2)
-        lock_lines = lockstep.describe_shards()
-        pipe_lines = pipelined.describe_shards()
-        if pipe_lines != lock_lines:
-            for lock, pipe in zip(lock_lines, pipe_lines):
-                if lock != pipe:
-                    flag(
-                        "pipelined-fleet-identity",
-                        f"shard report drifted under max_lag=2: "
-                        f"{pipe!r} != lockstep {lock!r}",
-                    )
-        lock_requests = [
-            (r.tenant, r.seq, r.arrival_s, r.start_s, r.finish_s)
-            for o in lockstep.outcomes
-            for r in o.report.requests
-        ]
-        pipe_requests = [
-            (r.tenant, r.seq, r.arrival_s, r.start_s, r.finish_s)
-            for o in pipelined.outcomes
-            for r in o.report.requests
-        ]
-        if pipe_requests != lock_requests:
-            flag(
-                "pipelined-fleet-identity",
-                "per-request timelines drifted under max_lag=2",
-            )
 
     return OracleOutcome(
         spec=spec,

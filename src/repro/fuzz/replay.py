@@ -47,7 +47,7 @@ def scenario_policy(spec: ScenarioSpec) -> ServingPolicy:
 
     The policy plans its swaps in node-count phase time, a pure
     function of explored nodes, which is what makes fleet replays
-    byte-identical from run to run and across ``max_lag`` windows.
+    byte-identical from run to run.
     """
     platform = get_platform(spec.platform)
     scheduler = HaXCoNN(
@@ -84,21 +84,14 @@ def fleet_scenario(
     shards: int = 2,
     horizon_s: float = 0.25,
     max_requests: int = 256,
-    max_lag: int = 0,
 ) -> ShardedFleetReport:
-    """Serve the scenario on a sharded fleet.
-
-    ``max_lag`` selects the bounded-lag window of the fleet's
-    pipelined round protocol (0 = lockstep barrier); the report must
-    not depend on it, which is exactly what the tenth oracle check
-    asserts.
-    """
+    """Serve the scenario on a sharded fleet (lockstep gossip epochs
+    over ``shards`` shards)."""
     fleet = Fleet(
         get_platform(spec.platform),
         tenants_for(spec),
         lambda shard: scenario_policy(spec),
         shards=shards,
         objective=spec.objective,
-        max_lag=max_lag,
     )
     return fleet.run(horizon_s=horizon_s, max_requests=max_requests)

@@ -110,9 +110,8 @@ def throughput_rps(count: int, wall_s: float) -> float:
 def per_round_ms(total_s: float, rounds: int) -> float:
     """Mean wall milliseconds per executed round (0 with no rounds).
 
-    The pipelined fleet's gate metric: a shard's wall seconds
-    (compute plus barrier stall) spread over the rounds it actually
-    dispatched.
+    The fleet's per-round wall metric: a shard's wall seconds spread
+    over the rounds it actually dispatched.
     """
     if total_s < 0:
         raise ValueError("total_s must be >= 0")

@@ -8,39 +8,32 @@ mixes (and their solves) stay small.  Shards share solve work two
 ways:
 
 * **epoch gossip** -- shards synchronize at fixed round-count
-  intervals (``sync_rounds``): every alive shard posts the converged
+  intervals (``sync_rounds``): every alive shard exports the converged
   schedules it published this epoch (the gossip protocol spoken by
   :meth:`~repro.serve.policy.ServingPolicy.export_delta` /
   :meth:`~repro.serve.policy.ServingPolicy.merge`), and the fleet
-  builds each epoch's union in shard-index order and hands it back;
+  concatenates the epoch's deltas in shard-index order into one union;
 * **the persistent solve store** -- the fleet seeds every shard with
   the store's schedules before the first round and appends each
   epoch's gossip union to disk
   (:class:`~repro.core.solve_store.SolveStore`); shards see the store
   only through ``merge``.
 
-Gossip rounds follow a **bounded-lag protocol**.  A shard that has
-completed epoch ``f`` may start epoch ``f + 1`` as soon as every alive
-peer has completed epoch ``f - max_lag``; before it does, it merges
-the unions of every epoch ``<= f - max_lag`` it has not merged yet,
-each union being the concatenation of that epoch's per-shard deltas
-in shard-index order.  ``max_lag = 0`` is the classic lockstep
-barrier; ``max_lag >= 1`` lets a shard serve up to that many epochs
-ahead of the slowest peer, which only moves where the merges fall in
-its timeline.  Shards that finish stop gating their peers and
-contribute no later deltas.  The gate is
-:class:`repro.core.parallel.EpochGate`.
+Epochs run in **lockstep**.  In each pass every alive shard, in index
+order, merges the previous epoch's union, serves ``sync_rounds``
+rounds and exports its delta; shards that finished drop out (their
+last delta still reaches the union), and the union is appended to the
+store.
 
 Determinism contract: a
 shard's :class:`~repro.serve.slo.FleetReport` is a pure function of
 its seeded arrival stream, its policy configuration, and the merge
 sequence it observes at its epoch boundaries.  Epochs are counted in
 *rounds* (virtual time), never wall-clock, and the (epoch,
-shard-index) merge order plus the bounded-lag gate fix that sequence
-for a given ``max_lag``, so a shard's report is byte-identical from
-run to run (provided the policy itself is deterministic -- e.g. the
-anytime solver under its ``nodes`` clock).  Wall-clock only appears
-in telemetry fields (:attr:`ShardOutcome.wall_s`,
+shard-index) merge order fixes that sequence, so a shard's report is
+byte-identical from run to run (provided the policy itself is
+deterministic -- e.g. the anytime solver under its ``nodes`` clock).
+Wall-clock only appears in telemetry fields (:attr:`ShardOutcome.wall_s`,
 :attr:`ShardOutcome.first_hax_wall_s`) that stay out of the report.
 """
 
@@ -52,7 +45,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from repro.core.parallel import EpochGate
 from repro.core.solve_store import SolveStore
 from repro.runtime import metrics
 from repro.runtime.trace import timeline_to_trace_events, write_trace_events
@@ -99,45 +91,21 @@ class ShardRouter:
     shard (seeded arrival processes and token-bucket admission are
     both pure, so the weight is deterministic) -- and assigns
     heaviest-first to the least-loaded shard, ties to the lowest shard
-    index.  ``pinned`` mode places tenants by an explicit
-    ``{tenant name: shard}`` mapping (benchmark topology control).
+    index.
     """
 
-    def __init__(
-        self,
-        shards: int,
-        *,
-        mode: str = "hash",
-        pinned: Mapping[str, int] | None = None,
-    ) -> None:
+    def __init__(self, shards: int, *, mode: str = "hash") -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if mode not in ("hash", "balanced", "pinned"):
+        if mode not in ("hash", "balanced"):
             raise ValueError(
-                f"unknown router mode {mode!r}; "
-                "expected hash, balanced, or pinned"
+                f"unknown router mode {mode!r}; expected hash or balanced"
             )
-        if mode == "pinned":
-            if pinned is None:
-                raise ValueError("pinned routing needs a pinned mapping")
-            bad = {n: s for n, s in pinned.items() if not 0 <= s < shards}
-            if bad:
-                raise ValueError(f"pinned shards out of range: {bad}")
-        elif pinned is not None:
-            raise ValueError("pinned mapping requires mode='pinned'")
         self.shards = shards
         self.mode = mode
-        self.pinned = dict(pinned) if pinned is not None else None
 
     def shard_of(self, tenant_name: str) -> int:
-        """Placement of one tenant (``hash``/``pinned`` routing)."""
-        if self.pinned is not None:
-            try:
-                return self.pinned[tenant_name]
-            except KeyError:
-                raise ValueError(
-                    f"tenant {tenant_name!r} has no pinned shard"
-                ) from None
+        """Placement of one tenant (``hash`` routing)."""
         return stable_shard(tenant_name, self.shards)
 
     def assign(
@@ -155,7 +123,7 @@ class ShardRouter:
         back empty (fewer tenants than shards).
         """
         out: list[list[Tenant]] = [[] for _ in range(self.shards)]
-        if self.mode in ("hash", "pinned"):
+        if self.mode == "hash":
             for tenant in tenants:
                 out[self.shard_of(tenant.name)].append(tenant)
             return out
@@ -221,11 +189,11 @@ class ShardOutcome:
     report: FleetReport
     #: deterministic round index of the first HaX-CoNN-family dispatch
     first_hax_round: int | None
-    #: wall-clock seconds to that dispatch (telemetry; excluded from
-    #: the report)
+    #: wall-clock seconds this shard served until that dispatch
+    #: (telemetry; excluded from the report)
     first_hax_wall_s: float | None
-    #: wall-clock seconds from this shard's opening to its last round
-    #: (telemetry; peers' epochs run in between)
+    #: wall-clock seconds this shard spent serving its own rounds
+    #: (telemetry; peers' epochs are not counted)
     wall_s: float
     #: gossip epochs this shard completed
     epochs: int = 0
@@ -279,7 +247,6 @@ class ShardedFleetReport:
         router: str,
         wall_s: float,
         store: SolveStore | None = None,
-        max_lag: int = 0,
     ) -> None:
         self.outcomes = tuple(
             sorted(outcomes, key=lambda o: o.index)
@@ -287,8 +254,6 @@ class ShardedFleetReport:
         self.router = router
         self.wall_s = wall_s
         self.store_path = None if store is None else store.path
-        #: bounded-lag window the run used (0 = lockstep barrier)
-        self.max_lag = max_lag
 
     # -- aggregates ----------------------------------------------------
     @property
@@ -439,12 +404,6 @@ class ShardedFleetReport:
             f"{self.wall_s * 1e3:.0f} ms wall, "
             f"{self.throughput_rps:.1f} req/s"
         )
-        if self.max_lag:
-            lines.append(
-                f"pipeline: max_lag {self.max_lag}, "
-                f"{self.epochs} epochs, "
-                f"mean round wall {self.mean_round_wall_ms():.2f} ms"
-            )
         totals = self.admission_totals()
         if totals:
             lines.append(
@@ -512,10 +471,9 @@ class Fleet:
     sync_rounds:
         Rounds each shard serves between gossip epochs.
     max_lag:
-        Bounded-lag window of the round protocol: a shard may run up
-        to ``max_lag`` gossip epochs ahead of the slowest alive peer.
-        ``0`` (default) is the classic lockstep barrier; every window
-        keeps each shard's merge sequence deterministic.
+        Retired: any value ``>= 0`` is accepted and selects nothing; a
+        negative value raises :class:`ValueError`.  Every fleet runs
+        its gossip epochs in lockstep.
     admission:
         Optional :class:`~repro.serve.slo.AdmissionConfig`: per-tenant
         priority tiers with token-bucket rate, queue-depth, and
@@ -592,7 +550,6 @@ class Fleet:
         self.max_batch = max_batch
         self.objective = objective
         self.sync_rounds = sync_rounds
-        self.max_lag = max_lag
         self.admission = admission
         self.batching = batching
         self.store = store
@@ -628,9 +585,9 @@ class Fleet:
         initial_delta: tuple[Any, ...],
         horizon_s: float,
         max_requests: int,
-    ) -> tuple[ServingSession, ServingPolicy, float]:
-        """A fresh shard: its policy seeded with the store delta, its
-        serving session, and the session's wall-clock start."""
+    ) -> tuple[ServingSession, ServingPolicy]:
+        """A fresh shard: its serving session and its policy, seeded
+        with the store delta."""
         policy = self.policy_factory(shard_id)
         policy.merge(initial_delta)
         server = Server(
@@ -642,23 +599,20 @@ class Fleet:
             admission=self.admission,
             batching=self.batching,
         )
-        wall_start = monotonic_s()
         session = server.session(
             horizon_s=horizon_s, max_requests=max_requests
         )
-        return session, policy, wall_start
+        return session, policy
 
     def run(
         self, *, horizon_s: float, max_requests: int = 10_000
     ) -> ShardedFleetReport:
         """Serve every request within ``horizon_s`` across all shards.
 
-        The scan visits the alive shards in index order and runs a
-        shard's next epoch once the
-        :class:`~repro.core.parallel.EpochGate` grants it, merging the
-        grant right before that epoch.  With ``max_lag = 0`` every
-        scan runs every alive shard once: the classic lockstep epoch.
-        Completed epoch unions reach the store in epoch order.  A
+        Each lockstep pass runs one gossip epoch: every alive shard,
+        in index order, merges the previous epoch's union, serves
+        ``sync_rounds`` rounds and exports its delta; finished shards
+        drop out, and the epoch's union is appended to the store.  A
         shard that raises ends the run with a :class:`RuntimeError`
         naming it.
         """
@@ -670,7 +624,7 @@ class Fleet:
             admission=self.admission,
         )
         initial = self._initial_delta()
-        shards: dict[int, tuple[ServingSession, ServingPolicy, float]] = {}
+        shards: dict[int, tuple[ServingSession, ServingPolicy]] = {}
         outcomes: dict[int, ShardOutcome] = {}
         for sid, bucket in enumerate(assignment):
             if not bucket:
@@ -680,22 +634,16 @@ class Fleet:
                 shards[sid] = self._open_shard(
                     sid, bucket, initial, horizon_s, max_requests
                 )
-        gate = EpochGate(shards, self.max_lag)
-        while gate.alive:
-            progressed = False
-            for sid in list(gate.alive):
-                session, policy, wall_start = shards[sid]
-                if sid in gate.waiting:
-                    granted = gate.grant(sid)
-                    if granted is None:
-                        continue  # gated behind a slower peer this scan
-                    policy.merge(granted[1])
-                epoch = gate.completed[sid] + 1
+        union: tuple[Any, ...] = ()
+        epoch = 0
+        while shards:
+            delta: list[Any] = []
+            for sid, (session, policy) in list(shards.items()):
                 with _shard_errors(sid):
+                    if epoch:
+                        policy.merge(union)
                     session.run_rounds(self.sync_rounds)
-                    delta = policy.export_delta(limit=GOSSIP_LIMIT)
-                gate.post(sid, epoch, delta, last=session.finished)
-                progressed = True
+                    delta.extend(policy.export_delta(limit=GOSSIP_LIMIT))
                 if session.finished:
                     outcomes[sid] = ShardOutcome(
                         index=sid,
@@ -703,18 +651,16 @@ class Fleet:
                         report=session.report(),
                         first_hax_round=session.first_hax_round,
                         first_hax_wall_s=session.first_hax_wall_s,
-                        wall_s=monotonic_s() - wall_start,
+                        wall_s=session.wall_s,
                         epochs=epoch + 1,
                     )
-            if not progressed:  # unreachable: the slowest shard is
-                # never gated by its own epoch
-                raise RuntimeError("fleet scan stalled")
-            for _epoch, union in gate.flush():
-                self._append_store(union)
+                    del shards[sid]
+            union = tuple(delta)
+            self._append_store(union)
+            epoch += 1
         return ShardedFleetReport(
             [outcomes[sid] for sid in sorted(outcomes)],
             router=self.router.mode,
             wall_s=monotonic_s() - start,
             store=self.store,
-            max_lag=self.max_lag,
         )

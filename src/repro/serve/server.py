@@ -209,9 +209,11 @@ class ServingSession:
     incumbent*: the round index and wall-clock latency (via the
     sanctioned :func:`repro.solver.clock.monotonic_s`) at which the
     first HaX-CoNN-family schedule -- a cache toggle or a solver
-    incumbent, as opposed to a naive start -- was dispatched.  The
-    wall-clock number is benchmark telemetry only; it never appears in
-    the :class:`FleetReport`.
+    incumbent, as opposed to a naive start -- was dispatched.  Its
+    wall clock, like :attr:`wall_s`, only runs inside
+    :meth:`run_rounds`, so a fleet's peer epochs between calls are
+    not counted.  Both are benchmark telemetry only; they never
+    appear in the :class:`FleetReport`.
     """
 
     def __init__(
@@ -248,11 +250,13 @@ class ServingSession:
         self._finished = False
         #: virtual seconds spent jumping over empty-queue gaps
         self.virtual_idle_s = 0.0
-        self._wall_start = monotonic_s()
+        #: wall-clock seconds spent inside :meth:`run_rounds`
+        #: (telemetry only)
+        self.wall_s = 0.0
         #: round index of the first HaX-CoNN-family dispatch
         #: (deterministic; None until it happens)
         self.first_hax_round: int | None = None
-        #: wall-clock seconds until that dispatch (telemetry only)
+        #: :attr:`wall_s` at that dispatch (telemetry only)
         self.first_hax_wall_s: float | None = None
 
     @property
@@ -271,6 +275,7 @@ class ServingSession:
         idle-time jumps to the next arrival do not count as rounds."""
         if limit is not None and limit < 0:
             raise ValueError("limit must be >= 0 when given")
+        entered = monotonic_s()
         executed = 0
         while not self._finished and (limit is None or executed < limit):
             # 1. admission: everything that has arrived by `now`
@@ -401,7 +406,9 @@ class ServingSession:
                 scheduler_name
             ):
                 self.first_hax_round = len(self.rounds)
-                self.first_hax_wall_s = monotonic_s() - self._wall_start
+                self.first_hax_wall_s = self.wall_s + (
+                    monotonic_s() - entered
+                )
             self.rounds.append(
                 RoundRecord(
                     index=len(self.rounds),
@@ -419,6 +426,7 @@ class ServingSession:
             self._mix_elapsed[mix_key] = elapsed + duration
             self._now += duration
             executed += 1
+        self.wall_s += monotonic_s() - entered
         return executed
 
     def report(self) -> FleetReport:

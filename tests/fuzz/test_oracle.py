@@ -86,13 +86,3 @@ def test_outcome_payload_is_canonical():
     assert a == b
     assert a["spec"] == spec.to_dict()
 
-
-def test_pipelined_replay_adds_tenth_check():
-    spec = generate_scenario(2)
-    plain = run_oracles(spec)
-    assert "pipelined-fleet-identity" not in plain.checks
-    replayed = run_oracles(spec, pipelined_replay=True)
-    assert "pipelined-fleet-identity" in replayed.checks
-    assert replayed.ok, [
-        d.describe() for d in replayed.discrepancies
-    ]

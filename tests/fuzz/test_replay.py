@@ -1,9 +1,7 @@
 """Fuzzed scenarios replayed through the sharded serving fleet.
 
 The fuzzer's last promise: a scenario that survives the oracle stack
-is a *replayable* serving workload.  Its strong form, identical
-reports across ``max_lag`` windows, is the fuzz oracle's
-``pipelined-fleet-identity`` check.
+is a *replayable* serving workload.
 """
 
 import pytest

@@ -292,6 +292,80 @@ class TestGossip:
         report = fleet.run(horizon_s=HORIZON)
         assert report.solves == 2
 
+    def test_retired_max_lag_keeps_adoption(self, xavier, xavier_db):
+        """``max_lag`` selects nothing: a window of 4 epochs gives the
+        default run's reports, and shard 0 still adopts the peer's
+        googlenet schedule instead of re-solving it."""
+
+        def run(**options):
+            return Fleet(
+                xavier,
+                gossip_tenants(),
+                make_factory(xavier, xavier_db),
+                shards=2,
+                sync_rounds=2,
+                **options,
+            ).run(horizon_s=HORIZON)
+
+        default = run()
+        lagged = run(max_lag=4)
+        assert lagged.describe_shards() == default.describe_shards()
+        assert lagged.solves == 2
+
+
+class TestLockstep:
+    """Every pass runs one epoch on each alive shard; a shard that
+    finishes drops out, and its last delta still reaches its peers."""
+
+    #: sha256 of "\n".join(describe_shards()) for the run below, as
+    #: produced by the fleet before the lockstep loop replaced the
+    #: epoch gate
+    EARLY_FINISH_DIGEST = (
+        "18e35ed905e557a2165283ffc83906a0d2203faef0e4c48faf56049cc9e955dc"
+    )
+
+    def test_shard_finishing_early_drops_out(self, xavier, xavier_db):
+        import hashlib
+
+        # like gossip_tenants, but "det" (shard 1) serves a single
+        # request and finishes in epoch 0; "seg" (shard 0) meets
+        # googlenet at t=0.16 s and adopts det's last delta
+        tenants = [
+            Tenant.of(
+                "det",
+                "googlenet",
+                arrivals=TraceArrivals((0.0,)),
+                slo_s=0.1,
+            ),
+            *gossip_tenants()[1:],
+        ]
+        report = Fleet(
+            xavier,
+            tenants,
+            make_factory(xavier, xavier_db),
+            shards=2,
+            sync_rounds=2,
+        ).run(horizon_s=HORIZON)
+        assert [o.epochs for o in report.outcomes] == [5, 1]
+        assert report.solves == 2
+        blob = "\n".join(report.describe_shards()).encode()
+        assert (
+            hashlib.sha256(blob).hexdigest() == self.EARLY_FINISH_DIGEST
+        )
+
+    def test_shard_walls_count_only_their_own_rounds(
+        self, xavier, xavier_db
+    ):
+        """Wall telemetry: each shard's wall covers only its own
+        ``run_rounds`` calls, so the shards' walls fit inside the
+        fleet's and each first-HaX wall inside its shard's."""
+        report = run_fleet(xavier, xavier_db, shards=2, router="balanced")
+        assert all(o.tenants and o.wall_s > 0 for o in report.outcomes)
+        assert sum(o.wall_s for o in report.outcomes) <= report.wall_s
+        for o in report.outcomes:
+            if o.first_hax_wall_s is not None:
+                assert o.first_hax_wall_s <= o.wall_s
+
 
 class TestSolveStore:
     def test_cold_run_persists_then_warm_run_skips_solving(
@@ -478,33 +552,6 @@ class TestSolveStore:
         assert repeated > 0
 
 
-class TestPinnedRouter:
-    def test_explicit_placement(self):
-        tenants = fleet_tenants(4)
-        pinned = {t.name: 3 - k for k, t in enumerate(tenants)}
-        router = ShardRouter(4, mode="pinned", pinned=pinned)
-        buckets = router.assign(tenants)
-        for k, tenant in enumerate(tenants):
-            assert tenant in buckets[3 - k]
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            ShardRouter(2, mode="pinned", pinned={"cam0": 2})
-
-    def test_rejects_missing_mapping(self):
-        with pytest.raises(ValueError, match="needs a pinned mapping"):
-            ShardRouter(2, mode="pinned")
-
-    def test_rejects_mapping_without_mode(self):
-        with pytest.raises(ValueError, match="requires mode"):
-            ShardRouter(2, pinned={"cam0": 0})
-
-    def test_unpinned_tenant_is_an_error(self):
-        router = ShardRouter(2, mode="pinned", pinned={"cam0": 0})
-        with pytest.raises(ValueError, match="no pinned shard"):
-            router.assign(fleet_tenants(2))
-
-
 class TestBalancedAdmitted:
     """The balanced router weighs tenants by their *admitted* backlog:
     a rate-capped heavy tenant must not monopolize a shard on the
@@ -572,9 +619,9 @@ class TestBalancedAdmitted:
 
 
 class TestBoundedLag:
-    """The max_lag sweep: lockstep must stay byte-identical to the
-    pre-change fleet, and on this gossip-inert workload every lag
-    window must agree with lockstep itself."""
+    """The retired ``max_lag`` keyword: the lockstep fleet must stay
+    byte-identical to the pre-change fleet, every window ``>= 0``
+    selects nothing, and a negative one is still rejected."""
 
     #: sha256 of "\n".join(describe_shards()) for the 2-shard serial
     #: lockstep run below, produced by the epoch-barrier fleet as of
@@ -607,19 +654,24 @@ class TestBoundedLag:
         )
 
     def test_max_lag_sweep_serial(self, xavier, xavier_db):
-        # the four tenants here carry four distinct models, so gossip
-        # is inert and the lag window must not change any report
-        baseline = self._run(xavier, xavier_db, max_lag=0).describe_shards()
+        baseline = self._run(xavier, xavier_db, max_lag=0)
         for lag in (1, 2, 4, 16):
             swept = self._run(xavier, xavier_db, max_lag=lag)
-            assert swept.describe_shards() == baseline, lag
-            assert swept.max_lag == lag
+            assert (
+                swept.describe_shards() == baseline.describe_shards()
+            ), lag
+            assert swept.epochs == baseline.epochs > 0
+            assert "max_lag" not in swept.describe()
 
     def test_pipelined_telemetry(self, xavier, xavier_db):
+        """Epoch and round-wall telemetry survive a non-zero window;
+        the summary reports the fleet line and no pipeline line."""
         report = self._run(xavier, xavier_db, max_lag=2)
         assert report.epochs > 0
         assert report.mean_round_wall_ms() > 0
-        assert "pipeline: max_lag 2" in report.describe()
+        described = report.describe()
+        assert "fleet: 2 shards" in described
+        assert "pipeline:" not in described
 
     def test_rejects_negative_lag(self, xavier, xavier_db):
         with pytest.raises(ValueError, match="max_lag"):
