@@ -2,9 +2,9 @@
 
 ``haxconn flow`` runs in CI on every push (and is meant to run in a
 pre-commit loop), so the whole-program pass over ``src/repro`` --
-parse, call graph, effect fixpoint, taint, merge-order check -- gets
-the same treatment as the solver benches: a hard wall-time budget and
-a machine-readable JSON artifact recording what the pass saw.
+parse, call graph, effect fixpoint, taint -- gets the same treatment
+as the solver benches: a hard wall-time budget and a machine-readable
+JSON artifact recording what the pass saw.
 
 The budget (10 s) is ~6x the current cost on CI-class hardware; a
 regression that trips it means the fixpoint or the resolver went

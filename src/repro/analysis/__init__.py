@@ -15,7 +15,7 @@ checkers:
   itself: per-line rules (HAX001-HAX008: seeded randomness, no
   wall-clock reads in virtual-time code, locked shared-state mutation
   in workers, no unordered iteration feeding schedule construction)
-  and whole-program determinism-flow rules (HAX101-HAX111), gated by
+  and whole-program determinism-flow rules (HAX101-HAX104), gated by
   one checked-in baseline.
 
 Both surface through ``haxconn verify`` / ``haxconn flow`` and the

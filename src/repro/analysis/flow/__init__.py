@@ -8,15 +8,13 @@ analyzed code is never imported):
    calls via class-attribute types, and function-valued arguments
    handed to worker entry points; one walk per function and per
    module body records effects (wall clock, unseeded RNG,
-   env/pid/``id()``, unordered iteration, filesystem reads) and the
-   per-line rules HAX001..HAX008;
+   env/pid/``id()``, unordered iteration over sets, ``as_completed``
+   or directory listings) and the per-line rules HAX001..HAX008;
 2. **effect summaries + determinism taint** (:mod:`.effects`,
    :mod:`.taint`) -- bottom-up fixpoint summaries, then effect sources
    reaching replicated sinks (gossip deltas, solve-store entries,
    incumbent traces, campaign digests), rules
-   HAX101..HAX104, each finding carrying the full call chain;
-3. **gossip merge-order checker** (:mod:`.protocol`) -- merge-order
-   discipline at gossip ``merge`` sites (HAX111).
+   HAX101..HAX104, each finding carrying the full call chain.
 
 The CLI entry point is ``haxconn flow``; CI runs it against the
 checked-in ``tools/flow_baseline.json``, the single exception list
@@ -47,10 +45,6 @@ from repro.analysis.flow.effects import (
     rule_sites,
     summarize,
 )
-from repro.analysis.flow.protocol import (
-    ProtocolFinding,
-    run_protocol,
-)
 from repro.analysis.flow.report import (
     FlowFinding,
     FlowReport,
@@ -75,7 +69,6 @@ __all__ = [
     "FlowFinding",
     "FlowReport",
     "Package",
-    "ProtocolFinding",
     "RULES",
     "SourceSyntaxError",
     "Summary",
@@ -90,7 +83,6 @@ __all__ = [
     "combine",
     "load_baseline",
     "load_package",
-    "run_protocol",
     "rule_sites",
     "run_taint",
     "stale_sinks",
@@ -117,6 +109,5 @@ def analyze(
     direct = collect_direct_effects(graph)
     summaries = summarize(graph, direct)
     taint = run_taint(graph, summaries)
-    protocol = run_protocol(graph)
-    findings = combine(taint, protocol, rule_sites(direct))
+    findings = combine(taint, rule_sites(direct))
     return apply_baseline(findings, baseline_keys or [])

@@ -17,11 +17,10 @@ transitively, maybe through a callback) calls:
 ``env-pid``         reads ``os.environ``/``os.getenv``, a pid, or an
                     ``id()`` -- per-process values that leak host
                     identity into results
-``unordered-iter``  iterates a ``set`` into an order-sensitive
-                    construct, or enumerates the filesystem without
-                    ``sorted()`` -- hash/OS order feeds the result
-``fs-read``         reads files or directory listings -- host state
-                    feeds the result
+``unordered-iter``  iterates a ``set`` or ``as_completed(...)`` into
+                    an order-sensitive construct, or enumerates the
+                    filesystem without ``sorted()`` -- hash, completion
+                    or OS order feeds the result
 ==================  =================================================
 
 **Per-line rule violations** (:data:`RULES`), reported where they
@@ -62,10 +61,9 @@ WALL_CLOCK = "wall-clock"
 UNSEEDED_RNG = "unseeded-rng"
 ENV_PID = "env-pid"
 UNORDERED_ITER = "unordered-iter"
-FS_READ = "fs-read"
 
 #: every effect kind, in reporting order
-EFFECTS = (WALL_CLOCK, UNORDERED_ITER, UNSEEDED_RNG, ENV_PID, FS_READ)
+EFFECTS = (WALL_CLOCK, UNORDERED_ITER, UNSEEDED_RNG, ENV_PID)
 
 #: per-line rule id -> description (ids are stable; docs cite them)
 RULES: dict[str, str] = {
@@ -164,9 +162,6 @@ _FS_LISTING_CALLS = {
 #: attribute-method names that enumerate the filesystem on any object
 #: (``Path.iterdir`` etc.; heuristic by name, like the mutators)
 _FS_LISTING_METHODS = {"iterdir", "glob", "rglob"}
-
-#: attribute-method names that read file contents on any object
-_FS_READ_METHODS = {"read_text", "read_bytes"}
 
 #: container methods that mutate their receiver (heuristic by name)
 MUTATOR_METHODS = {
@@ -466,12 +461,26 @@ class _EffectCollector(ast.NodeVisitor):
     # -- unordered iteration -------------------------------------------
     def _check_iter(self, iter_node: ast.expr, node: ast.AST, what: str) -> None:
         if self.scope.is_set(iter_node):
-            self._report(
-                UNORDERED_ITER,
-                node,
-                f"{what} iterates a set in hash order",
-                "HAX004",
-            )
+            order = "a set in hash order"
+        elif self._is_as_completed(iter_node):
+            order = "as_completed() in completion order"
+        else:
+            return
+        self._report(
+            UNORDERED_ITER, node, f"{what} iterates {order}", "HAX004"
+        )
+
+    def _is_as_completed(self, node: ast.expr) -> bool:
+        """``as_completed(...)`` under any import alias: futures in
+        completion order, which varies run to run."""
+        if not isinstance(node, ast.Call):
+            return False
+        name = _dotted(node.func)
+        return (
+            name is not None
+            and self.mod.resolve(name).rsplit(".", 1)[-1] == "as_completed"
+        )
+
     def visit_For(self, node: ast.For) -> None:
         self._check_iter(node.iter, node, "for loop")
         self.generic_visit(node)
@@ -548,7 +557,6 @@ class _EffectCollector(ast.NodeVisitor):
         elif name == "id" and len(parts) == 1:
             self._report(ENV_PID, node, "id() is a per-process address")
         elif name in _FS_LISTING_CALLS:
-            self._report(FS_READ, node, f"{name}()")
             if id(node) not in self._sorted_args:
                 self._report(
                     UNORDERED_ITER,
@@ -556,17 +564,6 @@ class _EffectCollector(ast.NodeVisitor):
                     f"{name}() enumerates in OS order",
                     "HAX004",
                 )
-        elif name == "open":
-            mode = "r"
-            if len(node.args) >= 2 and isinstance(
-                node.args[1], ast.Constant
-            ):
-                mode = str(node.args[1].value)
-            for kw in node.keywords:
-                if kw.arg == "mode" and isinstance(kw.value, ast.Constant):
-                    mode = str(kw.value.value)
-            if "r" in mode and not any(c in mode for c in "wax+"):
-                self._report(FS_READ, node, f"open(..., {mode!r})")
         elif name in _GLOBAL_SEEDS:
             self._report(
                 UNSEEDED_RNG, node, f"{name}() reseeds the global RNG", "HAX008"
@@ -594,17 +591,13 @@ class _EffectCollector(ast.NodeVisitor):
                 )
 
     def _check_method(self, method: str, node: ast.Call) -> None:
-        if method in _FS_READ_METHODS:
-            self._report(FS_READ, node, f".{method}()")
-        elif method in _FS_LISTING_METHODS:
-            self._report(FS_READ, node, f".{method}()")
-            if id(node) not in self._sorted_args:
-                self._report(
-                    UNORDERED_ITER,
-                    node,
-                    f".{method}() enumerates in OS order",
-                    "HAX004",
-                )
+        if method in _FS_LISTING_METHODS and id(node) not in self._sorted_args:
+            self._report(
+                UNORDERED_ITER,
+                node,
+                f".{method}() enumerates in OS order",
+                "HAX004",
+            )
 
 
 def direct_effects(

@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from repro.analysis.flow.effects import EffectSite
-from repro.analysis.flow.protocol import ProtocolFinding
 from repro.analysis.flow.taint import TaintFinding
 
 #: schema tag so a future key change invalidates old baselines loudly
@@ -27,7 +26,7 @@ BASELINE_VERSION = 1
 
 @dataclass(frozen=True)
 class FlowFinding:
-    """Uniform view over taint, protocol and per-line findings."""
+    """Uniform view over taint and per-line findings."""
 
     rule: str
     key: tuple[str, ...]
@@ -36,7 +35,7 @@ class FlowFinding:
     message: str
 
     @classmethod
-    def of(cls, f: TaintFinding | ProtocolFinding | EffectSite) -> "FlowFinding":
+    def of(cls, f: TaintFinding | EffectSite) -> "FlowFinding":
         return cls(
             rule=f.rule or "",
             key=f.key,
@@ -84,11 +83,10 @@ class FlowReport:
 
 def combine(
     taint: Sequence[TaintFinding],
-    protocol: Sequence[ProtocolFinding],
     lines: Sequence[EffectSite] = (),
 ) -> tuple[FlowFinding, ...]:
     """Merge every pass into one deterministically ordered tuple."""
-    merged = [FlowFinding.of(f) for f in (*taint, *protocol, *lines)]
+    merged = [FlowFinding.of(f) for f in (*taint, *lines)]
     merged.sort(key=lambda f: (f.rule, f.key, f.path, f.line))
     return tuple(merged)
 

@@ -33,12 +33,11 @@ Subcommands
 ``haxconn flow [--baseline FILE] [--write-baseline] [ROOT]``
     The static analysis: per-line determinism/concurrency rules
     (HAX001-HAX008) and whole-program determinism flow
-    (HAX101-HAX111): call graph + effect summaries, source->sink
-    taint with full call chains, and the gossip merge-order checker.
-    A module that does not parse exits 2.  With ``--baseline``
-    only findings outside the checked-in baseline fail; with
-    ``--write-baseline`` the current findings are written back so the
-    baseline count can only shrink under review.
+    (HAX101-HAX104): call graph + effect summaries and source->sink
+    taint with full call chains.  A module that does not parse exits
+    2.  With ``--baseline`` only findings outside the checked-in
+    baseline fail; with ``--write-baseline`` the current findings are
+    written back so the baseline count can only shrink under review.
 ``haxconn platforms`` / ``haxconn models``
     List the modeled SoCs / the model zoo.
 """
@@ -49,7 +48,10 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
+
+if TYPE_CHECKING:
+    from repro.core.solve_store import SolveStore
 
 EXPERIMENTS = {
     "fig1": "fig1_case_study",
@@ -111,6 +113,19 @@ def _below_floor(*checks: tuple[str, float | None, float]) -> bool:
     return False
 
 
+def _open_store(path: str) -> SolveStore | None:
+    """The solve store at ``path``, or None after printing
+    ``error: PATH: REASON`` when it cannot be read (a directory, no
+    permission)."""
+    from repro.core.solve_store import SolveStore
+
+    try:
+        return SolveStore(path)
+    except OSError as exc:
+        print(f"error: {path}: {exc.strerror or exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_schedule(args: argparse.Namespace) -> int:
     from repro.core import HaXCoNN, Workload, gpu_only, naive_concurrent
     from repro.runtime import run_schedule
@@ -160,6 +175,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ("--max-batch", args.max_batch, 1),
         ("--sync-rounds", args.sync_rounds, 1),
         ("--max-transitions", args.max_transitions, 0),
+        ("--max-queue-depth", args.max_queue_depth, 1),
     ):
         return 2
     try:
@@ -193,9 +209,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     store = None
     if args.store is not None:
-        from repro.core.solve_store import SolveStore
-
-        store = SolveStore(args.store)
+        store = _open_store(args.store)
+        if store is None:
+            return 2
     db = ProfileDB(platform)
 
     def make_policy(attach_store: bool):
@@ -426,9 +442,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    from repro.core.solve_store import SolveStore
-
-    store = SolveStore(args.path)
+    store = _open_store(args.path)
+    if store is None:
+        return 2
     if args.action == "gc":
         before = store.stats()
         result = store.compact()
@@ -685,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "flow",
         help="static analysis: per-line rules (HAX001-HAX008) and"
-        " whole-program determinism flow (HAX101-HAX111)",
+        " whole-program determinism flow (HAX101-HAX104)",
     )
     p.add_argument(
         "root",

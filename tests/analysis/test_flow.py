@@ -184,31 +184,50 @@ def test_default_sink_registry_is_not_stale():
         assert qual in sinks
 
 
-# -- gossip merge-order checker (HAX111) ------------------------------
+# -- gossip merge order (HAX004) -------------------------------------
 
 
 def test_merge_order_rule(tmp_path):
+    """A gossip ``merge`` driven by hash or completion order is a
+    HAX004 site at its loop (and a HAX102 source under a sink); a
+    ``sorted`` loop is not."""
     root = make_pkg(
         tmp_path,
         {
             "gossip.py": """
-            def bad(states, deltas):
+            from concurrent.futures import as_completed
+
+            def set_loop(states, deltas):
                 live = set(states)
                 for s in live:
                     s.merge(deltas)
 
-            def good(states, deltas):
+            def set_comprehension(states, deltas):
+                return [s.merge(deltas) for s in set(states)]
+
+            def completion_order(fs, d):
+                for st in as_completed(fs):
+                    st.merge(d)
+
+            def index_order(states, deltas):
                 for s in sorted(states):
                     s.merge(deltas)
+
+            def publish(fs, d):  # hax: sink
+                completion_order(fs, d)
             """,
         },
     )
-    pkg = flow.load_package(root)
-    graph = flow.build_call_graph(pkg)
-    findings = flow.run_protocol(graph)
-    assert [(f.rule, f.qualname) for f in findings] == [
-        ("HAX111", "pkgx.gossip.bad")
+    findings = analyze(root).findings
+    assert [(f.rule, f.key[1]) for f in findings] == [
+        ("HAX004", "pkgx.gossip.completion_order"),
+        ("HAX004", "pkgx.gossip.set_comprehension"),
+        ("HAX004", "pkgx.gossip.set_loop"),
+        ("HAX102", "pkgx.gossip.publish"),
     ]
+    assert "for loop iterates as_completed() in completion order" in (
+        findings[0].message
+    )
 
 
 # -- baseline round-trip ----------------------------------------------

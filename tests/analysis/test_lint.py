@@ -250,6 +250,21 @@ class TestHAX004SetIteration:
         )
         assert lint_source(tmp_path, source, DRIVER) == []
 
+    def test_unsorted_directory_listing(self, tmp_path):
+        source = (
+            "import os\n"
+            "from pathlib import Path\n"
+            "a = os.listdir('.')\n"
+            "b = [p for p in Path('.').iterdir()]\n"
+            "c = sorted(os.listdir('.'))\n"
+            "d = sorted(Path('.').glob('*'))\n"
+        )
+        findings = lint_source(tmp_path, source, DRIVER)
+        assert [f.key[2] for f in findings] == [
+            ".iterdir() enumerates in OS order",
+            "os.listdir() enumerates in OS order",
+        ]
+
 
 class TestHAX005Sleep:
     def test_sleep_in_virtual_time_code(self, tmp_path):

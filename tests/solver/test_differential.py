@@ -1,8 +1,8 @@
-"""Differential tests: four solvers, one optimum.
+"""Differential tests: three solvers, one optimum.
 
-Every solver in the package -- exhaustive enumeration, branch and
-bound, the ``Optimizer`` SMT facade, and the anytime solver --
-must report the same optimal objective on the same instance, across a
+Every solver in the package -- exhaustive enumeration (the independent
+reference), branch and bound, and the anytime solver -- must report
+the same optimal objective on the same instance, across a
 seeded batch of >= 50 random problems and on real scheduling
 workloads.  Incumbent sequences must be monotonically improving and
 feasible throughout.
@@ -27,24 +27,8 @@ from repro.solver.random_instances import (
     random_problem,
     random_schedule_problem,
 )
-from repro.solver.smt import Optimizer, Unsatisfiable
 
 SEEDS = range(60)
-
-
-def optimizer_result(problem: Problem) -> float | None:
-    """Solve via the SMT facade; None when unsatisfiable."""
-    opt = Optimizer()
-    for v in problem.variables:
-        opt.enum_var(v.name, v.domain)
-    for c in problem.constraints:
-        opt.add(c)
-    opt.minimize(problem.objective, lower_bound=problem.lower_bound)
-    try:
-        model = opt.check()
-    except Unsatisfiable:
-        return None
-    return problem.evaluate(model)
 
 
 def assert_monotone_feasible(problem: Problem, incumbents) -> None:
@@ -77,15 +61,12 @@ def test_random_instance_agreement(seed):
     assert portfolio.optimal
     assert_monotone_feasible(problem, portfolio.incumbents)
 
-    smt = optimizer_result(problem)
-
     for label, got in (
         ("bnb", bnb.best.objective if bnb.best else None),
         (
             "portfolio",
             portfolio.best.objective if portfolio.best else None,
         ),
-        ("smt", smt),
     ):
         if expected is None:
             assert got is None, f"{label} found a solution on an " \
@@ -136,14 +117,11 @@ def test_real_workload_agreement(xavier, xavier_db, models):
             workload, formulation, problem
         ),
     )
-    smt = optimizer_result(problem)
-
     assert bnb.optimal and portfolio.optimal
     assert bnb.best.objective == pytest.approx(reference.best.objective)
     assert portfolio.best.objective == pytest.approx(
         reference.best.objective
     )
-    assert smt == pytest.approx(reference.best.objective)
     assert_monotone_feasible(problem, portfolio.incumbents)
 
 
@@ -163,15 +141,12 @@ def test_schedule_instance_agreement(seed):
     portfolio = PortfolioSolver(clock="nodes").solve(problem)
     assert portfolio.optimal
 
-    smt = optimizer_result(problem)
-
     for label, got in (
         ("bnb", bnb.best.objective if bnb.best else None),
         (
             "portfolio",
             portfolio.best.objective if portfolio.best else None,
         ),
-        ("smt", smt),
     ):
         if expected is None:
             assert got is None, label
@@ -237,4 +212,3 @@ def test_all_infeasible_instance_agreement():
     assert portfolio.best is None and portfolio.optimal
     with pytest.raises(Infeasible):
         _ = portfolio.assignment
-    assert optimizer_result(blocked) is None

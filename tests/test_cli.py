@@ -209,6 +209,10 @@ class TestCommands:
                 ["googlenet", "--max-transitions", "-1"],
                 "--max-transitions must be >= 0",
             ),
+            (
+                ["googlenet", "--max-queue-depth", "0"],
+                "--max-queue-depth must be >= 1",
+            ),
         ],
         ids=[
             "rate-not-a-number",
@@ -221,6 +225,7 @@ class TestCommands:
             "shards-zero",
             "sync-rounds-zero",
             "max-transitions-negative",
+            "max-queue-depth-zero",
         ],
     )
     def test_serve_malformed_input_is_a_typed_error(
@@ -289,6 +294,25 @@ class TestCommands:
         assert cli.main(["store", "stats", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: solve store {path} line 1")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["store", "stats"],
+            ["store", "gc"],
+            ["serve", "googlenet", "--horizon", "0.05", "--store"],
+        ],
+        ids=["store-stats", "store-gc", "serve"],
+    )
+    def test_store_path_that_is_a_directory_is_a_typed_error(
+        self, capsys, tmp_path, argv
+    ):
+        """A store path that cannot be read prints ``error: PATH:
+        REASON`` and exits 2 instead of an ``IsADirectoryError``."""
+        assert cli.main([*argv, str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {tmp_path}: ")
         assert captured.out == ""
 
     @pytest.mark.parametrize(
