@@ -97,7 +97,6 @@ def _fresh(formulation: Formulation) -> Formulation:
         include_transitions=formulation.include_transitions,
         resource_constrained=formulation.resource_constrained,
         pipeline=formulation.pipeline,
-        epsilon_makespan_frac=formulation.epsilon_makespan_frac,
         accel_power_w=formulation.accel_power_w,
     )
 

@@ -237,10 +237,6 @@ class Summary:
 
     witnesses: dict[str, Witness] = field(default_factory=dict)
 
-    @property
-    def effects(self) -> tuple[str, ...]:
-        return tuple(e for e in EFFECTS if e in self.witnesses)
-
 
 class _SetScope:
     """Set-typed variable inference for one scope: literals,

@@ -24,8 +24,8 @@ Every failed check yields a structured
 :class:`~repro.analysis.diagnostics.Certificate` exposes the minimal
 failing-constraint core.  ``verify_assignment`` / ``verify_solve``
 provide the same service for generic solver
-:class:`~repro.solver.problem.Problem` s, which is what the solvers'
-``verify=True`` debug mode calls.
+:class:`~repro.solver.problem.Problem` s, which is what the fuzz
+oracle and ``haxconn verify --random`` call.
 """
 
 from __future__ import annotations
@@ -457,7 +457,6 @@ def verify_schedule(
     max_transitions: int | None = None,
     rel_tol: float = DEFAULT_REL_TOL,
     slowdown_tol: float = DEFAULT_SLOWDOWN_TOL,
-    check_items: bool = True,
 ) -> Certificate:
     """Check a schedule against every Eq. 1-11 constraint.
 
@@ -534,11 +533,7 @@ def verify_schedule(
                 )
             )
 
-    if (
-        check_items
-        and isinstance(claimed, EvaluationResult)
-        and claimed.items
-    ):
+    if isinstance(claimed, EvaluationResult) and claimed.items:
         item_cert = verify_items(
             formulation,
             schedule,

@@ -13,36 +13,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.contention.base import ContentionModel
+from repro.soc.engine import max_min_allocate
 from repro.soc.platform import Platform
-
-
-def max_min_allocate(
-    demands: Sequence[float], capacity: float
-) -> list[float]:
-    """Demand-capped max-min fair allocation (same as the engine's)."""
-    alloc = [0.0] * len(demands)
-    pending = {i: d for i, d in enumerate(demands) if d > 0}
-    remaining = capacity
-    while pending and remaining > 1e-12:
-        share = remaining / len(pending)
-        satisfied = [i for i, d in pending.items() if d <= share + 1e-12]
-        if satisfied:
-            for i in satisfied:
-                alloc[i] = pending.pop(i)
-                remaining -= alloc[i]
-        else:
-            for i in pending:
-                alloc[i] = share
-            pending.clear()
-            remaining = 0.0
-    return alloc
-
-
-def max_min_share(
-    own: float, others: Sequence[float], capacity: float
-) -> float:
-    """Bandwidth allocated to ``own`` under demand-capped max-min."""
-    return max_min_allocate([own, *others], capacity)[0]
 
 
 class AnalyticShareModel(ContentionModel):
@@ -56,11 +28,14 @@ class AnalyticShareModel(ContentionModel):
         if own_bw <= 0 or not externals:
             return 1.0
         capacity = self.platform.emc_capacity(1 + len(externals))
-        alloc = max_min_allocate([own_bw, *externals], capacity)
+        alloc = max_min_allocate(
+            dict(enumerate([own_bw, *externals])), capacity
+        )
         own_alloc = alloc[0]
         if own_alloc <= 0:
             return float("inf")
-        others = sum(alloc[1:])
+        # insertion order: the externals sum in list order
+        others = sum(list(alloc.values())[1:])
         coeff = self.platform.interference_coeff
         achieved = own_alloc * (1.0 - coeff * others / capacity)
         if achieved <= 0:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from repro.core.baselines import gpu_only, naive_concurrent
 from repro.core.formulation import Formulation
-from repro.core.haxconn import HaXCoNN, ScheduleResult
+from repro.core.haxconn import FALLBACK_MARGIN, HaXCoNN, ScheduleResult
 from repro.core.schedule import Schedule
 from repro.core.workload import Workload
 from repro.soc.platform import Platform
@@ -139,14 +139,11 @@ class DHaXCoNN:
         scheduler: HaXCoNN,
         *,
         update_points: Sequence[float] = DEFAULT_UPDATE_POINTS,
-        solver_bw: float = 0.0,
     ) -> None:
         if any(t <= 0 for t in update_points):
             raise ValueError("update points must be positive")
         self.scheduler = scheduler
         self.update_points = tuple(sorted(update_points))
-        #: DRAM traffic of the co-running solver (Table 7 overhead)
-        self.solver_bw = solver_bw
 
     @property
     def platform(self) -> Platform:
@@ -154,15 +151,12 @@ class DHaXCoNN:
 
     # ------------------------------------------------------------------
     def _measure(self, result: ScheduleResult) -> float:
-        """Ground-truth per-round latency in ms (solver co-running)."""
+        """Ground-truth per-round latency in ms."""
         # imported here: repro.runtime depends on repro.core, so a
         # module-level import would be circular
         from repro.runtime.executor import run_schedule
 
-        execution = run_schedule(
-            result, self.platform, background_bw=self.solver_bw
-        )
-        return execution.latency_ms
+        return run_schedule(result, self.platform).latency_ms
 
     def _best_naive(
         self, workload: Workload, formulation: Formulation
@@ -170,8 +164,8 @@ class DHaXCoNN:
         """Best naive start, compared under the *contention-aware*
         formulation so its objective is commensurable with solver
         incumbents (the baselines' own predictions are contention-free
-        and would not be).  The scheduler's ``fallback_margin`` guards
-        the choice: concurrency must be predicted to win by more than
+        and would not be).  :data:`FALLBACK_MARGIN` guards the
+        choice: concurrency must be predicted to win by more than
         the model's error band, or the phase starts serialized --
         the same never-worse-than-naive guarantee the offline
         scheduler gives.  Herald/H2H are no starts (paper footnote 1:
@@ -207,7 +201,7 @@ class DHaXCoNN:
             )
         )
         threshold = serial.predicted.objective - (
-            scheduler.fallback_margin * abs(serial.predicted.objective)
+            FALLBACK_MARGIN * abs(serial.predicted.objective)
         )
         if concurrent.predicted.objective <= threshold:
             return concurrent

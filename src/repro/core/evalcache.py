@@ -58,6 +58,8 @@ AssignKey = tuple[tuple[str, ...], ...]
 #: memo payloads: ("ok", per_dnn, objective, makespan, energy, iters)
 #: or ("bad", message) for memoized ScheduleInfeasible
 MemoEntry = tuple[Any, ...]
+#: bound of each engine's evaluation memo (FIFO eviction)
+MEMO_CAPACITY = 16384
 #: bound of each engine's slowdown-structure cache (FIFO eviction)
 SLOWDOWN_CACHE_CAPACITY = 4096
 
@@ -312,12 +314,11 @@ class EvalEngine:
         formulation: "Formulation",
         *,
         counters: EvalCounters | None = None,
-        memo_capacity: int = 16384,
     ) -> None:
         self.f = formulation
         self.counters = counters if counters is not None else EvalCounters()
         self.tensor = ItemTensor(formulation)
-        self.memo = FIFOCache(memo_capacity)
+        self.memo = FIFOCache(MEMO_CAPACITY)
         self._s_cache = FIFOCache(SLOWDOWN_CACHE_CAPACITY)
         #: (own_bw, ext_bw, n_clients) -> slowdown (see _slowdown_cells)
         self._trip_cache: dict[tuple[float, float, int], float] = {}

@@ -115,13 +115,18 @@ class Formulation:
         Per-frame (upstream, downstream) stream dependencies (paper
         Scenario 3); honored by the resource-constrained timeline,
         invisible to the chain-sum one.
-    epsilon_makespan_frac:
-        Eq. 9's epsilon: the *total* time items of different streams
-        overlap on the same accelerator may not exceed this fraction
-        of the round makespan.  The paper keeps epsilon to "mitigate
-        the prediction errors and facilitate more transition points";
-        the runtime absorbs such overlaps with a short queueing delay.
     """
+
+    #: Eq. 9's epsilon: the *total* time items of different streams
+    #: overlap on the same accelerator may not exceed this fraction of
+    #: the round makespan.  The paper keeps epsilon to "mitigate the
+    #: prediction errors and facilitate more transition points"; the
+    #: runtime absorbs such overlaps with a short queueing delay.
+    epsilon_makespan_frac = 0.06
+    #: contention fixed point: at most this many damped rounds, stopped
+    #: once no slowdown moves by ``tolerance`` or more
+    max_iterations = 25
+    tolerance = 1e-4
 
     def __init__(
         self,
@@ -133,10 +138,7 @@ class Formulation:
         include_transitions: bool = True,
         resource_constrained: bool = True,
         pipeline: tuple[tuple[int, int], ...] = (),
-        epsilon_makespan_frac: float = 0.06,
         accel_power_w: Mapping[str, float] | None = None,
-        max_iterations: int = 25,
-        tolerance: float = 1e-4,
         eval_counters: "EvalCounters | None" = None,
     ) -> None:
         if len(profiles) != len(repeats):
@@ -145,8 +147,6 @@ class Formulation:
             raise ValueError(f"unknown objective {objective!r}")
         if objective == "energy" and not accel_power_w:
             raise ValueError("energy objective needs accel_power_w")
-        if not 0 <= epsilon_makespan_frac < 1:
-            raise ValueError("epsilon_makespan_frac must be in [0, 1)")
         self.profiles = tuple(profiles)
         self.repeats = tuple(repeats)
         self.objective = objective
@@ -154,10 +154,7 @@ class Formulation:
         self.include_transitions = include_transitions
         self.resource_constrained = resource_constrained
         self.pipeline = tuple(pipeline)
-        self.epsilon_makespan_frac = epsilon_makespan_frac
         self.accel_power_w = dict(accel_power_w or {})
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
         # accelerator-id table, frozen at construction: the sorted
         # union over every group's supported DSAs.  Any assignment's
         # accelerators are a subset, and a sorted subset induces the

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -27,13 +27,19 @@ from repro.core.schedule import DNNSchedule, Schedule
 from repro.core.workload import Workload
 from repro.profiling.database import ProfileDB
 from repro.profiling.profiler import DNNProfile, concat_profiles
-from repro.solver.bnb import BranchAndBound, Incumbent, SolveResult
+from repro.solver.bnb import BranchAndBound, SolveResult
 from repro.solver.portfolio import PortfolioSolver
 from repro.solver.problem import Assignment, Infeasible, Problem, Variable
 from repro.soc.platform import Platform, get_platform
 
 if TYPE_CHECKING:
     from repro.runtime.executor import ExecutionResult
+
+#: a concurrent schedule is adopted only when predicted to beat the
+#: serialized GPU-only fallback by this fraction of its objective: the
+#: cost model carries a few percent of error against the runtime, and
+#: the paper's guarantee is "never worse than the naive baselines"
+FALLBACK_MARGIN = 0.02
 
 
 def stream_profiles(
@@ -151,10 +157,8 @@ class HaXCoNN:
         contention_model: ContentionModel | None = None,
         max_transitions: int = 2,
         max_groups: int | None = 12,
-        epsilon_makespan_frac: float = 0.06,
         include_transitions: bool = True,
         resource_constrained: bool = True,
-        fallback_margin: float = 0.02,
         node_budget: int | None = None,
         solver: str = "bnb",
         solver_workers: int | None = None,
@@ -169,12 +173,8 @@ class HaXCoNN:
         self._contention_model = contention_model
         self.max_transitions = max_transitions
         self.max_groups = max_groups
-        self.epsilon_makespan_frac = epsilon_makespan_frac
         self.include_transitions = include_transitions
         self.resource_constrained = resource_constrained
-        if not 0 <= fallback_margin < 1:
-            raise ValueError("fallback_margin must be in [0, 1)")
-        self.fallback_margin = fallback_margin
         self.node_budget = node_budget
         if solver not in ("bnb", "portfolio"):
             raise ValueError(
@@ -219,7 +219,6 @@ class HaXCoNN:
             include_transitions=self.include_transitions,
             resource_constrained=self.resource_constrained,
             pipeline=workload.pipeline,
-            epsilon_makespan_frac=self.epsilon_makespan_frac,
             accel_power_w={
                 a.name: a.active_power_w
                 for a in self.platform.accelerators
@@ -653,14 +652,12 @@ class HaXCoNN:
         self,
         workload: Workload,
         *,
-        on_incumbent: Callable[[Incumbent], None] | None = None,
         initial: Sequence[Sequence[str]] | None = None,
         warm_starts: Sequence[
             tuple[str, Sequence[Sequence[str]]]
         ] = (),
         serial_fallback: bool = True,
         scheduler_name: str = "haxconn",
-        verify: bool | None = None,
     ) -> ScheduleResult:
         """Find the optimal schedule for ``workload``.
 
@@ -675,9 +672,9 @@ class HaXCoNN:
         Herald/H2H reimplementations disable this, as those
         schedulers always co-locate.
 
-        ``verify`` (default: the constructor's ``verify`` flag) runs
-        the returned schedule through the independent certificate
-        checker (:mod:`repro.analysis.verify`) and raises
+        With the constructor's ``verify`` flag the returned schedule
+        goes through the independent certificate checker
+        (:mod:`repro.analysis.verify`), which raises
         :class:`repro.analysis.CertificateError` if any Eq. 1-11
         constraint or the claimed objective fails to re-derive.
         """
@@ -691,9 +688,7 @@ class HaXCoNN:
             )
         if self.solver == "portfolio":
             portfolio = PortfolioSolver(
-                node_budget=self.node_budget,
-                on_incumbent=on_incumbent,
-                clock=self.solver_clock,
+                node_budget=self.node_budget, clock=self.solver_clock
             )
             seeds = self.contention_oblivious_seeds(
                 workload, formulation, problem
@@ -713,9 +708,7 @@ class HaXCoNN:
                 )
             result = portfolio.solve(problem, initial=seed, seeds=seeds)
         else:
-            solver = BranchAndBound(
-                node_budget=self.node_budget, on_incumbent=on_incumbent
-            )
+            solver = BranchAndBound(node_budget=self.node_budget)
             result = solver.solve(problem, initial=seed)
 
         serial_schedule = serial_predicted = None
@@ -730,16 +723,11 @@ class HaXCoNN:
                 for n in range(len(workload))
             ]
             predicted = formulation.evaluate(assignments)
-            # require the concurrent optimum to beat the serialized
-            # GPU-only fallback by a small margin: the cost model
-            # carries a few percent of error against the runtime, and
-            # the paper's guarantee is "never worse than the naive
-            # baselines"
             threshold = (
                 None
                 if serial_predicted is None
                 else serial_predicted.objective
-                - self.fallback_margin * abs(serial_predicted.objective)
+                - FALLBACK_MARGIN * abs(serial_predicted.objective)
             )
             if threshold is None or predicted.objective <= threshold:
                 schedule = Schedule(
@@ -762,8 +750,7 @@ class HaXCoNN:
                         predicted=predicted,
                         solver=result,
                         formulation=formulation,
-                    ),
-                    verify,
+                    )
                 )
 
         if serial_schedule is None or serial_predicted is None:
@@ -777,14 +764,11 @@ class HaXCoNN:
                 predicted=serial_predicted,
                 solver=result,
                 formulation=formulation,
-            ),
-            verify,
+            )
         )
 
-    def _maybe_verify(
-        self, result: ScheduleResult, verify: bool | None
-    ) -> ScheduleResult:
-        if self.verify if verify is None else verify:
+    def _maybe_verify(self, result: ScheduleResult) -> ScheduleResult:
+        if self.verify:
             # deferred import: repro.analysis depends on this module's
             # package at runtime (schedule_cache signatures)
             from repro.analysis.diagnostics import require

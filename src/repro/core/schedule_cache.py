@@ -18,7 +18,8 @@ import hashlib
 import json
 from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
-from repro.core.haxconn import HaXCoNN, ScheduleResult
+from repro.core.formulation import Formulation
+from repro.core.haxconn import FALLBACK_MARGIN, HaXCoNN, ScheduleResult
 from repro.core.schedule import DNNSchedule, Schedule
 from repro.core.workload import Workload
 
@@ -39,8 +40,8 @@ def workload_signature(workload: Workload, scheduler: HaXCoNN) -> str:
         str(scheduler.max_transitions),
         str(scheduler.include_transitions),
         str(scheduler.resource_constrained),
-        f"{scheduler.fallback_margin:g}",
-        f"{scheduler.epsilon_makespan_frac:g}",
+        f"{FALLBACK_MARGIN:g}",
+        f"{Formulation.epsilon_makespan_frac:g}",
         type(scheduler.contention_model).__name__,
         workload.objective,
         ";".join(
@@ -243,23 +244,6 @@ class ScheduleCache:
             if sig not in self._store:
                 self._store[sig] = schedule_from_payload(payload)
                 self._from_store.add(sig)
-
-    def stats(self) -> dict[str, float]:
-        """Traffic counters plus the scheduler's evaluation-engine
-        counters, one flat dict for serving/experiment summaries."""
-        # deferred: repro.runtime pulls in the simulator stack
-        from repro.runtime.metrics import hit_rate
-
-        out: dict[str, float] = {
-            "size": float(len(self._store)),
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "hit_rate": hit_rate(self.hits, self.misses),
-            "store_hits": float(self.store_hits),
-        }
-        for key, value in self.scheduler.eval_counters.as_dict().items():
-            out[f"eval_{key}"] = value
-        return out
 
     @staticmethod
     def _fragment_sha(assignment: tuple[str, ...]) -> str:

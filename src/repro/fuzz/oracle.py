@@ -138,11 +138,7 @@ def _identical(a: EvaluationResult, b: EvaluationResult) -> list[str]:
     return diffs
 
 
-def run_oracles(
-    spec: ScenarioSpec,
-    *,
-    exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
-) -> OracleOutcome:
+def run_oracles(spec: ScenarioSpec) -> OracleOutcome:
     """Run the full oracle stack on one scenario."""
     checks: list[str] = []
     discrepancies: list[Discrepancy] = []
@@ -191,7 +187,7 @@ def run_oracles(
     if not certificate.ok:
         flag("solver-certificate", certificate.describe())
 
-    if space <= exhaustive_cap:
+    if space <= DEFAULT_EXHAUSTIVE_CAP:
         checks.append("exhaustive-agreement")
         exhaustive = solve_exhaustive(problem)
         if (bnb.best is None) != (exhaustive.best is None):

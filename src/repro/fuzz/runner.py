@@ -23,11 +23,7 @@ from repro.fuzz.corpus import (
     entry_from_shrink,
     save_entry,
 )
-from repro.fuzz.oracle import (
-    DEFAULT_EXHAUSTIVE_CAP,
-    OracleOutcome,
-    run_oracles,
-)
+from repro.fuzz.oracle import OracleOutcome, run_oracles
 from repro.fuzz.shrink import DEFAULT_SHRINK_BUDGET, shrink
 from repro.fuzz.universe import ScenarioSpec, generate_scenario, platform_width
 
@@ -139,9 +135,7 @@ def run_campaign(
     *,
     budget: int | None = None,
     shrink_failures: bool = True,
-    shrink_budget: int = DEFAULT_SHRINK_BUDGET,
     corpus_dir: str | Path | None = None,
-    exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
 ) -> CampaignReport:
     """Run the oracle stack over ``seeds``.
 
@@ -160,7 +154,7 @@ def run_campaign(
             truncated_at = seed
             break
         spec: ScenarioSpec = generate_scenario(seed)
-        outcome = run_oracles(spec, exhaustive_cap=exhaustive_cap)
+        outcome = run_oracles(spec)
         calls += 1
         results.append(SeedReport.from_outcome(outcome))
         if outcome.ok:
@@ -168,9 +162,9 @@ def run_campaign(
 
         if shrink_failures:
             remaining = (
-                shrink_budget
+                DEFAULT_SHRINK_BUDGET
                 if budget is None
-                else max(1, min(shrink_budget, budget - calls))
+                else max(1, min(DEFAULT_SHRINK_BUDGET, budget - calls))
             )
             reduced = shrink(spec, outcome, budget=remaining)
             calls += reduced.oracle_calls

@@ -33,19 +33,6 @@ def speedup(baseline: float, improved: float) -> float:
     return baseline / improved
 
 
-def hit_rate(hits: int, misses: int) -> float:
-    """Cache hit fraction; 0.0 before any lookup happened.
-
-    Shared by every cache the stack reports on (schedule cache,
-    evaluation memo, slowdown cells) so summaries agree on the
-    no-traffic convention.
-    """
-    if hits < 0 or misses < 0:
-        raise ValueError("hits and misses must be >= 0")
-    lookups = hits + misses
-    return hits / lookups if lookups else 0.0
-
-
 # -- sample aggregation -----------------------------------------------
 
 

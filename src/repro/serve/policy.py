@@ -184,9 +184,9 @@ class DynamicThrottlePolicy(StaticPolicy):
     aggressiveness is its time-weighted mean requested memory
     bandwidth on the GPU (from the profile database), the PCCS
     surface predicts the worst per-tenant slowdown of the proposed
-    mix, and while that prediction exceeds ``target_slowdown`` the
+    mix, and while that prediction exceeds :attr:`TARGET_SLOWDOWN` the
     most aggressive of the lowest-priority tenants is deferred to a
-    later round.  A tenant deferred ``cooldown_rounds`` consecutive
+    later round.  A tenant deferred :attr:`COOLDOWN_ROUNDS` consecutive
     rounds becomes immune until it is dispatched again, so nothing
     starves.  Scheduling itself stays naive (fixed GPU & DSA mapping)
     -- the throttle, not the plan, is the contribution under test.
@@ -196,23 +196,22 @@ class DynamicThrottlePolicy(StaticPolicy):
     measured samples.
     """
 
+    #: worst predicted per-tenant slowdown a dispatched mix may reach
+    TARGET_SLOWDOWN = 1.25
+    #: consecutive deferrals after which a tenant is immune
+    COOLDOWN_ROUNDS = 3
+
     def __init__(
         self,
         platform: Platform | str,
         *,
         db: ProfileDB | None = None,
         max_groups: int | None = 12,
-        target_slowdown: float = 1.25,
-        cooldown_rounds: int = 3,
         max_queue_depth: int | None = None,
     ) -> None:
         plat = (
             get_platform(platform) if isinstance(platform, str) else platform
         )
-        if target_slowdown <= 1.0:
-            raise ValueError("target_slowdown must be > 1")
-        if cooldown_rounds < 1:
-            raise ValueError("cooldown_rounds must be >= 1")
         self._db = db if db is not None else ProfileDB(plat)
         super().__init__(
             "moca-throttle",
@@ -223,8 +222,6 @@ class DynamicThrottlePolicy(StaticPolicy):
         )
         self._platform = plat
         self._max_groups = max_groups
-        self.target_slowdown = target_slowdown
-        self.cooldown_rounds = cooldown_rounds
         #: tenant -> consecutive rounds it has been deferred
         self._deferred_rounds: dict[str, int] = {}
         self._bw_cache: dict[tuple[str, ...], float] = {}
@@ -281,14 +278,14 @@ class DynamicThrottlePolicy(StaticPolicy):
                 )
                 for c in kept
             )
-            if worst <= self.target_slowdown:
+            if worst <= self.TARGET_SLOWDOWN:
                 break
             # cooled-down tenants are immune until dispatched again
             victims = [
                 c
                 for c in kept
                 if self._deferred_rounds.get(c.tenant, 0)
-                < self.cooldown_rounds
+                < self.COOLDOWN_ROUNDS
             ]
             if not victims:
                 break

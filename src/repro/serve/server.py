@@ -171,7 +171,6 @@ class Server:
         *,
         horizon_s: float,
         max_requests: int = 10_000,
-        max_rounds: int | None = None,
     ) -> FleetReport:
         """Serve every request arriving within ``horizon_s``.
 
@@ -181,14 +180,7 @@ class Server:
         session = self.session(
             horizon_s=horizon_s, max_requests=max_requests
         )
-        if max_rounds is None:
-            session.run_rounds()
-        else:
-            while not session.finished:
-                remaining = max_rounds - len(session.rounds)
-                if remaining <= 0:
-                    break
-                session.run_rounds(remaining)
+        session.run_rounds()
         return session.report()
 
 
@@ -263,11 +255,6 @@ class ServingSession:
     def finished(self) -> bool:
         """Every generated request has been served or shed."""
         return self._finished
-
-    @property
-    def now_s(self) -> float:
-        """The session's virtual clock."""
-        return self._now
 
     def run_rounds(self, limit: int | None = None) -> int:
         """Advance the loop by up to ``limit`` dispatched rounds
@@ -446,26 +433,3 @@ class ServingSession:
                 else None
             ),
         )
-
-
-def serve(
-    platform: Platform | str,
-    tenants: Sequence[Tenant],
-    policy: ServingPolicy,
-    *,
-    horizon_s: float,
-    max_batch: int = 1,
-    max_requests: int = 10_000,
-    admission: AdmissionConfig | None = None,
-    batching: str = "tenant",
-) -> FleetReport:
-    """One-call convenience wrapper around :class:`Server`."""
-    server = Server(
-        platform,
-        tenants,
-        policy,
-        max_batch=max_batch,
-        admission=admission,
-        batching=batching,
-    )
-    return server.run(horizon_s=horizon_s, max_requests=max_requests)

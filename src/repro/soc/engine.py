@@ -29,13 +29,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence, TypeVar
 
 from repro.soc.platform import Platform
 from repro.soc.timeline import ContentionInterval, TaskRecord, Timeline
 
 #: relative slack when comparing simulated times
 _EPS = 1e-12
+#: client key of :func:`max_min_allocate`
+K = TypeVar("K", bound=Hashable)
 
 
 class DeadlockError(RuntimeError):
@@ -112,9 +114,9 @@ class _Running:
         return r
 
 
-def _max_min_allocate(
-    demands: Mapping[str, float], capacity: float
-) -> dict[str, float]:
+def max_min_allocate(
+    demands: Mapping[K, float], capacity: float
+) -> dict[K, float]:
     """Demand-capped max-min fair division of EMC bandwidth.
 
     Clients demanding less than an equal share keep their demand; the
@@ -260,7 +262,7 @@ class Engine:
             }
             capacity = self.platform.emc_capacity(len(running))
             capacity = max(capacity - self.background_bw, 0.05 * capacity)
-            alloc = _max_min_allocate(demands, capacity)
+            alloc = max_min_allocate(demands, capacity)
             # sub-saturation interference: a client's achieved bandwidth
             # degrades with the traffic the *other* clients generate
             # (bank conflicts / row-buffer misses), even when its

@@ -91,16 +91,12 @@ class BranchAndBound:
         problem: Problem,
         *,
         initial: Assignment | None = None,
-        verify: bool = False,
     ) -> SolveResult:
         """Minimize ``problem``; optionally seed with a known solution.
 
         The seed (D-HaX-CoNN's "initial best naive schedule") is
         evaluated first so pruning starts immediately and the solver
-        can never return anything worse.  ``verify=True`` audits the
-        result (best answer, every incumbent, monotonicity) through
-        the independent certificate checker and raises
-        :class:`repro.analysis.CertificateError` on any violation.
+        can never return anything worse.
         """
         start = monotonic_s()
         state = _SearchState(problem, self, start)
@@ -112,20 +108,13 @@ class BranchAndBound:
             else:
                 state.record(dict(initial), obj)
         exhausted = state.dfs({}, 0)
-        result = SolveResult(
+        return SolveResult(
             best=state.best,
             optimal=exhausted,
             nodes_explored=state.nodes,
             wall_time_s=monotonic_s() - start,
             incumbents=state.incumbents,
         )
-        if verify:
-            # deferred: repro.analysis imports the solver package
-            from repro.analysis.diagnostics import require
-            from repro.analysis.verify import verify_solve
-
-            require(verify_solve(problem, result), "BranchAndBound.solve")
-        return result
 
 
 class _SearchState:

@@ -12,15 +12,8 @@ from repro.solver.bnb import Incumbent, SolveResult
 from repro.solver.problem import Infeasible, Problem
 
 
-def solve_exhaustive(
-    problem: Problem, *, verify: bool = False
-) -> SolveResult:
-    """Evaluate every assignment; return the certified optimum.
-
-    ``verify=True`` re-checks the returned optimum through the
-    independent certificate checker (:mod:`repro.analysis.verify`)
-    and raises :class:`repro.analysis.CertificateError` on mismatch.
-    """
+def solve_exhaustive(problem: Problem) -> SolveResult:
+    """Evaluate every assignment; return the certified optimum."""
     best: Incumbent | None = None
     nodes = 0
     names = [v.name for v in problem.variables]
@@ -40,17 +33,10 @@ def solve_exhaustive(
                 wall_time_s=0.0,
                 nodes_explored=nodes,
             )
-    result = SolveResult(
+    return SolveResult(
         best=best,
         optimal=True,
         nodes_explored=nodes,
         wall_time_s=0.0,
         incumbents=[best] if best else [],
     )
-    if verify:
-        # deferred: repro.analysis imports the solver package
-        from repro.analysis.diagnostics import require
-        from repro.analysis.verify import verify_solve
-
-        require(verify_solve(problem, result), "solve_exhaustive")
-    return result

@@ -27,7 +27,7 @@ benchmark harness still import the solver under it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.solver.bnb import BranchAndBound, Incumbent, SolveResult
 from repro.solver.clock import monotonic_s
@@ -58,9 +58,6 @@ class PortfolioSolver:
     node_budget:
         Explored-node budget of the search (deterministic truncation;
         root evaluations do not count against it).
-    on_incumbent:
-        Called with each improved :class:`Incumbent`, root ones
-        included, as soon as it is found.
     clock:
         Timestamp mode for reported incumbents *and* the result's
         total ``wall_time_s``: ``wall`` uses real elapsed seconds
@@ -75,7 +72,6 @@ class PortfolioSolver:
         self,
         *,
         node_budget: int | None = None,
-        on_incumbent: Callable[[Incumbent], None] | None = None,
         clock: str = "wall",
     ) -> None:
         if node_budget is not None and node_budget <= 0:
@@ -83,7 +79,6 @@ class PortfolioSolver:
         if clock not in ("wall", "nodes"):
             raise ValueError(f"unknown clock {clock!r}")
         self.node_budget = node_budget
-        self.on_incumbent = on_incumbent
         self.clock = clock
 
     # ------------------------------------------------------------------
@@ -102,16 +97,12 @@ class PortfolioSolver:
         *,
         initial: Assignment | None = None,
         seeds: Sequence[Assignment | tuple[str, Assignment]] = (),
-        verify: bool = False,
     ) -> PortfolioResult:
         """Minimize ``problem`` from the best warm start.
 
         ``seeds`` are warm-start assignments, optionally labeled for
         provenance (``(label, assignment)``); invalid or infeasible
-        seeds are skipped.  ``verify=True`` audits the result -- every
-        incumbent, strict improvement, monotone progress counters --
-        through the independent certificate checker and raises
-        :class:`repro.analysis.CertificateError` on any violation.
+        seeds are skipped.
         """
         start = monotonic_s()
         incumbents: list[Incumbent] = []
@@ -130,15 +121,14 @@ class PortfolioSolver:
             if incumbents and objective >= incumbents[-1].objective:
                 return
             last_ts = max(last_ts, timestamp())
-            inc = Incumbent(
-                assignment=dict(assignment),
-                objective=objective,
-                wall_time_s=last_ts,
-                nodes_explored=root_nodes + search_nodes,
+            incumbents.append(
+                Incumbent(
+                    assignment=dict(assignment),
+                    objective=objective,
+                    wall_time_s=last_ts,
+                    nodes_explored=root_nodes + search_nodes,
+                )
             )
-            incumbents.append(inc)
-            if self.on_incumbent is not None:
-                self.on_incumbent(inc)
 
         # -- root: warm starts and greedy improvement ------------------
         labeled: list[tuple[str, Assignment]] = []
@@ -189,7 +179,7 @@ class PortfolioSolver:
             initial=dict(incumbents[-1].assignment) if incumbents else None,
         )
         search_nodes = result.nodes_explored
-        merged = PortfolioResult(
+        return PortfolioResult(
             best=incumbents[-1] if incumbents else None,
             optimal=result.optimal,
             nodes_explored=root_nodes + search_nodes,
@@ -197,13 +187,6 @@ class PortfolioSolver:
             incumbents=incumbents,
             warm_starts=tuple(warm_log),
         )
-        if verify:
-            # deferred: repro.analysis imports the solver package
-            from repro.analysis.diagnostics import require
-            from repro.analysis.verify import verify_solve
-
-            require(verify_solve(problem, merged), "PortfolioSolver.solve")
-        return merged
 
 
 def _greedy_improvements(

@@ -3,8 +3,7 @@
 The differential tests prove the solvers agree with each other; these
 prove they agree with the independent certificate checker -- sixty
 seeded random instances through every generic solver, plus real
-scheduling workloads end to end through ``HaXCoNN.schedule`` with
-``verify=True``.
+scheduling workloads end to end through ``HaXCoNN(verify=True)``.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ from repro.analysis.verify import (
     verify_result,
     verify_solve,
 )
+from repro.core import haxconn
 from repro.core.haxconn import HaXCoNN
 from repro.core.workload import Workload, WorkloadDNN
 from repro.solver import (
@@ -33,12 +33,9 @@ SEEDS = range(60)
 def test_random_instance_certificates(seed):
     """Exhaustive, BnB, and anytime-solver outputs all certify clean."""
     problem = random_problem(seed)
-
-    # verify=True is the solvers' debug mode: it raises on a bad
-    # certificate, so plain completion is already the assertion
-    exhaustive = solve_exhaustive(problem, verify=True)
-    bnb = BranchAndBound().solve(problem, verify=True)
-    portfolio = PortfolioSolver(clock="nodes").solve(problem, verify=True)
+    exhaustive = solve_exhaustive(problem)
+    bnb = BranchAndBound().solve(problem)
+    portfolio = PortfolioSolver(clock="nodes").solve(problem)
 
     for result in (exhaustive, bnb, portfolio):
         cert = verify_solve(problem, result)
@@ -84,14 +81,12 @@ def test_schedule_certificates(xavier, xavier_db, models):
     ).ok
 
 
-def test_serialized_fallback_certificate(xavier, xavier_db):
+def test_serialized_fallback_certificate(xavier, xavier_db, monkeypatch):
     """A forced GPU-only fallback schedule also certifies clean."""
+    # concurrency can never win by 99%
+    monkeypatch.setattr(haxconn, "FALLBACK_MARGIN", 0.99)
     scheduler = HaXCoNN(
-        xavier,
-        db=xavier_db,
-        max_groups=3,
-        max_transitions=1,
-        fallback_margin=0.99,  # concurrency can never win by 99%
+        xavier, db=xavier_db, max_groups=3, max_transitions=1
     )
     result = scheduler.schedule(
         Workload.concurrent("alexnet", "googlenet")

@@ -4,25 +4,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.contention.analytic import (
-    AnalyticShareModel,
-    max_min_allocate,
-    max_min_share,
-)
+from repro.contention.analytic import AnalyticShareModel
+from repro.soc.engine import max_min_allocate
+
+
+def allocate(demands, capacity):
+    """The engine's allocator over a demand list, as a list."""
+    alloc = max_min_allocate(dict(enumerate(demands)), capacity)
+    return [alloc[i] for i in range(len(demands))]
 
 
 class TestMaxMinAllocate:
     def test_sum_bounded_by_capacity(self):
-        alloc = max_min_allocate([60.0, 80.0, 90.0], 100.0)
+        alloc = allocate([60.0, 80.0, 90.0], 100.0)
         assert sum(alloc) <= 100.0 + 1e-9
 
     def test_demand_capped(self):
-        alloc = max_min_allocate([10.0, 500.0], 100.0)
+        alloc = allocate([10.0, 500.0], 100.0)
         assert alloc[0] == pytest.approx(10.0)
         assert alloc[1] == pytest.approx(90.0)
 
     def test_equal_demands_split_equally(self):
-        alloc = max_min_allocate([80.0, 80.0], 100.0)
+        alloc = allocate([80.0, 80.0], 100.0)
         assert alloc[0] == pytest.approx(alloc[1])
 
     @given(
@@ -30,13 +33,13 @@ class TestMaxMinAllocate:
         capacity=st.floats(1.0, 300.0),
     )
     def test_properties(self, demands, capacity):
-        alloc = max_min_allocate(demands, capacity)
+        alloc = allocate(demands, capacity)
         assert sum(alloc) <= capacity + 1e-6
         for a, d in zip(alloc, demands):
             assert -1e-9 <= a <= d + 1e-6
 
     def test_share_helper(self):
-        assert max_min_share(50.0, [50.0], 200.0) == pytest.approx(50.0)
+        assert allocate([50.0, 50.0], 200.0)[0] == pytest.approx(50.0)
 
 
 class TestAnalyticShareModel:

@@ -78,21 +78,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             DHaXCoNN(scheduler, update_points=(0.0, 1.0))
 
-    def test_solver_bw_slows_execution(self, xavier, xavier_db):
-        scheduler = HaXCoNN(
-            xavier, db=xavier_db, max_groups=6, max_transitions=1
-        )
-        workload = Workload.concurrent(
-            "googlenet", "resnet18", objective="latency"
-        )
-        quiet = DHaXCoNN(scheduler).run_phase(workload, duration_s=0.5)
-        loaded = DHaXCoNN(
-            scheduler, solver_bw=0.2 * xavier.dram_bandwidth
-        ).run_phase(workload, duration_s=0.5)
-        assert (
-            loaded.oracle_latency_ms >= quiet.oracle_latency_ms - 1e-9
-        )
-
 
 class TestHostSpeed:
     """Swaps are planned in node-count phase time, so a host whose

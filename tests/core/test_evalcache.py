@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.contention.pccs import PCCSModel
+from repro.core import evalcache
 from repro.core.evalcache import EvalEngine
 from repro.core.formulation import Formulation, ScheduleInfeasible
 from repro.dnn.graph import DNNGraph
@@ -138,7 +139,6 @@ def clone(form: Formulation) -> Formulation:
         include_transitions=form.include_transitions,
         resource_constrained=form.resource_constrained,
         pipeline=form.pipeline,
-        epsilon_makespan_frac=form.epsilon_makespan_frac,
         accel_power_w=form.accel_power_w,
     )
 
@@ -251,14 +251,15 @@ def test_engine_matches_scratch_bitwise(seed):
 
 
 @pytest.mark.parametrize("seed", (0, 3, 8, 11, 17, 23, 31, 42))
-def test_memo_eviction_preserves_identity(seed):
+def test_memo_eviction_preserves_identity(seed, monkeypatch):
     """A capacity-2 memo under a long distinct sequence evicts
     constantly; results must stay bit-identical and the table bounded."""
     form, rng = random_formulation(seed)
     sequence = random_sequence(form, rng, length=12)
     ref = outcomes(clone(form).evaluate_scratch, sequence)
 
-    tiny = EvalEngine(clone(form), memo_capacity=2)
+    monkeypatch.setattr(evalcache, "MEMO_CAPACITY", 2)
+    tiny = EvalEngine(clone(form))
     assert_identical(outcomes(tiny.evaluate, sequence), ref)
     # second pass re-computes what was evicted -- identity must hold
     assert_identical(outcomes(tiny.evaluate, sequence), ref)

@@ -240,13 +240,3 @@ class TestValidation:
     def test_profile_repeat_mismatch(self, profiles):
         with pytest.raises(ValueError):
             Formulation(profiles, (1,), "latency", NoContentionModel())
-
-    def test_bad_epsilon(self, profiles):
-        with pytest.raises(ValueError):
-            Formulation(
-                profiles,
-                (1, 1),
-                "latency",
-                NoContentionModel(),
-                epsilon_makespan_frac=1.0,
-            )

@@ -25,6 +25,7 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.core import evalcache
 from repro.core.evalcache import EvalEngine, FIFOCache
 from repro.core.formulation import ScheduleInfeasible
 from repro.core.haxconn import HaXCoNN, enumerate_assignments
@@ -108,7 +109,7 @@ def test_frontier_matches_scalar_and_scratch_bitwise(seed, lockstep_from_two):
 # -- adversarial paths --------------------------------------------------
 @pytest.mark.parametrize("seed", (0, 3, 8, 11, 17, 23, 31, 42))
 def test_memo_eviction_mid_frontier_preserves_identity(
-    seed, lockstep_from_two
+    seed, lockstep_from_two, monkeypatch
 ):
     """A capacity-2 memo evicts while the frontier's own results are
     being inserted; every member must still match scratch exactly."""
@@ -116,7 +117,8 @@ def test_memo_eviction_mid_frontier_preserves_identity(
     sequence = random_sequence(form, rng, length=14)
     ref = outcomes(clone(form).evaluate_scratch, sequence)
 
-    tiny = EvalEngine(clone(form), memo_capacity=2)
+    monkeypatch.setattr(evalcache, "MEMO_CAPACITY", 2)
+    tiny = EvalEngine(clone(form))
     got = frontier_outcomes(tiny, sequence)
     assert_identical(got, ref, items_every=1)
     assert len(tiny.memo) <= 2

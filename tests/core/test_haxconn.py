@@ -94,10 +94,10 @@ class TestScheduleOptimality:
         seeded = scheduler.schedule(pair_workload, initial=gpu_seed)
         assert seeded.predicted.objective <= plain.predicted.objective + 1e-9
 
-    def test_incumbent_callback_fires(self, scheduler, pair_workload):
-        seen = []
-        scheduler.schedule(pair_workload, on_incumbent=seen.append)
-        assert seen
+    def test_incumbents_recorded(self, scheduler, pair_workload):
+        result = scheduler.schedule(pair_workload)
+        assert result.solver.incumbents
+        assert result.solver.incumbents[-1] == result.solver.best
 
     def test_schedule_metadata(self, scheduler, pair_workload):
         result = scheduler.schedule(pair_workload)

@@ -31,6 +31,14 @@ class TestSignature:
             workload, scheduler
         ) == workload_signature(workload, scheduler)
 
+    def test_bytes_pinned(self, scheduler, workload):
+        """Solve-store records are keyed by these bytes: a moved
+        signature would orphan every stored schedule."""
+        assert workload_signature(workload, scheduler) == (
+            "xavier|6|1|True|True|0.02|0.06|PCCSModel|latency|"
+            "googlenetx1;resnet101x1|"
+        )
+
     def test_distinguishes_objective(self, scheduler):
         a = Workload.concurrent("googlenet", "resnet101")
         b = Workload.concurrent(

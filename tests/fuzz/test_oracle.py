@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.fuzz import oracle
 from repro.fuzz.oracle import run_oracles
 from repro.fuzz.universe import ScenarioSpec, TenantSpec, generate_scenario
 
@@ -49,12 +50,13 @@ def test_frontier_check_reaches_lockstep(monkeypatch):
     assert checked >= 15
 
 
-def test_small_instances_get_the_exhaustive_oracle():
+def test_small_instances_get_the_exhaustive_oracle(monkeypatch):
     spec = generate_scenario(2)
     outcome = run_oracles(spec)
     assert outcome.search_space > 1
     assert "exhaustive-agreement" in outcome.checks
-    capped = run_oracles(spec, exhaustive_cap=0)
+    monkeypatch.setattr(oracle, "DEFAULT_EXHAUSTIVE_CAP", 0)
+    capped = run_oracles(spec)
     assert "exhaustive-agreement" not in capped.checks
     assert capped.ok
 

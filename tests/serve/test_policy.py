@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.haxconn import HaXCoNN
+from repro.core.haxconn import FALLBACK_MARGIN, HaXCoNN
 from repro.core.schedule_cache import ScheduleCache
 from repro.core.workload import Workload
 from repro.runtime.executor import run_schedule
@@ -183,7 +183,7 @@ class TestCachedAnytime:
             scheduler_name="gpu-only-start",
             serialized=True,
         )
-        margin = scheduler.fallback_margin * abs(
+        margin = FALLBACK_MARGIN * abs(
             serial.predicted.objective
         )
         if start.schedule.serialized:

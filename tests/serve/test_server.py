@@ -4,7 +4,6 @@ import pytest
 
 from repro.serve import Server, Tenant, gpu_only_policy, naive_policy
 from repro.serve.requests import PeriodicArrivals, TraceArrivals
-from repro.serve.server import serve
 
 
 def slow_pair():
@@ -28,8 +27,8 @@ def slow_pair():
 @pytest.fixture(scope="module")
 def light_report(xavier, xavier_db):
     policy = gpu_only_policy(xavier, db=xavier_db, max_groups=6)
-    return serve(
-        xavier, slow_pair(), policy, horizon_s=0.2, max_batch=2
+    return Server(xavier, slow_pair(), policy, max_batch=2).run(
+        horizon_s=0.2
     )
 
 
@@ -61,13 +60,12 @@ class TestRun:
 
     def test_deterministic(self, xavier, xavier_db):
         runs = [
-            serve(
+            Server(
                 xavier,
                 slow_pair(),
                 gpu_only_policy(xavier, db=xavier_db, max_groups=6),
-                horizon_s=0.2,
                 max_batch=2,
-            )
+            ).run(horizon_s=0.2)
             for _ in range(2)
         ]
         assert [
@@ -86,12 +84,11 @@ class TestBackPressure:
                 arrivals=TraceArrivals(tuple(k * 1e-3 for k in range(10))),
             )
         ]
-        report = serve(
+        report = Server(
             xavier,
             tenants,
             gpu_only_policy(xavier, db=xavier_db, max_groups=6),
-            horizon_s=0.02,
-        )
+        ).run(horizon_s=0.02)
         lats = [r.latency_s for r in report.served]
         assert len(lats) == 10
         assert lats[-1] > lats[0] * 2
@@ -107,7 +104,7 @@ class TestBackPressure:
         policy = gpu_only_policy(
             xavier, db=xavier_db, max_groups=6, max_queue_depth=2
         )
-        report = serve(xavier, tenants, policy, horizon_s=0.02)
+        report = Server(xavier, tenants, policy).run(horizon_s=0.02)
         assert len(report.rejected) > 0
         assert (
             len(report.served) + len(report.rejected) == 12
@@ -122,13 +119,12 @@ class TestBackPressure:
                 arrivals=TraceArrivals(tuple(k * 1e-4 for k in range(9))),
             )
         ]
-        report = serve(
+        report = Server(
             xavier,
             tenants,
             gpu_only_policy(xavier, db=xavier_db, max_groups=6),
-            horizon_s=0.01,
             max_batch=4,
-        )
+        ).run(horizon_s=0.01)
         assert all(max(r.batch) <= 4 for r in report.rounds)
         assert any(max(r.batch) > 1 for r in report.rounds)
 
@@ -146,12 +142,11 @@ class TestMixes:
             ),
             Tenant.of("det", "resnet18", arrivals=TraceArrivals(half)),
         ]
-        report = serve(
+        report = Server(
             xavier,
             tenants,
             naive_policy(xavier, db=xavier_db, max_groups=6),
-            horizon_s=0.2,
-        )
+        ).run(horizon_s=0.2)
         mixes = {r.tenants for r in report.rounds}
         assert ("cam",) in mixes
         assert any(len(m) == 2 for m in mixes)
@@ -171,13 +166,12 @@ class TestMixes:
                 arrivals=TraceArrivals((0.0, 0.001)),
             ),
         ]
-        report = serve(
+        report = Server(
             xavier,
             tenants,
             gpu_only_policy(xavier, db=xavier_db, max_groups=6),
-            horizon_s=0.01,
             max_batch=2,
-        )
+        ).run(horizon_s=0.01)
         assert len(report.served) == 4
         assert {r.tenant for r in report.served} == {"a", "b"}
 
@@ -204,11 +198,13 @@ class TestValidation:
                 max_batch=0,
             )
 
-    def test_max_rounds_stops_early(self, xavier, xavier_db):
+    def test_run_rounds_limit_stops_early(self, xavier, xavier_db):
         server = Server(
             xavier,
             slow_pair(),
             gpu_only_policy(xavier, db=xavier_db, max_groups=6),
         )
-        report = server.run(horizon_s=0.2, max_rounds=2)
-        assert len(report.rounds) == 2
+        session = server.session(horizon_s=0.2)
+        assert session.run_rounds(2) == 2
+        assert not session.finished
+        assert len(session.report().rounds) == 2

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.soc.engine import DeadlockError, Engine, SimTask, _max_min_allocate
+from repro.soc.engine import DeadlockError, Engine, SimTask, max_min_allocate
 
 
 def task(tid, accel="gpu", compute_ms=1.0, bw_frac=0.0, platform=None, **kw):
@@ -23,21 +23,21 @@ def task(tid, accel="gpu", compute_ms=1.0, bw_frac=0.0, platform=None, **kw):
 
 class TestMaxMinAllocate:
     def test_all_satisfied_when_capacity_suffices(self):
-        alloc = _max_min_allocate({"a": 10.0, "b": 20.0}, 100.0)
+        alloc = max_min_allocate({"a": 10.0, "b": 20.0}, 100.0)
         assert alloc == {"a": 10.0, "b": 20.0}
 
     def test_fair_split_under_pressure(self):
-        alloc = _max_min_allocate({"a": 80.0, "b": 80.0}, 100.0)
+        alloc = max_min_allocate({"a": 80.0, "b": 80.0}, 100.0)
         assert alloc["a"] == pytest.approx(50.0)
         assert alloc["b"] == pytest.approx(50.0)
 
     def test_small_demand_protected(self):
-        alloc = _max_min_allocate({"small": 10.0, "big": 200.0}, 100.0)
+        alloc = max_min_allocate({"small": 10.0, "big": 200.0}, 100.0)
         assert alloc["small"] == pytest.approx(10.0)
         assert alloc["big"] == pytest.approx(90.0)
 
     def test_zero_demand_gets_nothing(self):
-        alloc = _max_min_allocate({"a": 0.0, "b": 50.0}, 100.0)
+        alloc = max_min_allocate({"a": 0.0, "b": 50.0}, 100.0)
         assert alloc["a"] == 0.0
 
     @given(
@@ -46,7 +46,7 @@ class TestMaxMinAllocate:
     )
     def test_never_exceeds_capacity_or_demand(self, demands, capacity):
         named = {f"t{i}": d for i, d in enumerate(demands)}
-        alloc = _max_min_allocate(named, capacity)
+        alloc = max_min_allocate(named, capacity)
         assert sum(alloc.values()) <= capacity + 1e-6
         for k, d in named.items():
             assert alloc[k] <= d + 1e-9
