@@ -43,8 +43,6 @@ SOLVER_BW = 1.0e9
 def run(
     platform_name: str = "orin",
     corunners: Sequence[str] = DEFAULT_CORUNNERS,
-    *,
-    solver_bw: float = SOLVER_BW,
 ) -> list[dict[str, object]]:
     platform = get_platform(platform_name)
     db = get_db(platform_name)
@@ -59,7 +57,7 @@ def run(
         )
         base = run_schedule(result, platform)
         with_solver = run_schedule(
-            result, platform, background_bw=solver_bw
+            result, platform, background_bw=SOLVER_BW
         )
         overhead = (
             (with_solver.latency_ms - base.latency_ms)

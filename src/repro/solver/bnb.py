@@ -127,9 +127,6 @@ class _SearchState:
         self.nodes = 0
         self.best: Incumbent | None = None
         self.incumbents: list[Incumbent] = []
-        #: the current leaf-grandparent has prewarmed its remaining
-        #: leaves, so its leaf-parents skip their own prewarm
-        self._warmed = False
 
     def limit(self) -> float:
         """Current upper bound: the incumbent's objective."""
@@ -153,6 +150,22 @@ class _SearchState:
     def budget_exceeded(self) -> bool:
         budget = self.cfg.node_budget
         return budget is not None and self.nodes >= budget
+
+    def _reach(self, width: int) -> int | None:
+        """How many more leaf-parents of ``width`` leaves the search
+        can read leaves of before the node budget stops it (``None``
+        without a budget).
+
+        Visiting a leaf-parent costs exactly ``width`` nodes (its
+        sibling set) and leaves cost none, so the k-th leaf-parent
+        visited from here reads its leaves only while
+        ``nodes + k * width < node_budget``.  Called while the budget
+        still allows a visit.
+        """
+        budget = self.cfg.node_budget
+        if budget is None:
+            return None
+        return (budget - self.nodes - 1) // width
 
     # -- search ----------------------------------------------------------
     def _bounds(
@@ -195,25 +208,31 @@ class _SearchState:
         variable: Variable,
         children: Sequence[tuple[float, Any]],
     ) -> dict[Any, list[float | None]]:
-        """Hand every leaf under ``children`` whose bound beats the
-        current limit to ``warm`` (``frontier_evaluate``) in one batch.
+        """Hand every leaf under ``children`` that the search can
+        still read to ``warm`` (``frontier_evaluate``) in one batch.
 
         ``children`` are values of ``variable``, the branching variable
         of a leaf-grandparent; ``partial`` lacks it on entry and exit.
-        Leaves are priced with the calls the search loop makes, so the
-        batch holds exactly the leaves the loop can still reach (the
-        limit only tightens).  Returns those prices (``_price`` per
-        leaf, in domain order) keyed by leaf-parent value, for the
-        leaf-parents' own sibling loops: pricing reads only the
-        partial, never the incumbent.  Node counts do not move.
+        Leaves are priced with the calls the search loop makes, and the
+        batch stops at the node budget's reach (:meth:`_reach`), so it
+        holds exactly the leaves the loop can still read: the limit
+        only tightens, and the budget cuts the leaf-parents in the
+        order the loop visits them.  Returns those prices (``_price``
+        per leaf, in domain order) keyed by the leaf-parent values it
+        covered, for the leaf-parents' own sibling loops: pricing reads
+        only the partial, never the incumbent.  Node counts do not
+        move.
         """
         leaf = self.problem.variables[-1]
         limit = self.limit()
+        reach = self._reach(len(leaf.domain))
         frontier: list[dict[str, Any]] = []
         priced: dict[Any, list[float | None]] = {}
         for bound, value in children:
             if bound >= limit:
                 continue
+            if len(priced) == reach:
+                break
             partial[variable.name] = value
             bounds_vec = self._bounds(partial, leaf)
             prices: list[float | None] = []
@@ -273,12 +292,19 @@ class _SearchState:
         # Problem.frontier_evaluate) guarantees the leaves' objective()
         # calls see bit-identical results, so the explored tree does
         # not depend on it.  The lockstep engine pays off only on wide
-        # batches, so a leaf-grandparent warms all its surviving
-        # leaves at once as soon as a finite limit prunes them; a
-        # leaf-parent warms its own siblings only when no grandparent
-        # did (no limit yet, or a single variable).
+        # batches, so a leaf-grandparent warms all the surviving leaves
+        # the budget lets it read at once, as soon as a finite limit
+        # prunes them; a leaf-parent its grandparent did not cover (no
+        # limit yet, a single variable, or reached past the budget cap
+        # once capped siblings were pruned) warms its own siblings,
+        # unless its own sibling set used up the budget.
         warm = problem.frontier_evaluate
-        if warm is not None and depth + 1 == n_vars and not self._warmed:
+        if (
+            warm is not None
+            and depth + 1 == n_vars
+            and priced is None
+            and not self.budget_exceeded()
+        ):
             limit = self.limit()
             frontier = [
                 {**partial, variable.name: value}
@@ -288,22 +314,26 @@ class _SearchState:
             if len(frontier) > 1:
                 warm(frontier)
         grand_warm = warm if depth + 2 == n_vars else None
-        if grand_warm is not None:
-            self._warmed = False
         exhausted = True
-        leaf_prices: dict[Any, list[float | None]] = {}
+        # the leaf-parents this grandparent's prewarm covered, with
+        # their children's prices (None until it prewarms)
+        leaf_prices: dict[Any, list[float | None]] | None = None
         for k, (bound, value) in enumerate(ordered):
             if self.budget_exceeded():
                 return False
             if bound >= self.limit():
                 continue  # pruned subtrees are still fully accounted for
-            if grand_warm is not None and not self._warmed and self.limit() < _INF:
+            if (
+                grand_warm is not None
+                and leaf_prices is None
+                and self.limit() < _INF
+            ):
                 leaf_prices = self._prewarm(
                     grand_warm, partial, variable, ordered[k:]
                 )
-                self._warmed = True
             partial[variable.name] = value
-            if not self.dfs(partial, depth + 1, leaf_prices.get(value)):
+            covered = leaf_prices.get(value) if leaf_prices else None
+            if not self.dfs(partial, depth + 1, covered):
                 exhausted = False
                 partial.pop(variable.name, None)
                 return False

@@ -11,8 +11,11 @@ root phase that makes its *first* incumbent good:
    evaluated at the root; invalid or infeasible ones are logged and
    skipped.  A bounded greedy best-response pass then
    improves the best of them, so the root incumbent is never worse
-   than the best contention-oblivious baseline.  The search is seeded
-   with that incumbent and prunes against it from its first node.
+   than the best contention-oblivious baseline.  The pass prices one
+   variable's candidates per lockstep batch
+   (``Problem.frontier_evaluate``), like the search's leaf prewarm.
+   The search is seeded with that incumbent and prunes against it
+   from its first node.
 2. **Deterministic timestamps.**  Under ``clock="nodes"`` every
    reported timestamp is the explored-node count (root evaluations
    included) divided by :data:`NODE_RATE`, so the incumbent trace --
@@ -200,13 +203,30 @@ def _greedy_improvements(
     order, one reassignment per variable per sweep.  Yields
     ``(assignment, objective, evaluations)`` triples so the caller can
     account the work in its deterministic progress clock.
+
+    One variable's candidates differ from the same ``current`` in that
+    variable alone, so they are independent: the feasible ones go to
+    ``problem.frontier_evaluate`` in one lockstep batch before the
+    per-value loop, which then reads the warmed memo.  That hint is
+    invisible (see :class:`~repro.solver.problem.Problem`), so the
+    loop's order, its evaluation count and its strict-improvement rule
+    decide exactly as without it.
     """
+    warm = problem.frontier_evaluate
     current = dict(assignment)
     current_objective = objective
     for _ in range(GREEDY_SWEEPS):
         improved = False
         for variable in problem.variables:
             held = current[variable.name]
+            if warm is not None:
+                frontier = []
+                for value in variable.domain:
+                    candidate = {**current, variable.name: value}
+                    if value != held and _feasible(problem, candidate):
+                        frontier.append(candidate)
+                if len(frontier) > 1:
+                    warm(frontier)
             best_value, best_objective, evals = held, current_objective, 0
             for value in variable.domain:
                 if value == held:
@@ -229,3 +249,12 @@ def _greedy_improvements(
                 yield dict(current), current_objective, evals
         if not improved:
             break
+
+
+def _feasible(problem: Problem, assignment: Assignment) -> bool:
+    """``problem.feasible``, with a constraint's :class:`Infeasible`
+    read as ``False`` (as the sweep's ``problem.evaluate`` reads it)."""
+    try:
+        return problem.feasible(assignment)
+    except Infeasible:
+        return False

@@ -67,8 +67,10 @@ class Problem:
         Optional batched-evaluation hint for the solver's leaf
         frontiers: called with complete assignments the search may
         still reach -- one leaf-parent's children, or every surviving
-        leaf under a leaf-grandparent's remaining children, so one
-        batch can span several leaf-parents -- it may pre-compute
+        leaf under a leaf-grandparent's remaining children that the
+        node budget lets the search read, so one batch can span
+        several leaf-parents, or one variable's candidates in the
+        anytime solver's root sweep -- it may pre-compute
         their objectives in one vectorized pass (warming whatever memo
         ``objective`` consults) but must not return anything the
         search acts on.  The contract is *invisibility*: for every

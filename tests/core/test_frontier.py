@@ -32,7 +32,7 @@ from repro.core.haxconn import HaXCoNN, enumerate_assignments
 from repro.core.workload import Workload
 from repro.profiling.database import ProfileDB
 from repro.soc.platform import get_platform
-from repro.solver import BranchAndBound, PortfolioSolver
+from repro.solver import BranchAndBound, PortfolioSolver, bnb
 from tests.core.test_evalcache import (
     ACCELS,
     assert_identical,
@@ -442,6 +442,7 @@ SEARCH_SETUPS = (
     ("initial", "initial"),
     ("node-budget", "budget"),
     ("portfolio-serial", "portfolio"),
+    ("portfolio-seeded", "portfolio-seeded"),
 )
 
 
@@ -454,6 +455,10 @@ def _solve(problem, setup, budget):
         return BranchAndBound(node_budget=budget).solve(problem)
     if setup == "portfolio":
         return PortfolioSolver(clock="nodes").solve(problem)
+    if setup == "portfolio-seeded":
+        return PortfolioSolver(clock="nodes").solve(
+            problem, initial=_first_feasible(problem)
+        )
     return BranchAndBound().solve(problem)
 
 
@@ -475,14 +480,65 @@ def test_bnb_tree_identical_with_and_without_frontier_hint(
     "setup", [c[1] for c in SEARCH_SETUPS], ids=[c[0] for c in SEARCH_SETUPS]
 )
 def test_frontier_hint_invisible_across_search_setups(
-    xavier, xavier_db, objective, setup
+    xavier, xavier_db, objective, setup, monkeypatch
 ):
     """The same invisibility on a three-stream mix under every way the
     search can be driven: a leaf-grandparent below the root, a limit
     that is finite from the start (seeded ``initial``), a truncated
-    search and the portfolio's serial path (whose sync points move the
-    limit mid-loop)."""
-    _assert_hint_invisible(xavier, xavier_db, objective, THREE, 4, 1, setup)
+    search, the portfolio without a seed, and the portfolio's seeded
+    root sweep (whose candidates are priced one variable per batch)."""
+    run = _assert_hint_invisible(
+        xavier, xavier_db, objective, THREE, 4, 1, setup
+    )
+    if setup == "budget":
+        # the prewarm stops at the budget's reach: every leaf-parent a
+        # batch holds is one the search visited, or one a limit
+        # tightened after the batch pruned (its bound is then at least
+        # the final objective)
+        for parent in set().union(*run.parents):
+            assert parent in run.visited or (
+                run.problem.lower_bound(dict(parent)) >= run.best
+            ), parent
+        # ... so it hands over fewer leaves than the uncapped prewarm
+        monkeypatch.setattr(
+            bnb._SearchState, "_reach", lambda self, width: None
+        )
+        uncapped = []
+        _solve(
+            dataclasses.replace(
+                run.problem,
+                frontier_evaluate=lambda batch: uncapped.append(len(batch)),
+            ),
+            setup,
+            run.budget,
+        )
+        capped = sum(len(batch) for batch in run.batches)
+        assert capped < sum(uncapped), (capped, sum(uncapped))
+    if setup == "portfolio-seeded":
+        # the root sweep ran under the hint: one batch holds the seed's
+        # alternatives in its first variable alone
+        seed = _first_feasible(run.problem)
+        first = run.problem.variables[0].name
+        assert any(
+            all(
+                {k for k in seed if member[k] != seed[k]} == {first}
+                for member in batch
+            )
+            for batch in run.batches
+        )
+
+
+@dataclasses.dataclass
+class _HintedRun:
+    problem: object
+    #: every ``frontier_evaluate`` batch of the hinted search
+    batches: list
+    #: the leaf-parents each batch spans
+    parents: list
+    #: the leaf-parents the unhinted search visited (priced the leaf of)
+    visited: set
+    best: float
+    budget: int
 
 
 def _assert_hint_invisible(
@@ -509,7 +565,17 @@ def _assert_hint_invisible(
     )
     # a budget that cuts the search roughly in half
     budget = BranchAndBound().solve(scalar).nodes_explored // 2
-    slow = _solve(scalar, setup, budget)
+    leaf = problem.variables[-1].name
+    visited = set()
+
+    def tracking(partial, variable):
+        if variable.name == leaf:
+            visited.add(tuple(sorted(partial.items())))
+        return problem.child_bounds(partial, variable)
+
+    slow = _solve(
+        dataclasses.replace(scalar, child_bounds=tracking), setup, budget
+    )
     fast = _solve(
         dataclasses.replace(problem, frontier_evaluate=recording),
         setup,
@@ -527,16 +593,28 @@ def _assert_hint_invisible(
     assert [i.assignment for i in fast.incumbents] == [
         i.assignment for i in slow.incumbents
     ]
-    # the hint actually ran, and at least one batch spanned several
-    # leaf-parents (a leaf-grandparent's prewarm)
+    assert [i.nodes_explored for i in fast.incumbents] == [
+        i.nodes_explored for i in slow.incumbents
+    ]
+    if setup.startswith("portfolio"):
+        # node-clock timestamps and the warm-start log, too
+        assert [i.wall_time_s for i in fast.incumbents] == [
+            i.wall_time_s for i in slow.incumbents
+        ]
+        assert fast.warm_starts == slow.warm_starts
+    # the hint actually ran, and unless a budget cut the prewarm to a
+    # single leaf-parent, at least one batch spanned several (a
+    # leaf-grandparent's prewarm)
     assert formulation.engine.counters.frontier_batches > 0
-    leaf = problem.variables[-1].name
-    parents_per_batch = [
-        len({tuple(sorted((k, v) for k, v in a.items() if k != leaf))
-             for a in batch})
+    parents = [
+        {tuple(sorted((k, v) for k, v in a.items() if k != leaf)) for a in batch}
         for batch in batches
     ]
-    assert max(parents_per_batch) >= 2, parents_per_batch
+    if setup != "budget":
+        assert max(map(len, parents)) >= 2, parents
+    return _HintedRun(
+        problem, batches, parents, visited, slow.best.objective, budget
+    )
 
 
 def test_frontier_counters_in_stats():
