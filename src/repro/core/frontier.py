@@ -1,11 +1,10 @@
 """Frontier-batched schedule evaluation (lockstep across B&B leaves).
 
-Branch-and-bound hands the engine a *frontier*: leaves it is about to
-reach -- one leaf-parent's children, or, once a finite limit prunes,
-every surviving leaf under a leaf-grandparent's remaining children
-(several leaf-parents in one batch, up to the node budget's reach);
-the anytime solver's root sweep hands it one variable's candidates
-the same way.  Each member still pays a full
+Branch-and-bound hands the engine a *frontier*: once a finite limit
+prunes, the next leaves it is about to read, up to ``LOOKAHEAD``
+(256) in search order across subtree boundaries and within the node
+budget's reach; the anytime solver's root sweep hands it one
+variable's candidates the same way.  Each member still pays a full
 contention fixed point (Eqs. 7-8) wrapped around the FCFS event-loop
 timeline (Eqs. 4-6), and the scalar engine evaluates them one at a
 time.  This module evaluates the whole frontier in **lockstep**: one

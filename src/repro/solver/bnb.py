@@ -1,10 +1,14 @@
 """Anytime branch-and-bound over finite-domain problems.
 
 Depth-first search with admissible-lower-bound pruning and value
-ordering by child bound.  Every improved incumbent is recorded with a
-wall-clock timestamp and explored-node count and reported through an
-optional callback -- the hook D-HaX-CoNN uses to swap schedules in
-mid-flight (paper Section 3.5 / Fig. 7).
+ordering by child bound.  Once an incumbent exists, a lookahead walks
+ahead of the search in its own order and hands the next ``LOOKAHEAD``
+leaves it can read, across subtrees, to ``Problem.frontier_evaluate``
+in one batch; the explored tree does not depend on it.  Every
+improved incumbent is recorded with a wall-clock timestamp and
+explored-node count and reported through an optional callback -- the
+hook D-HaX-CoNN uses to swap schedules in mid-flight (paper Section
+3.5 / Fig. 7).
 
 When the search finishes without hitting its node budget, the returned
 result is *certified optimal* (the property the paper obtains from Z3).
@@ -22,6 +26,13 @@ from repro.solver.clock import monotonic_s
 from repro.solver.problem import Assignment, Infeasible, Problem, Variable
 
 _INF = float("inf")
+
+#: Most leaves one lookahead hands to ``Problem.frontier_evaluate``:
+#: wide enough to keep the lockstep engine's batches wide across
+#: subtrees, short enough that few warmed leaves fall behind a limit
+#: that tightens inside the window (256 beat 128, 512 and 8192 on the
+#: perfbench ``solve-cold`` catalogue).
+LOOKAHEAD = 256
 
 
 @dataclass(frozen=True)
@@ -117,6 +128,16 @@ class BranchAndBound:
         )
 
 
+def _order(
+    prices: Sequence[float | None], variable: Variable
+) -> list[tuple[float, Any]]:
+    """The feasible children ``(bound, value)``, cheapest bound first."""
+    return sorted(
+        ((b, v) for b, v in zip(prices, variable.domain) if b is not None),
+        key=lambda c: c[0],
+    )
+
+
 class _SearchState:
     def __init__(
         self, problem: Problem, cfg: BranchAndBound, start: float
@@ -127,6 +148,17 @@ class _SearchState:
         self.nodes = 0
         self.best: Incumbent | None = None
         self.incumbents: list[Incumbent] = []
+        self.names = tuple(v.name for v in problem.variables)
+        #: per depth of the current path: the node's ordered children
+        #: and the index of the one being explored
+        self.frames: list[tuple[list[tuple[float, Any]], int]] = [
+            ([], 0)
+        ] * len(problem.variables)
+        #: child prices of the nodes the last lookahead expanded, by path
+        self.priced: dict[tuple[Any, ...], list[float | None]] = {}
+        #: leaves the last lookahead handed over and the search has not
+        #: read yet
+        self.warmed: set[tuple[Any, ...]] = set()
 
     def limit(self) -> float:
         """Current upper bound: the incumbent's objective."""
@@ -150,22 +182,6 @@ class _SearchState:
     def budget_exceeded(self) -> bool:
         budget = self.cfg.node_budget
         return budget is not None and self.nodes >= budget
-
-    def _reach(self, width: int) -> int | None:
-        """How many more leaf-parents of ``width`` leaves the search
-        can read leaves of before the node budget stops it (``None``
-        without a budget).
-
-        Visiting a leaf-parent costs exactly ``width`` nodes (its
-        sibling set) and leaves cost none, so the k-th leaf-parent
-        visited from here reads its leaves only while
-        ``nodes + k * width < node_budget``.  Called while the budget
-        still allows a visit.
-        """
-        budget = self.cfg.node_budget
-        if budget is None:
-            return None
-        return (budget - self.nodes - 1) // width
 
     # -- search ----------------------------------------------------------
     def _bounds(
@@ -201,67 +217,96 @@ class _SearchState:
             # same way objectives do; the subtree is dead either way
             return None
 
-    def _prewarm(
-        self,
-        warm: Callable[[Sequence[Assignment]], None],
-        partial: dict[str, Any],
-        variable: Variable,
-        children: Sequence[tuple[float, Any]],
-    ) -> dict[Any, list[float | None]]:
-        """Hand every leaf under ``children`` that the search can
-        still read to ``warm`` (``frontier_evaluate``) in one batch.
-
-        ``children`` are values of ``variable``, the branching variable
-        of a leaf-grandparent; ``partial`` lacks it on entry and exit.
-        Leaves are priced with the calls the search loop makes, and the
-        batch stops at the node budget's reach (:meth:`_reach`), so it
-        holds exactly the leaves the loop can still read: the limit
-        only tightens, and the budget cuts the leaf-parents in the
-        order the loop visits them.  Returns those prices (``_price``
-        per leaf, in domain order) keyed by the leaf-parent values it
-        covered, for the leaf-parents' own sibling loops: pricing reads
-        only the partial, never the incumbent.  Node counts do not
-        move.
-        """
-        leaf = self.problem.variables[-1]
-        limit = self.limit()
-        reach = self._reach(len(leaf.domain))
-        frontier: list[dict[str, Any]] = []
-        priced: dict[Any, list[float | None]] = {}
-        for bound, value in children:
-            if bound >= limit:
-                continue
-            if len(priced) == reach:
-                break
+    def _children(
+        self, partial: dict[str, Any], variable: Variable
+    ) -> list[float | None]:
+        """``_price`` of each value of ``variable`` (which ``partial``
+        lacks on entry and exit), in domain order."""
+        bounds_vec = self._bounds(partial, variable)
+        prices = []
+        for i, value in enumerate(variable.domain):
             partial[variable.name] = value
-            bounds_vec = self._bounds(partial, leaf)
-            prices: list[float | None] = []
-            priced[value] = prices
-            for i, leaf_value in enumerate(leaf.domain):
-                partial[leaf.name] = leaf_value
-                b = self._price(partial, bounds_vec, i)
-                prices.append(b)
-                if b is not None and b < limit:
-                    frontier.append(dict(partial))
-            partial.pop(leaf.name, None)
+            prices.append(self._price(partial, bounds_vec, i))
         partial.pop(variable.name, None)
-        if len(frontier) > 1:
-            warm(frontier)
-        return priced
+        return prices
 
-    def dfs(
-        self,
-        partial: dict[str, Any],
-        depth: int,
-        priced: Sequence[float | None] | None = None,
-    ) -> bool:
-        """Explore the subtree; returns True when fully exhausted.
+    def _lookahead(self, leaf: tuple[Any, ...]) -> None:
+        """Hand ``leaf`` and the leaves the search may read after it,
+        at most ``LOOKAHEAD``, to ``frontier_evaluate`` in one batch.
 
-        ``priced`` holds this node's child prices when a prewarm has
-        already computed them (see :meth:`_prewarm`)."""
+        The walk follows the search's own order -- the rest of
+        ``leaf``'s siblings, then each ancestor's remaining children,
+        deepest first -- under the current limit, expanding nodes with
+        the calls the search makes and charging the node budget as it
+        does.  The limit only tightens, so the walk expands a superset
+        of what the search will and stops no later than the budget
+        does.  The expanded nodes' child prices go to ``priced`` for
+        the search to reuse: pricing reads only the partial, never the
+        incumbent.  Node counts do not move.
+        """
+        variables = self.problem.variables
+        n = len(variables)
+        limit = self.limit()
+        budget = self.cfg.node_budget
+        nodes = self.nodes
+        batch: list[tuple[Any, ...]] = []
+        priced: dict[tuple[Any, ...], list[float | None]] = {}
+
+        def walk(
+            path: tuple[Any, ...],
+            ordered: list[tuple[float, Any]],
+            start: int,
+        ) -> bool:
+            """Visit ``ordered[start:]``, the children of ``path``;
+            False once the window is full or the budget is out."""
+            nonlocal nodes
+            depth = len(path) + 1
+            for bound, value in ordered[start:]:
+                if budget is not None and nodes >= budget:
+                    return False
+                if bound >= limit:
+                    continue
+                child = path + (value,)
+                if depth == n:
+                    batch.append(child)
+                    if len(batch) == LOOKAHEAD:
+                        return False
+                    continue
+                variable = variables[depth]
+                prices = self._children(dict(zip(self.names, child)), variable)
+                priced[child] = prices
+                nodes += len(variable.domain)
+                if not walk(child, _order(prices, variable), 0):
+                    return False
+            return True
+
+        for depth in range(n - 1, -1, -1):
+            ordered, k = self.frames[depth]
+            if not walk(leaf[:depth], ordered, k if depth == n - 1 else k + 1):
+                break
+        self.priced = priced
+        self.warmed = set(batch)
+        if len(batch) > 1:
+            self.problem.frontier_evaluate(
+                [dict(zip(self.names, a)) for a in batch]
+            )
+
+    def dfs(self, partial: dict[str, Any], depth: int) -> bool:
+        """Explore the subtree; returns True when fully exhausted."""
         problem = self.problem
-        n_vars = len(problem.variables)
-        if depth == n_vars:
+        if depth == len(problem.variables):
+            # Leaf prewarm: once a finite limit exists, a leaf no
+            # lookahead handed over starts the next one, which warms
+            # the objective's memo for a window of leaves in one
+            # vectorized pass.  Memo-warming only -- the hint's contract
+            # (see Problem.frontier_evaluate) guarantees objective()
+            # sees bit-identical results, so the tree does not depend
+            # on it.
+            leaf = tuple(partial.values())
+            if leaf in self.warmed:
+                self.warmed.remove(leaf)
+            elif self.best is not None and problem.frontier_evaluate is not None:
+                self._lookahead(leaf)
             try:
                 objective = problem.objective(partial)
             except Infeasible:
@@ -270,72 +315,21 @@ class _SearchState:
             return True
 
         variable = problem.variables[depth]
-        # one vectorized call prices the whole sibling set; evaluated
-        # before the loop because the partial is mutated in place below
-        bounds_vec = self._bounds(partial, variable) if priced is None else None
-        children: list[tuple[float, Any]] = []
-        for i, value in enumerate(variable.domain):
-            self.nodes += 1
-            if priced is None:
-                partial[variable.name] = value
-                bound = self._price(partial, bounds_vec, i)
-            else:
-                bound = priced[i]
-            if bound is not None:
-                children.append((bound, value))
-        partial.pop(variable.name, None)
-
-        ordered = sorted(children, key=lambda c: c[0])
-        # Leaf prewarm: batch-evaluate the leaves the search is about
-        # to reach, warming the objective's memo in one vectorized
-        # pass.  Memo-warming only -- the hint's contract (see
-        # Problem.frontier_evaluate) guarantees the leaves' objective()
-        # calls see bit-identical results, so the explored tree does
-        # not depend on it.  The lockstep engine pays off only on wide
-        # batches, so a leaf-grandparent warms all the surviving leaves
-        # the budget lets it read at once, as soon as a finite limit
-        # prunes them; a leaf-parent its grandparent did not cover (no
-        # limit yet, a single variable, or reached past the budget cap
-        # once capped siblings were pruned) warms its own siblings,
-        # unless its own sibling set used up the budget.
-        warm = problem.frontier_evaluate
-        if (
-            warm is not None
-            and depth + 1 == n_vars
-            and priced is None
-            and not self.budget_exceeded()
-        ):
-            limit = self.limit()
-            frontier = [
-                {**partial, variable.name: value}
-                for bound, value in ordered
-                if bound < limit
-            ]
-            if len(frontier) > 1:
-                warm(frontier)
-        grand_warm = warm if depth + 2 == n_vars else None
-        exhausted = True
-        # the leaf-parents this grandparent's prewarm covered, with
-        # their children's prices (None until it prewarms)
-        leaf_prices: dict[Any, list[float | None]] | None = None
+        prices = self.priced.pop(tuple(partial.values()), None)
+        if prices is None:
+            # one vectorized call prices the whole sibling set
+            prices = self._children(partial, variable)
+        self.nodes += len(variable.domain)
+        ordered = _order(prices, variable)
         for k, (bound, value) in enumerate(ordered):
             if self.budget_exceeded():
                 return False
             if bound >= self.limit():
                 continue  # pruned subtrees are still fully accounted for
-            if (
-                grand_warm is not None
-                and leaf_prices is None
-                and self.limit() < _INF
-            ):
-                leaf_prices = self._prewarm(
-                    grand_warm, partial, variable, ordered[k:]
-                )
+            self.frames[depth] = (ordered, k)
             partial[variable.name] = value
-            covered = leaf_prices.get(value) if leaf_prices else None
-            if not self.dfs(partial, depth + 1, covered):
-                exhausted = False
-                partial.pop(variable.name, None)
+            exhausted = self.dfs(partial, depth + 1)
+            partial.pop(variable.name)
+            if not exhausted:
                 return False
-            partial.pop(variable.name, None)
-        return exhausted
+        return True

@@ -66,18 +66,19 @@ class Problem:
     frontier_evaluate:
         Optional batched-evaluation hint for the solver's leaf
         frontiers: called with complete assignments the search may
-        still reach -- one leaf-parent's children, or every surviving
-        leaf under a leaf-grandparent's remaining children that the
-        node budget lets the search read, so one batch can span
-        several leaf-parents, or one variable's candidates in the
-        anytime solver's root sweep -- it may pre-compute
-        their objectives in one vectorized pass (warming whatever memo
-        ``objective`` consults) but must not return anything the
-        search acts on.  The contract is *invisibility*: for every
-        assignment in the batch, a later ``objective`` call must
-        return (or raise) exactly what it would have without the
-        hint, so the explored tree, the incumbent trace, and every
-        recorded objective stay bit-identical with the hint removed.
+        still reach -- up to ``bnb.LOOKAHEAD`` leaves in the order the
+        search reads them, starting at the leaf it is reading and
+        crossing subtree boundaries, each with a bound below the
+        current limit and within the node budget's reach, or one
+        variable's candidates in the anytime solver's root sweep --
+        it may pre-compute their objectives in one vectorized pass
+        (warming whatever memo ``objective`` consults) but must not
+        return anything the search acts on.  The contract is
+        *invisibility*: for every assignment in the batch, a later
+        ``objective`` call must return (or raise) exactly what it
+        would have without the hint, so the explored tree, the
+        incumbent trace, and every recorded objective stay
+        bit-identical with the hint removed.
         ``None`` keeps the per-leaf scalar path.
     """
 

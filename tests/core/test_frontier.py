@@ -32,7 +32,7 @@ from repro.core.haxconn import HaXCoNN, enumerate_assignments
 from repro.core.workload import Workload
 from repro.profiling.database import ProfileDB
 from repro.soc.platform import get_platform
-from repro.solver import BranchAndBound, PortfolioSolver, bnb
+from repro.solver import BranchAndBound, PortfolioSolver
 from tests.core.test_evalcache import (
     ACCELS,
     assert_identical,
@@ -480,10 +480,10 @@ def test_bnb_tree_identical_with_and_without_frontier_hint(
     "setup", [c[1] for c in SEARCH_SETUPS], ids=[c[0] for c in SEARCH_SETUPS]
 )
 def test_frontier_hint_invisible_across_search_setups(
-    xavier, xavier_db, objective, setup, monkeypatch
+    xavier, xavier_db, objective, setup
 ):
     """The same invisibility on a three-stream mix under every way the
-    search can be driven: a leaf-grandparent below the root, a limit
+    search can be driven: a lookahead window across subtrees, a limit
     that is finite from the start (seeded ``initial``), a truncated
     search, the portfolio without a seed, and the portfolio's seeded
     root sweep (whose candidates are priced one variable per batch)."""
@@ -491,29 +491,27 @@ def test_frontier_hint_invisible_across_search_setups(
         xavier, xavier_db, objective, THREE, 4, 1, setup
     )
     if setup == "budget":
-        # the prewarm stops at the budget's reach: every leaf-parent a
-        # batch holds is one the search visited, or one a limit
+        # the lookahead stops at the budget's reach: every leaf a batch
+        # holds is one the truncated search read, or one a limit
         # tightened after the batch pruned (its bound is then at least
         # the final objective)
-        for parent in set().union(*run.parents):
-            assert parent in run.visited or (
-                run.problem.lower_bound(dict(parent)) >= run.best
-            ), parent
-        # ... so it hands over fewer leaves than the uncapped prewarm
-        monkeypatch.setattr(
-            bnb._SearchState, "_reach", lambda self, width: None
+        for batch in run.batches:
+            for member in batch:
+                leaf = tuple(sorted(member.items()))
+                assert leaf in run.read or (
+                    run.problem.lower_bound(member) >= run.best
+                ), leaf
+    if setup in ("plain", "initial"):
+        # the lookahead window crosses subtrees: one batch spans
+        # several leaf-grandparents
+        grand = {v.name for v in run.problem.variables[-2:]}
+        assert any(
+            len({
+                tuple(sorted((k, v) for k, v in a.items() if k not in grand))
+                for a in batch
+            }) >= 2
+            for batch in run.batches
         )
-        uncapped = []
-        _solve(
-            dataclasses.replace(
-                run.problem,
-                frontier_evaluate=lambda batch: uncapped.append(len(batch)),
-            ),
-            setup,
-            run.budget,
-        )
-        capped = sum(len(batch) for batch in run.batches)
-        assert capped < sum(uncapped), (capped, sum(uncapped))
     if setup == "portfolio-seeded":
         # the root sweep ran under the hint: one batch holds the seed's
         # alternatives in its first variable alone
@@ -533,12 +531,9 @@ class _HintedRun:
     problem: object
     #: every ``frontier_evaluate`` batch of the hinted search
     batches: list
-    #: the leaf-parents each batch spans
-    parents: list
-    #: the leaf-parents the unhinted search visited (priced the leaf of)
-    visited: set
+    #: the leaves the unhinted search read (computed the objective of)
+    read: set
     best: float
-    budget: int
 
 
 def _assert_hint_invisible(
@@ -563,18 +558,20 @@ def _assert_hint_invisible(
     scalar = dataclasses.replace(
         scheduler.build_problem(workload, fresh_form), frontier_evaluate=None
     )
-    # a budget that cuts the search roughly in half
-    budget = BranchAndBound().solve(scalar).nodes_explored // 2
+    # a budget that cuts the last quarter of the search: every
+    # objective's truncated search still reads enough leaves after its
+    # first incumbent for a lookahead batch (half the tree does not on
+    # the energy objective)
+    budget = BranchAndBound().solve(scalar).nodes_explored * 3 // 4
     leaf = problem.variables[-1].name
-    visited = set()
+    read = set()
 
-    def tracking(partial, variable):
-        if variable.name == leaf:
-            visited.add(tuple(sorted(partial.items())))
-        return problem.child_bounds(partial, variable)
+    def tracking(assignment):
+        read.add(tuple(sorted(assignment.items())))
+        return scalar.objective(assignment)
 
     slow = _solve(
-        dataclasses.replace(scalar, child_bounds=tracking), setup, budget
+        dataclasses.replace(scalar, objective=tracking), setup, budget
     )
     fast = _solve(
         dataclasses.replace(problem, frontier_evaluate=recording),
@@ -602,9 +599,8 @@ def _assert_hint_invisible(
             i.wall_time_s for i in slow.incumbents
         ]
         assert fast.warm_starts == slow.warm_starts
-    # the hint actually ran, and unless a budget cut the prewarm to a
-    # single leaf-parent, at least one batch spanned several (a
-    # leaf-grandparent's prewarm)
+    # the hint actually ran, and unless a budget cut the lookahead
+    # short, at least one batch spanned several leaf-parents
     assert formulation.engine.counters.frontier_batches > 0
     parents = [
         {tuple(sorted((k, v) for k, v in a.items() if k != leaf)) for a in batch}
@@ -613,7 +609,7 @@ def _assert_hint_invisible(
     if setup != "budget":
         assert max(map(len, parents)) >= 2, parents
     return _HintedRun(
-        problem, batches, parents, visited, slow.best.objective, budget
+        problem, batches, read, slow.best.objective
     )
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.solver import bnb
 from repro.solver.bnb import BranchAndBound
 from repro.solver.exhaustive import solve_exhaustive
 from repro.solver.problem import Infeasible, Problem, Variable
@@ -195,10 +196,10 @@ def _priced(problem, calls, batches=None):
 class TestPrewarmPricing:
     @pytest.mark.parametrize("seed", (0, 1, 3, 4, 5, 7, 9))
     def test_each_sibling_set_is_priced_once(self, seed):
-        """A leaf-grandparent's prewarm prices the children of every
-        surviving leaf-parent; the leaf-parents' own loops reuse those
-        prices instead of calling ``child_bounds`` again.  The tree,
-        node count and incumbents equal the search without the hint."""
+        """The lookahead prices the children of every node it expands;
+        the search's own loops reuse those prices instead of calling
+        ``child_bounds`` again.  The tree, node count and incumbents
+        equal the search without the hint."""
         problem = random_problem(seed, InstanceSpec(variables=5, max_domain=5))
         plain_calls, calls, batches = [], [], []
         plain = BranchAndBound().solve(_priced(problem, plain_calls))
@@ -217,6 +218,58 @@ class TestPrewarmPricing:
             len({tuple(sorted((k, v) for k, v in a.items() if k != leaf))
                  for a in batch}) >= 2
             for batch in batches
+        )
+
+
+class TestLookahead:
+    @pytest.mark.parametrize("window", (4, bnb.LOOKAHEAD))
+    @pytest.mark.parametrize("budgeted", (False, True))
+    # instances with 4-5 variables
+    @pytest.mark.parametrize("seed", (0, 5, 7, 9, 12, 17))
+    def test_window_follows_the_search(self, seed, budgeted, window, monkeypatch):
+        """Each lookahead hands over at most ``LOOKAHEAD`` leaves, none
+        twice, listed in the order the search reads them, and only
+        leaves the search reads or a tightened limit prunes (within the
+        node budget's reach).  The tree and incumbents equal the search
+        without the hint."""
+        monkeypatch.setattr(bnb, "LOOKAHEAD", window)
+        problem = random_problem(seed, InstanceSpec(variables=5, max_domain=5))
+        assert len(problem.variables) >= 4
+        plain = BranchAndBound().solve(_priced(problem, []))
+        budget = plain.nodes_explored // 2 if budgeted else None
+        batches, reads = [], []
+        hinted = _priced(problem, [], batches)
+
+        def reading(assignment):
+            reads.append(tuple(sorted(assignment.items())))
+            return hinted.objective(assignment)
+
+        unhinted = (
+            BranchAndBound(node_budget=budget).solve(_priced(problem, []))
+            if budgeted
+            else plain
+        )
+        result = BranchAndBound(node_budget=budget).solve(
+            dataclasses.replace(hinted, objective=reading)
+        )
+        assert result.nodes_explored == unhinted.nodes_explored
+        assert [(i.assignment, i.objective, i.nodes_explored)
+                for i in result.incumbents] == [
+            (i.assignment, i.objective, i.nodes_explored)
+            for i in unhinted.incumbents
+        ]
+        assert batches
+        assert all(len(batch) <= window for batch in batches)
+        handed = [tuple(sorted(a.items())) for batch in batches for a in batch]
+        assert len(handed) == len(set(handed))
+        handed_set, read_set = set(handed), set(reads)
+        assert [h for h in handed if h in read_set] == [
+            r for r in reads if r in handed_set
+        ]
+        assert all(
+            h in read_set
+            or hinted.lower_bound(dict(h)) >= result.best.objective
+            for h in handed
         )
 
 
