@@ -19,8 +19,8 @@ import sys
 from repro.core import HaXCoNN
 from repro.serve import (
     CachedAnytimePolicy,
+    Fleet,
     PoissonArrivals,
-    Server,
     Tenant,
     TraceArrivals,
     gpu_only_policy,
@@ -58,6 +58,14 @@ def tenants() -> list[Tenant]:
     ]
 
 
+def serve(platform, policy_factory):
+    """One replica: a one-shard fleet.  Returns its per-tenant report."""
+    fleet = Fleet(
+        platform, tenants(), policy_factory, shards=1, max_batch=2
+    )
+    return fleet.run(horizon_s=HORIZON_S).outcomes[0].report
+
+
 def main() -> None:
     platform = get_platform(sys.argv[1] if len(sys.argv) > 1 else "xavier")
     scheduler = HaXCoNN(
@@ -66,10 +74,7 @@ def main() -> None:
 
     print(f"serving on {platform.name}: cam throughout, det -> seg "
           f"handover at {HORIZON_S / 2 * 1e3:.0f} ms\n")
-    policy = CachedAnytimePolicy(scheduler)
-    report = Server(
-        platform, tenants(), policy, max_batch=2
-    ).run(horizon_s=HORIZON_S)
+    report = serve(platform, lambda shard: CachedAnytimePolicy(scheduler))
     print("cache + anytime serving:")
     print(report.describe())
 
@@ -82,12 +87,12 @@ def main() -> None:
     for index, name in swaps:
         print(f"  round {index:3d}: {name}")
 
-    baseline = gpu_only_policy(
-        platform, db=scheduler.db, max_groups=8
+    gpu_report = serve(
+        platform,
+        lambda shard: gpu_only_policy(
+            platform, db=scheduler.db, max_groups=8
+        ),
     )
-    gpu_report = Server(
-        platform, tenants(), baseline, max_batch=2
-    ).run(horizon_s=HORIZON_S)
     print(f"\nGPU-only serving of the same requests: "
           f"p99 {gpu_report.p99_ms:.2f} ms vs "
           f"{report.p99_ms:.2f} ms cache+anytime")

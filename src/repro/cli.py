@@ -5,9 +5,10 @@ Subcommands
 ``haxconn schedule MODEL1 MODEL2 [--platform P] [--objective O]``
     Find and execute the optimal co-schedule for a DNN pair.
 ``haxconn serve SPEC [SPEC ...]``
-    Run the multi-tenant serving loop on a simulated SoC.  Each SPEC
-    is ``model[:rate_hz[:slo_ms]]``; the policy decides per round
-    which schedule the active tenant mix dispatches.
+    Run the multi-tenant serving fleet on a simulated SoC (one shard
+    unless ``--shards`` says more).  Each SPEC is
+    ``model[:rate_hz[:slo_ms]]``; the policy decides per round which
+    schedule the active tenant mix dispatches.
 ``haxconn experiment NAME``
     Regenerate a paper table/figure (``fig1``, ``table2``, ``fig3``,
     ``fig4``, ``table5``, ``fig5``, ``table6``, ``fig6``, ``fig7``,
@@ -158,13 +159,17 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.core import HaXCoNN
+    from repro.core.evalcache import EvalCounters
     from repro.serve import (
         CachedAnytimePolicy,
-        Server,
+        Fleet,
+        ServingPolicy,
         Tenant,
         gpu_only_policy,
         naive_policy,
     )
+    from repro.serve.policy import DynamicThrottlePolicy
+    from repro.serve.slo import AdmissionConfig, TierConfig
     from repro.dnn.zoo import canonical_name
     from repro.serve.requests import make_arrivals
     from repro.soc import get_platform
@@ -212,9 +217,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store = _open_store(args.store)
         if store is None:
             return 2
+    admission = None
+    if args.max_queue_depth is not None:
+        admission = AdmissionConfig(
+            tiers=tuple(
+                TierConfig(priority=p, depth_cap=args.max_queue_depth)
+                for p in sorted({t.priority for t in tenants})
+            )
+        )
     db = ProfileDB(platform)
+    # one scheduler per haxconn shard; the eval-engine line sums them
+    schedulers: list[HaXCoNN] = []
 
-    def make_policy(attach_store: bool):
+    def make_policy(shard_id: int) -> ServingPolicy:
         if args.policy == "haxconn":
             scheduler = HaXCoNN(
                 platform,
@@ -222,66 +237,34 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 max_transitions=args.max_transitions,
                 solver=args.solver,
             )
-            return CachedAnytimePolicy(
-                scheduler,
-                max_queue_depth=args.max_queue_depth,
-                store=store if attach_store else None,
-            )
+            schedulers.append(scheduler)
+            return CachedAnytimePolicy(scheduler)
         if args.policy == "gpu-only":
-            return gpu_only_policy(
-                platform, max_queue_depth=args.max_queue_depth
-            )
+            return gpu_only_policy(platform)
         if args.policy == "moca":
-            from repro.serve.policy import DynamicThrottlePolicy
+            return DynamicThrottlePolicy(platform, db=db)
+        return naive_policy(platform)
 
-            return DynamicThrottlePolicy(
-                platform, db=db, max_queue_depth=args.max_queue_depth
-            )
-        return naive_policy(
-            platform, max_queue_depth=args.max_queue_depth
-        )
-
-    if args.shards > 1:
-        from repro.serve.fleet import Fleet
-
-        fleet = Fleet(
-            platform,
-            tenants,
-            lambda shard_id: make_policy(False),
-            shards=args.shards,
-            router=args.router,
-            max_batch=args.max_batch,
-            sync_rounds=args.sync_rounds,
-            batching=args.batching,
-            store=store,
-        )
-        fleet_report = fleet.run(horizon_s=args.horizon)
-        print(fleet_report.describe())
-        if store is not None:
-            print(
-                f"solve store: {len(store)} records, "
-                f"{len(store.schedules())} schedules over "
-                f"{len(store.signatures())} signatures at {store.path}"
-            )
-        if args.trace:
-            path = fleet_report.export_chrome_trace(args.trace)
-            print(f"Chrome trace written to {path}")
-        return 0
-
-    # single replica: the plain serving loop (store attached directly
-    # to the policy, which then owns read and write-through)
-    policy = make_policy(True)
-    server = Server(
+    fleet = Fleet(
         platform,
         tenants,
-        policy,
+        make_policy,
+        shards=args.shards,
+        router=args.router,
         max_batch=args.max_batch,
+        sync_rounds=args.sync_rounds,
+        admission=admission,
         batching=args.batching,
+        store=store,
     )
-    report = server.run(horizon_s=args.horizon)
-    print(report.describe())
-    eval_stats = getattr(policy, "eval_stats", dict)()
-    if eval_stats.get("evals"):
+    fleet_report = fleet.run(horizon_s=args.horizon)
+    for outcome in fleet_report.outcomes:
+        print(outcome.report.describe())
+    counters = EvalCounters()
+    for scheduler in schedulers:
+        counters.merge(scheduler.eval_counters)
+    eval_stats = counters.as_dict()
+    if eval_stats["evals"]:
         print(
             f"eval engine: {int(eval_stats['evals'])} evals, "
             f"memo hit rate {eval_stats['memo_hit_rate'] * 100:.1f}%, "
@@ -293,8 +276,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{len(store.schedules())} schedules over "
             f"{len(store.signatures())} signatures at {store.path}"
         )
+    print(fleet_report.describe())
     if args.trace:
-        path = report.export_chrome_trace(args.trace)
+        path = fleet_report.export_chrome_trace(args.trace)
         print(f"Chrome trace written to {path}")
     return 0
 
@@ -580,7 +564,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="virtual serving horizon in seconds",
     )
     p.add_argument("--max-batch", type=int, default=2)
-    p.add_argument("--max-queue-depth", type=int, default=None)
+    p.add_argument(
+        "--max-queue-depth",
+        type=int,
+        default=None,
+        help="admission depth cap: shed a request that arrives when "
+        "its tenant already has this many queued",
+    )
     p.add_argument("--max-transitions", type=int, default=2)
     p.add_argument(
         "--solver",
@@ -597,8 +587,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="server replicas; >1 runs the sharded fleet with a "
-        "deterministic tenant router and epoch solve gossip",
+        help="fleet shards (server replicas) behind a deterministic "
+        "tenant router, sharing solves by epoch gossip; 1 serves "
+        "every tenant on one replica",
     )
     p.add_argument(
         "--router",

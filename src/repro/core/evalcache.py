@@ -851,10 +851,11 @@ class EvalEngine:
     def _s_matrix(self, active: np.ndarray, bw: np.ndarray) -> np.ndarray:
         """Per-interval slowdown matrix for one overlap structure.
 
-        The single implementation behind both the scalar path's
-        ``_slowdowns`` and the frontier batcher's per-member cache
-        misses -- sharing the code is what makes the two paths'
-        cache entries interchangeable bit-for-bit.
+        The scalar path's ``_slowdowns`` computes its cache misses
+        here; the frontier batcher computes its misses with
+        :meth:`_s_matrix_many`, which runs this same algebra batched
+        and returns bit-identical rows, so the two paths' cache
+        entries are interchangeable.
         """
         total_bw = active @ bw
         n_clients = active.sum(axis=1)

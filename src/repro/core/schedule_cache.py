@@ -198,6 +198,9 @@ class ScheduleCache:
         subsequently published schedule is appended (content-addressed,
         so repeat publications are free).  Adopted entries answer later
         lookups as ordinary hits and additionally bump ``store_hits``.
+        This is the offline path (:meth:`precompute`, then a deployment
+        that attaches the store read-only); serving reaches the store
+        only through :class:`repro.serve.fleet.Fleet`.
         """
         adopted = 0
         for sig, payload in sorted(store.schedules().items()):
@@ -215,8 +218,8 @@ class ScheduleCache:
         """Drain up to ``limit`` locally-published entries for peers.
 
         The gossip shape the fleet's epoch sync uses: items are plain
-        picklable tuples, bounded per epoch, and the remainder rides
-        the next sync.
+        tuples, bounded per call, and the remainder rides the next
+        call.
         """
         if not self._pending:
             return ()
@@ -237,9 +240,10 @@ class ScheduleCache:
         self, delta: Sequence[tuple[str, Mapping[str, Any]]]
     ) -> None:
         """Like :meth:`merge`, but for entries that originate in the
-        persistent solve store (the fleet seeds workers this way so
-        they never open the store file themselves); lookups these
-        entries answer additionally bump ``store_hits``."""
+        persistent solve store (the fleet seeds its shards' policies
+        this way, so no policy opens the store file during serving);
+        lookups these entries answer additionally bump
+        ``store_hits``."""
         for sig, payload in delta:
             if sig not in self._store:
                 self._store[sig] = schedule_from_payload(payload)

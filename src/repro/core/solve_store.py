@@ -1,7 +1,7 @@
 """Persistent, content-addressed solve store (append-only JSONL).
 
-The serving fleet shares solve work across shard processes *and*
-across runs: every converged schedule lands in one on-disk store keyed
+The serving fleet shares solve work across its shards *and* across
+runs: every converged schedule lands in one on-disk store keyed
 by :func:`repro.core.schedule_cache.workload_signature`, so a cold
 shard (or a repeated benchmark run) starts with the schedules earlier
 runs already paid for.  A stored schedule re-materializes

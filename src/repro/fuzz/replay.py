@@ -4,9 +4,9 @@ A scenario that survives the oracle stack is a *vetted* workload: its
 schedules verify, its evaluators agree, its baselines behave.  This
 module turns such a :class:`ScenarioSpec` into serving tenants (the
 SLO and arrival-process fields finally matter here) and drives it
-through :class:`repro.serve.server.Server` or
-:class:`repro.serve.fleet.Fleet` -- so the fuzzer doubles as a
-generator of replayable multi-tenant serving workloads.
+through a :class:`repro.serve.fleet.Fleet` of one or more shards -- so
+the fuzzer doubles as a generator of replayable multi-tenant serving
+workloads.
 
 Tenant arrival seeds derive from the scenario seed, so a replay is as
 deterministic as the scenario itself.
@@ -20,8 +20,6 @@ from repro.fuzz.universe import ScenarioSpec
 from repro.serve.fleet import Fleet, ShardedFleetReport
 from repro.serve.policy import CachedAnytimePolicy, ServingPolicy
 from repro.serve.requests import Tenant, make_arrivals
-from repro.serve.server import Server
-from repro.serve.slo import FleetReport
 from repro.soc.platform import get_platform
 
 
@@ -62,22 +60,6 @@ def scenario_policy(spec: ScenarioSpec) -> ServingPolicy:
     return CachedAnytimePolicy(scheduler)
 
 
-def serve_scenario(
-    spec: ScenarioSpec,
-    *,
-    horizon_s: float = 0.25,
-    max_requests: int = 256,
-) -> FleetReport:
-    """Serve the scenario on a single simulated SoC."""
-    server = Server(
-        get_platform(spec.platform),
-        tenants_for(spec),
-        scenario_policy(spec),
-        objective=spec.objective,
-    )
-    return server.run(horizon_s=horizon_s, max_requests=max_requests)
-
-
 def fleet_scenario(
     spec: ScenarioSpec,
     *,
@@ -85,8 +67,9 @@ def fleet_scenario(
     horizon_s: float = 0.25,
     max_requests: int = 256,
 ) -> ShardedFleetReport:
-    """Serve the scenario on a sharded fleet (lockstep gossip epochs
-    over ``shards`` shards)."""
+    """Serve the scenario on a fleet (lockstep gossip epochs over
+    ``shards`` shards; ``shards=1`` serves it on a single simulated
+    SoC)."""
     fleet = Fleet(
         get_platform(spec.platform),
         tenants_for(spec),

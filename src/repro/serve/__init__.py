@@ -15,15 +15,15 @@ latency comes from executing rounds on the discrete-event simulator.
 
 - :mod:`repro.serve.requests` -- tenants, requests, arrival processes
   (periodic, Poisson, bursty/MMPP, trace replay),
-- :mod:`repro.serve.policy` -- admission control and schedule-swap
-  policies (static baselines, cache-plus-anytime),
+- :mod:`repro.serve.policy` -- schedule-swap policies (static
+  baselines, MoCA-style throttling, cache-plus-anytime),
 - :mod:`repro.serve.server` -- the event-driven serving loop on
-  simulator virtual time,
-- :mod:`repro.serve.slo` -- per-tenant and fleet SLO metrics plus
-  Chrome-trace export of a full serving run,
-- :mod:`repro.serve.fleet` -- the sharded multi-process serving fleet
+  simulator virtual time (one shard's engine),
+- :mod:`repro.serve.slo` -- per-tenant and fleet SLO metrics and the
+  priority-tiered admission controller (the only load-shedding path),
+- :mod:`repro.serve.fleet` -- the serving fleet, the one way to serve
   (deterministic tenant routing, epoch gossip, persistent solve
-  store).
+  store); a single replica is a one-shard fleet.
 """
 
 from repro.serve.fleet import (

@@ -17,13 +17,15 @@ ways:
   the store's schedules before the first round and appends each
   epoch's gossip union to disk
   (:class:`~repro.core.solve_store.SolveStore`); shards see the store
-  only through ``merge``.
+  only through ``merge``.  The fleet is the serving layer's only
+  reader and writer of the store, and a single replica is a
+  one-shard fleet.
 
 Epochs run in **lockstep**.  In each pass every alive shard, in index
 order, merges the previous epoch's union, serves ``sync_rounds``
 rounds and exports its delta; shards that finished drop out (their
-last delta still reaches the union), and the union is appended to the
-store.
+last delta, drained whole, still reaches the union), and the union is
+appended to the store.
 
 Determinism contract: a
 shard's :class:`~repro.serve.slo.FleetReport` is a pure function of
@@ -63,7 +65,8 @@ from repro.solver.clock import monotonic_s
 BACKENDS = ("auto", "fork", "serial")
 #: accepted, retired ``Fleet(transport=)`` values; both select nothing
 TRANSPORTS = ("auto", "shm")
-#: most gossip items a shard exports per epoch
+#: most gossip items a shard exports per epoch (a finishing shard
+#: exports in batches of this size until it holds nothing)
 GOSSIP_LIMIT = 256
 
 
@@ -71,7 +74,7 @@ def stable_shard(name: str, shards: int) -> int:
     """Process-independent tenant-name hash in ``range(shards)``.
 
     The builtin ``hash`` is salted per process, so it would route the
-    same tenant differently in every worker; CRC-32 is stable across
+    same tenant differently on every run; CRC-32 is stable across
     processes, platforms, and Python versions.
     """
     if shards < 1:
@@ -644,6 +647,12 @@ class Fleet:
                         policy.merge(union)
                     session.run_rounds(self.sync_rounds)
                     delta.extend(policy.export_delta(limit=GOSSIP_LIMIT))
+                    # a finishing shard has no later epoch to carry
+                    # what the limit held back: drain all of it
+                    while session.finished and (
+                        rest := policy.export_delta(limit=GOSSIP_LIMIT)
+                    ):
+                        delta.extend(rest)
                 if session.finished:
                     outcomes[sid] = ShardOutcome(
                         index=sid,

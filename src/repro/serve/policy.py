@@ -1,11 +1,11 @@
-"""Admission-control and schedule-selection policies for serving.
+"""Schedule-selection policies for serving.
 
-A :class:`ServingPolicy` answers two online questions the server asks:
-
-1. *admit or shed* -- may this request join its tenant's queue?
-2. *which schedule now* -- given the currently-active tenant mix and
-   how long that mix has been running, which schedule should the next
-   round dispatch?
+A :class:`ServingPolicy` answers the online question the server asks
+every round: given the currently-active tenant mix and how long that
+mix has been running, which schedule should the next round dispatch?
+(Whether a request may join its tenant's queue at all is the
+:class:`~repro.serve.slo.AdmissionController`'s decision, not the
+policy's.)
 
 :class:`CachedAnytimePolicy` is the D-HaX-CoNN-driven answer: known
 mixes toggle instantly out of the static
@@ -29,7 +29,6 @@ from repro.core.baselines import gpu_only, naive_concurrent
 from repro.core.dynamic import DEFAULT_UPDATE_POINTS, DHaXCoNN, _AnytimePhase
 from repro.core.haxconn import HaXCoNN, ScheduleResult
 from repro.core.schedule_cache import ScheduleCache, workload_signature
-from repro.core.solve_store import SolveStore
 from repro.core.workload import Workload
 from repro.profiling.database import ProfileDB
 from repro.soc.platform import Platform, get_platform
@@ -46,26 +45,9 @@ class MixCandidate:
 
 
 class ServingPolicy:
-    """Base policy: admit everything, delegate scheduling to a hook."""
+    """Base policy: delegate scheduling to a hook."""
 
     name = "policy"
-
-    def __init__(self, *, max_queue_depth: int | None = None) -> None:
-        if max_queue_depth is not None and max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be >= 1")
-        self.max_queue_depth = max_queue_depth
-        self.rejected = 0
-
-    # -- admission -----------------------------------------------------
-    def admit(self, tenant: str, queue_depth: int, now_s: float) -> bool:
-        """Load shedding: bound each tenant's backlog."""
-        if (
-            self.max_queue_depth is not None
-            and queue_depth >= self.max_queue_depth
-        ):
-            self.rejected += 1
-            return False
-        return True
 
     def filter_mix(
         self,
@@ -92,7 +74,7 @@ class ServingPolicy:
         raise NotImplementedError
 
     def stats(self) -> dict[str, object]:
-        return {"policy": self.name, "rejected": self.rejected}
+        return {"policy": self.name}
 
     # -- cross-shard gossip (the fleet's epoch-sync protocol) ----------
     def export_delta(self, limit: int = 256) -> tuple[Any, ...]:
@@ -115,10 +97,7 @@ class StaticPolicy(ServingPolicy):
         self,
         name: str,
         solve: Callable[[Workload], ScheduleResult],
-        *,
-        max_queue_depth: int | None = None,
     ) -> None:
-        super().__init__(max_queue_depth=max_queue_depth)
         self.name = name
         self._solve = solve
         self._results: dict[str, ScheduleResult] = {}
@@ -146,14 +125,12 @@ def gpu_only_policy(
     *,
     db: ProfileDB | None = None,
     max_groups: int | None = 12,
-    max_queue_depth: int | None = None,
 ) -> StaticPolicy:
     """Serialized GPU-only serving (the paper's strongest naive base)."""
     plat = get_platform(platform) if isinstance(platform, str) else platform
     return StaticPolicy(
         "gpu-only",
         lambda w: gpu_only(w, plat, db=db, max_groups=max_groups),
-        max_queue_depth=max_queue_depth,
     )
 
 
@@ -162,14 +139,12 @@ def naive_policy(
     *,
     db: ProfileDB | None = None,
     max_groups: int | None = 12,
-    max_queue_depth: int | None = None,
 ) -> StaticPolicy:
     """Contention-oblivious fixed GPU & DSA mapping."""
     plat = get_platform(platform) if isinstance(platform, str) else platform
     return StaticPolicy(
         "naive",
         lambda w: naive_concurrent(w, plat, db=db, max_groups=max_groups),
-        max_queue_depth=max_queue_depth,
     )
 
 
@@ -207,7 +182,6 @@ class DynamicThrottlePolicy(StaticPolicy):
         *,
         db: ProfileDB | None = None,
         max_groups: int | None = 12,
-        max_queue_depth: int | None = None,
     ) -> None:
         plat = (
             get_platform(platform) if isinstance(platform, str) else platform
@@ -218,7 +192,6 @@ class DynamicThrottlePolicy(StaticPolicy):
             lambda w: naive_concurrent(
                 w, plat, db=self._db, max_groups=max_groups
             ),
-            max_queue_depth=max_queue_depth,
         )
         self._platform = plat
         self._max_groups = max_groups
@@ -337,11 +310,8 @@ class CachedAnytimePolicy(ServingPolicy):
         scheduler: HaXCoNN,
         *,
         cache: ScheduleCache | None = None,
-        store: SolveStore | None = None,
         update_points: Sequence[float] = DEFAULT_UPDATE_POINTS,
-        max_queue_depth: int | None = None,
     ) -> None:
-        super().__init__(max_queue_depth=max_queue_depth)
         if cache is not None and cache.scheduler is not scheduler:
             raise ValueError("cache must wrap the same scheduler")
         self._planner = DHaXCoNN(scheduler, update_points=update_points)
@@ -351,8 +321,6 @@ class CachedAnytimePolicy(ServingPolicy):
         self.solves = 0
         self.swaps = 0
         self.verify_failures = 0
-        if store is not None:
-            self.cache.attach_store(store)
 
     # ------------------------------------------------------------------
     def _solve_anytime(self, workload: Workload) -> _AnytimePhase:
@@ -366,11 +334,12 @@ class CachedAnytimePolicy(ServingPolicy):
         The phase's final schedule is already certified (the solver
         ran to completion; phase time only gates *serving* it, per
         D-HaX-CoNN's solver-co-runs-with-inference model), so it is
-        published to the cache -- and through it to gossip and the
-        solve store -- immediately.  Locally the in-flight phase takes
-        precedence over the cache entry (see :meth:`result_for`), so
-        serving fidelity is unchanged; peers and future processes
-        toggle without re-solving.
+        published to the cache -- and through it to fleet gossip, which
+        the fleet also appends to the solve store -- immediately.
+        Locally the in-flight phase takes precedence over the cache
+        entry (see :meth:`result_for`), so serving fidelity is
+        unchanged; peers and future processes toggle without
+        re-solving.
         """
         phase = self._planner.plan(
             workload, warm_starts=self.cache.warm_starts(workload)

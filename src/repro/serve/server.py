@@ -6,8 +6,9 @@ must decide *online* what to co-schedule.  The loop alternates between
 two virtual-time events:
 
 1. **admission** -- every request whose arrival instant has passed is
-   admitted into its tenant's FIFO queue (or shed, per the policy's
-   admission control);
+   admitted into its tenant's FIFO queue (or shed by the session's
+   :class:`~repro.serve.slo.AdmissionController`, when the server has
+   an admission config);
 2. **dispatch** -- the tenants with backlogged requests form the
    *active mix*; the policy picks a schedule for that mix (cache
    toggle, naive start, or anytime incumbent), the server takes up to
@@ -159,42 +160,26 @@ class Server:
         """A resumable serving session over this server's tenants.
 
         The fleet steps sessions in gossip epochs
-        (:meth:`ServingSession.run_rounds`); :meth:`run` is the
-        drain-everything convenience on top.
+        (:meth:`ServingSession.run_rounds`); ``run_rounds()`` with no
+        limit serves every request arriving within ``horizon_s``,
+        draining queues past the horizon, so the report always covers
+        the full arrival set.
         """
         return ServingSession(
             self, horizon_s=horizon_s, max_requests=max_requests
         )
 
-    def run(
-        self,
-        *,
-        horizon_s: float,
-        max_requests: int = 10_000,
-    ) -> FleetReport:
-        """Serve every request arriving within ``horizon_s``.
-
-        The loop drains queues past the horizon (no request is
-        abandoned), so the report always covers the full arrival set.
-        """
-        session = self.session(
-            horizon_s=horizon_s, max_requests=max_requests
-        )
-        session.run_rounds()
-        return session.report()
-
 
 class ServingSession:
     """One resumable serving run: the fleet's epoch-step unit.
 
-    Holds every piece of loop state :meth:`Server.run` used to keep in
-    locals -- request stream, per-tenant queues, round and request
-    records, per-mix phase time, the virtual clock -- so the loop can
-    be advanced a bounded number of rounds at a time
-    (:meth:`run_rounds`) with gossip applied between calls.  Running
-    a session to completion in one call is byte-identical to the old
-    monolithic loop, and the round trace is a pure function of the
-    arrival stream and the policy's answers: wall-clock never enters
+    Holds every piece of loop state -- request stream, per-tenant
+    queues, round and request records, per-mix phase time, the
+    virtual clock -- so the loop can be advanced a bounded number of
+    rounds at a time (:meth:`run_rounds`) with gossip applied between
+    calls.  How the rounds are chunked never changes the result, and
+    the round trace is a pure function of the arrival stream, the
+    admission rules and the policy's answers: wall-clock never enters
     the virtual timeline.
 
     The session additionally tracks *time-to-first-HaX-CoNN-
@@ -283,9 +268,7 @@ class ServingSession:
                         slo_s=self._slo[req.tenant],
                         est_latency_s=self._latency_ewma.get(req.tenant),
                     )
-                if shed_reason is None and self.server.policy.admit(
-                    req.tenant, len(self._queues[req.tenant]), self._now
-                ):
+                if shed_reason is None:
                     self._queues[req.tenant].append(req)
                 else:
                     self.records.append(
@@ -417,8 +400,7 @@ class ServingSession:
         return executed
 
     def report(self) -> FleetReport:
-        """The run so far as a :class:`FleetReport` (byte-identical to
-        the old monolithic loop's report once :attr:`finished`)."""
+        """The run so far as a :class:`FleetReport`."""
         records = sorted(
             self.records, key=lambda r: (r.arrival_s, r.tenant, r.seq)
         )

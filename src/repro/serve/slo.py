@@ -4,19 +4,17 @@ Every number here is derived from *measured* request records -- round
 start/finish instants observed on the discrete-event simulator -- never
 from scheduler predictions.  Aggregation (percentiles, miss rates,
 goodput, utilization) goes through the shared helpers in
-:mod:`repro.runtime.metrics`; the whole run exports as one Chrome
-trace via :mod:`repro.runtime.trace`.
+:mod:`repro.runtime.metrics`; :meth:`FleetReport.merged_timeline` puts
+the whole run on one clock for :mod:`repro.runtime.trace`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.runtime import metrics
-from repro.runtime.trace import export_chrome_trace
 from repro.soc.timeline import ContentionInterval, TaskRecord, Timeline
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints
@@ -37,8 +35,7 @@ class ServedRequest:
     finish_s: float | None = None
     round_index: int | None = None
     rejected: bool = False
-    #: admission-controller deny reason (None when admitted or when
-    #: the shed came from the policy's depth bound)
+    #: admission-controller deny reason (None when admitted)
     shed_reason: str | None = None
 
     def __post_init__(self) -> None:
@@ -160,10 +157,10 @@ class TierConfig:
 
 @dataclass(frozen=True)
 class AdmissionConfig:
-    """Priority-tiered admission rules (picklable, stateless).
+    """Priority-tiered admission rules (stateless).
 
     The runtime state lives in :class:`AdmissionController`, built
-    fresh per serving session -- which is what lets the fleet ship one
+    fresh per serving session -- which is what lets the fleet hand one
     config to every shard and keep shards independent.
     """
 
@@ -189,8 +186,9 @@ class AdmissionController:
     """Stateful admission decisions for one serving session.
 
     Decisions consume only virtual-time inputs (arrival instants,
-    queue depths, measured virtual latencies), so a session replayed
-    on any fleet backend sheds the identical request set.
+    queue depths, measured virtual latencies), so a replayed session
+    sheds the identical request set.  It is the serving loop's only
+    load-shedding path.
     """
 
     def __init__(self, config: AdmissionConfig) -> None:
@@ -416,10 +414,6 @@ class FleetReport:
                     )
                 )
         return Timeline(records, intervals)
-
-    def export_chrome_trace(self, path: str | Path) -> Path:
-        """Write the whole run as one Chrome/Perfetto trace."""
-        return export_chrome_trace(self.merged_timeline(), path)
 
     # -- presentation ---------------------------------------------------
     def describe(self) -> str:

@@ -7,7 +7,7 @@ is a *replayable* serving workload.
 import pytest
 
 from repro.fuzz import generate_scenario, run_oracles
-from repro.fuzz.replay import fleet_scenario, serve_scenario
+from repro.fuzz.replay import fleet_scenario
 
 
 @pytest.fixture(scope="module")
@@ -24,9 +24,9 @@ class TestFleetReplay:
         assert report.served > 0
 
     def test_fleet_matches_single_server_tenants(self, vetted):
-        single = serve_scenario(vetted, horizon_s=0.2)
+        [single] = fleet_scenario(vetted, shards=1, horizon_s=0.2).outcomes
         fleet = fleet_scenario(vetted, shards=2, horizon_s=0.2)
-        single_tenants = {r.tenant for r in single.requests}
+        single_tenants = {r.tenant for r in single.report.requests}
         fleet_tenants = {
             r.tenant
             for o in fleet.outcomes

@@ -21,6 +21,7 @@ from repro.profiling.profiler import profile_dnn
 from repro.serve import CachedAnytimePolicy, Server, Tenant
 from repro.serve.requests import PeriodicArrivals
 from repro.soc.platform import available_platforms, get_platform
+from tests.serve.helpers import drain
 
 MAX_GROUPS = (4, 8, None)
 
@@ -154,5 +155,5 @@ def test_shared_profiles_equal_fresh_graph_profiles(
     policy = CachedAnytimePolicy(
         HaXCoNN(xavier.platform, db=xavier, max_groups=4, max_transitions=1)
     )
-    Server(xavier.platform, tenants, policy, max_batch=2).run(horizon_s=0.2)
+    drain(Server(xavier.platform, tenants, policy, max_batch=2), horizon_s=0.2)
     check()

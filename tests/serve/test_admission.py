@@ -19,6 +19,7 @@ from repro.serve.slo import (
     TierConfig,
     admitted_request_count,
 )
+from tests.serve.helpers import drain
 
 
 class TestTierValidation:
@@ -200,7 +201,7 @@ class TestServerIntegration:
             gpu_only_policy(xavier, db=xavier_db, max_groups=6),
             admission=admission,
         )
-        return server.run(horizon_s=0.2)
+        return drain(server, horizon_s=0.2)
 
     def test_tiers_shed_only_the_capped_priority(
         self, xavier, xavier_db
@@ -257,12 +258,15 @@ class TestServerIntegration:
         ]
         cfg = tiered_config()
         reports = [
-            Server(
-                xavier,
-                tenants,
-                gpu_only_policy(xavier, db=xavier_db, max_groups=6),
-                admission=cfg,
-            ).run(horizon_s=0.2)
+            drain(
+                Server(
+                    xavier,
+                    tenants,
+                    gpu_only_policy(xavier, db=xavier_db, max_groups=6),
+                    admission=cfg,
+                ),
+                horizon_s=0.2,
+            )
             for _ in range(2)
         ]
         shed = [

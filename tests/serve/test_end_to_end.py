@@ -15,6 +15,7 @@ from repro.core.haxconn import HaXCoNN
 from repro.experiments import serving
 from repro.serve import CachedAnytimePolicy, Server, Tenant
 from repro.serve.requests import PeriodicArrivals
+from tests.serve.helpers import drain
 
 
 @pytest.fixture(scope="module")
@@ -40,9 +41,7 @@ def steady_report(xavier, xavier_db):
         ),
     ]
     policy = CachedAnytimePolicy(scheduler)
-    report = Server(xavier, tenants, policy, max_batch=2).run(
-        horizon_s=0.4
-    )
+    report = drain(Server(xavier, tenants, policy, max_batch=2), horizon_s=0.4)
     return report, policy
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.haxconn import HaXCoNN
 from repro.core.solve_store import SolveStore
-from repro.serve import CachedAnytimePolicy, Tenant
+from repro.serve import CachedAnytimePolicy, Server, Tenant
+from repro.serve import fleet as fleet_module
 from repro.serve.fleet import (
     Fleet,
     ShardRouter,
@@ -17,6 +18,7 @@ from repro.serve.requests import (
     TraceArrivals,
     generate_requests,
 )
+from tests.serve.helpers import drain
 
 HORIZON = 0.2
 
@@ -245,11 +247,24 @@ class TestSerialFleet:
     def test_single_shard_equals_plain_server(
         self, xavier, xavier_db
     ):
+        """A single replica is a one-shard fleet: its shard report is
+        byte-identical to one server session run to completion, although
+        the fleet serves it in epochs and merges its own gossip back."""
         fleet = run_fleet(xavier, xavier_db, shards=1)
         assert fleet.shards == 1
         assert fleet.served + fleet.shed == len(
             generate_requests(fleet_tenants(), horizon_s=HORIZON)
         )
+        assert fleet.epochs > 1
+        plain = drain(
+            Server(
+                xavier,
+                fleet_tenants(),
+                make_factory(xavier, xavier_db)(0),
+            ),
+            horizon_s=HORIZON,
+        )
+        assert fleet.describe_shards() == (plain.describe(),)
 
 
 class TestCrossBackendDeterminism:
@@ -319,9 +334,10 @@ class TestLockstep:
 
     #: sha256 of "\n".join(describe_shards()) for the run below, as
     #: produced by the fleet before the lockstep loop replaced the
-    #: epoch gate
+    #: epoch gate (``18e35ed9...``), with the retired ``rejected=0, ``
+    #: policy stat deleted from each shard's policy line
     EARLY_FINISH_DIGEST = (
-        "18e35ed905e557a2165283ffc83906a0d2203faef0e4c48faf56049cc9e955dc"
+        "606fc0d605e2a125ab96c025f303898b2340c95489c771cf25288d23b621f8b3"
     )
 
     def test_shard_finishing_early_drops_out(self, xavier, xavier_db):
@@ -468,6 +484,74 @@ class TestSolveStore:
         clean = run(SolveStore(deleted, readonly=True))
         assert warm.solves == clean.solves == 1
         assert warm.describe_shards() == clean.describe_shards()
+
+    def test_one_shard_fleet_equals_write_through_server(
+        self, xavier, xavier_db, tmp_path
+    ):
+        """The fleet is the only serving path to the store.  Cold and
+        warm, a one-shard fleet leaves the same shard report and the
+        same store bytes as a plain server session whose cache writes
+        through to the store."""
+        factory = make_factory(xavier, xavier_db)
+
+        def via_fleet(path):
+            report = Fleet(
+                xavier,
+                fleet_tenants(),
+                factory,
+                shards=1,
+                sync_rounds=4,
+                store=SolveStore(path),
+            ).run(horizon_s=HORIZON)
+            return report.describe_shards()
+
+        def via_server(path):
+            policy = factory(0)
+            policy.cache.attach_store(SolveStore(path))
+            report = drain(
+                Server(xavier, fleet_tenants(), policy),
+                horizon_s=HORIZON,
+            )
+            return (report.describe(),)
+
+        fleet_path = tmp_path / "fleet.jsonl"
+        server_path = tmp_path / "server.jsonl"
+        for run in ("cold", "warm"):
+            shards = via_fleet(fleet_path)
+            assert shards == via_server(server_path), run
+            assert fleet_path.read_bytes() == server_path.read_bytes(), run
+        assert "solves=0," in shards[0]
+        assert "store_hits=0," not in shards[0]
+
+    def test_finishing_shard_drains_gossip_past_the_limit(
+        self, xavier, xavier_db, tmp_path, monkeypatch
+    ):
+        """A shard that finishes exports everything it published, not
+        just ``GOSSIP_LIMIT`` items: with a limit of 1 and one epoch
+        covering the whole run, every solved mix still reaches the
+        store."""
+        monkeypatch.setattr(fleet_module, "GOSSIP_LIMIT", 1)
+        store = SolveStore(tmp_path / "solves.jsonl")
+        policies = []
+
+        def factory(shard_id):
+            policy = make_factory(xavier, xavier_db)(shard_id)
+            policies.append(policy)
+            return policy
+
+        report = Fleet(
+            xavier,
+            gossip_tenants(),
+            factory,
+            shards=1,
+            sync_rounds=100_000,
+            store=store,
+        ).run(horizon_s=HORIZON)
+        assert report.epochs == 1
+        [policy] = policies
+        published = set(policy.cache)
+        assert report.solves >= 2 and len(published) == report.solves
+        assert set(SolveStore(store.path).schedules()) == published
 
     def test_store_seeding_is_deterministic(
         self, xavier, xavier_db, tmp_path
@@ -625,9 +709,11 @@ class TestBoundedLag:
 
     #: sha256 of "\n".join(describe_shards()) for the 2-shard serial
     #: lockstep run below, produced by the epoch-barrier fleet as of
-    #: the commit introducing max_lag (verified equal before/after)
+    #: the commit introducing max_lag (``24d285cb...``, verified equal
+    #: before/after), with the retired ``rejected=0, `` policy stat
+    #: deleted from each shard's policy line
     PRE_CHANGE_DIGEST = (
-        "24d285cb9c506466fb3239647e7405652ab6d92c28c7d5d3d04aa63654527371"
+        "1e4907858910352405d26ebef18f15905084df4db11becc2518791aa39e5a1fd"
     )
 
     def _run(self, xavier, xavier_db, *, max_lag, **kwargs):

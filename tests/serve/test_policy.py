@@ -1,4 +1,4 @@
-"""Serving policies: admission, memoization, cache + anytime solving."""
+"""Serving policies: memoization, cache + anytime solving."""
 
 import pytest
 
@@ -25,20 +25,12 @@ def workload():
 
 class TestAdmission:
     def test_unbounded_by_default(self):
+        """Policies take no part in admission: shedding is the
+        admission controller's alone, so a policy has no admit hook
+        and no shed counter."""
         policy = gpu_only_policy("xavier")
-        assert all(policy.admit("t", depth, 0.0) for depth in (0, 10, 999))
-        assert policy.rejected == 0
-
-    def test_queue_depth_bound(self):
-        policy = gpu_only_policy("xavier", max_queue_depth=2)
-        assert policy.admit("t", 1, 0.0)
-        assert not policy.admit("t", 2, 0.0)
-        assert policy.rejected == 1
-        assert policy.stats()["rejected"] == 1
-
-    def test_depth_validation(self):
-        with pytest.raises(ValueError):
-            gpu_only_policy("xavier", max_queue_depth=0)
+        assert not hasattr(policy, "admit")
+        assert policy.stats() == {"policy": "gpu-only", "solves": 0}
 
 
 class TestStaticPolicy:

@@ -4,6 +4,8 @@ import pytest
 
 from repro.serve import Server, Tenant, gpu_only_policy, naive_policy
 from repro.serve.requests import PeriodicArrivals, TraceArrivals
+from repro.serve.slo import SHED_DEPTH, AdmissionConfig, TierConfig
+from tests.serve.helpers import drain
 
 
 def slow_pair():
@@ -27,8 +29,9 @@ def slow_pair():
 @pytest.fixture(scope="module")
 def light_report(xavier, xavier_db):
     policy = gpu_only_policy(xavier, db=xavier_db, max_groups=6)
-    return Server(xavier, slow_pair(), policy, max_batch=2).run(
-        horizon_s=0.2
+    return drain(
+        Server(xavier, slow_pair(), policy, max_batch=2),
+        horizon_s=0.2,
     )
 
 
@@ -60,12 +63,15 @@ class TestRun:
 
     def test_deterministic(self, xavier, xavier_db):
         runs = [
-            Server(
-                xavier,
-                slow_pair(),
-                gpu_only_policy(xavier, db=xavier_db, max_groups=6),
-                max_batch=2,
-            ).run(horizon_s=0.2)
+            drain(
+                Server(
+                    xavier,
+                    slow_pair(),
+                    gpu_only_policy(xavier, db=xavier_db, max_groups=6),
+                    max_batch=2,
+                ),
+                horizon_s=0.2,
+            )
             for _ in range(2)
         ]
         assert [
@@ -84,11 +90,14 @@ class TestBackPressure:
                 arrivals=TraceArrivals(tuple(k * 1e-3 for k in range(10))),
             )
         ]
-        report = Server(
-            xavier,
-            tenants,
-            gpu_only_policy(xavier, db=xavier_db, max_groups=6),
-        ).run(horizon_s=0.02)
+        report = drain(
+            Server(
+                xavier,
+                tenants,
+                gpu_only_policy(xavier, db=xavier_db, max_groups=6),
+            ),
+            horizon_s=0.02,
+        )
         lats = [r.latency_s for r in report.served]
         assert len(lats) == 10
         assert lats[-1] > lats[0] * 2
@@ -101,15 +110,21 @@ class TestBackPressure:
                 arrivals=TraceArrivals(tuple(k * 1e-4 for k in range(12))),
             )
         ]
-        policy = gpu_only_policy(
-            xavier, db=xavier_db, max_groups=6, max_queue_depth=2
+        policy = gpu_only_policy(xavier, db=xavier_db, max_groups=6)
+        admission = AdmissionConfig(
+            tiers=(TierConfig(priority=1, depth_cap=2),)
         )
-        report = Server(xavier, tenants, policy).run(horizon_s=0.02)
+        report = drain(
+            Server(xavier, tenants, policy, admission=admission),
+            horizon_s=0.02,
+        )
         assert len(report.rejected) > 0
         assert (
             len(report.served) + len(report.rejected) == 12
         )
-        assert report.policy_stats["rejected"] == len(report.rejected)
+        assert {r.shed_reason for r in report.rejected} == {SHED_DEPTH}
+        assert report.admission_stats["shed_depth"] == len(report.rejected)
+        assert "rejected" not in report.policy_stats
 
     def test_batching_caps_per_round(self, xavier, xavier_db):
         tenants = [
@@ -119,12 +134,15 @@ class TestBackPressure:
                 arrivals=TraceArrivals(tuple(k * 1e-4 for k in range(9))),
             )
         ]
-        report = Server(
-            xavier,
-            tenants,
-            gpu_only_policy(xavier, db=xavier_db, max_groups=6),
-            max_batch=4,
-        ).run(horizon_s=0.01)
+        report = drain(
+            Server(
+                xavier,
+                tenants,
+                gpu_only_policy(xavier, db=xavier_db, max_groups=6),
+                max_batch=4,
+            ),
+            horizon_s=0.01,
+        )
         assert all(max(r.batch) <= 4 for r in report.rounds)
         assert any(max(r.batch) > 1 for r in report.rounds)
 
@@ -142,11 +160,14 @@ class TestMixes:
             ),
             Tenant.of("det", "resnet18", arrivals=TraceArrivals(half)),
         ]
-        report = Server(
-            xavier,
-            tenants,
-            naive_policy(xavier, db=xavier_db, max_groups=6),
-        ).run(horizon_s=0.2)
+        report = drain(
+            Server(
+                xavier,
+                tenants,
+                naive_policy(xavier, db=xavier_db, max_groups=6),
+            ),
+            horizon_s=0.2,
+        )
         mixes = {r.tenants for r in report.rounds}
         assert ("cam",) in mixes
         assert any(len(m) == 2 for m in mixes)
@@ -166,12 +187,15 @@ class TestMixes:
                 arrivals=TraceArrivals((0.0, 0.001)),
             ),
         ]
-        report = Server(
-            xavier,
-            tenants,
-            gpu_only_policy(xavier, db=xavier_db, max_groups=6),
-            max_batch=2,
-        ).run(horizon_s=0.01)
+        report = drain(
+            Server(
+                xavier,
+                tenants,
+                gpu_only_policy(xavier, db=xavier_db, max_groups=6),
+                max_batch=2,
+            ),
+            horizon_s=0.01,
+        )
         assert len(report.served) == 4
         assert {r.tenant for r in report.served} == {"a", "b"}
 

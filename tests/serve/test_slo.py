@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+from repro.runtime.trace import export_chrome_trace
 from repro.serve import Server, Tenant, gpu_only_policy
 from repro.serve.requests import PeriodicArrivals
 from repro.serve.slo import FleetReport, ServedRequest, TenantStats
+from tests.serve.helpers import drain
 
 
 def req(tenant, seq, arrival, finish, *, slo=None):
@@ -91,9 +93,7 @@ def report(xavier, xavier_db):
         ),
     ]
     policy = gpu_only_policy(xavier, db=xavier_db, max_groups=6)
-    return Server(xavier, tenants, policy, max_batch=2).run(
-        horizon_s=0.2
-    )
+    return drain(Server(xavier, tenants, policy, max_batch=2), horizon_s=0.2)
 
 
 class TestFleetReport:
@@ -139,7 +139,9 @@ class TestFleetReport:
             assert rec.end <= rnd.end_s + 1e-9
 
     def test_chrome_trace_export(self, report, tmp_path):
-        path = report.export_chrome_trace(tmp_path / "serve.json")
+        path = export_chrome_trace(
+            report.merged_timeline(), tmp_path / "serve.json"
+        )
         payload = json.loads(path.read_text())
         events = payload["traceEvents"]
         assert events

@@ -189,6 +189,72 @@ class TestCommands:
         assert "solves=2" in outputs["tenant"]
         assert "solves=1" in outputs["continuous"]
 
+    #: sha256 of "\n".join("tenant|seq|rejected|finish_s") over every
+    #: request of the run below, recorded when ``--max-queue-depth``
+    #: bounded the policy's queue (``rejected=`` on the policy line);
+    #: the admission controller's depth cap must shed the same requests
+    #: and serve the rest at the same instants
+    DEPTH_CAP_RECORDS = {
+        "naive": (
+            508,
+            "723b3c49b24514aa99280d886a79b6b664d98ce6679689b89b3f9114916be3dc",
+        ),
+        "haxconn": (
+            451,
+            "41c7c0b193377b2229cf08823ad59c97c06a7cc9f8dd52e7017f2846211c5575",
+        ),
+    }
+
+    @pytest.mark.parametrize("policy", ["naive", "haxconn"])
+    def test_serve_max_queue_depth_is_an_admission_depth_cap(
+        self, capsys, monkeypatch, policy
+    ):
+        import hashlib
+
+        from repro.serve.fleet import Fleet
+
+        reports = []
+        real_run = Fleet.run
+
+        def run(self, **kwargs):
+            reports.append(real_run(self, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(Fleet, "run", run)
+        code = cli.main(
+            [
+                "serve",
+                "googlenet:400:10",
+                "resnet18:400:10",
+                "vgg19:400:10",
+                "--arrivals",
+                "bursty",
+                "--max-batch",
+                "1",
+                "--max-queue-depth",
+                "2",
+                "--policy",
+                policy,
+                "--horizon",
+                "0.5",
+                "--max-transitions",
+                "1",
+            ]
+        )
+        assert code == 0
+        [report] = [o.report for r in reports for o in r.outcomes]
+        text = "\n".join(
+            f"{r.tenant}|{r.seq}|{r.rejected}|{r.finish_s!r}"
+            for r in report.requests
+        )
+        shed, digest = self.DEPTH_CAP_RECORDS[policy]
+        assert len(report.rejected) == shed
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert {r.shed_reason for r in report.rejected} == {"depth"}
+        out = capsys.readouterr().out
+        assert f"shed={shed}, shed_depth={shed}" in out
+        assert "rejected=" not in out
+
     def test_serve_unknown_model(self, capsys):
         assert cli.main(["serve", "notanet", "--horizon", "0.05"]) == 2
         assert "error" in capsys.readouterr().err

@@ -14,6 +14,7 @@ from repro.core.workload import Workload
 from repro.runtime.stream import run_stream
 from repro.serve import CachedAnytimePolicy, Server, Tenant
 from repro.serve.requests import PoissonArrivals
+from tests.serve.helpers import drain
 
 
 def _portfolio_scheduler(platform, db):
@@ -107,8 +108,9 @@ def test_serve_same_seed_identical_metrics(xavier, xavier_db):
         policy = CachedAnytimePolicy(
             _portfolio_scheduler(xavier, xavier_db)
         )
-        report = Server(xavier, tenants, policy, max_batch=2).run(
-            horizon_s=0.3
+        report = drain(
+            Server(xavier, tenants, policy, max_batch=2),
+            horizon_s=0.3,
         )
         return report, policy
 

@@ -13,7 +13,13 @@ from __future__ import annotations
 import pytest
 
 from repro.fuzz import generate_scenario, run_campaign, run_oracles
-from repro.fuzz.replay import serve_scenario, tenants_for
+from repro.fuzz.replay import fleet_scenario, tenants_for
+
+
+def serve_one_replica(spec, *, horizon_s):
+    """The scenario served by one replica: a one-shard fleet."""
+    [outcome] = fleet_scenario(spec, shards=1, horizon_s=horizon_s).outcomes
+    return outcome.report
 
 
 class TestScenarioPipeline:
@@ -39,15 +45,15 @@ class TestScenarioPipeline:
         assert run_oracles(spec).ok
         tenants = tenants_for(spec)
         assert len(tenants) == len(spec.tenants)
-        report = serve_scenario(spec, horizon_s=0.2)
+        report = serve_one_replica(spec, horizon_s=0.2)
         assert len(report.requests) > 0
         served_tenants = {r.tenant for r in report.requests}
         assert served_tenants <= {t.name for t in tenants}
 
     def test_serving_replay_is_deterministic(self):
         spec = generate_scenario(2)
-        a = serve_scenario(spec, horizon_s=0.15)
-        b = serve_scenario(spec, horizon_s=0.15)
+        a = serve_one_replica(spec, horizon_s=0.15)
+        b = serve_one_replica(spec, horizon_s=0.15)
         assert [
             (r.tenant, r.arrival_s, r.start_s, r.finish_s)
             for r in a.requests
