@@ -440,6 +440,25 @@ def _structural_violations(
     return violations, not fatal
 
 
+def fits_structure(
+    formulation: Formulation,
+    names: Sequence[str],
+    schedule: Schedule,
+    max_transitions: int | None,
+) -> bool:
+    """Whether ``schedule`` has the Eq. 1 shape of the workload behind
+    ``formulation``: one stream per name, in order, each covering every
+    layer group on an accelerator that can run it, within the
+    transition budget.  The structural half of
+    :func:`verify_cache_entry`, O(groups): no timeline re-derivation."""
+    if tuple(s.dnn_name for s in schedule.per_dnn) != tuple(names):
+        return False
+    violations, _ = _structural_violations(
+        formulation, schedule, max_transitions
+    )
+    return not violations
+
+
 def _claimed_objective(claimed: object) -> float | None:
     if claimed is None:
         return None

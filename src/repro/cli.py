@@ -259,7 +259,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     fleet_report = fleet.run(horizon_s=args.horizon)
     for outcome in fleet_report.outcomes:
-        print(outcome.report.describe())
+        if outcome.tenants:  # the fleet table still lists empty shards
+            print(outcome.report.describe())
     counters = EvalCounters()
     for scheduler in schedulers:
         counters.merge(scheduler.eval_counters)
@@ -587,9 +588,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="fleet shards (server replicas) behind a deterministic "
-        "tenant router, sharing solves by epoch gossip; 1 serves "
-        "every tenant on one replica",
+        help="fleet shards (one serving session each) behind a "
+        "deterministic tenant router, sharing solves by epoch gossip; "
+        "1 serves every tenant on one shard",
     )
     p.add_argument(
         "--router",

@@ -55,13 +55,6 @@ class ContentionModel(abc.ABC):
             res[...] = self.slowdown(float(o), [float(e) / others] * others)
         return out
 
-    def co_slowdowns(self, demands: Sequence[float]) -> list[float]:
-        """Slowdown of each co-running workload against the rest."""
-        return [
-            self.slowdown(d, [x for j, x in enumerate(demands) if j != i])
-            for i, d in enumerate(demands)
-        ]
-
 
 class NoContentionModel(ContentionModel):
     """Ignores contention entirely -- what Herald/H2H/Mensa assume."""

@@ -121,10 +121,6 @@ class DynamicTrace:
 
     phases: list[PhaseTrace] = field(default_factory=list)
 
-    @property
-    def total_duration_s(self) -> float:
-        return sum(p.duration_s for p in self.phases)
-
 
 class DHaXCoNN:
     """Dynamic scheduler driver around an anytime :class:`HaXCoNN`.

@@ -40,10 +40,6 @@ class DNNSchedule:
     def num_transitions(self) -> int:
         return len(self.transitions)
 
-    @property
-    def accelerators_used(self) -> frozenset[str]:
-        return frozenset(self.assignment)
-
     def describe(self) -> str:
         """Human-readable form matching the paper's Table 6 TR column,
         e.g. ``"dla[0-3] ->gpu[4-11]"``."""

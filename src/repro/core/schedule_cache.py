@@ -106,6 +106,12 @@ class ScheduleCache:
         self.store_hits = 0
         #: signatures adopted from the persistent store
         self._from_store: set[str] = set()
+        #: signatures adopted from outside the local solve (peer gossip
+        #: or a store) whose shape no hit has checked yet
+        self._unchecked: set[str] = set()
+        #: outside entries dropped at first use for a shape that does
+        #: not fit their workload (see :meth:`_hit`)
+        self.rejected = 0
         #: locally-published (sig, payload) pairs not yet gossiped
         self._pending: list[tuple[str, dict[str, Any]]] = []
         #: persistent write-through target (None = in-memory only)
@@ -143,30 +149,50 @@ class ScheduleCache:
     def _hit(self, key: str, workload: Workload) -> ScheduleResult | None:
         """The :meth:`get` hit path for a caller that already holds the
         workload's signature ``key``: the materialized result, counted
-        as a hit, or ``None`` (uncounted) when nothing is installed."""
+        as a hit, or ``None`` (uncounted) when nothing is installed.
+
+        An entry adopted from outside the local solve is checked once,
+        at its first hit, against the workload's Eq. 1 shape
+        (:func:`repro.analysis.verify.fits_structure`); one that does
+        not fit is dropped and counted in :attr:`rejected`, and the
+        caller solves the mix afresh."""
         cached = self._store.get(key)
         if cached is None:
             return None
+        materialized = self._results.get((key, workload.names))
+        if materialized is None or materialized[0] is not cached:
+            formulation, _ = self.scheduler.build_formulation(workload)
+            if key in self._unchecked:
+                from repro.analysis.verify import fits_structure
+
+                self._unchecked.discard(key)
+                if not fits_structure(
+                    formulation,
+                    workload.names,
+                    cached,
+                    self.scheduler.max_transitions,
+                ):
+                    del self._store[key]
+                    self._from_store.discard(key)
+                    self.rejected += 1
+                    return None
+            # hits always dispatch with "cached" provenance, whatever
+            # meta the installed schedule carried: a cache toggle is a
+            # toggle (and the serving layer's first-HaX-CoNN telemetry
+            # counts it as solver-certified knowledge serving the mix)
+            result = self.scheduler.result_from_assignments(
+                workload,
+                formulation,
+                [s.assignment for s in cached],
+                scheduler_name="cached",
+                serialized=cached.serialized,
+            )
+            materialized = (cached, result)
+            self._results[(key, workload.names)] = materialized
         self.hits += 1
         if key in self._from_store:
             self.store_hits += 1
-        materialized = self._results.get((key, workload.names))
-        if materialized is not None and materialized[0] is cached:
-            return materialized[1]
-        formulation, _ = self.scheduler.build_formulation(workload)
-        # hits always dispatch with "cached" provenance, whatever meta
-        # the installed schedule carried: a cache toggle is a toggle
-        # (and the serving layer's first-HaX-CoNN telemetry counts it
-        # as solver-certified knowledge serving the mix)
-        result = self.scheduler.result_from_assignments(
-            workload,
-            formulation,
-            [s.assignment for s in cached],
-            scheduler_name="cached",
-            serialized=cached.serialized,
-        )
-        self._results[(key, workload.names)] = (cached, result)
-        return result
+        return materialized[1]
 
     def put(self, workload: Workload, schedule: Schedule) -> None:
         """Install an externally-obtained schedule for a workload.
@@ -182,6 +208,7 @@ class ScheduleCache:
         """Install an entry and queue it for gossip / write-through."""
         payload = schedule_to_payload(schedule)
         self._store[key] = schedule
+        self._unchecked.discard(key)
         self._pending.append((key, payload))
         if self._write_store is not None:
             self._write_store.append_schedule(key, payload)
@@ -202,12 +229,9 @@ class ScheduleCache:
         that attaches the store read-only); serving reaches the store
         only through :class:`repro.serve.fleet.Fleet`.
         """
-        adopted = 0
-        for sig, payload in sorted(store.schedules().items()):
-            if sig not in self._store:
-                self._store[sig] = schedule_from_payload(payload)
-                self._from_store.add(sig)
-                adopted += 1
+        adopted = self._adopt(
+            sorted(store.schedules().items()), from_store=True
+        )
         if not store.readonly:
             self._write_store = store
         return adopted
@@ -232,9 +256,7 @@ class ScheduleCache:
     ) -> None:
         """Adopt peer-published schedules; never re-exported (no echo
         loops), never counted as local hits or misses."""
-        for sig, payload in delta:
-            if sig not in self._store:
-                self._store[sig] = schedule_from_payload(payload)
+        self._adopt(delta, from_store=False)
 
     def adopt_stored(
         self, delta: Sequence[tuple[str, Mapping[str, Any]]]
@@ -244,10 +266,27 @@ class ScheduleCache:
         this way, so no policy opens the store file during serving);
         lookups these entries answer additionally bump
         ``store_hits``."""
+        self._adopt(delta, from_store=True)
+
+    def _adopt(
+        self,
+        delta: Sequence[tuple[str, Mapping[str, Any]]],
+        *,
+        from_store: bool,
+    ) -> int:
+        """The one adoption loop for schedules from outside the local
+        solve: install each entry whose signature is new, unchecked
+        until its first hit (:meth:`_hit`); return how many."""
+        adopted = 0
         for sig, payload in delta:
-            if sig not in self._store:
-                self._store[sig] = schedule_from_payload(payload)
+            if sig in self._store:
+                continue
+            self._store[sig] = schedule_from_payload(payload)
+            self._unchecked.add(sig)
+            if from_store:
                 self._from_store.add(sig)
+            adopted += 1
+        return adopted
 
     @staticmethod
     def _fragment_sha(assignment: tuple[str, ...]) -> str:

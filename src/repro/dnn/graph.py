@@ -125,12 +125,6 @@ class DNNGraph:
         assert shape is not None
         return shape
 
-    @property
-    def output_shape(self) -> TensorShape:
-        shape = self.output_layer.out_shape
-        assert shape is not None
-        return shape
-
     # -- aggregate statistics -----------------------------------------------
     @property
     def total_flops(self) -> int:

@@ -53,10 +53,6 @@ class LayerGroup:
         return sum(u.weight_params for u in self.units)
 
     @property
-    def num_layers(self) -> int:
-        return sum(len(u) for u in self.units)
-
-    @property
     def out_shape(self) -> TensorShape:
         return self.units[-1].out_shape
 

@@ -44,10 +44,6 @@ class TensorShape:
         """Fold all elements into the channel dimension."""
         return TensorShape(self.numel)
 
-    def with_channels(self, c: int) -> "TensorShape":
-        """Same spatial extent with a different channel count."""
-        return TensorShape(c, self.h, self.w)
-
     def __str__(self) -> str:  # compact, matches paper notation
         if self.is_flat:
             return f"({self.c})"

@@ -21,7 +21,7 @@ the policies only ever see decoupled profiles and predictions.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.core.haxconn import HaXCoNN
 from repro.core.solve_store import SolveStore
@@ -42,7 +42,7 @@ from repro.serve.requests import (
     Tenant,
     TraceArrivals,
 )
-from repro.serve.server import Server
+from repro.serve.server import RoundRecord
 from repro.soc.platform import get_platform
 
 POLICIES = ("gpu_only", "naive", "haxconn", "moca")
@@ -118,6 +118,15 @@ def make_policy(
     raise KeyError(f"unknown serving policy {name!r}")
 
 
+def _idle_s(rounds: Sequence[RoundRecord]) -> float:
+    """Virtual seconds the SoC sat idle up to the last round: the
+    first round's start plus each gap between consecutive rounds."""
+    idle = rounds[0].start_s if rounds else 0.0
+    for before, after in zip(rounds, rounds[1:]):
+        idle += after.start_s - before.end_s
+    return idle
+
+
 def run(
     platform_name: str = "xavier",
     *,
@@ -138,17 +147,16 @@ def run(
             max_groups=max_groups,
             max_transitions=max_transitions,
         )
-        server = Server(
+        fleet = Fleet(
             platform,
             default_tenants(horizon_s),
-            policy,
+            lambda _shard, policy=policy: policy,
+            shards=1,
             max_batch=max_batch,
             admission=admission,
             batching=batching,
         )
-        session = server.session(horizon_s=horizon_s)
-        session.run_rounds()
-        report = session.report()
+        report = fleet.run(horizon_s=horizon_s).outcomes[0].report
         stats = policy.stats()
         eval_stats = getattr(policy, "eval_stats", dict)()
         util = report.utilization()
@@ -168,7 +176,7 @@ def run(
                 "goodput_rps": report.goodput_rps,
                 "rounds": n_rounds,
                 "idle_ms_per_round": metrics.per_round_ms(
-                    session.virtual_idle_s, n_rounds
+                    _idle_s(report.rounds), n_rounds
                 ),
                 "solves": stats.get("solves", 0),
                 "cache_hits": stats.get("cache_hits", 0),

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.workload import Workload
 from repro.experiments.common import format_table, get_db, make_scheduler
 from repro.runtime.scenarios import (
     ScenarioOutcome,
@@ -119,16 +118,6 @@ def format_results(rows: list[dict[str, object]]) -> str:
     columns += [f"{s}_lat_ms" for s in SCHEDULERS]
     columns += ["improvement_pct"]
     return format_table(rows, columns, title="Table 6: Scenarios 2-4")
-
-
-def workload_for(exp: Table6Experiment) -> Workload:
-    """The workload object an experiment schedules (for tests)."""
-    from repro.core.workload import WorkloadDNN
-
-    return Workload(
-        dnns=(WorkloadDNN.of(*exp.dnn1), WorkloadDNN.of(exp.dnn2)),
-        objective=exp.goal,
-    )
 
 
 if __name__ == "__main__":

@@ -141,9 +141,6 @@ class ScenarioSpec:
             "pipeline": [list(edge) for edge in self.pipeline],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
-
     @classmethod
     def from_dict(cls, payload: dict[str, object]) -> "ScenarioSpec":
         tenants = payload.get("tenants", [])

@@ -42,15 +42,6 @@ class GroupProfile:
         """Accelerators that can execute this group."""
         return frozenset(self.time_s)
 
-    def time_on(self, accel: str) -> float:
-        try:
-            return self.time_s[accel]
-        except KeyError:
-            raise KeyError(
-                f"group {self.group.label} of {self.group.dnn_name} does "
-                f"not run on {accel!r} (supported: {sorted(self.time_s)})"
-            ) from None
-
     @property
     def label(self) -> str:
         return self.group.label

@@ -48,10 +48,6 @@ class ExecutionResult:
             return float("inf")
         return frames_per_round / self.makespan_s
 
-    def stream_time(self, dnn: int) -> float:
-        """Completion time of stream ``dnn`` (seconds since round start)."""
-        return self.timeline.completion(dnn=dnn)
-
     def energy_j(self, platform: Platform) -> float:
         """Active energy of the round: per-record duration times the
         executing accelerator's power draw (CPU-hosted helper tasks

@@ -2,12 +2,12 @@
 
 ``repro.serve`` is the deployment layer the paper's D-HaX-CoNN
 motivates (Section 3.5): instead of scripted workload phases, a
-:class:`~repro.serve.server.Server` accepts a *stream of requests from
-many tenants*, detects the currently-active tenant mix, and decides
-online which schedule to dispatch -- consulting the static schedule
-cache for known mixes and falling back to anytime solving (naive
-schedule immediately, better incumbents at update points) for novel
-ones.
+:class:`~repro.serve.fleet.Fleet` accepts a *stream of requests from
+many tenants*; each shard detects its currently-active tenant mix and
+decides online which schedule to dispatch -- consulting the static
+schedule cache for known mixes and falling back to anytime solving
+(naive schedule immediately, better incumbents at update points) for
+novel ones.
 
 Fidelity contract (same as the rest of the repo): serving *decisions*
 use only decoupled profiles and scheduler predictions; every *reported*
@@ -17,8 +17,9 @@ latency comes from executing rounds on the discrete-event simulator.
   (periodic, Poisson, bursty/MMPP, trace replay),
 - :mod:`repro.serve.policy` -- schedule-swap policies (static
   baselines, MoCA-style throttling, cache-plus-anytime),
-- :mod:`repro.serve.server` -- the event-driven serving loop on
-  simulator virtual time (one shard's engine),
+- :mod:`repro.serve.server` -- :class:`ServingSession`, the
+  event-driven serving loop on simulator virtual time (each shard's
+  engine),
 - :mod:`repro.serve.slo` -- per-tenant and fleet SLO metrics and the
   priority-tiered admission controller (the only load-shedding path),
 - :mod:`repro.serve.fleet` -- the serving fleet, the one way to serve
@@ -50,7 +51,7 @@ from repro.serve.requests import (
     TraceArrivals,
     generate_requests,
 )
-from repro.serve.server import RoundRecord, Server, ServingSession
+from repro.serve.server import RoundRecord, ServingSession
 from repro.serve.slo import FleetReport, ServedRequest, TenantStats
 
 __all__ = [
@@ -64,7 +65,6 @@ __all__ = [
     "Request",
     "RoundRecord",
     "ServedRequest",
-    "Server",
     "ServingPolicy",
     "ServingSession",
     "ShardOutcome",

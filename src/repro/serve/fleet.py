@@ -1,11 +1,11 @@
 """Sharded serving fleet with cross-shard solve gossip.
 
-One :class:`~repro.serve.server.Server` is a single serial event loop;
-the fleet runs ``N`` server replicas behind a deterministic
-tenant->shard router and scans them in one process.  Sharding pays
-algorithmically: each shard co-schedules only its own tenants, so its
-mixes (and their solves) stay small.  Shards share solve work two
-ways:
+One :class:`~repro.serve.server.ServingSession` is a single serial
+event loop; the fleet runs ``N`` of them (shards) behind a
+deterministic tenant->shard router and scans them in one process.
+Sharding pays algorithmically: each shard co-schedules only its own
+tenants, so its mixes (and their solves) stay small.  Shards share
+solve work two ways:
 
 * **epoch gossip** -- shards synchronize at fixed round-count
   intervals (``sync_rounds``): every alive shard exports the converged
@@ -52,7 +52,7 @@ from repro.runtime import metrics
 from repro.runtime.trace import timeline_to_trace_events, write_trace_events
 from repro.serve.policy import ServingPolicy
 from repro.serve.requests import Tenant, generate_requests
-from repro.serve.server import BATCHING_MODES, Server, ServingSession
+from repro.serve.server import ServingSession, check_loop_settings
 from repro.serve.slo import (
     AdmissionConfig,
     FleetReport,
@@ -232,7 +232,7 @@ def _empty_outcome(index: int) -> ShardOutcome:
 
 @contextmanager
 def _shard_errors(shard_id: int) -> Iterator[None]:
-    """Re-raise anything a shard's policy or server raises as a
+    """Re-raise anything a shard's policy or session raises as a
     :class:`RuntimeError` naming the shard."""
     try:
         yield
@@ -447,7 +447,7 @@ def _stat(stats: Mapping[str, object], key: str) -> float:
 
 
 class Fleet:
-    """N server replicas behind a deterministic router.
+    """N serving shards behind a deterministic router.
 
     Parameters
     ----------
@@ -486,7 +486,7 @@ class Fleet:
         ``tenant`` (one dispatch stream per tenant, the classic loop)
         or ``continuous`` (same-model tenants coalesced into one
         batched stream per round; see
-        :meth:`~repro.serve.server.Server._mix_groups`).
+        :meth:`~repro.serve.server.ServingSession._mix_groups`).
     store:
         Optional :class:`SolveStore`: its schedules seed every shard
         before the first round, and (when writable) the fleet appends
@@ -520,11 +520,6 @@ class Fleet:
             raise ValueError("sync_rounds must be >= 1")
         if max_lag < 0:
             raise ValueError("max_lag must be >= 0")
-        if batching not in BATCHING_MODES:
-            raise ValueError(
-                f"unknown batching mode {batching!r}; "
-                f"expected one of {BATCHING_MODES}"
-            )
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {backend!r}; expected one of {BACKENDS}"
@@ -534,9 +529,9 @@ class Fleet:
                 f"unknown transport {transport!r}; "
                 f"expected one of {TRANSPORTS}"
             )
-        names = [t.name for t in tenants]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate tenant names: {names}")
+        # the router needs unique names; every shard reruns this on
+        # its own tenants
+        check_loop_settings(tenants, max_batch=max_batch, batching=batching)
         self.platform = (
             get_platform(platform) if isinstance(platform, str) else platform
         )
@@ -593,17 +588,16 @@ class Fleet:
         with the store delta."""
         policy = self.policy_factory(shard_id)
         policy.merge(initial_delta)
-        server = Server(
+        session = ServingSession(
             self.platform,
             tenants,
             policy,
+            horizon_s=horizon_s,
+            max_requests=max_requests,
             max_batch=self.max_batch,
             objective=self.objective,
             admission=self.admission,
             batching=self.batching,
-        )
-        session = server.session(
-            horizon_s=horizon_s, max_requests=max_requests
         )
         return session, policy
 

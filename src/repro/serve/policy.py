@@ -1,8 +1,9 @@
 """Schedule-selection policies for serving.
 
-A :class:`ServingPolicy` answers the online question the server asks
-every round: given the currently-active tenant mix and how long that
-mix has been running, which schedule should the next round dispatch?
+A :class:`ServingPolicy` answers the online question the serving
+session asks every round: given the currently-active tenant mix and
+how long that mix has been running, which schedule should the next
+round dispatch?
 (Whether a request may join its tenant's queue at all is the
 :class:`~repro.serve.slo.AdmissionController`'s decision, not the
 policy's.)
@@ -17,7 +18,7 @@ is never solved again.
 
 Fidelity rule: policies compare candidates by *predicted* objective
 only (decoupled profiles + contention model) -- they never peek at the
-simulator.  Measured numbers come from the server executing rounds.
+simulator.  Measured numbers come from the session executing rounds.
 """
 
 from __future__ import annotations
@@ -309,14 +310,11 @@ class CachedAnytimePolicy(ServingPolicy):
         self,
         scheduler: HaXCoNN,
         *,
-        cache: ScheduleCache | None = None,
         update_points: Sequence[float] = DEFAULT_UPDATE_POINTS,
     ) -> None:
-        if cache is not None and cache.scheduler is not scheduler:
-            raise ValueError("cache must wrap the same scheduler")
         self._planner = DHaXCoNN(scheduler, update_points=update_points)
         self.scheduler = scheduler
-        self.cache = cache if cache is not None else ScheduleCache(scheduler)
+        self.cache = ScheduleCache(scheduler)
         self._phases: dict[str, _AnytimePhase] = {}
         self.solves = 0
         self.swaps = 0
@@ -420,7 +418,9 @@ class CachedAnytimePolicy(ServingPolicy):
             "cache_hits": self.cache.hits,
             "cache_misses": self.cache.misses,
             "store_hits": self.cache.store_hits,
-            "verify_failures": self.verify_failures,
+            # local schedules the certificate rejected, plus adopted
+            # ones whose shape did not fit their mix
+            "verify_failures": self.verify_failures + self.cache.rejected,
         }
 
     def eval_stats(self) -> dict[str, float]:

@@ -1,17 +1,18 @@
 """The event-driven multi-tenant serving loop on simulator time.
 
-The :class:`Server` closes the loop the paper's D-HaX-CoNN leaves
-open: requests arrive continuously from many tenants, and the system
-must decide *online* what to co-schedule.  The loop alternates between
-two virtual-time events:
+The :class:`ServingSession` -- the one serving engine, run by every
+:class:`~repro.serve.fleet.Fleet` shard -- closes the loop the paper's
+D-HaX-CoNN leaves open: requests arrive continuously from many tenants,
+and the system must decide *online* what to co-schedule.  The loop
+alternates between two virtual-time events:
 
 1. **admission** -- every request whose arrival instant has passed is
    admitted into its tenant's FIFO queue (or shed by the session's
-   :class:`~repro.serve.slo.AdmissionController`, when the server has
+   :class:`~repro.serve.slo.AdmissionController`, when the session has
    an admission config);
 2. **dispatch** -- the tenants with backlogged requests form the
    *active mix*; the policy picks a schedule for that mix (cache
-   toggle, naive start, or anytime incumbent), the server takes up to
+   toggle, naive start, or anytime incumbent), the session takes up to
    ``max_batch`` requests per tenant as that stream's repeats, and the
    round executes on the discrete-event simulator.  Virtual time then
    advances by the measured round makespan -- back-pressure is real:
@@ -66,6 +67,26 @@ def _is_hax_scheduler(name: str) -> bool:
     return name in _HAX_FAMILY_EXACT or name.startswith(_HAX_FAMILY_PREFIX)
 
 
+def check_loop_settings(
+    tenants: Sequence[Tenant], *, max_batch: int, batching: str
+) -> None:
+    """The one validator of the loop's tenants, ``max_batch`` and
+    ``batching``: every session runs it, and the fleet runs it on its
+    whole population before routing."""
+    if not tenants:
+        raise ValueError("serving needs at least one tenant")
+    names = [t.name for t in tenants]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate tenant names: {names}")
+    if max_batch < 1:
+        raise ValueError("max_batch must be >= 1")
+    if batching not in BATCHING_MODES:
+        raise ValueError(
+            f"unknown batching mode {batching!r}; "
+            f"expected one of {BATCHING_MODES}"
+        )
+
+
 @dataclass(frozen=True)
 class RoundRecord:
     """One dispatched round: which mix ran, when, on what schedule."""
@@ -86,92 +107,12 @@ class RoundRecord:
         return self.end_s - self.start_s
 
 
-class Server:
-    """Multi-tenant serving on one simulated SoC (every round is
-    simulated with shared-memory contention)."""
-
-    def __init__(
-        self,
-        platform: Platform | str,
-        tenants: Sequence[Tenant],
-        policy: ServingPolicy,
-        *,
-        max_batch: int = 1,
-        objective: str = "latency",
-        admission: AdmissionConfig | None = None,
-        batching: str = "tenant",
-    ) -> None:
-        if not tenants:
-            raise ValueError("server needs at least one tenant")
-        names = [t.name for t in tenants]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate tenant names: {names}")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if batching not in BATCHING_MODES:
-            raise ValueError(
-                f"unknown batching mode {batching!r}; "
-                f"expected one of {BATCHING_MODES}"
-            )
-        self.platform = (
-            get_platform(platform) if isinstance(platform, str) else platform
-        )
-        self.tenants = tuple(tenants)
-        self.policy = policy
-        self.max_batch = max_batch
-        self.objective = objective
-        self.admission = admission
-        self.batching = batching
-
-    # ------------------------------------------------------------------
-    def _mix_groups(
-        self, active: Sequence[Tenant]
-    ) -> list[tuple[tuple[str, ...], tuple[Tenant, ...]]]:
-        """Active tenants folded into dispatch streams.
-
-        Under ``tenant`` batching every tenant is its own stream (the
-        classic loop, byte-identical).  Under ``continuous`` batching
-        tenants serving the *same model chain* share one stream, so
-        their pending requests ride a single batched dispatch --
-        groups keep first-tenant order, members keep tenant order.
-        """
-        if self.batching != "continuous":
-            return [(t.models, (t,)) for t in active]
-        order: list[tuple[str, ...]] = []
-        members: dict[tuple[str, ...], list[Tenant]] = {}
-        for t in active:
-            if t.models not in members:
-                order.append(t.models)
-                members[t.models] = []
-            members[t.models].append(t)
-        return [(m, tuple(members[m])) for m in order]
-
-    def _group_workload(
-        self, groups: Sequence[tuple[tuple[str, ...], tuple[Tenant, ...]]]
-    ) -> Workload:
-        return Workload.concurrent(
-            *[WorkloadDNN.of(*models) for models, _ in groups],
-            objective=self.objective,
-        )
-
-    def session(
-        self, *, horizon_s: float, max_requests: int = 10_000
-    ) -> "ServingSession":
-        """A resumable serving session over this server's tenants.
-
-        The fleet steps sessions in gossip epochs
-        (:meth:`ServingSession.run_rounds`); ``run_rounds()`` with no
-        limit serves every request arriving within ``horizon_s``,
-        draining queues past the horizon, so the report always covers
-        the full arrival set.
-        """
-        return ServingSession(
-            self, horizon_s=horizon_s, max_requests=max_requests
-        )
-
-
 class ServingSession:
-    """One resumable serving run: the fleet's epoch-step unit.
+    """One resumable serving run on one simulated SoC: the fleet's
+    epoch-step unit.  It serves every request of ``tenants`` arriving
+    within ``horizon_s`` (at most ``max_requests``) under ``policy``,
+    with up to ``max_batch`` requests per stream and round, optional
+    ``admission`` tiers and ``batching`` (see :meth:`_mix_groups`).
 
     Holds every piece of loop state -- request stream, per-tenant
     queues, round and request records, per-mix phase time, the
@@ -195,26 +136,38 @@ class ServingSession:
 
     def __init__(
         self,
-        server: Server,
+        platform: Platform | str,
+        tenants: Sequence[Tenant],
+        policy: ServingPolicy,
         *,
         horizon_s: float,
         max_requests: int = 10_000,
+        max_batch: int = 1,
+        objective: str = "latency",
+        admission: AdmissionConfig | None = None,
+        batching: str = "tenant",
     ) -> None:
-        self.server = server
+        check_loop_settings(tenants, max_batch=max_batch, batching=batching)
+        self.platform = (
+            get_platform(platform) if isinstance(platform, str) else platform
+        )
+        self.tenants = tuple(tenants)
+        self.policy = policy
+        self.max_batch = max_batch
+        self.objective = objective
+        self.batching = batching
         self._requests = generate_requests(
-            list(server.tenants),
+            list(self.tenants),
             horizon_s=horizon_s,
             max_per_tenant=max_requests,
         )[:max_requests]
         self._queues: dict[str, deque[Request]] = {
-            t.name: deque() for t in server.tenants
+            t.name: deque() for t in self.tenants
         }
-        self._slo = {t.name: t.slo_s for t in server.tenants}
-        self._priority = {t.name: t.priority for t in server.tenants}
+        self._slo = {t.name: t.slo_s for t in self.tenants}
+        self._priority = {t.name: t.priority for t in self.tenants}
         self._admission = (
-            AdmissionController(server.admission)
-            if server.admission is not None
-            else None
+            AdmissionController(admission) if admission is not None else None
         )
         #: per-tenant EWMA of measured (virtual) request latency; feeds
         #: the SLO-slack admission check, so it uses simulator time only
@@ -225,8 +178,6 @@ class ServingSession:
         self._now = 0.0
         self._next_arrival = 0
         self._finished = False
-        #: virtual seconds spent jumping over empty-queue gaps
-        self.virtual_idle_s = 0.0
         #: wall-clock seconds spent inside :meth:`run_rounds`
         #: (telemetry only)
         self.wall_s = 0.0
@@ -235,6 +186,29 @@ class ServingSession:
         self.first_hax_round: int | None = None
         #: :attr:`wall_s` at that dispatch (telemetry only)
         self.first_hax_wall_s: float | None = None
+
+    # ------------------------------------------------------------------
+    def _mix_groups(
+        self, active: Sequence[Tenant]
+    ) -> list[tuple[tuple[str, ...], tuple[Tenant, ...]]]:
+        """Active tenants folded into dispatch streams.
+
+        Under ``tenant`` batching every tenant is its own stream (the
+        classic loop, byte-identical).  Under ``continuous`` batching
+        tenants serving the *same model chain* share one stream, so
+        their pending requests ride a single batched dispatch --
+        groups keep first-tenant order, members keep tenant order.
+        """
+        if self.batching != "continuous":
+            return [(t.models, (t,)) for t in active]
+        order: list[tuple[str, ...]] = []
+        members: dict[tuple[str, ...], list[Tenant]] = {}
+        for t in active:
+            if t.models not in members:
+                order.append(t.models)
+                members[t.models] = []
+            members[t.models].append(t)
+        return [(m, tuple(members[m])) for m in order]
 
     @property
     def finished(self) -> bool:
@@ -283,15 +257,13 @@ class ServingSession:
                     )
 
             active = [
-                t for t in self.server.tenants if self._queues[t.name]
+                t for t in self.tenants if self._queues[t.name]
             ]
             if not active:
                 if self._next_arrival >= len(self._requests):
                     self._finished = True
                     break  # drained: every request served or shed
-                nxt = self._requests[self._next_arrival].arrival_s
-                self.virtual_idle_s += max(nxt - self._now, 0.0)
-                self._now = nxt
+                self._now = self._requests[self._next_arrival].arrival_s
                 continue
 
             # 1b. runtime throttle hook: the policy may defer some
@@ -307,7 +279,7 @@ class ServingSession:
                     )
                     for t in active
                 )
-                keep = self.server.policy.filter_mix(
+                keep = self.policy.filter_mix(
                     candidates,
                     round_index=len(self.rounds),
                     now_s=self._now,
@@ -318,17 +290,20 @@ class ServingSession:
                         active = kept
 
             # 2. dispatch one round for the active mix
-            groups = self.server._mix_groups(active)
-            workload = self.server._group_workload(groups)
+            groups = self._mix_groups(active)
+            workload = Workload.concurrent(
+                *[WorkloadDNN.of(*models) for models, _ in groups],
+                objective=self.objective,
+            )
             mix_key = workload.names
             elapsed = self._mix_elapsed.get(mix_key, 0.0)
-            result = self.server.policy.result_for(workload, elapsed)
+            result = self.policy.result_for(workload, elapsed)
             # per-stream service order: members of a continuous-batch
             # group drain round-robin, so no co-tenant is starved
             picks: list[tuple[Tenant, ...]] = []
             for _, members in groups:
                 quotas = [
-                    min(len(self._queues[m.name]), self.server.max_batch)
+                    min(len(self._queues[m.name]), self.max_batch)
                     for m in members
                 ]
                 order: list[Tenant] = []
@@ -340,7 +315,7 @@ class ServingSession:
                 picks.append(tuple(order))
             batch = tuple(len(p) for p in picks)
             execution = run_schedule(
-                result, self.server.platform, repeats=batch
+                result, self.platform, repeats=batch
             )
             timeline = execution.timeline
             for n, stream_picks in enumerate(picks):
@@ -408,7 +383,7 @@ class ServingSession:
             records,
             list(self.rounds),
             tenant_slos=dict(self._slo),
-            policy_stats=self.server.policy.stats(),
+            policy_stats=self.policy.stats(),
             admission_stats=(
                 self._admission.stats()
                 if self._admission is not None

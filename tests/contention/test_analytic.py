@@ -85,9 +85,3 @@ class TestAnalyticShareModel:
         two = model.slowdown(0.4 * bw, [0.3 * bw])
         three = model.slowdown(0.4 * bw, [0.3 * bw, 0.3 * bw])
         assert three > two
-
-    def test_co_slowdowns_symmetric_for_equal_demands(self, xavier):
-        model = AnalyticShareModel(xavier)
-        bw = xavier.dram_bandwidth
-        s = model.co_slowdowns([0.5 * bw, 0.5 * bw])
-        assert s[0] == pytest.approx(s[1])

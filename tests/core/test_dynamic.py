@@ -69,7 +69,7 @@ class TestMultiPhase:
         ]
         trace = dynamic.run(workloads, phase_duration_s=1.0)
         assert len(trace.phases) == 2
-        assert trace.total_duration_s == pytest.approx(2.0)
+        assert sum(p.duration_s for p in trace.phases) == pytest.approx(2.0)
 
 
 class TestValidation:

@@ -19,10 +19,6 @@ class TestDNNSchedule:
         s = DNNSchedule("net", ("gpu", "dla", "dla", "gpu"))
         assert s.transitions == ((0, "gpu", "dla"), (2, "dla", "gpu"))
 
-    def test_accelerators_used(self):
-        s = DNNSchedule("net", ("gpu", "dla", "gpu"))
-        assert s.accelerators_used == frozenset({"gpu", "dla"})
-
     def test_describe_matches_paper_style(self):
         s = DNNSchedule("net", ("dla", "dla", "gpu", "gpu", "gpu"))
         assert s.describe() == "dla[0-1] ->gpu[2-4]"

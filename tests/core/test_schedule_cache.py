@@ -117,10 +117,10 @@ class TestCache:
         mixes whose schedule was installed up front."""
         from repro.serve.policy import CachedAnytimePolicy
 
-        cache = ScheduleCache(scheduler)
+        policy = CachedAnytimePolicy(scheduler)
+        cache = policy.cache
         donor = ScheduleCache(scheduler)
         cache.put(workload, donor.get(workload).schedule)
-        policy = CachedAnytimePolicy(scheduler, cache=cache)
         policy.result_for(workload, 0.0)
         policy.result_for(workload, 10.0)
         assert policy.solves == 0
@@ -131,10 +131,10 @@ class TestCache:
         ``get`` but the anytime policy converges and fills it."""
         from repro.serve.policy import CachedAnytimePolicy
 
-        cache = ScheduleCache(scheduler)
+        policy = CachedAnytimePolicy(scheduler)
+        cache = policy.cache
         novel = Workload.concurrent("googlenet", "resnet50")
         assert novel not in cache
-        policy = CachedAnytimePolicy(scheduler, cache=cache)
         policy.result_for(novel, 0.0)
         policy.result_for(novel, 1e6)  # past every update point
         assert policy.solves == 1
@@ -160,22 +160,20 @@ class TestCache:
 
 
 def uniform_schedule(scheduler, workload, accel):
-    """Every group on ``accel`` where it runs there, else on the GPU
-    (a hand-built schedule: no solve)."""
+    """Each stream's leading groups that run on ``accel`` go there, the
+    rest on the GPU: a hand-built schedule (no solve) within the
+    one-transition budget, so adopted copies pass the shape check."""
     formulation, _ = scheduler.build_formulation(workload)
-    return Schedule(
-        per_dnn=tuple(
-            DNNSchedule(
-                dnn_name=name,
-                assignment=tuple(
-                    accel if accel in group.time_s else "gpu"
-                    for group in profile.groups
-                ),
+    per_dnn = []
+    for name, profile in zip(workload.names, formulation.profiles):
+        assignment = []
+        for group in profile.groups:
+            on_accel = accel in group.time_s and (
+                not assignment or assignment[-1] == accel
             )
-            for name, profile in zip(workload.names, formulation.profiles)
-        ),
-        meta={"scheduler": "test"},
-    )
+            assignment.append(accel if on_accel else "gpu")
+        per_dnn.append(DNNSchedule(dnn_name=name, assignment=tuple(assignment)))
+    return Schedule(per_dnn=tuple(per_dnn), meta={"scheduler": "test"})
 
 
 def assert_matches_fresh(scheduler, workload, result):

@@ -85,7 +85,7 @@ class TestConstruction:
     def test_shapes_propagate(self):
         g = make_chain_graph()
         assert g.input_shape == TensorShape(3, 32, 32)
-        assert g.output_shape == TensorShape(10)
+        assert g.output_layer.out_shape == TensorShape(10)
 
     def test_chain_helper(self):
         g = DNNGraph("h", TensorShape(3, 8, 8))
@@ -173,7 +173,7 @@ class TestZooStructure:
         g = DNNGraph("flat", TensorShape(8, 4, 4))
         g.add(Flatten("f"))
         g.add(Dense("fc", 10))
-        assert g.output_shape == TensorShape(10)
+        assert g.output_layer.out_shape == TensorShape(10)
 
     def test_repr_mentions_stats(self):
         text = repr(make_chain_graph())

@@ -14,7 +14,7 @@ class TestGroupingPartition:
     def test_groups_cover_all_layers(self, model):
         g = zoo.build(model)
         groups = group_layers(g)
-        total = sum(grp.num_layers for grp in groups)
+        total = sum(len(u) for grp in groups for u in grp.units)
         assert total == len(g)
 
     def test_flops_conserved(self):
@@ -60,7 +60,7 @@ class TestCoalescing:
         g = zoo.build("googlenet")
         groups = group_layers(g, max_groups=10)
         assert len(groups) == 10
-        assert sum(grp.num_layers for grp in groups) == len(g)
+        assert sum(len(u) for grp in groups for u in grp.units) == len(g)
 
     def test_no_coalesce_keeps_minimal_groups(self):
         g = zoo.build("googlenet")

@@ -25,10 +25,6 @@ class TestTensorShape:
         assert flat.is_flat
         assert flat.numel == shape.numel
 
-    def test_with_channels(self):
-        shape = TensorShape(64, 14, 14).with_channels(128)
-        assert shape == TensorShape(128, 14, 14)
-
     @pytest.mark.parametrize("c,h,w", [(0, 1, 1), (1, 0, 1), (1, 1, -3)])
     def test_rejects_non_positive_dims(self, c, h, w):
         with pytest.raises(ValueError):

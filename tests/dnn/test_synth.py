@@ -23,7 +23,7 @@ class TestSynthGraphs:
     def test_generated_graphs_validate(self, seed):
         graph = synth_dnn(seed)
         assert len(graph) >= 5
-        assert graph.output_shape.is_flat
+        assert graph.output_layer.out_shape.is_flat
 
     @given(seed=SEEDS)
     def test_deterministic(self, seed):
@@ -45,7 +45,7 @@ class TestSynthGraphs:
         graph = synth_dnn(seed)
         groups = group_layers(graph, max_groups=6)
         assert 1 <= len(groups) <= 6
-        assert sum(g.num_layers for g in groups) == len(graph)
+        assert sum(len(u) for g in groups for u in g.units) == len(graph)
         assert sum(g.flops for g in groups) == graph.total_flops
 
     @settings(max_examples=10)

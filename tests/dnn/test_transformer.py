@@ -90,8 +90,8 @@ class TestVitTiny:
         assert "vit_tiny" in zoo.available()
 
     def test_graph_validates_and_is_flat(self, vit):
-        assert vit.output_shape.is_flat
-        assert vit.output_shape.c == 100
+        assert vit.output_layer.out_shape.is_flat
+        assert vit.output_layer.out_shape.c == 100
 
     def test_attention_layers_present(self, vit):
         kinds = {l.kind for l in vit.layers}

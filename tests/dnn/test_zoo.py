@@ -76,11 +76,11 @@ class TestStructure:
     )
     def test_classifiers_emit_logits(self, model):
         graph = zoo.build(model)
-        assert graph.output_shape == TensorShape(1000)
+        assert graph.output_layer.out_shape == TensorShape(1000)
 
     def test_fcn_emits_segmentation_map(self):
         graph = zoo.build("fcn_resnet18")
-        assert graph.output_shape == TensorShape(21, 224, 224)
+        assert graph.output_layer.out_shape == TensorShape(21, 224, 224)
 
     def test_inception_inputs_are_299(self):
         for model in ("inception_v4", "inception_resnet_v2"):

@@ -155,11 +155,6 @@ class TestTable6:
         assert platforms.count("orin") == 3
         assert platforms.count("sd865") == 2
 
-    def test_workload_for(self):
-        exp = table6_scenarios.EXPERIMENTS[4]
-        workload = table6_scenarios.workload_for(exp)
-        assert workload.names[0] == "googlenet+resnet152"
-
 
 class TestFig6:
     def test_haxconn_reduces_contention_overall(self):

@@ -39,13 +39,6 @@ class TestProfileStructure:
         both = [g for g in googlenet_profile if len(g.supported) == 2]
         assert len(both) >= 5
 
-    def test_time_on_raises_for_unsupported(self, googlenet_profile):
-        lrn_group = next(
-            g for g in googlenet_profile if "lrn" in g.group.layer_kinds
-        )
-        with pytest.raises(KeyError):
-            lrn_group.time_on("dla")
-
     def test_req_bw_and_util_consistent(self, xavier, googlenet_profile):
         for g in googlenet_profile:
             for accel, bw in g.req_bw.items():

@@ -181,7 +181,7 @@ class TestRunSchedule:
     def test_stream_times_within_makespan(self, hax_result, xavier):
         execution = run_schedule(hax_result, xavier)
         for n in range(2):
-            assert execution.stream_time(n) <= execution.makespan_s + 1e-12
+            assert execution.timeline.completion(dnn=n) <= execution.makespan_s + 1e-12
 
 
 class TestRoundMemo:

@@ -1,14 +1,12 @@
 """Shared helpers for the serving tests."""
 
-from repro.serve.server import Server
+from repro.serve.server import ServingSession
 from repro.serve.slo import FleetReport
 
 
-def drain(
-    server: Server, *, horizon_s: float, max_requests: int = 10_000
-) -> FleetReport:
-    """Serve every request arriving within ``horizon_s`` on one
-    server: one session, run to completion."""
-    session = server.session(horizon_s=horizon_s, max_requests=max_requests)
+def drain(platform, tenants, policy, **settings) -> FleetReport:
+    """Serve every request arriving within ``settings["horizon_s"]``
+    on one :class:`ServingSession`, run to completion."""
+    session = ServingSession(platform, tenants, policy, **settings)
     session.run_rounds()
     return session.report()

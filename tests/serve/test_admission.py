@@ -8,7 +8,7 @@ same request set -- any number of times.
 
 import pytest
 
-from repro.serve import Server, Tenant, gpu_only_policy
+from repro.serve import Tenant, gpu_only_policy
 from repro.serve.requests import PeriodicArrivals, TraceArrivals
 from repro.serve.slo import (
     SHED_DEPTH,
@@ -195,13 +195,13 @@ def tiered_config():
 
 class TestServerIntegration:
     def _serve(self, xavier, xavier_db, *, admission):
-        server = Server(
+        return drain(
             xavier,
             tiered_tenants(),
             gpu_only_policy(xavier, db=xavier_db, max_groups=6),
             admission=admission,
+            horizon_s=0.2,
         )
-        return drain(server, horizon_s=0.2)
 
     def test_tiers_shed_only_the_capped_priority(
         self, xavier, xavier_db
@@ -259,12 +259,10 @@ class TestServerIntegration:
         cfg = tiered_config()
         reports = [
             drain(
-                Server(
-                    xavier,
-                    tenants,
-                    gpu_only_policy(xavier, db=xavier_db, max_groups=6),
-                    admission=cfg,
-                ),
+                xavier,
+                tenants,
+                gpu_only_policy(xavier, db=xavier_db, max_groups=6),
+                admission=cfg,
                 horizon_s=0.2,
             )
             for _ in range(2)

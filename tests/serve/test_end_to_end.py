@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.haxconn import HaXCoNN
 from repro.experiments import serving
-from repro.serve import CachedAnytimePolicy, Server, Tenant
+from repro.serve import CachedAnytimePolicy, Tenant
 from repro.serve.requests import PeriodicArrivals
 from tests.serve.helpers import drain
 
@@ -41,7 +41,7 @@ def steady_report(xavier, xavier_db):
         ),
     ]
     policy = CachedAnytimePolicy(scheduler)
-    report = drain(Server(xavier, tenants, policy, max_batch=2), horizon_s=0.4)
+    report = drain(xavier, tenants, policy, max_batch=2, horizon_s=0.4)
     return report, policy
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.haxconn import HaXCoNN
 from repro.core.solve_store import SolveStore
-from repro.serve import CachedAnytimePolicy, Server, Tenant
+from repro.serve import CachedAnytimePolicy, Tenant
 from repro.serve import fleet as fleet_module
 from repro.serve.fleet import (
     Fleet,
@@ -257,11 +257,9 @@ class TestSerialFleet:
         )
         assert fleet.epochs > 1
         plain = drain(
-            Server(
-                xavier,
-                fleet_tenants(),
-                make_factory(xavier, xavier_db)(0),
-            ),
+            xavier,
+            fleet_tenants(),
+            make_factory(xavier, xavier_db)(0),
             horizon_s=HORIZON,
         )
         assert fleet.describe_shards() == (plain.describe(),)
@@ -490,7 +488,7 @@ class TestSolveStore:
     ):
         """The fleet is the only serving path to the store.  Cold and
         warm, a one-shard fleet leaves the same shard report and the
-        same store bytes as a plain server session whose cache writes
+        same store bytes as a bare serving session whose cache writes
         through to the store."""
         factory = make_factory(xavier, xavier_db)
 
@@ -509,8 +507,7 @@ class TestSolveStore:
             policy = factory(0)
             policy.cache.attach_store(SolveStore(path))
             report = drain(
-                Server(xavier, fleet_tenants(), policy),
-                horizon_s=HORIZON,
+                xavier, fleet_tenants(), policy, horizon_s=HORIZON
             )
             return (report.describe(),)
 
@@ -522,6 +519,71 @@ class TestSolveStore:
             assert fleet_path.read_bytes() == server_path.read_bytes(), run
         assert "solves=0," in shards[0]
         assert "store_hits=0," not in shards[0]
+
+    def test_rehashed_infeasible_record_is_rejected_and_resolved(
+        self, tmp_path
+    ):
+        """A stored schedule whose ``id`` was recomputed after an edit
+        passes the store's content check, but its shape cannot run:
+        the ``resnet18x1;vgg19x1`` record of a cold ``serve-shift`` seed
+        7 store, with stream 0 moved wholly onto the DLA.  The shard
+        that meets the mix drops it at first use, counts one verify
+        failure and solves the mix once; every request ends as it does
+        over the same store with that record deleted."""
+        from perfbench.workloads import serve_population
+
+        from repro.core.solve_store import _record_id
+        from repro.experiments.serving import make_fleet_policy_factory
+
+        population = serve_population(7)
+
+        def serve(path, *, readonly):
+            return Fleet(
+                "xavier",
+                population.tenants,
+                make_fleet_policy_factory("xavier"),
+                shards=2,
+                router="balanced",
+                sync_rounds=4,
+                admission=population.admission,
+                store=SolveStore(path, readonly=readonly),
+            ).run(horizon_s=population.horizon_s)
+
+        serve(tmp_path / "cold.jsonl", readonly=False)
+        kept, edited = [], []
+        for line in (tmp_path / "cold.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            if "|resnet18x1;vgg19x1|" not in record["sig"]:
+                kept.append(line)
+                continue
+            stream = record["schedule"]["streams"][0]
+            assert stream["dnn"] == "resnet18"
+            stream["assignment"] = ["dla"] * len(stream["assignment"])
+            record["id"] = _record_id(
+                "schedule", record["sig"], record["schedule"]
+            )
+            edited.append(json.dumps(record))
+        assert len(edited) == 1
+        (tmp_path / "tampered.jsonl").write_text("\n".join(kept + edited))
+        (tmp_path / "deleted.jsonl").write_text("\n".join(kept))
+
+        tampered = serve(tmp_path / "tampered.jsonl", readonly=True)
+        deleted = serve(tmp_path / "deleted.jsonl", readonly=True)
+
+        def outcomes(report):
+            return [
+                (r.tenant, r.seq, r.rejected, r.finish_s)
+                for o in report.outcomes
+                for r in o.report.requests
+            ]
+
+        failures = sum(
+            o.report.policy_stats["verify_failures"]
+            for o in tampered.outcomes
+        )
+        assert failures == 1
+        assert tampered.solves == deleted.solves == 1
+        assert outcomes(tampered) == outcomes(deleted)
 
     def test_finishing_shard_drains_gossip_past_the_limit(
         self, xavier, xavier_db, tmp_path, monkeypatch

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.haxconn import FALLBACK_MARGIN, HaXCoNN
-from repro.core.schedule_cache import ScheduleCache
 from repro.core.workload import Workload
 from repro.runtime.executor import run_schedule
 from repro.serve.policy import (
@@ -90,9 +89,8 @@ class TestCachedAnytime:
         ]
 
     def test_preseeded_cache_means_zero_solves(self, scheduler, workload):
-        cache = ScheduleCache(scheduler)
-        cache.precompute([workload])
-        policy = CachedAnytimePolicy(scheduler, cache=cache)
+        policy = CachedAnytimePolicy(scheduler)
+        policy.cache.precompute([workload])
         policy.result_for(workload, 0.0)
         assert policy.solves == 0
         assert policy.cache.hits == 1
@@ -103,9 +101,8 @@ class TestCachedAnytime:
         import repro.core.schedule_cache as schedule_cache
         import repro.serve.policy as policy_module
 
-        cache = ScheduleCache(scheduler)
-        cache.precompute([workload])
-        policy = CachedAnytimePolicy(scheduler, cache=cache)
+        policy = CachedAnytimePolicy(scheduler)
+        policy.cache.precompute([workload])
         calls = []
         real = schedule_cache.workload_signature
 
@@ -142,12 +139,9 @@ class TestCachedAnytime:
         assert policy.swaps == len(phase.candidates) - 1
         assert policy.stats()["swaps"] == policy.swaps
 
-    def test_validation(self, scheduler, xavier, xavier_db):
+    def test_validation(self, scheduler):
         with pytest.raises(ValueError):
             CachedAnytimePolicy(scheduler, update_points=(0.0, 1.0))
-        other = HaXCoNN(xavier, db=xavier_db, max_groups=6)
-        with pytest.raises(ValueError):
-            CachedAnytimePolicy(scheduler, cache=ScheduleCache(other))
 
     def test_naive_start_respects_fallback_margin(
         self, scheduler, workload, xavier, xavier_db

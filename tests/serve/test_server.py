@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serve import Server, Tenant, gpu_only_policy, naive_policy
+from repro.serve import ServingSession, Tenant, gpu_only_policy, naive_policy
 from repro.serve.requests import PeriodicArrivals, TraceArrivals
 from repro.serve.slo import SHED_DEPTH, AdmissionConfig, TierConfig
 from tests.serve.helpers import drain
@@ -29,10 +29,7 @@ def slow_pair():
 @pytest.fixture(scope="module")
 def light_report(xavier, xavier_db):
     policy = gpu_only_policy(xavier, db=xavier_db, max_groups=6)
-    return drain(
-        Server(xavier, slow_pair(), policy, max_batch=2),
-        horizon_s=0.2,
-    )
+    return drain(xavier, slow_pair(), policy, max_batch=2, horizon_s=0.2)
 
 
 class TestRun:
@@ -64,12 +61,10 @@ class TestRun:
     def test_deterministic(self, xavier, xavier_db):
         runs = [
             drain(
-                Server(
-                    xavier,
-                    slow_pair(),
-                    gpu_only_policy(xavier, db=xavier_db, max_groups=6),
-                    max_batch=2,
-                ),
+                xavier,
+                slow_pair(),
+                gpu_only_policy(xavier, db=xavier_db, max_groups=6),
+                max_batch=2,
                 horizon_s=0.2,
             )
             for _ in range(2)
@@ -91,11 +86,9 @@ class TestBackPressure:
             )
         ]
         report = drain(
-            Server(
-                xavier,
-                tenants,
-                gpu_only_policy(xavier, db=xavier_db, max_groups=6),
-            ),
+            xavier,
+            tenants,
+            gpu_only_policy(xavier, db=xavier_db, max_groups=6),
             horizon_s=0.02,
         )
         lats = [r.latency_s for r in report.served]
@@ -115,8 +108,7 @@ class TestBackPressure:
             tiers=(TierConfig(priority=1, depth_cap=2),)
         )
         report = drain(
-            Server(xavier, tenants, policy, admission=admission),
-            horizon_s=0.02,
+            xavier, tenants, policy, admission=admission, horizon_s=0.02
         )
         assert len(report.rejected) > 0
         assert (
@@ -135,12 +127,10 @@ class TestBackPressure:
             )
         ]
         report = drain(
-            Server(
-                xavier,
-                tenants,
-                gpu_only_policy(xavier, db=xavier_db, max_groups=6),
-                max_batch=4,
-            ),
+            xavier,
+            tenants,
+            gpu_only_policy(xavier, db=xavier_db, max_groups=6),
+            max_batch=4,
             horizon_s=0.01,
         )
         assert all(max(r.batch) <= 4 for r in report.rounds)
@@ -161,11 +151,9 @@ class TestMixes:
             Tenant.of("det", "resnet18", arrivals=TraceArrivals(half)),
         ]
         report = drain(
-            Server(
-                xavier,
-                tenants,
-                naive_policy(xavier, db=xavier_db, max_groups=6),
-            ),
+            xavier,
+            tenants,
+            naive_policy(xavier, db=xavier_db, max_groups=6),
             horizon_s=0.2,
         )
         mixes = {r.tenants for r in report.rounds}
@@ -188,12 +176,10 @@ class TestMixes:
             ),
         ]
         report = drain(
-            Server(
-                xavier,
-                tenants,
-                gpu_only_policy(xavier, db=xavier_db, max_groups=6),
-                max_batch=2,
-            ),
+            xavier,
+            tenants,
+            gpu_only_policy(xavier, db=xavier_db, max_groups=6),
+            max_batch=2,
             horizon_s=0.01,
         )
         assert len(report.served) == 4
@@ -203,32 +189,34 @@ class TestMixes:
 class TestValidation:
     def test_needs_tenants(self, xavier):
         with pytest.raises(ValueError):
-            Server(xavier, [], gpu_only_policy(xavier))
+            ServingSession(xavier, [], gpu_only_policy(xavier), horizon_s=0.1)
 
     def test_duplicate_tenant_names(self, xavier):
         with pytest.raises(ValueError):
-            Server(
+            ServingSession(
                 xavier,
                 [Tenant.of("a", "googlenet"), Tenant.of("a", "resnet18")],
                 gpu_only_policy(xavier),
+                horizon_s=0.1,
             )
 
     def test_max_batch_positive(self, xavier):
         with pytest.raises(ValueError):
-            Server(
+            ServingSession(
                 xavier,
                 [Tenant.of("a", "googlenet")],
                 gpu_only_policy(xavier),
+                horizon_s=0.1,
                 max_batch=0,
             )
 
     def test_run_rounds_limit_stops_early(self, xavier, xavier_db):
-        server = Server(
+        session = ServingSession(
             xavier,
             slow_pair(),
             gpu_only_policy(xavier, db=xavier_db, max_groups=6),
+            horizon_s=0.2,
         )
-        session = server.session(horizon_s=0.2)
         assert session.run_rounds(2) == 2
         assert not session.finished
         assert len(session.report().rounds) == 2

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.runtime.trace import export_chrome_trace
-from repro.serve import Server, Tenant, gpu_only_policy
+from repro.serve import Tenant, gpu_only_policy
 from repro.serve.requests import PeriodicArrivals
 from repro.serve.slo import FleetReport, ServedRequest, TenantStats
 from tests.serve.helpers import drain
@@ -93,7 +93,7 @@ def report(xavier, xavier_db):
         ),
     ]
     policy = gpu_only_policy(xavier, db=xavier_db, max_groups=6)
-    return drain(Server(xavier, tenants, policy, max_batch=2), horizon_s=0.2)
+    return drain(xavier, tenants, policy, max_batch=2, horizon_s=0.2)
 
 
 class TestFleetReport:

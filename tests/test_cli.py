@@ -161,6 +161,29 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "googlenet@1" in out
 
+    def test_serve_prints_no_report_for_an_empty_shard(self, capsys):
+        """Hash routing puts both tenants on shard 0: only that shard
+        prints a per-tenant report, and the fleet table keeps shard
+        1's empty row."""
+        code = cli.main(
+            [
+                "serve",
+                "googlenet:40",
+                "resnet18:40",
+                "--shards",
+                "2",
+                "--horizon",
+                "0.1",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.count("fleet: ") == 2  # shard 0's report + summary
+        assert out.count("policy: ") == 1
+        assert "policy=idle" not in out
+        assert not any(line.endswith("utilization ") for line in out.splitlines())
+        assert "    1 -  " in out
+
     def test_serve_single_replica_honours_batching(self, capsys):
         """``--batching`` reaches the single-replica server too: two
         tenants on the same model share one dispatch stream under

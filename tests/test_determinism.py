@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.core.haxconn import HaXCoNN
 from repro.core.workload import Workload
 from repro.runtime.stream import run_stream
-from repro.serve import CachedAnytimePolicy, Server, Tenant
+from repro.serve import CachedAnytimePolicy, Tenant
 from repro.serve.requests import PoissonArrivals
 from tests.serve.helpers import drain
 
@@ -109,7 +109,7 @@ def test_serve_same_seed_identical_metrics(xavier, xavier_db):
             _portfolio_scheduler(xavier, xavier_db)
         )
         report = drain(
-            Server(xavier, tenants, policy, max_batch=2),
+            xavier, tenants, policy, max_batch=2,
             horizon_s=0.3,
         )
         return report, policy
