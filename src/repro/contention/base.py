@@ -41,19 +41,26 @@ class ContentionModel(abc.ABC):
         slowdown memo (``repro.core.evalcache``) relies on this to
         split and regroup queries without changing results.
         """
-        own = np.atleast_1d(np.asarray(own_bw, dtype=float))
-        ext = np.atleast_1d(np.asarray(ext_bw, dtype=float))
-        n = np.atleast_1d(np.asarray(n_clients, dtype=int))
-        out = np.empty(np.broadcast(own, ext, n).shape, dtype=float)
-        it = np.nditer(
-            [own, ext, n, out],
-            flags=["refs_ok"],
-            op_flags=[["readonly"]] * 3 + [["writeonly"]],
+        own, ext, n = np.broadcast_arrays(
+            np.atleast_1d(np.asarray(own_bw, dtype=float)),
+            np.atleast_1d(np.asarray(ext_bw, dtype=float)),
+            np.atleast_1d(np.asarray(n_clients, dtype=int)),
         )
-        for o, e, k, res in it:
-            others = max(int(k) - 1, 1)
-            res[...] = self.slowdown(float(o), [float(e) / others] * others)
-        return out
+        cells = list(
+            zip(own.ravel().tolist(), ext.ravel().tolist(), n.ravel().tolist())
+        )
+        # one model call per distinct cell: cells repeat across the
+        # intervals of one query (the same co-running groups contend
+        # alike wherever they overlap)
+        priced: dict[tuple[float, float, int], float] = {}
+        for cell in cells:
+            if cell not in priced:
+                o, e, k = cell
+                others = max(k - 1, 1)
+                priced[cell] = self.slowdown(o, [e / others] * others)
+        return np.array([priced[c] for c in cells], dtype=float).reshape(
+            own.shape
+        )
 
 
 class NoContentionModel(ContentionModel):

@@ -23,7 +23,9 @@ path fast **without changing a single bit of its results**:
   fixed-point iterations, so later iterations reuse the cached
   per-interval slowdown matrix bit-for-bit.  Entries hold the active
   cells only (every other cell is 1.0), about a tenth of the dense
-  matrix.
+  matrix.  Only the scalar path reads and writes it; the frontier
+  batcher carries each member's last structure instead and prices a
+  changed one directly (``repro.core.frontier``).
 * a bounded memo table (assignment -> objective / per-DNN latencies /
   iteration count) that lives as long as its formulation, i.e. one
   solve.  Memo entries store scalars only; ``EvaluationResult.items``
@@ -82,6 +84,10 @@ class EvalCounters:
     fp_iterations: int = 0
     timeline_passes: int = 0
     slowdown_queries: int = 0
+    #: slowdown queries answered without pricing a cell: a scalar
+    #: ``_s_cache`` hit, or a lockstep member whose overlap structure
+    #: did not change since its last step (its rows are carried; the
+    #: lockstep path does not use ``_s_cache``)
     slowdown_cache_hits: int = 0
     batch_evals: int = 0
     batch_items: int = 0
@@ -852,10 +858,12 @@ class EvalEngine:
         """Per-interval slowdown matrix for one overlap structure.
 
         The scalar path's ``_slowdowns`` computes its cache misses
-        here; the frontier batcher computes its misses with
-        :meth:`_s_matrix_many`, which runs this same algebra batched
-        and returns bit-identical rows, so the two paths' cache
-        entries are interchangeable.
+        here.  The frontier batcher prices its changed structures
+        without this cache or the per-cell memo
+        (``frontier._slowdown_rows``): on a ``solve-cold`` pass only
+        92 of its 13,566 changed structures were already cached, so
+        storing them cost more than the hits saved.  It returns these
+        same cells bit for bit (``tests/core/test_frontier.py``).
         """
         total_bw = active @ bw
         n_clients = active.sum(axis=1)
@@ -870,66 +878,6 @@ class EvalEngine:
                 np.broadcast_to(n_clients[:, None], active.shape)[mask],
             )
         return _frozen(s)
-
-    def _s_matrix_many(
-        self, acts: list[np.ndarray], bws: list[np.ndarray]
-    ) -> list[np.ndarray]:
-        """`_s_matrix` for several overlap structures in one shot.
-
-        Structures are padded to a common interval count and run as
-        one elementwise tensor program whose per-structure rows carry
-        exactly the :meth:`_s_matrix` values: padding rows are
-        all-inactive (no cells, slowdown stays 1.0) and every
-        batched op is elementwise, except ``active @ bw``, which is
-        kept as the reference per-structure matmul so the float
-        reduction order cannot drift.  The contention-model cells are
-        funneled through a single :meth:`_slowdown_cells` call --
-        elementwise and per-triple memoized, so regrouping cells
-        across structures cannot change any value.
-        """
-        if not acts:
-            return []
-        m = len(acts)
-        n = len(bws[0])
-        ks = [act.shape[0] for act in acts]
-        kmax = max(ks)
-        a3 = np.zeros((m, kmax, n), dtype=bool)
-        tb = np.zeros((m, kmax))
-        for i, (act, bw) in enumerate(zip(acts, bws)):
-            a3[i, : ks[i]] = act
-            tb[i, : ks[i]] = act @ bw
-        bw2 = np.stack(bws)
-        n_clients = a3.sum(axis=2)
-        ext3 = np.where(a3, tb[:, :, None] - bw2[:, None, :], 0.0)
-        own3 = np.broadcast_to(bw2[:, None, :], a3.shape)
-        mask3 = a3 & (ext3 > 0)
-        s3 = np.ones(a3.shape)
-        own_c = own3[mask3]
-        if len(own_c):
-            ext_c = ext3[mask3]
-            ncl_c = np.broadcast_to(n_clients[:, :, None], a3.shape)[mask3]
-            # dedup triples vectorially before the per-cell memo: the
-            # same (own, ext, n_clients) triple recurs across cells
-            # and `_slowdown_cells` is elementwise, so evaluating one
-            # representative per distinct triple and scattering back
-            # returns the same cells in the same order
-            trip = np.ascontiguousarray(
-                np.stack([own_c, ext_c, ncl_c * 1.0], axis=1)
-            )
-            vt = trip.view(
-                np.dtype((np.void, trip.dtype.itemsize * 3))
-            ).ravel()
-            _, first, inv = np.unique(
-                vt, return_index=True, return_inverse=True
-            )
-            vals = self._slowdown_cells(
-                own_c[first], ext_c[first], ncl_c[first]
-            )
-            s3[mask3] = vals[inv]
-        return [
-            _frozen(np.ascontiguousarray(s3[i, : ks[i]]))
-            for i in range(m)
-        ]
 
     def _slowdown_cells(
         self,

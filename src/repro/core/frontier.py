@@ -38,13 +38,15 @@ What batches and what stays scalar (the Eq. 7-8 split):
   next iteration.  Nothing is shared *across* members: siblings differ
   in one stream's assignment, so their bandwidth rows and structures
   differ (a whole solve-cold pass found no duplicate in 60,878 rows).
-* **scalar, per changed structure** -- the contention-model kernel
-  (Eq. 7's slowdown matrix), cached under the overlap structure and
-  the bandwidth vector in ``EvalEngine._s_cache``; a step's misses run
-  as one ``_s_matrix_many`` batch, the algebra of the scalar path's
-  ``_s_matrix``, so both paths share entries.  Per-DNN maxima, energy
-  and the objective stay scalar too: the reference's exact expressions
-  keep bit-identity trivial at a few microseconds per sibling.
+* **priced directly, per changed structure** -- Eq. 7's slowdown cells
+  of every structure that changed this step go to the contention model
+  in one ``slowdown_bulk`` call (``_slowdown_rows``), with no structure
+  cache: on a solve-cold pass only 92 of 13,566 changed structures were
+  in ``EvalEngine._s_cache`` already.  That cache and the per-cell memo
+  serve the scalar path only.
+* **scalar** -- per-DNN maxima, energy and the objective: the
+  reference's exact expressions keep bit-identity trivial at a few
+  microseconds per sibling.
 
 Bit-identity argument (the contract every caller relies on):
 
@@ -58,8 +60,11 @@ Bit-identity argument (the contract every caller relies on):
   strict improvement on ``(c, r)`` -- equals the lexicographic
   minimum with lowest stream id on ties, computed here as masked row
   minima plus ``argmax`` on the winner mask (first ``True`` wins).
-* A reused slowdown row is the one the cache would return: the
-  structure and the member's bandwidth row fix the cache key.
+* A carried slowdown row is the one ``_s_matrix`` would compute: the
+  structure and the member's bandwidth row fix it.  Each interval's
+  total demand is the reference's own 2-D ``act @ bw`` product
+  whenever the batched one could differ from it (see
+  ``_slowdown_rows``).
 * Reductions that feed results are row-wise over the *last* axis or
   sequential over a middle axis with ``+0.0`` rows interleaved;
   ``tests/core/test_frontier.py`` certifies the end-to-end claim
@@ -70,9 +75,6 @@ Memory: the slowdown step holds ``(B, 2n - 1, n)`` tensors, so a
 frontier wider than ``CELLS // ((2n - 1) * n)`` members runs as
 several near-equal lockstep batches (``_chunks``).  Every row is
 computed independently of the others, so the split changes no bit.
-The engine's slowdown-structure cache, which both paths share, holds
-each structure's active cells only (``s[active]``; every other cell
-is 1.0).
 
 Fallbacks: serialized / non-resource-constrained formulations,
 pipelines, empty workloads, and tiny frontiers fall back to the scalar
@@ -87,8 +89,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from repro.contention.base import NoContentionModel
-from repro.core.evalcache import _frozen
+from repro.contention.base import ContentionModel, NoContentionModel
 
 if TYPE_CHECKING:  # deferred: evalcache imports create a cycle otherwise
     from repro.core.evalcache import EvalEngine
@@ -307,7 +308,6 @@ def _lockstep(
         c.timeline_passes += B
         iters[:] = 1
     else:
-        bw_bytes = [bw_m[pos].tobytes() for pos in range(B)]
         structures = _Structures()
         #: slowdown vector frozen (tolerance met)
         conv = np.zeros(B, dtype=bool)
@@ -330,7 +330,7 @@ def _lockstep(
             if bool(done.all()):
                 break
             u, new = _slowdowns_batch(
-                engine, bw_m, bw_bytes, start, end, slow, conv, structures, c
+                engine, bw_m, start, end, slow, conv, structures, c
             )
             just = u[np.abs(new - slow[u]).max(axis=1) < f.tolerance]
             slow[u] = new
@@ -532,7 +532,6 @@ class _Structures:
 def _slowdowns_batch(
     engine: "EvalEngine",
     bw_m: np.ndarray,
-    bw_bytes: list[bytes],
     start: np.ndarray,
     end: np.ndarray,
     previous: np.ndarray,
@@ -583,43 +582,12 @@ def _slowdowns_batch(
         changed = np.nonzero((bits != old).any(axis=1))[0]
     c.slowdown_cache_hits += U - len(changed)
     if len(changed):
-        # changed structures go through the engine cache under the
-        # scalar path's key; this step's misses run as one batch, and
-        # a miss repeated within it is a hit on the first one's result
-        s_cache = engine._s_cache
-        u_l = u.tolist()
-        vals: list[Any] = []
-        misses: dict[Any, list[int]] = {}
-        miss_acts: list[np.ndarray] = []
-        miss_bws: list[np.ndarray] = []
-        for i in changed.tolist():
-            act = active3[i][keep[i]]  # contiguous (K, n) == reference
-            key = (act.shape[0], act.tobytes(), bw_bytes[u_l[i]])
-            v = s_cache.get(key)
-            if v is not None:
-                c.slowdown_cache_hits += 1
-            elif key in misses:
-                c.slowdown_cache_hits += 1
-                misses[key].append(len(vals))
-            else:
-                misses[key] = [len(vals)]
-                miss_acts.append(act)
-                miss_bws.append(bw_m[u_l[i]])
-            vals.append(v)
-        if misses:
-            s_list = engine._s_matrix_many(miss_acts, miss_bws)
-            for (key, slots), act, s in zip(misses.items(), miss_acts, s_list):
-                v = _frozen(s[act])
-                s_cache.put(key, v)
-                for k in slots:
-                    vals[k] = v
-        # dropped (zero-length) interval rows keep 1.0 too: their weight
-        # is +0.0, and +0.0 * 1.0 == +0.0 * s for any finite s; the
-        # kept-and-active cells of all structures, in row-major order,
-        # are exactly the concatenated per-structure `act` cells
-        fresh = np.ones((len(changed), 2 * n - 1, n))
-        fresh[active3[changed]] = np.concatenate(vals)
-        s3[changed] = fresh
+        s3[changed] = _slowdown_rows(
+            engine.f.contention_model,
+            active3[changed],
+            keep[changed],
+            bw_m[u[changed]],
+        )
     structures.rows, structures.bits, structures.s3 = u, bits, s3
     # `active3 * dur` == the reference's `np.where(keep, dur, 0.0)`
     # weights bitwise: durations are finite and >= +0.0, so * 1.0 is
@@ -630,3 +598,44 @@ def _slowdowns_batch(
     weighted = wd3.sum(axis=1)
     new_u = np.where(covered > 0, weighted / np.maximum(covered, 1e-30), 1.0)
     return u, 0.25 * previous[u] + 0.75 * new_u
+
+
+def _slowdown_rows(
+    model: ContentionModel,
+    act3: np.ndarray,
+    keep: np.ndarray,
+    bw2: np.ndarray,
+) -> np.ndarray:
+    """Dense ``(C, 2n - 1, n)`` slowdown rows of ``C`` overlap
+    structures (``act3``: kept-and-active cells, ``keep``: kept
+    intervals, ``bw2``: each structure's bandwidth row).
+
+    Every contended cell is priced in one ``slowdown_bulk`` call: the
+    model is elementwise in ``(own, ext, n_clients)``, so each cell
+    gets the value the scalar path's ``EvalEngine._s_matrix`` gives it
+    for the structure's kept rows ``act3[i][keep[i]]``.  Every other
+    cell keeps 1.0, as there; a dropped (zero-length) interval row's
+    weight is ``+0.0``, and ``+0.0 * 1.0 == +0.0 * s``.
+    """
+    n_clients = act3.sum(axis=2)
+    total = np.matmul(act3, bw2[:, :, None])[:, :, 0]
+    # a sum of at most two nonzero terms is exact in any order; with
+    # three or more co-active items the padded batched matmul can
+    # drift from the reference's 2-D `act @ bw` in the last bit, so
+    # such a structure takes that very product
+    for i in np.nonzero((n_clients > 2).any(axis=1))[0].tolist():
+        kept = keep[i]
+        total[i, kept] = act3[i][kept] @ bw2[i]
+    # active cells in row-major order, the order `rows[act3]` fills
+    c, k, j = np.nonzero(act3)
+    own = bw2[c, j]
+    ext = total[c, k] - own
+    hot = ext > 0
+    vals = np.ones(len(c))
+    if hot.any():
+        vals[hot] = model.slowdown_bulk(
+            own[hot], ext[hot], n_clients[c[hot], k[hot]]
+        )
+    rows = np.ones(act3.shape)
+    rows[act3] = vals
+    return rows

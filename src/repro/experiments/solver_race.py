@@ -104,6 +104,9 @@ def race(
         rows.append(
             {
                 "solver": label,
+                "platform": platform,
+                "max_groups": max_groups,
+                "max_transitions": max_transitions,
                 "workload": "+".join(models),
                 "objective_ms": solve.best.objective * 1e3,
                 "optimal": solve.optimal,
@@ -127,6 +130,8 @@ def run() -> list[dict[str, object]]:
 
 
 def format_results(rows: list[dict[str, object]]) -> str:
+    """The race table, titled with the platform and limits it ran."""
+    ran = rows[0]
     return format_table(
         rows,
         (
@@ -146,6 +151,6 @@ def format_results(rows: list[dict[str, object]]) -> str:
             "fp_iter",
         ),
         title="Solver race: anytime convergence "
-        f"({PLATFORM}, groups<={MAX_GROUPS}, "
-        f"transitions<={MAX_TRANSITIONS})",
+        f"({ran['platform']}, groups<={ran['max_groups']}, "
+        f"transitions<={ran['max_transitions']})",
     )

@@ -1,5 +1,6 @@
 """Analytic (oracle) contention model properties."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -85,3 +86,19 @@ class TestAnalyticShareModel:
         two = model.slowdown(0.4 * bw, [0.3 * bw])
         three = model.slowdown(0.4 * bw, [0.3 * bw, 0.3 * bw])
         assert three > two
+
+    def test_bulk_prices_repeated_cells_like_slowdown(self, xavier):
+        """The default ``slowdown_bulk`` loop prices each distinct cell
+        once; every cell, repeats included, equals its scalar query,
+        with external traffic split evenly over the other clients."""
+        model = AnalyticShareModel(xavier)
+        bw = xavier.dram_bandwidth
+        own = np.array([[0.4, 0.2, 0.4], [0.4, 0.0, 0.6]]) * bw
+        ext = np.array([[0.3, 0.5, 0.3], [0.3, 0.5, 0.9]]) * bw
+        n = np.array([[2, 3, 2], [2, 2, 3]])
+        bulk = model.slowdown_bulk(own, ext, n)
+        assert bulk.shape == own.shape
+        for o, e, k, got in zip(own.ravel(), ext.ravel(), n.ravel(), bulk.ravel()):
+            want = model.slowdown(float(o), [float(e) / (k - 1)] * (k - 1))
+            assert got == want
+        assert model.slowdown_bulk(0.4 * bw, 0.3 * bw, 2).shape == (1,)

@@ -11,7 +11,8 @@ random formulations, every real platform (including the 4-DSA
 ``matcha`` with the ``vit_tiny`` transformer), and the adversarial
 paths: memo eviction mid-frontier, singleton frontiers, duplicate
 members, all-infeasible frontiers, frontiers split across several
-lockstep batches, slowdown-cache entries read across paths, per-member
+lockstep batches, lockstep-priced slowdown cells against the scalar
+``_s_matrix`` (three or more co-active items included), per-member
 structure reuse across fixed-point iterations -- plus
 the solver-level guarantee that the leaf prewarm hook leaves the B&B
 tree untouched.
@@ -240,51 +241,150 @@ def test_chunked_frontier_matches_scratch_bitwise(seed, monkeypatch):
     assert front_form.engine.counters.frontier_lockstep == len(distinct)
 
 
-def _cached_matrices(engine):
-    """Every slowdown-cache entry with its decoded overlap structure."""
-    for (k, act, bw), vals in list(engine._s_cache._data.items()):
-        active = np.frombuffer(act, dtype=bool).reshape(k, -1)
-        yield active, np.frombuffer(bw), vals
+# -- lockstep cell pricing equals the scalar `_s_matrix` ---------------
+#: matcha mixes of three and four streams: its four DSAs let three or
+#: more items share an interval, where a padded batched matmul can
+#: drift from the reference's 2-D ``act @ bw``
+MATCHA_MIXES = {
+    "matcha-3": ("vit_tiny", "alexnet", "resnet18"),
+    "matcha-4": ("alexnet", "resnet18", "googlenet", "mobilenet_v1"),
+}
+
+
+def _matcha_case(models):
+    """A profiled matcha formulation and 24 members that vary every
+    stream's assignment."""
+    platform = get_platform("matcha")
+    scheduler = HaXCoNN(
+        platform, db=ProfileDB(platform), max_groups=3, max_transitions=1
+    )
+    form, profiles = scheduler.build_formulation(Workload.concurrent(*models))
+    accels = [a.name for a in platform.accelerators]
+    cands = [
+        enumerate_assignments(p, accels, max_transitions=1) for p in profiles
+    ]
+    members = [
+        [c[(k * (s + 1)) % len(c)] for s, c in enumerate(cands)]
+        for k in range(24)
+    ]
+    return form, members
+
+
+def _assert_rows_are_s_matrix(engine, act3, keep, bw2, rows):
+    """Each structure's kept rows equal ``_s_matrix`` on its kept
+    structure bit for bit; its dropped rows are all 1.0."""
+    for i in range(len(act3)):
+        act = act3[i][keep[i]]
+        want = engine._s_matrix(act, bw2[i])
+        assert rows[i][keep[i]].tobytes() == want.tobytes()
+        assert (rows[i][~keep[i]] == 1.0).all()
+
+
+@pytest.mark.parametrize("case", ("1", "2", "3", "12", *MATCHA_MIXES))
+def test_lockstep_priced_cells_equal_s_matrix(case, lockstep_from_two, monkeypatch):
+    """Every changed structure the lockstep path prices gets exactly
+    the cells the scalar path's ``_s_matrix`` computes for it; the
+    matcha mixes price structures with three or more co-active
+    items."""
+    from repro.core import frontier
+
+    if case in MATCHA_MIXES:
+        form, members = _matcha_case(MATCHA_MIXES[case])
+    else:
+        form, _rng = random_formulation(int(case))
+        members = _distinct_members(form, 10)
+    priced = []
+    price = frontier._slowdown_rows
+
+    def recording(model, act3, keep, bw2):
+        rows = price(model, act3, keep, bw2)
+        priced.append((act3.copy(), keep.copy(), bw2.copy(), rows.copy()))
+        return rows
+
+    monkeypatch.setattr(frontier, "_slowdown_rows", recording)
+    ref = outcomes(clone(form).evaluate_scratch, members)
+    got = frontier_outcomes(clone(form), members)
+    assert_identical(got, ref, items_every=1)
+    assert priced
+    engine = EvalEngine(clone(form))
+    for act3, keep, bw2, rows in priced:
+        _assert_rows_are_s_matrix(engine, act3, keep, bw2, rows)
+    if case in MATCHA_MIXES:  # an interval of three or more items
+        assert any((act3.sum(axis=2) > 2).any() for act3, *_ in priced)
+
+
+def test_slowdown_rows_take_the_reference_product_past_two_items():
+    """A crafted stack of dense structures on which the padded batched
+    matmul of each interval's demand drifts from the reference's 2-D
+    ``act @ bw``, far enough to move priced cells: ``_slowdown_rows``
+    still equals ``_s_matrix`` on every structure, so it fails here
+    if the three-item guard is dropped."""
+    from repro.core import frontier
+
+    form, _rng = random_formulation(1)
+    model = form.contention_model
+    rng = np.random.default_rng(0)
+    m, n = 200, 16
+    keep = rng.random((m, 2 * n - 1)) < 0.8
+    act3 = (rng.random((m, 2 * n - 1, n)) < 0.25) & keep[:, :, None]
+    bw2 = rng.uniform(1e8, 1e9, (m, n))
+    engine = EvalEngine(clone(form))
+    padded = np.matmul(act3, bw2[:, :, None])[:, :, 0]
+    moved = 0
+    for i in range(m):
+        act, bw = act3[i][keep[i]], bw2[i]
+        ext = np.where(act, padded[i][keep[i]][:, None] - bw[None, :], 0.0)
+        cells = act & (ext > 0)
+        unguarded = np.ones(act.shape)
+        unguarded[cells] = model.slowdown_bulk(
+            np.broadcast_to(bw, act.shape)[cells],
+            ext[cells],
+            np.broadcast_to(act.sum(axis=1)[:, None], act.shape)[cells],
+        )
+        moved += unguarded.tobytes() != engine._s_matrix(act, bw).tobytes()
+    assert moved > 0  # the crafted stack hits the drift
+    rows = frontier._slowdown_rows(model, act3, keep, bw2)
+    _assert_rows_are_s_matrix(engine, act3, keep, bw2, rows)
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3, 12))
-def test_slowdown_cache_entries_shared_across_paths(seed, lockstep_from_two):
-    """A slowdown entry the lockstep path writes reads back on the
-    scalar path bit for bit, and the reverse: both store the active
-    cells of the same `_s_matrix` algebra."""
-    form, _rng = random_formulation(seed)
-    members = _distinct_members(form, 10)
-    ref = outcomes(clone(form).evaluate_scratch, members)
+def test_lockstep_leaves_slowdown_cache_empty(seed, lockstep_from_two, monkeypatch):
+    """The lockstep path neither reads nor writes the slowdown
+    structure cache or the per-cell memo: its ``slowdown_cache_hits``
+    are exactly the carried structures, the members whose overlap
+    structure did not change since their previous step."""
+    from repro.core import frontier
 
-    for first, second in (("lockstep", "scalar"), ("scalar", "lockstep")):
-        writer = EvalEngine(clone(form))
-        if first == "lockstep":
-            writer.evaluate_frontier(members)
-            assert writer.counters.frontier_lockstep == len(members)
-        else:
-            outcomes(writer.evaluate, members)
-        entries = list(_cached_matrices(writer))
-        assert entries
-        for active, bw, vals in entries:
-            dense = (
-                writer._s_matrix(active, bw)
-                if first == "lockstep"
-                else writer._s_matrix_many([active], [bw])[0]
+    carried = []
+    step = frontier._slowdowns_batch
+
+    def recording(*args):
+        structures = args[6]
+        before = dict(
+            zip(structures.rows.tolist(), map(bytes, structures.bits))
+        )
+        out = step(*args)
+        carried.append(
+            sum(
+                before.get(r) == bytes(b)
+                for r, b in zip(structures.rows.tolist(), structures.bits)
             )
-            assert vals.tobytes() == dense[active].tobytes()
+        )
+        return out
 
-        # a second engine (cold memo) reading the writer's cache
-        reader = EvalEngine(clone(form))
-        reader._s_cache = writer._s_cache
-        if second == "scalar":
-            got = outcomes(reader.evaluate, members)
-        else:
-            got = frontier_outcomes(reader, members)
-            assert reader.counters.frontier_lockstep == len(members)
-        assert_identical(got, ref, items_every=1)
-        c = reader.counters
-        assert c.slowdown_queries > 0
-        assert c.slowdown_cache_hits == c.slowdown_queries
+    monkeypatch.setattr(frontier, "_slowdowns_batch", recording)
+    form, _rng = random_formulation(seed)
+    members = _lockstep_members(form, 24)
+    ref = outcomes(clone(form).evaluate_scratch, members)
+    engine = EvalEngine(clone(form))
+    got = frontier_outcomes(engine, members)
+    assert_identical(got, ref, items_every=1)
+    c = engine.counters
+    assert c.frontier_lockstep == len(members)
+    assert len(engine._s_cache) == 0
+    assert not engine._trip_cache
+    assert sum(carried) > 0
+    assert c.slowdown_cache_hits == sum(carried)
 
 
 # -- per-member structure reuse across fixed-point iterations ----------
@@ -310,7 +410,7 @@ def test_structure_that_changes_back_is_rebuilt(seed, monkeypatch):
 
     def recording(*args):
         out = step(*args)
-        structures = args[7]
+        structures = args[6]
         for row, bits in zip(structures.rows.tolist(), structures.bits):
             history.setdefault(row, []).append(bits.tobytes())
         return out
@@ -331,20 +431,19 @@ def test_structure_that_changes_back_is_rebuilt(seed, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(16))
-def test_one_entry_slowdown_cache(seed, lockstep_from_two):
-    """With a one-entry slowdown cache every put evicts, so reused
-    rows can no longer be found in the cache; every member still
-    equals scratch bit for bit."""
+def test_one_entry_slowdown_cache(seed):
+    """With a one-entry slowdown cache every put on the scalar path
+    (the cache's only user) evicts; every member still equals scratch
+    bit for bit."""
     form, _rng = random_formulation(seed)
     members = _lockstep_members(form, 20)
     ref = outcomes(clone(form).evaluate_scratch, members)
     engine = EvalEngine(clone(form))
     engine._s_cache = FIFOCache(1)
-    got = frontier_outcomes(engine, members)
+    got = outcomes(engine.evaluate, members)
     assert_identical(got, ref, items_every=1)
     assert len(engine._s_cache) <= 1
-    if form.resource_constrained:
-        assert engine.counters.frontier_lockstep == len(members)
+    assert engine.counters.slowdown_queries > 0
 
 
 @pytest.mark.parametrize("width", (24, 96), ids=("narrow", "compressed"))

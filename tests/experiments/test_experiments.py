@@ -14,6 +14,7 @@ from repro.experiments import (
     fig4_intervals,
     fig5_scenario1,
     fig6_slowdown,
+    solver_race,
     table2_layer_groups,
     table5_standalone,
     table6_scenarios,
@@ -241,3 +242,13 @@ class TestAblations:
         assert by_variant["bound-ordered"]["nodes"] <= by_variant[
             "unordered"
         ]["nodes"]
+
+
+def test_solver_race_title_names_the_race_it_ran():
+    """The table title reports the platform and limits of the race
+    that produced the rows, not the module defaults."""
+    rows = solver_race.race(
+        "xavier", ("googlenet", "resnet18"), max_groups=3, max_transitions=1
+    )
+    title = solver_race.format_results(rows).splitlines()[0]
+    assert title.endswith("(xavier, groups<=3, transitions<=1)")
